@@ -6,14 +6,12 @@ that exactly k samples come out; on fresh data the selector is the pure
 rule score >= tau and the achieved coverage may drift by O(1/sqrt(n)).
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
-from .util import sha256_hex
 
 TIE_POLICY = "ascending_index"
 
@@ -24,15 +22,6 @@ class CalibratedSelector:
     tau: float
     target_coverage: float
     tie_policy: str = TIE_POLICY
-    fitted_on: str = ""
-    n_fit: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, s: str) -> "CalibratedSelector":
-        return cls(**json.loads(s))
 
 
 def required_count(n: int, target_coverage: float) -> int:
@@ -57,8 +46,8 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), -scores))
 
 
-def fit_threshold(scores, target_coverage: float, mechanism: str | None = None,
-                  fingerprint: str = "") -> CalibratedSelector:
+def fit_threshold(scores, target_coverage: float,
+                  mechanism: str | None = None) -> CalibratedSelector:
     """Fit tau so that exactly ceil(c*n) fitting samples score >= tau.
 
     Raises CalibrationError when every score is -inf, since no finite
@@ -67,15 +56,11 @@ def fit_threshold(scores, target_coverage: float, mechanism: str | None = None,
     scores = _check_scores(scores)
     if not np.any(np.isfinite(scores)):
         raise CalibrationError("all scores are -inf; nothing can be selected")
-    n = scores.size
-    k = required_count(n, target_coverage)
+    k = required_count(scores.size, target_coverage)
     order = _descending_order(scores)
     tau = float(scores[order[k - 1]])
-    if not fingerprint:
-        fingerprint = sha256_hex(scores.tobytes())[:16]
     return CalibratedSelector(mechanism=mechanism, tau=tau,
-                              target_coverage=float(target_coverage),
-                              fitted_on=fingerprint, n_fit=n)
+                              target_coverage=float(target_coverage))
 
 
 def apply_selector(sel: CalibratedSelector, scores, exact_k: bool = False) -> np.ndarray:

@@ -16,18 +16,18 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import fit_threshold, apply_selector
 from .config import GridConfig, RunConfig, load_run_config
 from .datasets import generate_mixture, load_csv_dataset, save_csv_dataset, split_dataset
 from .errors import ConfigurationError, NumericFault, SelclsError
-from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram, selective_risk
+from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram
 from .gradcheck import TOLERANCE, run_suite
 from .nn import build_network, load_checkpoint, network_forward, save_checkpoint
-from .objectives import ObjectiveConfig
 from .selection import (
     ProbOutput,
     SelectionMechanism,
@@ -36,7 +36,7 @@ from .selection import (
     score_batch,
     scores_to_csv,
 )
-from .training import TrainConfig, train, train_method_grid
+from .training import train
 from .util import derive_seed, fmt
 
 OUTPUT_ROOT_ENV = "SELCLS_OUTPUT_ROOT"
@@ -107,37 +107,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def evaluate_mechanisms(net, cfg: RunConfig, val_ds, test_ds, outdir: Path,
-                        config_hash: str) -> None:
+def evaluate_mechanisms(net, val_ds, test_ds, mechanisms, coverages,
+                        calibration_split: str):
+    """Score the test split with each mechanism and trace its risk-coverage
+    curve at ``coverages``.
+
+    Returns (test predictions, {mechanism: (test scores, curve points)}).
+    With ``calibration_split`` "val" each threshold is fitted on the val
+    scores; with "test" the test scores calibrate themselves.
+    """
     test_out = model_outputs(net, test_ds)
-    val_out = model_outputs(net, val_ds)
+    val_out = model_outputs(net, val_ds) if calibration_split == "val" else None
     predicted = predict_classes(test_out)
-    for kind in cfg.evaluation.mechanisms:
+    results = {}
+    for kind in mechanisms:
         if not mechanism_compatible(kind, net.head):
             raise ConfigurationError(
                 f"mechanism {kind!r} is incompatible with a {net.head!r} "
                 "head checkpoint")
         mech = SelectionMechanism(kind)
         scores = score_batch(mech, test_out)
-        if cfg.evaluation.calibration_split == "val":
-            calibration_scores = score_batch(mech, val_out)
-        else:
-            calibration_scores = None  # self-calibration on the test scores
-        points = risk_coverage_curve(scores, predicted, test_ds.labels,
-                                     cfg.evaluation.coverage_grid,
-                                     calibration_scores=calibration_scores)
-        comment = f"config={config_hash} mechanism={kind}"
-        curve_to_csv(outdir / f"curve_{kind}.csv", points,
-                     seed=cfg.training.seed, header_comment=comment)
-        finite = np.isfinite(scores)
-        hist = score_histogram(scores[finite], predicted[finite],
-                               test_ds.labels[finite],
-                               cfg.evaluation.histogram_bins, mechanism=kind)
-        histogram_to_csv(outdir / f"histogram_{kind}.csv", hist,
-                         header_comment=f"{comment} "
-                                        f"dropped={int((~finite).sum())}")
-        scores_to_csv(outdir / f"scores_{kind}.csv", scores, predicted,
-                      test_ds.labels, header_comment=comment)
+        calibration_scores = None if val_out is None \
+            else score_batch(mech, val_out)
+        results[kind] = (scores, risk_coverage_curve(
+            scores, predicted, test_ds.labels, coverages,
+            calibration_scores=calibration_scores))
+    return predicted, results
 
 
 def cmd_eval(args) -> int:
@@ -151,9 +146,24 @@ def cmd_eval(args) -> int:
     outdir = resolve_outdir(cfg.output_dir, args.output) / "eval"
     outdir.mkdir(parents=True, exist_ok=True)
     _, val_ds, test_ds, _ = build_splits(cfg)
-    evaluate_mechanisms(net, cfg, val_ds, test_ds, outdir, h)
-    print(f"wrote {len(cfg.evaluation.mechanisms)} curve/histogram pairs "
-          f"to {outdir}")
+    ev = cfg.evaluation
+    predicted, results = evaluate_mechanisms(
+        net, val_ds, test_ds, ev.mechanisms, ev.coverage_grid,
+        ev.calibration_split)
+    for kind, (scores, points) in results.items():
+        comment = f"config={h} mechanism={kind}"
+        curve_to_csv(outdir / f"curve_{kind}.csv", points,
+                     seed=cfg.training.seed, header_comment=comment)
+        finite = np.isfinite(scores)
+        hist = score_histogram(scores[finite], predicted[finite],
+                               test_ds.labels[finite], ev.histogram_bins,
+                               mechanism=kind)
+        histogram_to_csv(outdir / f"histogram_{kind}.csv", hist,
+                         header_comment=f"{comment} "
+                                        f"dropped={int((~finite).sum())}")
+        scores_to_csv(outdir / f"scores_{kind}.csv", scores, predicted,
+                      test_ds.labels, header_comment=comment)
+    print(f"wrote {len(ev.mechanisms)} curve/histogram pairs to {outdir}")
     return 0
 
 
@@ -174,79 +184,70 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def grid_objective(base: ObjectiveConfig, method: str, coverage) -> ObjectiveConfig:
-    from dataclasses import replace
-
-    obj = replace(base, kind=method)
-    if coverage is not None:
-        obj = replace(obj, c_target=float(coverage))
-    obj.validate()
-    return obj
+def grid_cell_name(method: str, coverage, seed: int) -> str:
+    cov = "all" if coverage is None else f"c{coverage:g}"
+    return f"{method.replace('+', '_')}_{cov}_s{seed}"
 
 
 def cmd_grid(args) -> int:
-    from dataclasses import replace
+    """Train, save and evaluate every grid cell, then aggregate over seeds.
 
+    Three-head selective models get one cell per (method, coverage, seed);
+    everything else trains once per (method, seed) and is evaluated at all
+    coverages. A cell that fails in training or evaluation is recorded in
+    the manifest, adds no results rows, and makes the grid exit 1.
+    """
     cfg = load_run_config(args.config)
     if cfg.grid is None:
         raise ConfigurationError("grid command needs a grid section")
     grid: GridConfig = cfg.grid
     outdir = resolve_outdir(cfg.output_dir, args.output)
     cells_dir = outdir / "cells"
+    cells_dir.mkdir(exist_ok=True)
     h = cfg.hash()
 
-    data_cache = {}
-
-    def get_data(seed):
-        if seed not in data_cache:
-            data_cache[seed] = build_splits(cfg, seed=seed)
-        return data_cache[seed]
-
-    def make_data(seed):
-        train_ds, val_ds, test_ds, _ = get_data(seed)
-        return train_ds, val_ds, test_ds
-
-    def make_net(objective, seed):
-        train_ds, _, _, n_classes = get_data(seed)
-        return build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
-                             n_classes, objective.required_head(), seed=seed,
-                             numeric_mode=cfg.training.numeric_mode)
-
-    def make_train_cfg(method, coverage, seed):
-        return replace(cfg.training, seed=seed,
-                       objective=grid_objective(cfg.objective, method,
-                                                coverage))
-
-    cells = train_method_grid(grid.methods, grid.coverages, grid.seeds,
-                              make_data, make_net, make_train_cfg, cells_dir)
-
-    # evaluate every healthy cell at its coverages with every compatible
-    # mechanism, then aggregate over seeds
+    splits = {}
+    cells = []
     rows = {}
-    for cell in cells:
-        if cell["status"] != "ok":
-            continue
-        net, _ = load_checkpoint(cell["checkpoint"])
-        _, val_ds, test_ds = make_data(cell["seed"])
-        test_out = model_outputs(net, test_ds)
-        val_out = model_outputs(net, val_ds)
-        predicted = predict_classes(test_out)
-        covs = grid.coverages if cell["coverage"] is None \
-            else [cell["coverage"]]
-        for kind in grid.mechanisms:
-            if not mechanism_compatible(kind, net.head):
+    for method in grid.methods:
+        base = replace(cfg.objective, kind=method)
+        covs = grid.coverages if base.base_kind == "SelectiveNet" else [None]
+        for coverage, seed in product(covs, grid.seeds):
+            name = grid_cell_name(method, coverage, seed)
+            cell = {"method": method, "coverage": coverage, "seed": seed,
+                    "name": name, "status": "ok", "checkpoint": "",
+                    "error": ""}
+            cells.append(cell)
+            try:
+                if seed not in splits:
+                    splits[seed] = build_splits(cfg, seed=seed)
+                train_ds, val_ds, test_ds, n_classes = splits[seed]
+                objective = base if coverage is None \
+                    else replace(base, c_target=float(coverage))
+                net = build_network(
+                    train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
+                    objective.required_head(), seed=seed,
+                    numeric_mode=cfg.training.numeric_mode)
+                report, _ = train(net, train_ds, val_ds, replace(
+                    cfg.training, seed=seed, objective=objective))
+                path = str(cells_dir / f"{name}.checkpoint.json")
+                save_checkpoint(net, path)
+                report.to_csv(cells_dir / f"{name}.report.csv")
+                cell["checkpoint"] = path
+                eval_covs = grid.coverages if coverage is None else [coverage]
+                _, results = evaluate_mechanisms(
+                    net, val_ds, test_ds,
+                    [k for k in grid.mechanisms
+                     if mechanism_compatible(k, net.head)],
+                    eval_covs, cfg.evaluation.calibration_split)
+            except SelclsError as exc:
+                cell["status"] = "failed"
+                cell["error"] = f"{type(exc).__name__}: {exc}"
                 continue
-            mech = SelectionMechanism(kind)
-            scores = score_batch(mech, test_out)
-            if cfg.evaluation.calibration_split == "val":
-                cal = score_batch(mech, val_out)
-            else:
-                cal = None
-            points = risk_coverage_curve(scores, predicted, test_ds.labels,
-                                         covs, calibration_scores=cal)
-            for c, point in zip(covs, points):
-                key = (cell["method"], kind, float(c))
-                rows.setdefault(key, []).append(point.selective_risk)
+            for kind, (_, points) in results.items():
+                for c, point in zip(eval_covs, points):
+                    rows.setdefault((method, kind, float(c)), []).append(
+                        point.selective_risk)
 
     results_path = outdir / "results.csv"
     with open(results_path, "w", newline="") as f:

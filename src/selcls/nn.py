@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericFault
+from .errors import ConfigurationError, NumericFault, ParseError
 from .util import rng_for
 
 HEAD_PLAIN = "plain"
@@ -351,28 +351,63 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
         json.dump(doc, f)
 
 
+# checkpoint key -> the JSON type it must hold
+_CHECKPOINT_FIELDS = {"input_dim": int, "hidden_dims": list, "n_classes": int,
+                      "head": str, "numeric_mode": str, "params": list}
+
+
 def load_checkpoint(path):
+    """(network, config hash) from a checkpoint file.
+
+    An unreadable file or a malformed document raises ConfigurationError
+    (ParseError for invalid JSON) naming the path; non-finite parameters
+    raise NumericFault.
+    """
     import json
 
-    with open(path) as f:
-        doc = json.load(f)
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read checkpoint {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"checkpoint {path} is not a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigurationError(
-            f"unsupported checkpoint format version {doc.get('format_version')!r}")
-    net = build_network(
-        input_dim=doc["input_dim"], hidden_dims=tuple(doc["hidden_dims"]),
-        n_classes=doc["n_classes"], head=doc["head"], seed=0,
-        numeric_mode=doc["numeric_mode"])
-    flat = np.asarray(doc["params"], dtype=np.float64)
-    if flat.size != net.parameter_count:
+            f"checkpoint {path}: unsupported format version "
+            f"{doc.get('format_version')!r}")
+    for key, kind in _CHECKPOINT_FIELDS.items():
+        if not isinstance(doc.get(key), kind):
+            raise ConfigurationError(
+                f"checkpoint {path}: {key!r} is missing or not a "
+                f"{kind.__name__}")
+    if not all(isinstance(w, int) and w >= 1 for w in doc["hidden_dims"]):
         raise ConfigurationError(
-            f"checkpoint holds {flat.size} parameters, architecture wants "
-            f"{net.parameter_count}")
+            f"checkpoint {path}: 'hidden_dims' must hold positive integers")
+    try:
+        net = build_network(
+            input_dim=doc["input_dim"], hidden_dims=tuple(doc["hidden_dims"]),
+            n_classes=doc["n_classes"], head=doc["head"], seed=0,
+            numeric_mode=doc["numeric_mode"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"checkpoint {path}: {exc}") from exc
+    try:
+        flat = np.asarray(doc["params"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"checkpoint {path}: 'params' must be a list of numbers") from exc
+    if flat.shape != (net.parameter_count,):
+        raise ConfigurationError(
+            f"checkpoint {path} holds parameters of shape {flat.shape}, "
+            f"architecture wants {net.parameter_count}")
     offset = 0
     for arr in net.param_arrays():
         chunk = flat[offset:offset + arr.size].reshape(arr.shape)
         arr[...] = chunk.astype(net.dtype)
         offset += arr.size
     if not np.all(np.isfinite(flat)):
-        raise NumericFault("checkpoint contains non-finite parameters")
+        raise NumericFault(f"checkpoint {path} contains non-finite parameters")
     return net, doc.get("config_hash", "")

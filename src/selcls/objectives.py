@@ -33,6 +33,10 @@ OBJECTIVE_KINDS = (
 
 # mean-g values below this are treated as a collapsed selection head
 COVERAGE_EPS = 1e-8
+# the closed float64 interval nearest to (0, 1): selection values are clamped
+# into it before the selective loss
+_G_FLOOR = np.finfo(np.float64).tiny
+_G_CEIL = 1.0 - np.finfo(np.float64).epsneg
 
 
 @dataclass
@@ -421,7 +425,9 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             raise ConfigurationError(
                 "selective objective needs the three-head layout")
         g_raw = np.asarray(outputs["select"], dtype=np.float64)[:, 0]
-        g = sigmoid(g_raw)
+        # the sigmoid's true value lies strictly inside (0, 1), but it rounds
+        # to 0 or 1 once the raw unit saturates (|g_raw| > ~37)
+        g = sigmoid(g_raw).clip(_G_FLOOR, _G_CEIL)
         res = selectivenet_loss(logits, g, outputs["aux"], y, cfg)
         d_f = res.d_f
         if cfg.uses_em:

@@ -1,4 +1,4 @@
-"""SGD-with-momentum training loop and the method-comparison grid runner.
+"""SGD-with-momentum training loop.
 
 Protocol notes baked in here:
 
@@ -8,26 +8,15 @@ Protocol notes baked in here:
     plain (C+1)-way cross entropy and never touch the target store; later
     epochs use the target loss and refresh the touched targets right after
     each parameter update (or once per epoch when configured so)
-  * three-head selective models are trained once per target coverage by
-    the grid runner; abstain-head and plain models are trained once and
-    evaluated at every coverage
 """
 
 import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
-from .nn import (
-    Network,
-    build_network,
-    network_backward,
-    network_forward,
-    save_checkpoint,
-    stable_softmax,
-)
+from .nn import Network, network_backward, network_forward, stable_softmax
 from .objectives import (
     ObjectiveConfig,
     SatTargetStore,
@@ -202,44 +191,3 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             mean_entropy=val_entropy))
     return report, store
 
-
-def grid_cell_name(method: str, coverage, seed: int) -> str:
-    cov = "all" if coverage is None else f"c{coverage:g}"
-    return f"{method.replace('+', '_')}_{cov}_s{seed}"
-
-
-def train_method_grid(methods, coverages, seeds, make_data, make_net,
-                      make_train_cfg, out_dir):
-    """Train every grid cell and record a manifest.
-
-    Three-head selective models get one cell per (method, coverage, seed);
-    everything else trains once per (method, seed) and is evaluated at all
-    coverages later. ``make_data(seed)``, ``make_net(objective, seed)``,
-    and ``make_train_cfg(method, coverage, seed)`` inject the pieces.
-    Failures are recorded per cell and the grid keeps going.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    cells = []
-    for method in methods:
-        base = ObjectiveConfig(kind=method).base_kind
-        covs = list(coverages) if base == "SelectiveNet" else [None]
-        for coverage in covs:
-            for seed in seeds:
-                name = grid_cell_name(method, coverage, seed)
-                cell = {"method": method, "coverage": coverage, "seed": seed,
-                        "name": name, "status": "ok", "checkpoint": "",
-                        "error": ""}
-                try:
-                    train_ds, val_ds, _ = make_data(seed)
-                    cfg = make_train_cfg(method, coverage, seed)
-                    net = make_net(cfg.objective, seed)
-                    report, _ = train(net, train_ds, val_ds, cfg)
-                    path = os.path.join(out_dir, f"{name}.checkpoint.json")
-                    save_checkpoint(net, path)
-                    report.to_csv(os.path.join(out_dir, f"{name}.report.csv"))
-                    cell["checkpoint"] = path
-                except Exception as exc:  # noqa: BLE001 - recorded per cell
-                    cell["status"] = "failed"
-                    cell["error"] = f"{type(exc).__name__}: {exc}"
-                cells.append(cell)
-    return cells

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -168,14 +166,3 @@ class TestExactnessProperty:
                     assert sel.tau <= prev_tau
                 prev_mask, prev_tau = mask, sel.tau
 
-
-def test_selector_json_roundtrip():
-    sel = fit_threshold(np.array([0.2, 0.9, 0.5]), 0.5, mechanism="softmax_response")
-    restored = CalibratedSelector.from_json(sel.to_json())
-    assert restored == sel
-
-
-def test_selector_json_roundtrip_minus_inf():
-    sel = CalibratedSelector(mechanism=None, tau=-math.inf,
-                             target_coverage=1.0)
-    assert CalibratedSelector.from_json(sel.to_json()).tau == -math.inf

@@ -115,6 +115,24 @@ class TestEvalCommand:
         assert main(["eval", "-c", str(bad_cfg), "--force",
                      "--checkpoint", str(outdir / "checkpoint.json")]) == 2
 
+    @pytest.mark.parametrize("damage", ["truncated", "no_head", "missing"])
+    def test_malformed_checkpoint_exits_2_naming_path(self, tmp_path, capsys,
+                                                      damage):
+        cfg_path, outdir = self.train_one(tmp_path)
+        ckpt = outdir / "checkpoint.json"
+        if damage == "truncated":
+            ckpt.write_text(ckpt.read_text()[:100])
+        elif damage == "no_head":
+            doc = json.loads(ckpt.read_text())
+            del doc["head"]
+            ckpt.write_text(json.dumps(doc))
+        else:
+            ckpt.unlink()
+        capsys.readouterr()
+        assert main(["eval", "-c", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
     def test_hash_mismatch_refused_without_force(self, tmp_path):
         cfg_path, outdir = self.train_one(tmp_path)
         other_cfg, _ = base_config(tmp_path, training={"epochs": 3,
@@ -158,15 +176,25 @@ class TestGridCommand:
         grid.update(kw)
         return base_config(tmp_path, grid=grid)
 
+    @staticmethod
+    def read_outputs(doc):
+        outdir = Path(doc["output_dir"])
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        rows = [r for r in (outdir / "results.csv").read_text().splitlines()
+                if r and not r.startswith("#")]
+        return manifest, rows
+
     def test_single_cell_single_row_per_coverage(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path)
         assert main(["grid", "-c", str(cfg_path)]) == 0
-        results = Path(doc["output_dir"]) / "results.csv"
-        rows = [r for r in results.read_text().splitlines()
-                if r and not r.startswith("#")]
+        manifest, rows = self.read_outputs(doc)
         assert rows[0] == "method,mechanism,coverage,mean_risk,sd_risk,n_seeds"
         assert len(rows) == 3  # two coverages for one method/mechanism
         assert all(r.startswith("CE,softmax_response") for r in rows[1:])
+        [cell] = manifest["cells"]
+        assert cell["status"] == "ok"
+        assert cell["checkpoint"].endswith(f"{cell['name']}.checkpoint.json")
+        assert Path(cell["checkpoint"]).exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path, seeds=[0, 1])
@@ -177,28 +205,78 @@ class TestGridCommand:
         assert (out_a / "results.csv").read_bytes() == \
             (out_b / "results.csv").read_bytes()
 
+    def test_sat_trains_once_for_all_coverages(self, tmp_path):
+        cfg_path, doc = self.grid_config(
+            tmp_path, methods=["SAT"], coverages=[0.9, 0.7, 0.5])
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        manifest, rows = self.read_outputs(doc)
+        assert [c["coverage"] for c in manifest["cells"]] == [None]
+        assert len(rows) == 4  # header + one row per coverage
+
     def test_selectivenet_cells_per_coverage(self, tmp_path):
         cfg_path, doc = self.grid_config(
-            tmp_path, methods=["SelectiveNet"],
+            tmp_path, methods=["SelectiveNet"], coverages=[0.9, 0.7, 0.5],
             mechanisms=["selection_head", "softmax_response"])
         assert main(["grid", "-c", str(cfg_path)]) == 0
-        manifest = json.loads(
-            (Path(doc["output_dir"]) / "manifest.json").read_text())
-        assert len(manifest["cells"]) == 2  # one per coverage
-        results = (Path(doc["output_dir"]) / "results.csv").read_text()
-        assert "selection_head" in results
+        manifest, rows = self.read_outputs(doc)
+        assert [c["coverage"] for c in manifest["cells"]] == [0.9, 0.7, 0.5]
+        assert any(r.startswith("SelectiveNet,selection_head") for r in rows)
+
+    def test_saturated_selection_unit_trains(self, tmp_path):
+        # at c_target 0.9 the raw selection logit passes the point where
+        # the sigmoid rounds to exactly 1.0 within the first epoch
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "grid": {"methods": ["SelectiveNet"], "coverages": [0.9],
+                     "seeds": [0]},
+            "training": {"epochs": 1},
+            "output_dir": str(tmp_path / "run")}))
+        assert main(["grid", "-c", str(path)]) == 0
 
     def test_failed_cell_nonzero_exit(self, tmp_path):
-        cfg_path, doc = self.grid_config(tmp_path, methods=["DG"])
+        cfg_path, doc = self.grid_config(tmp_path, methods=["DG", "CE"])
         # blobs8 has C=8; force an inadmissible payoff through the base
         # objective section
         raw = json.loads(Path(cfg_path).read_text())
         raw["objective"] = {"kind": "CE", "o": 44.0}
         Path(cfg_path).write_text(json.dumps(raw))
         assert main(["grid", "-c", str(cfg_path)]) == 1
-        manifest = json.loads(
-            (Path(doc["output_dir"]) / "manifest.json").read_text())
-        assert manifest["cells"][0]["status"] == "failed"
+        manifest, rows = self.read_outputs(doc)
+        assert [c["status"] for c in manifest["cells"]] == ["failed", "ok"]
+        assert "o=44" in manifest["cells"][0]["error"]
+        assert all(r.startswith("CE,") for r in rows[1:])
+
+    def test_cell_failing_in_evaluation_is_recorded(self, tmp_path):
+        # a val-fitted threshold at coverage 0.01 selects none of the 4
+        # test samples, so that cell's selective risk is undefined
+        cfg_path, doc = base_config(
+            tmp_path, dataset={"n_test": 4},
+            grid={"methods": ["SelectiveNet"],
+                  "mechanisms": ["softmax_response", "selection_head"],
+                  "coverages": [0.5, 0.01], "seeds": [0]})
+        assert main(["grid", "-c", str(cfg_path)]) == 1
+        manifest, rows = self.read_outputs(doc)
+        status = {c["name"]: (c["status"], c["error"])
+                  for c in manifest["cells"]}
+        assert status["SelectiveNet_c0.5_s0"] == ("ok", "")
+        assert status["SelectiveNet_c0.01_s0"][0] == "failed"
+        assert status["SelectiveNet_c0.01_s0"][1].startswith(
+            "UndefinedRiskError: ")
+        assert sorted(r.split(",")[:3] for r in rows[1:]) == [
+            ["SelectiveNet", "selection_head", "0.5"],
+            ["SelectiveNet", "softmax_response", "0.5"]]
+
+    def test_programming_error_is_not_recorded_as_failed_cell(
+            self, tmp_path, monkeypatch):
+        import selcls.cli
+
+        def broken_train(*args, **kwargs):
+            raise TypeError("bug in training")
+
+        monkeypatch.setattr(selcls.cli, "train", broken_train)
+        cfg_path, _ = self.grid_config(tmp_path)
+        with pytest.raises(TypeError, match="bug in training"):
+            main(["grid", "-c", str(cfg_path)])
 
 
 class TestOutputRoot:

@@ -5,14 +5,8 @@ from selcls.datasets import MixtureSpec, generate_mixture
 from selcls.errors import ConfigurationError, NumericFault
 from selcls.nn import build_network
 from selcls.objectives import ObjectiveConfig
-from selcls.training import (
-    TrainConfig,
-    grid_cell_name,
-    lr_at_epoch,
-    sgd_momentum_step,
-    train,
-    train_method_grid,
-)
+from selcls.cli import grid_cell_name
+from selcls.training import TrainConfig, lr_at_epoch, sgd_momentum_step, train
 
 
 def small_spec(seed=0, separation=6.0, noise=0.0):
@@ -177,59 +171,6 @@ class TestTrain:
         cfg = quick_cfg(kind="SelectiveNet", epochs=8, seed=4, c_target=0.8)
         report, _ = train(net, train_ds, val_ds, cfg)
         assert report.epochs[-1].val_accuracy > 0.6
-
-
-class TestMethodGrid:
-    def run_grid(self, methods, coverages, seeds, tmp_path):
-        def make_data(seed):
-            return generate_mixture(small_spec(seed=seed, noise=0.1))
-
-        def make_net(objective, seed):
-            return build_network(2, (8,), 2, objective.required_head(),
-                                 seed=seed)
-
-        def make_cfg(method, coverage, seed):
-            kw = {"c_target": coverage} if coverage is not None else {}
-            return quick_cfg(kind=method, epochs=2, seed=seed,
-                             sat_pretrain_epochs=1, **kw)
-
-        return train_method_grid(methods, coverages, seeds, make_data,
-                                 make_net, make_cfg, tmp_path)
-
-    def test_single_cell(self, tmp_path):
-        cells = self.run_grid(["CE"], [0.9], [0], tmp_path)
-        assert len(cells) == 1
-        assert cells[0]["status"] == "ok"
-        assert (tmp_path / f"{cells[0]['name']}.checkpoint.json").exists()
-
-    def test_sat_trains_once_for_all_coverages(self, tmp_path):
-        cells = self.run_grid(["SAT"], [0.9, 0.7, 0.5], [0], tmp_path)
-        assert len(cells) == 1
-        assert cells[0]["coverage"] is None
-
-    def test_selectivenet_trains_per_coverage(self, tmp_path):
-        cells = self.run_grid(["SelectiveNet"], [0.9, 0.7, 0.5], [0], tmp_path)
-        assert len(cells) == 3
-        assert sorted(c["coverage"] for c in cells) == [0.5, 0.7, 0.9]
-
-    def test_partial_failure_recorded_grid_continues(self, tmp_path):
-        def make_data(seed):
-            return generate_mixture(small_spec(seed=seed))
-
-        def make_net(objective, seed):
-            return build_network(2, (8,), 2, objective.required_head(),
-                                 seed=seed)
-
-        def make_cfg(method, coverage, seed):
-            cfg = quick_cfg(kind=method, epochs=1, seed=seed)
-            if method == "DG":
-                cfg.objective.o = 50.0  # inadmissible payoff
-            return cfg
-
-        cells = train_method_grid(["DG", "CE"], [0.9], [0], make_data,
-                                  make_net, make_cfg, tmp_path)
-        assert [c["status"] for c in cells] == ["failed", "ok"]
-        assert "o=50" in cells[0]["error"]
 
 
 def test_grid_cell_names_are_filesystem_safe():
