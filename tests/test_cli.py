@@ -268,12 +268,10 @@ class TestGridCommand:
 
     def test_programming_error_is_not_recorded_as_failed_cell(
             self, tmp_path, monkeypatch):
-        import selcls.cli
-
         def broken_train(*args, **kwargs):
             raise TypeError("bug in training")
 
-        monkeypatch.setattr(selcls.cli, "train", broken_train)
+        monkeypatch.setattr("selcls.cli.train", broken_train)
         cfg_path, _ = self.grid_config(tmp_path)
         with pytest.raises(TypeError, match="bug in training"):
             main(["grid", "-c", str(cfg_path)])
