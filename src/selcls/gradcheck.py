@@ -71,8 +71,7 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int) -> GradcheckCas
         net = build_network(input_dim, widths, n_classes=n_classes,
                             head=cfg.required_head(),
                             seed=int(rng.integers(0, 2 ** 31)))
-        for arr in net.param_arrays():
-            arr += rng.normal(scale=0.3, size=arr.shape)
+        net.params += rng.normal(scale=0.3, size=net.params.size)
         X = rng.normal(size=(m, input_dim))
         y = rng.integers(0, n_classes, size=m)
         trace = network_forward(net, X)
@@ -111,7 +110,7 @@ def check_case(case: GradcheckCase, eps: float = FD_EPS,
         res.dlogits["logits"] = res.dlogits["logits"] + 0.05
     analytic = network_backward(net, trace, res.dlogits)
     fd = finite_difference_gradient(lossfn, net, eps=eps)
-    return max_relative_error(analytic, fd)
+    return max_relative_error(net, analytic, fd)
 
 
 def check_objective(cfg: ObjectiveConfig, n_cases: int = 20, seed: int = 0,

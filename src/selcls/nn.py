@@ -9,16 +9,25 @@ three head layouts:
                  logits (C), a single selection unit passed through a
                  sigmoid, and auxiliary logits (C)
 
+Every parameter lives in one contiguous vector, ``Network.params``. Each
+layer's ``W`` and ``b`` are views into it, laid out as trunk ``W, b`` per
+layer, then the heads ``logits``, ``select``, ``aux``; checkpoints store
+the vector in that order. The backward pass, the optimizer velocity and
+the finite-difference oracle use vectors of the same layout, and
+``_layer_views`` cuts any of them into per-layer ``(W, b)`` views.
+
 Forward passes record a trace sufficient for the exact backward pass;
 neither pass mutates the network. Parameter updates happen only in the
-training loop, through the flat array views exposed by ``param_arrays``.
+training loop, on ``Network.params``.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
 The ReLU subgradient at exactly 0 is taken to be 0.
 """
 
-from dataclasses import dataclass, field
+import json
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +41,6 @@ HEAD_KINDS = (HEAD_PLAIN, HEAD_ABSTAIN, HEAD_SELECTIVENET)
 
 DTYPES = {"f64": np.float64, "f32": np.float32}
 
-# fixed traversal order of head names; keeps parameter flattening stable
-_HEAD_ORDER = ("logits", "select", "aux")
-
 
 @dataclass
 class Affine:
@@ -43,21 +49,17 @@ class Affine:
     W: np.ndarray
     b: np.ndarray
 
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[0]
-
 
 @dataclass
 class Network:
+    """A trunk and its heads; every layer's W and b are views into the one
+    parameter vector ``params``, trunk first, then heads in dict order."""
+
     input_dim: int
     hidden_dims: tuple
     n_classes: int
     head: str
+    params: np.ndarray
     trunk: list
     heads: dict
     numeric_mode: str = "f64"
@@ -71,21 +73,10 @@ class Network:
         return self.head == HEAD_ABSTAIN
 
     @property
-    def head_names(self) -> tuple:
-        return tuple(n for n in _HEAD_ORDER if n in self.heads)
-
-    def param_arrays(self):
-        """All parameter arrays in a fixed order (trunk first, then heads)."""
-        out = []
-        for layer in self.trunk:
-            out.extend([layer.W, layer.b])
-        for name in self.head_names:
-            out.extend([self.heads[name].W, self.heads[name].b])
-        return out
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(a.size for a in self.param_arrays())
+    def layer_shapes(self) -> list:
+        """(out, in) of every layer in the order of the flat layout."""
+        return [layer.W.shape
+                for layer in self.trunk + list(self.heads.values())]
 
 
 @dataclass
@@ -98,28 +89,20 @@ class ForwardTrace:
     head_raw: dict
     g_sel: np.ndarray | None = None
 
-    @property
-    def batch_size(self) -> int:
-        return self.x.shape[0]
 
-
-@dataclass
-class Gradients:
-    trunk: list
-    heads: dict
-
-    def arrays(self):
-        out = []
-        for dW, db in self.trunk:
-            out.extend([dW, db])
-        for name in _HEAD_ORDER:
-            if name in self.heads:
-                dW, db = self.heads[name]
-                out.extend([dW, db])
-        return out
+def _layer_views(flat: np.ndarray, shapes) -> list:
+    """Cut a flat vector into one (W, b) pair of views per (out, in) shape."""
+    views, end = [], 0
+    for rows, cols in shapes:
+        start, end = end, end + rows * cols
+        W = flat[start:end].reshape(rows, cols)
+        start, end = end, end + rows
+        views.append((W, flat[start:end]))
+    return views
 
 
 def head_output_dims(head: str, n_classes: int) -> dict:
+    """Output width per head, in the order of the flat parameter layout."""
     if head == HEAD_PLAIN:
         return {"logits": n_classes}
     if head == HEAD_ABSTAIN:
@@ -141,22 +124,22 @@ def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
         raise ConfigurationError(f"numeric_mode must be one of {tuple(DTYPES)}")
     if input_dim < 1 or n_classes < 2:
         raise ConfigurationError("need input_dim >= 1 and n_classes >= 2")
-    dtype = DTYPES[numeric_mode]
     rng = rng_for(seed, "init")
-
-    def init(out_dim, in_dim):
-        bound = np.sqrt(6.0 / (in_dim + out_dim))
-        W = rng.uniform(-bound, bound, size=(out_dim, in_dim)).astype(dtype)
-        return Affine(W=W, b=np.zeros(out_dim, dtype=dtype))
-
-    trunk, prev = [], input_dim
-    for width in hidden_dims:
-        trunk.append(init(width, prev))
-        prev = width
-    heads = {name: init(dim, prev)
-             for name, dim in head_output_dims(head, n_classes).items()}
+    dims = (input_dim, *hidden_dims)
+    head_dims = head_output_dims(head, n_classes)
+    shapes = list(zip(dims[1:], dims[:-1])) + \
+        [(out, dims[-1]) for out in head_dims.values()]
+    params = np.zeros(sum(rows * cols + rows for rows, cols in shapes),
+                      dtype=DTYPES[numeric_mode])
+    layers = []
+    for W, b in _layer_views(params, shapes):
+        bound = np.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+        layers.append(Affine(W=W, b=b))
     return Network(input_dim=input_dim, hidden_dims=tuple(hidden_dims),
-                   n_classes=n_classes, head=head, trunk=trunk, heads=heads,
+                   n_classes=n_classes, head=head, params=params,
+                   trunk=layers[:len(hidden_dims)],
+                   heads=dict(zip(head_dims, layers[len(hidden_dims):])),
                    numeric_mode=numeric_mode)
 
 
@@ -223,8 +206,7 @@ def network_forward(net: Network, batch: np.ndarray) -> ForwardTrace:
         pre.append(z)
         act.append(a)
     head_raw = {}
-    for name in net.head_names:
-        h = net.heads[name]
+    for name, h in net.heads.items():
         raw = affine_forward(a, h.W, h.b)
         if not np.all(np.isfinite(raw)):
             raise NumericFault(f"non-finite output at head {name!r}")
@@ -235,42 +217,46 @@ def network_forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x=x, pre=pre, act=act, head_raw=head_raw, g_sel=g_sel)
 
 
-def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict) -> Gradients:
+def network_backward(net: Network, trace: ForwardTrace,
+                     dhead_raw: dict) -> np.ndarray:
     """Chain d(loss)/d(raw head outputs) back to every parameter.
 
     ``dhead_raw`` maps head name to an (m, out_dim) array; omitted heads
-    contribute nothing. Returned gradient shapes mirror parameter shapes.
+    contribute nothing. Returns the flat gradient, laid out like
+    ``net.params``.
     """
+    grad = np.zeros_like(net.params)
+    views = _layer_views(grad, net.layer_shapes)
+    head_views = dict(zip(net.heads, views[len(net.trunk):]))
     last_act = trace.act[-1] if trace.act else trace.x
     da = np.zeros_like(last_act)
-    head_grads = {}
     for name, d in dhead_raw.items():
         if name not in net.heads:
             raise ConfigurationError(f"gradient for unknown head {name!r}")
-        h = net.heads[name]
         d = np.asarray(d, dtype=net.dtype)
         if d.shape != trace.head_raw[name].shape:
             raise ConfigurationError(
                 f"dlogits shape {d.shape} does not match head {name!r} "
                 f"output {trace.head_raw[name].shape}")
-        head_grads[name] = (d.T @ last_act, d.sum(axis=0))
-        da = da + d @ h.W
-    for name in net.head_names:
-        if name not in head_grads:
-            h = net.heads[name]
-            head_grads[name] = (np.zeros_like(h.W), np.zeros_like(h.b))
+        dW, db = head_views[name]
+        np.matmul(d.T, last_act, out=dW)
+        np.sum(d, axis=0, out=db)
+        da = da + d @ net.heads[name].W
 
-    trunk_grads = [None] * len(net.trunk)
     for i in range(len(net.trunk) - 1, -1, -1):
         dz = da * (trace.pre[i] > 0)
         below = trace.act[i - 1] if i > 0 else trace.x
-        trunk_grads[i] = (dz.T @ below, dz.sum(axis=0))
+        dW, db = views[i]
+        np.matmul(dz.T, below, out=dW)
+        np.sum(dz, axis=0, out=db)
         da = dz @ net.trunk[i].W
-    return Gradients(trunk=trunk_grads, heads=head_grads)
+    return grad
 
 
-def finite_difference_gradient(lossfn, net: Network, eps: float = 1e-6) -> Gradients:
-    """Central-difference gradient of ``lossfn(net)`` per parameter.
+def finite_difference_gradient(lossfn, net: Network,
+                               eps: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of ``lossfn(net)``, laid out like
+    ``net.params``.
 
     Perturbs entries in place and restores them; the loss function must be
     deterministic. This is the verification oracle for every analytic
@@ -278,34 +264,25 @@ def finite_difference_gradient(lossfn, net: Network, eps: float = 1e-6) -> Gradi
     """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
-    grads = []
-    for arr in net.param_arrays():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = lossfn(net)
-            flat[j] = orig - eps
-            down = lossfn(net)
-            flat[j] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericFault("loss function returned a non-finite value")
-            gflat[j] = (up - down) / (2.0 * eps)
-        grads.append(g)
-    return _grads_from_arrays(net, grads)
+    theta = net.params
+    grad = np.zeros_like(theta)
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + eps
+        up = lossfn(net)
+        theta[j] = orig - eps
+        down = lossfn(net)
+        theta[j] = orig
+        if not (np.isfinite(up) and np.isfinite(down)):
+            raise NumericFault("loss function returned a non-finite value")
+        grad[j] = (up - down) / (2.0 * eps)
+    return grad
 
 
-def _grads_from_arrays(net: Network, arrays) -> Gradients:
-    it = iter(arrays)
-    trunk = [(next(it), next(it)) for _ in net.trunk]
-    heads = {name: (next(it), next(it)) for name in net.head_names}
-    return Gradients(trunk=trunk, heads=heads)
-
-
-def max_relative_error(g1: Gradients, g2: Gradients, guard: float = 1e-8) -> float:
-    """Infinity-norm relative disagreement, maximized over parameter arrays.
+def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray,
+                       guard: float = 1e-8) -> float:
+    """Infinity-norm relative disagreement of two flat gradients of ``net``,
+    maximized over its parameter arrays.
 
     Per array: max|a - b| / max(guard, max|a|, max|b|). The difference is
     scaled by the array's own gradient magnitude because entry-wise scaling
@@ -313,11 +290,13 @@ def max_relative_error(g1: Gradients, g2: Gradients, guard: float = 1e-8) -> flo
     any useful tolerance whenever an individual entry happens to be tiny.
     """
     worst = 0.0
-    for a, b in zip(g1.arrays(), g2.arrays()):
-        if not a.size:
-            continue
-        denom = max(guard, float(np.abs(a).max()), float(np.abs(b).max()))
-        worst = max(worst, float(np.abs(a - b).max()) / denom)
+    shapes = net.layer_shapes
+    for pair1, pair2 in zip(_layer_views(g1, shapes), _layer_views(g2, shapes)):
+        for a, b in zip(pair1, pair2):
+            if not a.size:
+                continue
+            denom = max(guard, float(np.abs(a).max()), float(np.abs(b).max()))
+            worst = max(worst, float(np.abs(a - b).max()) / denom)
     return worst
 
 
@@ -333,10 +312,8 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
-    import json
-
-    flat = np.concatenate([a.reshape(-1).astype(np.float64)
-                           for a in net.param_arrays()])
+    """Write ``net`` to ``path`` atomically: a sibling temp file is renamed
+    over the target, so a failed write leaves any previous file intact."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "input_dim": net.input_dim,
@@ -345,10 +322,17 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
         "head": net.head,
         "numeric_mode": net.numeric_mode,
         "config_hash": config_hash,
-        "params": [float(v) for v in flat],
+        "params": net.params.astype(np.float64).tolist(),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    tmp = f"{os.fspath(path)}.tmp"
+    f = open(tmp, "w")
+    try:
+        with f:
+            json.dump(doc, f)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # checkpoint key -> the JSON type it must hold
@@ -363,8 +347,6 @@ def load_checkpoint(path):
     (ParseError for invalid JSON) naming the path; non-finite parameters
     raise NumericFault.
     """
-    import json
-
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -399,15 +381,11 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"checkpoint {path}: 'params' must be a list of numbers") from exc
-    if flat.shape != (net.parameter_count,):
+    if flat.shape != net.params.shape:
         raise ConfigurationError(
             f"checkpoint {path} holds parameters of shape {flat.shape}, "
-            f"architecture wants {net.parameter_count}")
-    offset = 0
-    for arr in net.param_arrays():
-        chunk = flat[offset:offset + arr.size].reshape(arr.shape)
-        arr[...] = chunk.astype(net.dtype)
-        offset += arr.size
+            f"architecture wants {net.params.size}")
+    net.params[...] = flat
     if not np.all(np.isfinite(flat)):
         raise NumericFault(f"checkpoint {path} contains non-finite parameters")
     return net, doc.get("config_hash", "")

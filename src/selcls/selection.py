@@ -31,14 +31,9 @@ MECHANISM_KINDS = (
 
 @dataclass(frozen=True)
 class SelectionMechanism:
-    """A scoring rule plus the renormalization switch for abstain heads.
-
-    ``renormalize=False`` is an ablation: softmax response then reads the
-    raw C-class mass out of the (C+1)-way softmax without renormalizing.
-    """
+    """One of the scoring rules in ``MECHANISM_KINDS``."""
 
     kind: str
-    renormalize: bool = True
 
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
@@ -69,11 +64,6 @@ def predict_classes(output: ProbOutput) -> np.ndarray:
     return np.argmax(output.probs[:, :output.n_classes], axis=1)
 
 
-def score_softmax_response(p) -> np.ndarray | float:
-    p = np.asarray(p, dtype=np.float64)
-    return p.max(axis=-1)
-
-
 def score_negative_entropy(p) -> np.ndarray | float:
     p = np.asarray(p, dtype=np.float64)
     logp = np.log(np.clip(p, 1e-300, None))
@@ -93,28 +83,7 @@ def score_selection_head(g_sel) -> np.ndarray | float:
     return np.asarray(g_sel, dtype=np.float64)
 
 
-def drop_abstain_and_renormalize(p):
-    """Renormalize a (C+1)-way distribution over the C real classes.
-
-    Returns (q, degenerate) where degenerate marks rows with all mass on
-    the abstain entry; those rows of q are NaN and must not be consumed.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
-    abstain = p[:, -1]
-    degenerate = abstain >= 1.0
-    remaining = 1.0 - abstain
-    q = np.full_like(p[:, :-1], np.nan)
-    ok = ~degenerate
-    q[ok] = p[ok, :-1] / remaining[ok, None]
-    if squeeze:
-        return q[0], bool(degenerate[0])
-    return q, degenerate
-
-
-def class_probabilities(output: ProbOutput, renormalize: bool = True):
+def class_probabilities(output: ProbOutput):
     """C-way class distribution for scoring, plus the degenerate mask.
 
     Abstain heads renormalize by re-softmaxing the first C raw logits,
@@ -125,8 +94,6 @@ def class_probabilities(output: ProbOutput, renormalize: bool = True):
     if not output.has_abstain:
         return output.probs[:, :output.n_classes], np.zeros(m, dtype=bool)
     degenerate = output.probs[:, -1] >= 1.0
-    if not renormalize:
-        return output.probs[:, :output.n_classes], degenerate
     return stable_softmax(output.logits[:, :output.n_classes]), degenerate
 
 
@@ -134,12 +101,12 @@ def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray
     """One selectability score per sample; sample order preserved."""
     kind = mechanism.kind
     if kind == "softmax_response":
-        q, degenerate = class_probabilities(output, mechanism.renormalize)
+        q, degenerate = class_probabilities(output)
         scores = q.max(axis=1)
         scores[degenerate] = -np.inf
         return scores
     if kind == "negative_entropy":
-        q, degenerate = class_probabilities(output, renormalize=True)
+        q, degenerate = class_probabilities(output)
         scores = np.where(degenerate, -np.inf, score_negative_entropy(
             np.where(degenerate[:, None], 1.0 / output.n_classes, q)))
         return scores

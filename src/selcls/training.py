@@ -79,7 +79,6 @@ class EpochStats:
 @dataclass
 class TrainReport:
     epochs: list = field(default_factory=list)
-    checkpoint_path: str = ""
 
     def to_csv(self, path, header_comment: str = "") -> None:
         with open(path, "w", newline="") as f:
@@ -102,15 +101,15 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 def sgd_momentum_step(params, grads, velocity, lr, momentum,
                       weight_decay: float = 0.0) -> None:
-    """v <- momentum*v + g (+ wd*theta); theta <- theta - lr*v. In place."""
-    for theta, g, v in zip(params, grads, velocity):
-        if not np.all(np.isfinite(g)):
-            raise NumericFault("non-finite gradient in optimizer step")
-        if weight_decay:
-            g = g + weight_decay * theta
-        v *= momentum
-        v += g
-        theta -= lr * v
+    """v <- momentum*v + g (+ wd*theta); theta <- theta - lr*v, in place on
+    flat vectors. A non-finite gradient raises before anything changes."""
+    if not np.all(np.isfinite(grads)):
+        raise NumericFault("non-finite gradient in optimizer step")
+    if weight_decay:
+        grads = grads + weight_decay * params
+    velocity *= momentum
+    velocity += grads
+    params -= lr * velocity
 
 
 def _evaluate(net: Network, X, y):
@@ -153,8 +152,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             y, C, momentum=obj.sat_momentum,
             pretrain_epochs=obj.sat_pretrain_epochs)
 
-    params = net.param_arrays()
-    velocity = [np.zeros_like(p) for p in params]
+    velocity = np.zeros_like(net.params)
 
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
@@ -173,8 +171,8 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
                     f"training diverged (loss={result.loss}) at epoch "
                     f"{epoch}, batch starting at {start}")
             grads = network_backward(net, trace, result.dlogits)
-            sgd_momentum_step(params, grads.arrays(), velocity, lr,
-                              cfg.momentum, cfg.weight_decay)
+            sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
+                              cfg.weight_decay)
             if sat_adaptive and obj.sat_update == "batch":
                 p = stable_softmax(trace.head_raw["logits"])
                 sat_update_targets(store, ids, p, epoch)

@@ -20,8 +20,7 @@ def random_net(rng, head="plain", n_classes=3, input_dim=4, widths=(6, 5),
         seed = int(rng.integers(0, 2 ** 31))
     net = build_network(input_dim, widths, n_classes=n_classes, head=head,
                         seed=seed)
-    for arr in net.param_arrays():
-        arr += rng.normal(scale=0.3, size=arr.shape)
+    net.params += rng.normal(scale=0.3, size=net.params.size)
     return net
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,7 @@ def test_sigmoid_stable_at_extremes():
 class TestNetworkForward:
     def test_zero_net_uniform_softmax(self, rng):
         net = build_network(3, (4,), n_classes=5, head="plain", seed=0)
-        for arr in net.param_arrays():
-            arr[...] = 0.0
+        net.params[...] = 0.0
         trace = network_forward(net, rng.normal(size=(6, 3)))
         assert np.allclose(trace.head_raw["logits"], 0.0)
         assert np.allclose(stable_softmax(trace.head_raw["logits"]), 0.2)
@@ -159,8 +160,8 @@ class TestNetworkBackward:
         trace = network_forward(net, X)
         grads = network_backward(
             net, trace, {"logits": np.zeros_like(trace.head_raw["logits"])})
-        for a in grads.arrays():
-            assert np.all(a == 0.0)
+        assert grads.shape == net.params.shape
+        assert np.all(grads == 0.0)
 
     def test_sum_of_logits_closed_form(self):
         # single linear layer, loss = sum of logits, one sample
@@ -169,9 +170,21 @@ class TestNetworkBackward:
         trace = network_forward(net, x)
         ones = np.ones_like(trace.head_raw["logits"])
         grads = network_backward(net, trace, {"logits": ones})
-        dW, db = grads.heads["logits"]
-        assert np.allclose(dW, np.outer(np.ones(2), x[0]))
-        assert np.allclose(db, np.ones(2))
+        # the only layer's W (2 x 3) comes first, then its b
+        assert np.allclose(grads[:6].reshape(2, 3), np.outer(np.ones(2), x[0]))
+        assert np.allclose(grads[6:], np.ones(2))
+
+    def test_omitted_heads_get_zero_gradient(self, rng):
+        net = random_net(rng, head="selectivenet", n_classes=3)
+        X, _ = random_batch(rng, net)
+        trace = network_forward(net, X)
+        grads = network_backward(
+            net, trace, {"logits": np.ones_like(trace.head_raw["logits"])})
+        # the select and aux heads follow the trunk and the logits head
+        n_before = sum(layer.W.size + layer.b.size
+                       for layer in net.trunk + [net.heads["logits"]])
+        assert np.any(grads[:n_before] != 0.0)
+        assert np.all(grads[n_before:] == 0.0)
 
     def test_shape_mismatch_rejected(self, rng):
         net = random_net(rng)
@@ -193,14 +206,14 @@ class TestFiniteDifference:
             return float(n.heads["logits"].W[0, 0] ** 2)
 
         g = finite_difference_gradient(lossfn, net, eps=1e-4)
-        dW, _ = g.heads["logits"]
-        assert abs(dW[0, 0] - 6.0) < 1e-6
+        assert abs(g[0] - 6.0) < 1e-6
+        assert np.all(g[1:] == 0.0)
 
     def test_constant_loss_zero_gradient(self, rng):
         net = random_net(rng)
         g = finite_difference_gradient(lambda n: 1.25, net, eps=1e-5)
-        for a in g.arrays():
-            assert np.all(a == 0.0)
+        assert g.shape == net.params.shape
+        assert np.all(g == 0.0)
 
     def test_nonfinite_loss_faults(self, rng):
         net = random_net(rng)
@@ -221,7 +234,7 @@ class TestFiniteDifference:
         _, d = cross_entropy(trace.head_raw["logits"], y)
         analytic = network_backward(net, trace, {"logits": d / len(y)})
         fd = finite_difference_gradient(lossfn, net, eps=1e-6)
-        assert max_relative_error(analytic, fd) < 1e-5
+        assert max_relative_error(net, analytic, fd) < 1e-5
 
 
 class TestCheckpoint:
@@ -232,8 +245,40 @@ class TestCheckpoint:
         loaded, h = load_checkpoint(path)
         assert h == "abc123"
         assert loaded.head == net.head
-        for a, b in zip(net.param_arrays(), loaded.param_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.params, loaded.params)
+
+    def test_flat_layout_is_checkpoint_order(self, tmp_path):
+        net = build_network(3, (5, 4), n_classes=3, head="selectivenet",
+                            seed=2)
+        net.params += np.arange(net.params.size)  # nonzero biases
+        layers = net.trunk + [net.heads[name]
+                              for name in ("logits", "select", "aux")]
+        for layer in layers:
+            assert np.shares_memory(layer.W, net.params)
+            assert np.shares_memory(layer.b, net.params)
+        expected = np.concatenate([np.concatenate([layer.W.ravel(), layer.b])
+                                   for layer in layers])
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        assert json.loads(path.read_text())["params"] == expected.tolist()
+
+    def test_failed_write_keeps_previous_checkpoint(self, rng, tmp_path,
+                                                    monkeypatch):
+        net = random_net(rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, f):
+            f.write('{"format_version": 1, "par')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        net.params += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(net, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -244,4 +289,4 @@ class TestCheckpoint:
     def test_parameter_count(self):
         net = build_network(2, (4, 3), n_classes=2, head="plain", seed=0)
         # (4*2+4) + (3*4+3) + (2*3+2) = 12 + 15 + 8
-        assert net.parameter_count == 35
+        assert net.params.shape == (35,)

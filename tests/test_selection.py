@@ -7,14 +7,12 @@ from selcls.selection import (
     ProbOutput,
     SelectionMechanism,
     class_probabilities,
-    drop_abstain_and_renormalize,
     mechanism_compatible,
     predict_classes,
     score_abstention_logit,
     score_batch,
     score_negative_entropy,
     score_selection_head,
-    score_softmax_response,
 )
 
 from conftest import random_batch, random_net
@@ -26,10 +24,12 @@ def output_from(net, X):
 
 class TestScoreFunctions:
     def test_softmax_response(self):
-        assert score_softmax_response([0.7, 0.2, 0.1]) == 0.7
-        assert score_softmax_response([0.25, 0.25, 0.25, 0.25]) == 0.25
-        p = stable_softmax([1.0, 2.0, 3.0])
-        assert abs(score_softmax_response(p) - 0.66524095577482189) < 1e-15
+        logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        out = ProbOutput(logits=logits, probs=stable_softmax(logits),
+                         n_classes=3, has_abstain=False)
+        sr = score_batch(SelectionMechanism("softmax_response"), out)
+        assert abs(sr[0] - 0.66524095577482189) < 1e-15
+        assert abs(sr[1] - 1 / 3) < 1e-15
 
     def test_negative_entropy(self):
         assert abs(score_negative_entropy([1.0, 0.0, 0.0])) < 1e-12
@@ -48,29 +48,6 @@ class TestScoreFunctions:
         assert score_selection_head(0.5) == 0.5
         eps = 1e-9
         assert score_selection_head(1 - eps) == 1 - eps
-
-
-class TestDropAbstain:
-    def test_renormalization(self):
-        q, degenerate = drop_abstain_and_renormalize([0.6, 0.3, 0.1])
-        assert not degenerate
-        assert np.allclose(q, [2 / 3, 1 / 3])
-
-    def test_zero_abstain_mass_unchanged(self):
-        q, _ = drop_abstain_and_renormalize([0.6, 0.4, 0.0])
-        assert np.allclose(q, [0.6, 0.4])
-
-    def test_equals_softmax_of_first_logits(self, rng):
-        for _ in range(30):
-            z = rng.normal(scale=3, size=6)
-            p = stable_softmax(z)
-            q, _ = drop_abstain_and_renormalize(p)
-            assert np.max(np.abs(q - stable_softmax(z[:-1]))) < 1e-12
-
-    def test_degenerate_flagged(self):
-        q, degenerate = drop_abstain_and_renormalize([0.0, 0.0, 1.0])
-        assert degenerate
-        assert np.all(np.isnan(q))
 
 
 class TestScoreBatch:
@@ -148,15 +125,6 @@ class TestScoreBatch:
         assert sr[0] == -np.inf and np.isfinite(sr[1])
         assert ne[0] == -np.inf and np.isfinite(ne[1])
 
-    def test_unrenormalized_ablation_differs(self, rng):
-        net = random_net(rng, head="abstain", n_classes=3)
-        X, _ = random_batch(rng, net, m=10)
-        out = output_from(net, X)
-        renorm = score_batch(SelectionMechanism("softmax_response"), out)
-        raw = score_batch(
-            SelectionMechanism("softmax_response", renormalize=False), out)
-        assert np.all(raw <= renorm + 1e-12)
-
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ConfigurationError):
             SelectionMechanism("magic")
@@ -184,7 +152,7 @@ def test_class_probabilities_renormalize_identity(rng):
     net = random_net(rng, head="abstain", n_classes=4)
     X, _ = random_batch(rng, net, m=8)
     out = output_from(net, X)
-    q, degenerate = class_probabilities(out, renormalize=True)
+    q, degenerate = class_probabilities(out)
     assert not degenerate.any()
     manual = out.probs[:, :4] / (1.0 - out.probs[:, 4:5])
     assert np.max(np.abs(q - manual)) < 1e-12

@@ -6,7 +6,13 @@ import pytest
 
 from selcls.datasets import MixtureSpec, generate_mixture
 from selcls.errors import ConfigurationError, NumericFault
-from selcls.nn import build_network
+from selcls.nn import (
+    build_network,
+    load_checkpoint,
+    network_forward,
+    save_checkpoint,
+    stable_softmax,
+)
 from selcls.objectives import ObjectiveConfig
 from selcls.cli import grid_cell_name, main
 from selcls.training import TrainConfig, lr_at_epoch, sgd_momentum_step, train
@@ -44,46 +50,48 @@ class TestLrSchedule:
 
 class TestSgdMomentumStep:
     def test_single_application(self):
-        theta = [np.array([1.0])]
-        v = [np.array([0.0])]
-        g = [np.array([1.0])]
+        theta = np.array([1.0, -1.0])
+        v = np.array([0.0, 0.0])
+        g = np.array([1.0, 2.0])
         sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.9)
-        assert v[0][0] == 1.0
-        assert theta[0][0] == pytest.approx(0.9)
+        assert v.tolist() == [1.0, 2.0]
+        assert theta == pytest.approx([0.9, -1.2])
 
     def test_zero_momentum_is_vanilla_sgd(self):
-        theta = [np.array([2.0])]
-        v = [np.array([5.0])]
-        g = [np.array([0.5])]
+        theta = np.array([2.0])
+        v = np.array([5.0])
+        g = np.array([0.5])
         sgd_momentum_step(theta, g, v, lr=0.2, momentum=0.0)
-        assert theta[0][0] == pytest.approx(2.0 - 0.2 * 0.5)
+        assert theta[0] == pytest.approx(2.0 - 0.2 * 0.5)
 
     def test_zero_gradient_velocity_decays_geometrically(self):
-        theta = [np.array([0.0])]
-        v = [np.array([1.0])]
-        g = [np.array([0.0])]
+        theta = np.array([0.0])
+        v = np.array([1.0])
+        g = np.array([0.0])
         drift = 0.0
         for step in range(1, 6):
             sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.5)
-            assert v[0][0] == pytest.approx(0.5 ** step)
+            assert v[0] == pytest.approx(0.5 ** step)
             drift -= 0.1 * 0.5 ** step
-            assert theta[0][0] == pytest.approx(drift)
+            assert theta[0] == pytest.approx(drift)
 
     def test_nonfinite_gradient_faults(self):
+        theta, v = np.array([1.0, 2.0]), np.array([0.5, 0.5])
         with pytest.raises(NumericFault):
-            sgd_momentum_step([np.array([0.0])], [np.array([np.nan])],
-                              [np.array([0.0])], 0.1, 0.9)
+            sgd_momentum_step(theta, np.array([0.1, np.nan]), v, 0.1, 0.9)
+        # nothing moves, not even the entries before the bad one
+        assert theta.tolist() == [1.0, 2.0]
+        assert v.tolist() == [0.5, 0.5]
 
 
 class TestTrain:
     def test_zero_epochs_noop(self):
         train_ds, val_ds, _ = generate_mixture(small_spec())
         net = build_network(2, (8,), 2, "plain", seed=0)
-        before = [a.copy() for a in net.param_arrays()]
+        before = net.params.copy()
         report, _ = train(net, train_ds, val_ds, quick_cfg(epochs=0))
         assert report.epochs == []
-        for a, b in zip(net.param_arrays(), before):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.params, before)
 
     def test_separable_blobs_reach_high_accuracy(self):
         train_ds, val_ds, _ = generate_mixture(small_spec(separation=6.0))
@@ -112,8 +120,7 @@ class TestTrain:
 
         n1, r1 = run()
         n2, r2 = run()
-        for a, b in zip(n1.param_arrays(), n2.param_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(n1.params, n2.params)
         assert [e.train_loss for e in r1.epochs] == \
             [e.train_loss for e in r2.epochs]
 
@@ -163,10 +170,49 @@ class TestTrain:
         # plain (C+1)-way CE: run the SAT objective while it is still in
         # its pre-training phase, which is cross entropy by construction
         ce_net = run("SAT", sat_pretrain_epochs=10_000)
-        worst = max(np.max(np.abs(a - b))
-                    for a, b in zip(sat_net.param_arrays(),
-                                    ce_net.param_arrays()))
-        assert worst < 1e-10
+        assert np.max(np.abs(sat_net.params - ce_net.params)) < 1e-10
+
+    def test_sat_epoch_update_uses_end_of_epoch_predictions(self):
+        train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
+
+        def run(epochs):
+            net = build_network(2, (8,), 2, "abstain", seed=2)
+            cfg = quick_cfg(kind="SAT", epochs=epochs, seed=2,
+                            sat_pretrain_epochs=1, sat_update="epoch",
+                            sat_momentum=0.7)
+            _, store = train(net, train_ds, val_ds, cfg)
+            return net, store
+
+        # training is a deterministic function of the epoch index, so the
+        # two-epoch run is the first two epochs of the three-epoch run
+        _, before = run(2)
+        net, after = run(3)
+        assert np.any(before.targets[:, -1] > 0)
+        p = stable_softmax(
+            network_forward(net, train_ds.features).head_raw["logits"])
+        expected = 0.7 * before.targets + 0.3 * p
+        assert np.max(np.abs(after.targets - expected)) < 1e-12
+
+    def test_f32_training_keeps_f32_views_and_checkpoint_bits(self, tmp_path):
+        train_ds, val_ds, _ = generate_mixture(small_spec())
+        net = build_network(2, (8, 8), 2, "selectivenet", seed=4,
+                            numeric_mode="f32")
+        cfg = quick_cfg(kind="SelectiveNet", epochs=3, seed=4, c_target=0.8)
+        cfg.numeric_mode = "f32"
+        report, _ = train(net, train_ds, val_ds, cfg)
+        assert report.epochs[-1].val_accuracy > 0.6
+        assert net.params.dtype == np.float32
+        for layer in net.trunk + list(net.heads.values()):
+            assert layer.W.dtype == np.float32
+            assert np.shares_memory(layer.W, net.params)
+            assert np.shares_memory(layer.b, net.params)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.numeric_mode == "f32"
+        assert loaded.params.dtype == np.float32
+        assert np.array_equal(loaded.params.view(np.uint32),
+                              net.params.view(np.uint32))
 
     def test_selectivenet_trains(self):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.1))
