@@ -37,7 +37,7 @@ from .selection import (
     scores_to_csv,
 )
 from .training import train
-from .util import derive_seed, fmt
+from .util import atomic_write, derive_seed, fmt
 
 OUTPUT_ROOT_ENV = "SELCLS_OUTPUT_ROOT"
 
@@ -79,7 +79,7 @@ def model_outputs(net, dataset) -> ProbOutput:
 
 
 def write_manifest(outdir: Path, payload: dict) -> None:
-    with open(outdir / "manifest.json", "w") as f:
+    with atomic_write(outdir / "manifest.json") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     outdir = resolve_outdir(cfg.output_dir, args.output)
     h = cfg.hash()
-    with open(outdir / "run_config.json", "w") as f:
+    with atomic_write(outdir / "run_config.json") as f:
         json.dump({"hash": h, "config": cfg.normalized()}, f, indent=2,
                   sort_keys=True)
     train_ds, val_ds, _, n_classes = build_splits(cfg)
@@ -250,7 +250,7 @@ def cmd_grid(args) -> int:
                         point.selective_risk)
 
     results_path = outdir / "results.csv"
-    with open(results_path, "w", newline="") as f:
+    with atomic_write(results_path) as f:
         f.write(f"# config={h}\n")
         w = csv.writer(f)
         w.writerow(["method", "mechanism", "coverage", "mean_risk", "sd_risk",

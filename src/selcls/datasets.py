@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .util import rng_for, sha256_hex
+from .util import atomic_write, rng_for, sha256_hex
 
 
 @dataclass
@@ -170,7 +170,7 @@ def bayes_posterior(spec: MixtureSpec, x) -> np.ndarray:
 
 
 def save_csv_dataset(path, ds: Dataset) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         w = csv.writer(f)
         w.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
         for row, label in zip(ds.features, ds.labels):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .calibration import apply_selector, fit_threshold
 from .errors import ConfigurationError, UndefinedRiskError
-from .util import fmt
+from .util import atomic_write, fmt
 
 
 @dataclass
@@ -125,7 +125,7 @@ def mean_sd(values) -> tuple:
 
 
 def curve_to_csv(path, points, seed=None, header_comment: str = "") -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         w = csv.writer(f)
@@ -138,7 +138,7 @@ def curve_to_csv(path, points, seed=None, header_comment: str = "") -> None:
 
 
 def histogram_to_csv(path, hist: ScoreHistogram, header_comment: str = "") -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         w = csv.writer(f)

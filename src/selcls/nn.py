@@ -26,13 +26,12 @@ The ReLU subgradient at exactly 0 is taken to be 0.
 """
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault, ParseError
-from .util import rng_for
+from .util import atomic_write, rng_for
 
 HEAD_PLAIN = "plain"
 HEAD_ABSTAIN = "abstain"
@@ -143,18 +142,6 @@ def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
                    numeric_mode=numeric_mode)
 
 
-def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W x + b for a single vector, or row-wise X W^T + b for a batch."""
-    x, W, b = np.asarray(x), np.asarray(W), np.asarray(b)
-    if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
-        raise ConfigurationError(
-            f"affine shapes disagree: W {W.shape}, b {b.shape}")
-    if x.shape[-1] != W.shape[1]:
-        raise ConfigurationError(
-            f"input dim {x.shape[-1]} does not match weight in-dim {W.shape[1]}")
-    return x @ W.T + b
-
-
 def relu(z):
     return np.maximum(z, 0.0)
 
@@ -196,19 +183,20 @@ def network_forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
+    # layer shapes are fixed by build_network, so only the batch is checked
     pre, act = [], []
     a = x
     for i, layer in enumerate(net.trunk):
-        z = affine_forward(a, layer.W, layer.b)
-        if not np.all(np.isfinite(z)):
+        z = a @ layer.W.T + layer.b
+        if not np.isfinite(z).all():
             raise NumericFault(f"non-finite pre-activation at trunk layer {i}")
         a = relu(z)
         pre.append(z)
         act.append(a)
     head_raw = {}
     for name, h in net.heads.items():
-        raw = affine_forward(a, h.W, h.b)
-        if not np.all(np.isfinite(raw)):
+        raw = a @ h.W.T + h.b
+        if not np.isfinite(raw).all():
             raise NumericFault(f"non-finite output at head {name!r}")
         head_raw[name] = raw
     g_sel = None
@@ -229,7 +217,7 @@ def network_backward(net: Network, trace: ForwardTrace,
     views = _layer_views(grad, net.layer_shapes)
     head_views = dict(zip(net.heads, views[len(net.trunk):]))
     last_act = trace.act[-1] if trace.act else trace.x
-    da = np.zeros_like(last_act)
+    da = None
     for name, d in dhead_raw.items():
         if name not in net.heads:
             raise ConfigurationError(f"gradient for unknown head {name!r}")
@@ -240,16 +228,20 @@ def network_backward(net: Network, trace: ForwardTrace,
                 f"output {trace.head_raw[name].shape}")
         dW, db = head_views[name]
         np.matmul(d.T, last_act, out=dW)
-        np.sum(d, axis=0, out=db)
-        da = da + d @ net.heads[name].W
+        d.sum(axis=0, out=db)
+        da_head = d @ net.heads[name].W
+        da = da_head if da is None else da + da_head
+    if da is None:  # no head gradients, so every parameter's is 0
+        return grad
 
     for i in range(len(net.trunk) - 1, -1, -1):
         dz = da * (trace.pre[i] > 0)
         below = trace.act[i - 1] if i > 0 else trace.x
         dW, db = views[i]
         np.matmul(dz.T, below, out=dW)
-        np.sum(dz, axis=0, out=db)
-        da = dz @ net.trunk[i].W
+        dz.sum(axis=0, out=db)
+        if i:  # the input gradient below layer 0 is never used
+            da = dz @ net.trunk[i].W
     return grad
 
 
@@ -324,15 +316,8 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
         "config_hash": config_hash,
         "params": net.params.astype(np.float64).tolist(),
     }
-    tmp = f"{os.fspath(path)}.tmp"
-    f = open(tmp, "w")
-    try:
-        with f:
-            json.dump(doc, f)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_write(path) as f:
+        f.write(json.dumps(doc))
 
 
 # checkpoint key -> the JSON type it must hold

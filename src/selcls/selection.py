@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .nn import stable_softmax
 from .objectives import predictive_entropy
+from .util import atomic_write
 
 MECHANISM_KINDS = (
     "softmax_response", "negative_entropy", "abstention_logit", "selection_head",
@@ -135,7 +136,7 @@ def mechanism_compatible(kind: str, head: str) -> bool:
 
 def scores_to_csv(path, scores, predicted, truth, header_comment: str = "") -> None:
     scores = np.asarray(scores)
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         w = csv.writer(f)

@@ -24,7 +24,7 @@ from .objectives import (
     predictive_entropy,
     sat_update_targets,
 )
-from .util import fmt, rng_for
+from .util import atomic_write, fmt, rng_for
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -68,6 +68,11 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch's report row. ``train_loss`` and ``train_accuracy`` are
+    running means over the epoch's batches, each batch taken before its
+    update; ``val_accuracy`` and ``mean_entropy`` (full-softmax entropy)
+    are measured on the validation split after the epoch."""
+
     epoch: int
     lr: float
     train_loss: float
@@ -81,7 +86,7 @@ class TrainReport:
     epochs: list = field(default_factory=list)
 
     def to_csv(self, path, header_comment: str = "") -> None:
-        with open(path, "w", newline="") as f:
+        with atomic_write(path) as f:
             if header_comment:
                 f.write(f"# {header_comment}\n")
             w = csv.writer(f)
@@ -103,7 +108,7 @@ def sgd_momentum_step(params, grads, velocity, lr, momentum,
                       weight_decay: float = 0.0) -> None:
     """v <- momentum*v + g (+ wd*theta); theta <- theta - lr*v, in place on
     flat vectors. A non-finite gradient raises before anything changes."""
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise NumericFault("non-finite gradient in optimizer step")
     if weight_decay:
         grads = grads + weight_decay * params
@@ -158,13 +163,15 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
         lr = lr_at_epoch(cfg, epoch)
         perm = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n)
         loss_sum = 0.0
+        n_correct = 0
         sat_adaptive = (obj.base_kind == "SAT"
                         and epoch >= obj.sat_pretrain_epochs)
         for start in range(0, n, cfg.batch_size):
             ids = perm[start:start + cfg.batch_size]
+            yb = y[ids]
             trace = network_forward(net, X[ids])
             result = objective_dispatch(
-                obj, trace.head_raw, y[ids], n_classes=C, store=store,
+                obj, trace.head_raw, yb, n_classes=C, store=store,
                 sample_ids=ids, epoch=epoch)
             if not np.isfinite(result.loss) or result.loss > DIVERGENCE_LIMIT:
                 raise NumericFault(
@@ -177,15 +184,17 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
                 p = stable_softmax(trace.head_raw["logits"])
                 sat_update_targets(store, ids, p, epoch)
             loss_sum += result.loss * ids.size
+            # accuracy of the pre-update network on this batch
+            pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
+            n_correct += np.count_nonzero(pred == yb)
         if sat_adaptive and obj.sat_update == "epoch":
             p = stable_softmax(network_forward(net, X).head_raw["logits"])
             sat_update_targets(store, np.arange(n), p, epoch)
 
-        train_acc, _ = _evaluate(net, X, y)
         val_acc, val_entropy = _evaluate(net, Xv, yv)
         report.epochs.append(EpochStats(
             epoch=epoch, lr=lr, train_loss=loss_sum / n,
-            train_accuracy=train_acc, val_accuracy=val_acc,
+            train_accuracy=n_correct / n, val_accuracy=val_acc,
             mean_entropy=val_entropy))
     return report, store
 

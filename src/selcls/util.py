@@ -1,7 +1,10 @@
-"""Seed derivation, canonical hashing, and small formatting helpers."""
+"""Seed derivation, canonical hashing, atomic writes, and small formatting
+helpers."""
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,3 +48,23 @@ def fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a text file that replaces ``path`` once the block completes.
+
+    The block writes to a sibling ``.tmp`` file, which is renamed over
+    ``path`` at the end. If anything fails on the way, the temp file is
+    removed and any previous file at ``path`` stays intact. Lines are
+    written untranslated, as with ``newline=""``.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    f = open(tmp, "w", newline="")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

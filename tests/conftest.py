@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from selcls import util
 from selcls.nn import build_network, network_forward
 
 
@@ -28,3 +31,22 @@ def random_batch(rng, net, m=4):
     X = rng.normal(size=(m, net.input_dim))
     y = rng.integers(0, net.n_classes, size=m)
     return X, y
+
+
+def fail_writes(monkeypatch, name_prefix=""):
+    """Make ``util.atomic_write`` fail partway: a write to a file whose name
+    starts with ``name_prefix`` writes half its text, then raises
+    ``OSError("disk full")``."""
+    def open_failing(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        if os.path.basename(path).startswith(name_prefix):
+            write = f.write
+
+            def write_half(text):
+                write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+            f.write = write_half
+        return f
+
+    monkeypatch.setattr(util, "open", open_failing, raising=False)

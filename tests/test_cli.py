@@ -8,6 +8,8 @@ from selcls.cli import main
 from selcls.config import load_run_config
 from selcls.errors import ConfigurationError
 
+from conftest import fail_writes
+
 
 def base_config(tmp_path, _name="config.json", **overrides):
     doc = {
@@ -265,6 +267,23 @@ class TestGridCommand:
         assert sorted(r.split(",")[:3] for r in rows[1:]) == [
             ["SelectiveNet", "selection_head", "0.5"],
             ["SelectiveNet", "softmax_response", "0.5"]]
+
+    @pytest.mark.parametrize("target", ["results.csv", "manifest.json"])
+    def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch,
+                                                target):
+        cfg_path, doc = self.grid_config(tmp_path)
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        outdir = Path(doc["output_dir"])
+        before = (outdir / target).read_bytes()
+        # another config hash, so a completed rerun would rewrite the file
+        raw = json.loads(cfg_path.read_text())
+        raw["training"]["epochs"] = 1
+        cfg_path.write_text(json.dumps(raw))
+        fail_writes(monkeypatch, target)
+        with pytest.raises(OSError, match="disk full"):
+            main(["grid", "-c", str(cfg_path)])
+        assert (outdir / target).read_bytes() == before
+        assert not list(outdir.rglob("*.tmp"))
 
     def test_programming_error_is_not_recorded_as_failed_cell(
             self, tmp_path, monkeypatch):

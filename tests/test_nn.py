@@ -6,7 +6,6 @@ import pytest
 from selcls.errors import ConfigurationError, NumericFault
 from selcls.nn import (
     Network,
-    affine_forward,
     build_network,
     finite_difference_gradient,
     load_checkpoint,
@@ -19,34 +18,44 @@ from selcls.nn import (
     stable_softmax,
 )
 
-from conftest import random_batch, random_net
+from conftest import fail_writes, random_batch, random_net
+
+
+def affine(x, W, b):
+    """Row-wise X W^T + b through network_forward on a network without a
+    trunk whose logits head is (W, b)."""
+    W = np.asarray(W, dtype=np.float64)
+    net = build_network(W.shape[1], (), n_classes=W.shape[0], head="plain")
+    net.heads["logits"].W[...] = W
+    net.heads["logits"].b[...] = b
+    return network_forward(net, np.atleast_2d(x)).head_raw["logits"]
 
 
 class TestAffineForward:
     def test_identity(self):
-        out = affine_forward([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-        assert np.allclose(out, [1.0, 0.0])
+        out = affine([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        assert np.allclose(out, [[1.0, 0.0]])
 
     def test_zero_input_returns_bias(self):
-        out = affine_forward([0.0, 0.0], [[3.0, -2.0], [1.0, 7.0]], [0.5, -0.5])
-        assert np.allclose(out, [0.5, -0.5])
+        out = affine([0.0, 0.0], [[3.0, -2.0], [1.0, 7.0]], [0.5, -0.5])
+        assert np.allclose(out, [[0.5, -0.5]])
 
     def test_hand_arithmetic(self):
-        # 1*2 + 2*3 + 1 = 9
-        out = affine_forward([2.0, 3.0], [[1.0, 2.0]], [1.0])
-        assert np.allclose(out, [9.0])
+        # 1*2 + 2*3 + 1 = 9 and 0*2 - 1*3 + 0 = -3
+        out = affine([2.0, 3.0], [[1.0, 2.0], [0.0, -1.0]], [1.0, 0.0])
+        assert np.allclose(out, [[9.0, -3.0]])
 
     def test_batch_matches_rowwise(self, rng):
         W = rng.normal(size=(3, 5))
         b = rng.normal(size=3)
         X = rng.normal(size=(7, 5))
-        batched = affine_forward(X, W, b)
+        batched = affine(X, W, b)
         for i in range(7):
-            assert np.allclose(batched[i], affine_forward(X[i], W, b))
+            assert np.allclose(batched[i], affine(X[i], W, b)[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            affine_forward([1.0, 2.0, 3.0], [[1.0, 2.0]], [0.0])
+            affine([1.0, 2.0, 3.0], [[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0])
 
 
 class TestStableSoftmax:
@@ -107,7 +116,7 @@ class TestNetworkForward:
         head = net.heads["logits"]
         for i in range(5):
             assert np.allclose(trace.head_raw["logits"][i],
-                               affine_forward(X[i], head.W, head.b))
+                               head.W @ X[i] + head.b)
 
     def test_matches_independent_composition(self, rng):
         # oracle: re-implement the two-layer forward with raw numpy
@@ -269,11 +278,7 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         before = path.read_bytes()
 
-        def dump_then_fail(doc, f):
-            f.write('{"format_version": 1, "par')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+        fail_writes(monkeypatch)
         net.params += 1.0
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(net, path)

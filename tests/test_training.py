@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from selcls.nn import (
 )
 from selcls.objectives import ObjectiveConfig
 from selcls.cli import grid_cell_name, main
+from selcls import training
 from selcls.training import TrainConfig, lr_at_epoch, sgd_momentum_step, train
 
 
@@ -98,6 +100,46 @@ class TestTrain:
         net = build_network(2, (16,), 2, "plain", seed=1)
         report, _ = train(net, train_ds, val_ds, quick_cfg(epochs=50, seed=1))
         assert report.epochs[-1].train_accuracy >= 0.99
+
+    @pytest.mark.parametrize("kind, head, obj_kw, extra", [
+        ("CE", "plain", {}, 0),
+        ("SAT", "abstain", {"sat_pretrain_epochs": 1}, 0),
+        # the end-of-epoch target update runs the whole training split once
+        # per adaptive epoch
+        ("SAT", "abstain", {"sat_pretrain_epochs": 1, "sat_update": "epoch"},
+         2),
+    ], ids=["CE", "SAT-batch-update", "SAT-epoch-update"])
+    def test_one_forward_per_batch_plus_validation(self, monkeypatch, kind,
+                                                   head, obj_kw, extra):
+        rows = []
+
+        def counted(net, batch):
+            rows.append(len(batch))
+            return network_forward(net, batch)
+
+        monkeypatch.setattr(training, "network_forward", counted)
+        train_ds, val_ds, _ = generate_mixture(small_spec())
+        net = build_network(2, (8,), 2, head, seed=0)
+        train(net, train_ds, val_ds, quick_cfg(kind=kind, epochs=3, **obj_kw))
+        batches = math.ceil(len(train_ds) / 32)
+        assert len(rows) == 3 * (batches + 1) + extra
+        assert rows.count(len(val_ds)) == 3
+
+    @pytest.mark.parametrize("kind, head", [("CE", "plain"), ("DG", "abstain")])
+    def test_train_accuracy_of_a_network_that_does_not_move(self, kind, head):
+        # with a vanishing step every batch sees the untrained network, so
+        # the running batch accuracy is its accuracy on the training split
+        train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
+        net = build_network(2, (8,), 2, head, seed=6)
+        before = net.params.copy()
+        logits = network_forward(net, train_ds.features).head_raw["logits"]
+        untrained = float(np.mean(logits[:, :2].argmax(axis=1)
+                                  == train_ds.labels))
+        cfg = quick_cfg(kind=kind, epochs=2, seed=6)
+        cfg.lr0 = 1e-300
+        report, _ = train(net, train_ds, val_ds, cfg)
+        assert np.allclose(net.params, before, rtol=0.0, atol=1e-280)
+        assert [e.train_accuracy for e in report.epochs] == [untrained] * 2
 
     def test_lr_sequence_matches_schedule(self):
         train_ds, val_ds, _ = generate_mixture(small_spec())
