@@ -280,8 +280,12 @@ class TestGridCommand:
         raw["training"]["epochs"] = 1
         cfg_path.write_text(json.dumps(raw))
         fail_writes(monkeypatch, target)
-        with pytest.raises(OSError, match="disk full"):
-            main(["grid", "-c", str(cfg_path)])
+        # main lets the OSError escape today; a non-zero exit code would
+        # keep the outputs just as well
+        try:
+            assert main(["grid", "-c", str(cfg_path)]) != 0
+        except OSError as exc:
+            assert "disk full" in str(exc)
         assert (outdir / target).read_bytes() == before
         assert not list(outdir.rglob("*.tmp"))
 

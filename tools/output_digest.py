@@ -49,6 +49,8 @@ OBJECTIVES = ("CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
 # the objectives whose checkpoints are evaluated, one per head layout
 EVAL_OBJECTIVES = ("CE", "DG", "SelectiveNet")
 CALIBRATION_SPLITS = ("val", "test")
+# training and dataset seed of the train and eval runs
+SEED = 0
 
 
 def file_digest(path) -> str:
@@ -77,21 +79,21 @@ def run_cli(argv) -> str:
     return out.getvalue()
 
 
-def train_objectives(seed: int) -> dict:
+def train_objectives() -> dict:
     """Train every objective; returns {objective: checkpoint path}."""
     from selcls import cli, config, nn, training
 
     cfg = config.load_run_config(BASE_CONFIG)
-    train_ds, val_ds, _, n_classes = cli.build_splits(cfg, seed=seed)
+    train_ds, val_ds, _, n_classes = cli.build_splits(cfg, seed=SEED)
     os.makedirs("train")
     checkpoints = {}
     for kind in OBJECTIVES:
         objective = replace(cfg.objective, kind=kind)
         net = nn.build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
                                n_classes, objective.required_head(),
-                               seed=seed)
+                               seed=SEED)
         report, _ = training.train(net, train_ds, val_ds, replace(
-            cfg.training, seed=seed, objective=objective))
+            cfg.training, seed=SEED, objective=objective))
         stem = os.path.join("train", kind.replace("+", "_"))
         checkpoints[kind] = f"{stem}.checkpoint.json"
         nn.save_checkpoint(net, checkpoints[kind])
@@ -99,7 +101,7 @@ def train_objectives(seed: int) -> dict:
     return checkpoints
 
 
-def evaluate_checkpoints(checkpoints: dict, seed: int) -> None:
+def evaluate_checkpoints(checkpoints: dict) -> None:
     from selcls import nn
     from selcls.selection import MECHANISM_KINDS, mechanism_compatible
 
@@ -111,7 +113,7 @@ def evaluate_checkpoints(checkpoints: dict, seed: int) -> None:
         for split in CALIBRATION_SPLITS:
             doc = copy.deepcopy(base)
             doc["objective"]["kind"] = kind
-            doc["training"]["seed"] = seed
+            doc["training"]["seed"] = SEED
             doc["evaluation"].update(
                 calibration_split=split,
                 mechanisms=[m for m in MECHANISM_KINDS
@@ -123,11 +125,11 @@ def evaluate_checkpoints(checkpoints: dict, seed: int) -> None:
                      "-o", os.path.join("eval", f"{head}-{split}")])
 
 
-def digests(seed: int):
+def digests():
     """Run everything in the current directory; returns (name, digest)
     pairs."""
-    checkpoints = train_objectives(seed)
-    evaluate_checkpoints(checkpoints, seed)
+    checkpoints = train_objectives()
+    evaluate_checkpoints(checkpoints)
     run_cli(["grid", "-c", GRID_CONFIG, "-o", "grid"])
     os.makedirs("gradcheck")
     with open(os.path.join("gradcheck", "stdout"), "w") as f:
@@ -136,21 +138,20 @@ def digests(seed: int):
             for pair in tree_digests(root)]
 
 
-def digest_lines(src: str, seed: int) -> list:
+def digest_lines(src: str) -> list:
     """This script's output for the package under ``src``, run in a fresh
     interpreter."""
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--src", src,
-         "--seed", str(seed)],
+        [sys.executable, os.path.abspath(__file__), "--src", src],
         check=True, capture_output=True, text=True).stdout
     return out.splitlines()
 
 
-def compare(other: str, seed: int) -> int:
+def compare(other: str) -> int:
     mine = dict(line.split("  ", 1)[::-1]
-                for line in digest_lines(os.path.join(REPO, "src"), seed))
+                for line in digest_lines(os.path.join(REPO, "src")))
     theirs = dict(line.split("  ", 1)[::-1]
-                  for line in digest_lines(os.path.join(other, "src"), seed))
+                  for line in digest_lines(os.path.join(other, "src")))
     differing = sorted(name for name in mine.keys() | theirs.keys()
                        if mine.get(name) != theirs.get(name))
     for name in differing:
@@ -164,21 +165,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(REPO, "src"),
                         help="directory holding the selcls package to run")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="training and dataset seed of the train and "
-                             "eval runs")
     parser.add_argument("--against", metavar="CHECKOUT",
                         help="compare with another checkout's outputs")
     args = parser.parse_args(argv)
     if args.against:
-        return compare(args.against, args.seed)
+        return compare(args.against)
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ.pop("SELCLS_OUTPUT_ROOT", None)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative output paths keep the manifests comparable
         try:
-            pairs = digests(args.seed)
+            pairs = digests()
         finally:
             os.chdir(cwd)
     for name, digest in pairs:
