@@ -7,8 +7,8 @@ Commands:
     grid       train and evaluate the full method comparison
     make-data  materialize the configured dataset splits as CSV files
 
-Exit codes: 0 success, 1 check/grid-cell failure, 2 configuration error,
-3 numeric fault.
+Exit codes: 0 success, 1 check/grid-cell failure, 2 configuration error
+or a file that cannot be read or written, 3 numeric fault.
 """
 
 import argparse
@@ -329,6 +329,10 @@ def main(argv=None) -> int:
         return 3
     except (ConfigurationError, SelclsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

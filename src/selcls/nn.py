@@ -86,7 +86,12 @@ class ForwardTrace:
     pre: list
     act: list
     head_raw: dict
-    g_sel: np.ndarray | None = None
+
+    @property
+    def g_sel(self) -> np.ndarray | None:
+        """Selection values of a three-head network, else None."""
+        raw = self.head_raw.get("select")
+        return None if raw is None else sigmoid(raw[:, 0])
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list:
@@ -168,53 +173,80 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
+    from the one exp(-|z|), which never overflows."""
     z = np.asarray(z)
-    out = np.empty_like(z, dtype=z.dtype)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _blocks(buf: np.ndarray, rows: int, widths) -> list:
+    """Cut a flat buffer into C-contiguous (rows, w) blocks, one per width."""
+    blocks, end = [], 0
+    for w in widths:
+        start, end = end, end + rows * w
+        blocks.append(buf[start:end].reshape(rows, w))
+    return blocks
 
 
 def network_forward(net: Network, batch: np.ndarray) -> ForwardTrace:
-    """Run the trunk and all configured heads on a batch of shape (m, d)."""
+    """Run the trunk and all configured heads on a batch of shape (m, d).
+
+    Trunk pre-activations fill one buffer and head outputs a second, so each
+    takes one finite check; only a failed check scans the layers, in order,
+    to name the first non-finite one.
+    """
     x = np.asarray(batch, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
     # layer shapes are fixed by build_network, so only the batch is checked
-    pre, act = [], []
+    m = x.shape[0]
+    trunk_buf = np.empty(m * sum(net.hidden_dims), dtype=net.dtype)
+    pre = _blocks(trunk_buf, m, net.hidden_dims)
+    act = []
     a = x
-    for i, layer in enumerate(net.trunk):
-        z = a @ layer.W.T + layer.b
-        if not np.isfinite(z).all():
-            raise NumericFault(f"non-finite pre-activation at trunk layer {i}")
+    for layer, z in zip(net.trunk, pre):
+        np.matmul(a, layer.W.T, out=z)
+        z += layer.b
         a = relu(z)
-        pre.append(z)
         act.append(a)
-    head_raw = {}
-    for name, h in net.heads.items():
-        raw = a @ h.W.T + h.b
-        if not np.isfinite(raw).all():
-            raise NumericFault(f"non-finite output at head {name!r}")
-        head_raw[name] = raw
-    g_sel = None
-    if "select" in head_raw:
-        g_sel = sigmoid(head_raw["select"][:, 0])
-    return ForwardTrace(x=x, pre=pre, act=act, head_raw=head_raw, g_sel=g_sel)
+    if not np.isfinite(trunk_buf).all():
+        i = next(i for i, z in enumerate(pre) if not np.isfinite(z).all())
+        raise NumericFault(f"non-finite pre-activation at trunk layer {i}")
+    widths = [h.b.size for h in net.heads.values()]
+    head_buf = np.empty(m * sum(widths), dtype=net.dtype)
+    head_raw = dict(zip(net.heads, _blocks(head_buf, m, widths)))
+    for h, raw in zip(net.heads.values(), head_raw.values()):
+        np.matmul(a, h.W.T, out=raw)
+        raw += h.b
+    if not np.isfinite(head_buf).all():
+        name = next(name for name, raw in head_raw.items()
+                    if not np.isfinite(raw).all())
+        raise NumericFault(f"non-finite output at head {name!r}")
+    return ForwardTrace(x=x, pre=pre, act=act, head_raw=head_raw)
 
 
-def network_backward(net: Network, trace: ForwardTrace,
-                     dhead_raw: dict) -> np.ndarray:
+def gradient_buffer(net: Network) -> tuple:
+    """A zeroed flat gradient laid out like ``net.params`` and its per-layer
+    (W, b) views, for ``network_backward`` to fill in place batch after
+    batch."""
+    grad = np.zeros_like(net.params)
+    return grad, _layer_views(grad, net.layer_shapes)
+
+
+def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
+                     out: tuple | None = None) -> np.ndarray:
     """Chain d(loss)/d(raw head outputs) back to every parameter.
 
     ``dhead_raw`` maps head name to an (m, out_dim) array; omitted heads
     contribute nothing. Returns the flat gradient, laid out like
-    ``net.params``.
+    ``net.params``: the vector of ``out``, a ``gradient_buffer(net)`` pair
+    that is overwritten, or a new one.
     """
-    grad = np.zeros_like(net.params)
-    views = _layer_views(grad, net.layer_shapes)
+    grad, views = gradient_buffer(net) if out is None else out
+    if out is not None and len(dhead_raw) < len(net.heads):
+        grad.fill(0.0)  # the omitted heads' entries may hold older values
     head_views = dict(zip(net.heads, views[len(net.trunk):]))
     last_act = trace.act[-1] if trace.act else trace.x
     da = None

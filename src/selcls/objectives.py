@@ -1,10 +1,14 @@
-"""The five training objectives, each with value and exact logit gradient.
+"""The training objectives, each with value and exact logit gradient.
 
-All losses take raw logits and work through log-softmax internally, so
-probabilities are never materialized below the exp of a shifted logit and
-no log ever sees a hard zero. Each function returns per-sample losses and
-per-sample d(loss)/d(logits); batch reduction (mean) happens in
-``objective_dispatch``.
+Every objective is a softmax-family loss: with p = softmax(z) its logit
+gradient is p - w for target weights w whose rows sum to 1, plus
+beta * dH/dz for the entropy term of the +EM variants. One kernel,
+``_softmax_objective``, computes log p and p once per head (one row max,
+one exp, one row sum), builds w for the kind and returns per-sample losses
+and the gradient; ``objective_dispatch`` routes every kind and head
+through it and takes the batch mean. Logits are exponentiated only after
+their row max is subtracted, and the only log taken is of a row sum >= 1,
+so no log ever sees a hard zero.
 
 Gradient cheat sheet, with p = softmax(z) and lp = log p:
 
@@ -16,7 +20,8 @@ Gradient cheat sheet, with p = softmax(z) and lp = log p:
     self-adaptive      L = -(t_y lp[y] + (1-t_y) lp[A])
                          dL/dz = p - t_y onehot(y) - (1-t_y) onehot(A)
 
-The selective three-head loss is documented on its function.
+The selective three-head loss, which runs the kernel on its prediction and
+auxiliary heads, is documented on ``_selectivenet``.
 """
 
 from dataclasses import dataclass
@@ -139,114 +144,60 @@ def check_gambler_payoff(o: float, n_classes: int, limit_test: bool = False) -> 
             "C are allowed only in limit-test mode")
 
 
-def _as_batch(logits):
-    logits = np.asarray(logits, dtype=np.float64)
-    squeeze = logits.ndim == 1
-    return (logits[None, :] if squeeze else logits), squeeze
+def predictive_entropy(logits) -> np.ndarray:
+    """Shannon entropy of softmax(logits), one value per row of a batch."""
+    lp = log_softmax(np.asarray(logits, dtype=np.float64))
+    return -(np.exp(lp) * lp).sum(axis=1)
 
 
-def cross_entropy(logits, y):
-    """Negative log-likelihood of the true class, with d/dlogits.
+def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
+                       o: float = 0.0, t_y=None):
+    """Per-sample loss, per-sample entropy and logit gradient of one
+    softmax head, from one log-softmax.
 
-    Accepts a single logit vector or an (m, k) batch; y is an int or an
-    (m,) array of class indices below k.
+    ``kind`` picks the loss and its target weights w (rows sum to 1):
+    "CE" is cross entropy (w = onehot(y)), "DG" the gambler loss with
+    payoff ``o`` (w is the (y, abstain) mass split), "SAT" the target loss
+    with true-class target mass ``t_y`` (w = t_y onehot(y) + (1 - t_y)
+    onehot(A)). The gradient is ``scale * (p - w) + beta * dH/dz``, with
+    ``scale`` a number or one weight per row; the entropy H is returned
+    only when ``beta`` is nonzero, otherwise None.
     """
-    z, squeeze = _as_batch(logits)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    m, k = z.shape
-    if y.shape != (m,) or y.min() < 0 or y.max() >= k:
-        raise ConfigurationError(
-            f"labels must be integers in [0, {k}) with shape ({m},)")
-    lp = log_softmax(z)
-    loss = -lp[np.arange(m), y]
-    dlogit = np.exp(lp)
-    dlogit[np.arange(m), y] -= 1.0
-    if squeeze:
-        return float(loss[0]), dlogit[0]
-    return loss, dlogit
-
-
-def predictive_entropy(logits):
-    """Shannon entropy of softmax(logits) and its exact logit gradient."""
-    z, squeeze = _as_batch(logits)
-    lp = log_softmax(z)
-    p = np.exp(lp)
-    H = -(p * lp).sum(axis=1)
-    dlogit = -p * (lp + H[:, None])
-    if squeeze:
-        return float(H[0]), dlogit[0]
-    return H, dlogit
-
-
-def em_regularized(base_loss, base_dlogit, logits, beta):
-    """Add beta * entropy(softmax(logits)) to an existing (loss, dlogit)."""
-    if beta < 0:
-        raise ConfigurationError("beta must be >= 0")
-    H, dH = predictive_entropy(logits)
-    return base_loss + beta * H, base_dlogit + beta * dH
-
-
-def deep_gamblers(logits, y, o, limit_test=False):
-    """Gambler loss -log(p[y] + p[abstain]/o) over C+1 logits.
-
-    The last logit is the abstain entry; y indexes the C real classes.
-    Computed as -logaddexp(lp[y], lp[abstain] - log o) so the loss stays
-    finite even when both masses underflow.
-    """
-    z, squeeze = _as_batch(logits)
-    m, k = z.shape
-    if k < 3:
-        raise ConfigurationError("gambler loss needs C+1 >= 3 logits")
-    n_classes = k - 1
-    check_gambler_payoff(o, n_classes, limit_test=limit_test)
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if y.shape != (m,) or y.min() < 0 or y.max() >= n_classes:
-        raise ConfigurationError(
-            f"labels must index the {n_classes} real classes")
-    lp = log_softmax(z)
-    rows = np.arange(m)
-    log_mass = np.logaddexp(lp[rows, y], lp[:, -1] - np.log(o))
-    loss = -log_mass
-    # weight of each logit inside the log: w_y = p_y / S, w_A = (p_A/o) / S
-    w_y = np.exp(lp[rows, y] - log_mass)
-    w_a = np.exp(lp[:, -1] - np.log(o) - log_mass)
-    dlogit = np.exp(lp)
-    dlogit[rows, y] -= w_y
-    dlogit[:, -1] -= w_a
-    if squeeze:
-        return float(loss[0]), dlogit[0]
-    return loss, dlogit
-
-
-def sat_loss(logits, targets, y):
-    """Moving-target abstention loss over C+1 logits.
-
-    Per sample: -(t[y] log p[y] + (1 - t[y]) log p[abstain]) where t is the
-    sample's soft target vector. Only the t[y] coordinate enters.
-    """
-    z, squeeze = _as_batch(logits)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t[None, :]
-    m, k = z.shape
-    if t.shape != (m, k):
-        raise ConfigurationError(
-            f"target shape {t.shape} does not match logits {(m, k)}")
-    n_classes = k - 1
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if y.shape != (m,) or y.min() < 0 or y.max() >= n_classes:
-        raise ConfigurationError(
-            f"labels must index the {n_classes} real classes")
-    lp = log_softmax(z)
-    rows = np.arange(m)
-    ty = t[rows, y]
-    loss = -(ty * lp[rows, y] + (1.0 - ty) * lp[:, -1])
-    dlogit = np.exp(lp)
-    dlogit[rows, y] -= ty
-    dlogit[:, -1] -= 1.0 - ty
-    if squeeze:
-        return float(loss[0]), dlogit[0]
-    return loss, dlogit
+    shifted = z - z.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    total = p.sum(axis=1, keepdims=True)
+    p /= total
+    lp = shifted
+    lp -= np.log(total)
+    rows = np.arange(len(y))
+    lp_y = lp[rows, y]
+    if kind == "CE":
+        loss, w_y, w_a = -lp_y, 1.0, None
+    elif kind == "DG":
+        lp_a = lp[:, -1] - np.log(o)
+        log_mass = np.logaddexp(lp_y, lp_a)
+        loss = -log_mass
+        w_y, w_a = np.exp(lp_y - log_mass), np.exp(lp_a - log_mass)
+    else:
+        w_y, w_a = t_y, 1.0 - t_y
+        loss = -(w_y * lp_y + w_a * lp[:, -1])
+    col = scale[:, None] if isinstance(scale, np.ndarray) else scale
+    H = None
+    if beta:
+        # dH/dz = -p (lp + H), with -H = sum p lp
+        neg_H = (p * lp).sum(axis=1, keepdims=True)
+        lp -= neg_H
+        lp *= -beta
+        lp += col
+        p *= lp
+        H = -neg_H[:, 0]
+    else:
+        p *= col
+    grad = p
+    grad[rows, y] -= scale * w_y
+    if w_a is not None:
+        grad[:, -1] -= scale * w_a
+    return loss, H, grad
 
 
 @dataclass
@@ -292,85 +243,6 @@ def sat_update_targets(store: SatTargetStore, sample_ids, p_batch, epoch: int) -
 
 
 @dataclass
-class SelectiveNetResult:
-    loss: float
-    d_f: np.ndarray
-    d_g: np.ndarray   # gradient w.r.t. the post-sigmoid selection values
-    d_h: np.ndarray
-    selective_term: float
-    coverage_term: float
-    aux_term: float
-    mean_g: float
-    coverage_collapse: bool
-
-
-def selectivenet_loss(f_logits, g_sel, h_logits, y, cfg: ObjectiveConfig) -> SelectiveNetResult:
-    """Three-head selective loss with exact gradients.
-
-    With per-sample cross-entropies l_i on the prediction head and
-    D = mean(g):
-
-        selective = mean(l * g) / D
-        coverage  = max(0, c_target - D)^2   (or (c_target - D)^2 when
-                                              the symmetric form is chosen)
-        aux       = mean cross-entropy of the auxiliary head
-        total     = alpha_mix * (selective + lam * coverage)
-                    + (1 - alpha_mix) * aux
-
-    Gradients flow into g through both the numerator and the denominator
-    of the selective term:
-
-        d selective / d g_i = (l_i - selective) / (m * D)
-
-    D is floored at 1e-8; a floored batch is reported as coverage
-    collapse (the selection head has shut every sample off).
-    """
-    f = np.asarray(f_logits, dtype=np.float64)
-    h = np.asarray(h_logits, dtype=np.float64)
-    g = np.asarray(g_sel, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    m = f.shape[0]
-    if m < 1 or g.shape != (m,) or h.shape != f.shape or y.shape != (m,):
-        raise ConfigurationError("selective loss inputs disagree in shape")
-    if np.any(g <= 0) or np.any(g >= 1):
-        raise ConfigurationError("selection values must lie strictly in (0, 1)")
-
-    l_f, dl_f = cross_entropy(f, y)
-    l_h, dl_h = cross_entropy(h, y)
-
-    mean_g = float(g.mean())
-    collapse = mean_g < COVERAGE_EPS
-    denom = max(mean_g, COVERAGE_EPS)
-    selective = float((l_f * g).mean() / denom)
-
-    shortfall = cfg.c_target - mean_g
-    if cfg.coverage_penalty == "hinge":
-        active = shortfall > 0
-        coverage = float(max(0.0, shortfall) ** 2)
-        dcov_dg = (-2.0 * shortfall / m) if active else 0.0
-    else:
-        coverage = float(shortfall ** 2)
-        dcov_dg = -2.0 * shortfall / m
-    aux = float(l_h.mean())
-
-    a = cfg.alpha_mix
-    loss = a * (selective + cfg.lam * coverage) + (1 - a) * aux
-
-    d_f = a * (g / (m * denom))[:, None] * dl_f
-    if collapse:
-        d_sel_dg = np.zeros_like(g)
-    else:
-        d_sel_dg = (l_f - selective) / (m * denom)
-    d_g = a * (d_sel_dg + cfg.lam * dcov_dg)
-    d_h = (1 - a) / m * dl_h
-
-    return SelectiveNetResult(
-        loss=float(loss), d_f=d_f, d_g=d_g, d_h=d_h,
-        selective_term=selective, coverage_term=coverage, aux_term=aux,
-        mean_g=mean_g, coverage_collapse=collapse)
-
-
-@dataclass
 class DispatchResult:
     loss: float
     dlogits: dict
@@ -385,69 +257,117 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     ``outputs`` maps head names to raw arrays as produced by the network
     forward pass: always "logits"; additionally "select" (raw unit) and
     "aux" for the three-head objective. Returns the mean loss and
-    d(mean loss)/d(raw outputs) per head.
+    d(mean loss)/d(raw outputs) per head. Every head goes through the one
+    softmax kernel, ``_softmax_objective``; the +EM variants add
+    ``beta * mean entropy`` of the prediction head.
     """
     kind = cfg.base_kind
     y = np.asarray(y, dtype=np.int64)
     logits = np.asarray(outputs["logits"], dtype=np.float64)
     m, k = logits.shape
-    diagnostics: dict = {}
+    if y.shape != (m,) or y.min() < 0 or y.max() >= n_classes:
+        raise ConfigurationError(
+            f"labels must be integers in [0, {n_classes}) with shape ({m},)")
+    beta = cfg.beta if cfg.uses_em else 0.0
+    if kind == "SelectiveNet":
+        return _selectivenet(cfg, logits, outputs, y, n_classes, beta)
 
+    o, t_y = 0.0, None
     if kind == "CE":
         if k != n_classes:
             raise ConfigurationError(
                 f"CE objective wants {n_classes} logits, head has {k}")
-        loss_i, d = cross_entropy(logits, y)
+    elif k != n_classes + 1:
+        raise ConfigurationError(
+            f"{'gambler' if kind == 'DG' else 'moving-target'} objective "
+            f"needs an abstain head ({n_classes + 1} logits, head has {k})")
     elif kind == "DG":
-        if k != n_classes + 1:
+        o = cfg.resolved_o(n_classes)
+        check_gambler_payoff(o, n_classes, limit_test=cfg.dg_limit_test)
+    elif epoch < cfg.sat_pretrain_epochs or store is None:
+        # pre-training phase: plain (C+1)-way cross entropy on one-hot
+        # labels; identical to the target loss with untouched targets
+        kind = "CE"
+    else:
+        if sample_ids is None:
             raise ConfigurationError(
-                "gambler objective needs an abstain head "
-                f"({n_classes + 1} logits, head has {k})")
-        loss_i, d = deep_gamblers(logits, y, cfg.resolved_o(n_classes),
-                                  limit_test=cfg.dg_limit_test)
-    elif kind == "SAT":
-        if k != n_classes + 1:
+                "moving-target objective needs sample ids into the store")
+        if store.targets.shape[1] != k:
             raise ConfigurationError(
-                "moving-target objective needs an abstain head "
-                f"({n_classes + 1} logits, head has {k})")
-        if epoch < cfg.sat_pretrain_epochs or store is None:
-            # pre-training phase: plain (C+1)-way cross entropy on one-hot
-            # labels; identical to the target loss with untouched targets
-            loss_i, d = cross_entropy(logits, y)
-        else:
-            if sample_ids is None:
-                raise ConfigurationError(
-                    "moving-target objective needs sample ids into the store")
-            t = store.targets[np.asarray(sample_ids, dtype=np.int64)]
-            loss_i, d = sat_loss(logits, t, y)
-    elif kind == "SelectiveNet":
-        if k != n_classes or "select" not in outputs or "aux" not in outputs:
-            raise ConfigurationError(
-                "selective objective needs the three-head layout")
-        g_raw = np.asarray(outputs["select"], dtype=np.float64)[:, 0]
-        # the sigmoid's true value lies strictly inside (0, 1), but it rounds
-        # to 0 or 1 once the raw unit saturates (|g_raw| > ~37)
-        g = sigmoid(g_raw).clip(_G_FLOOR, _G_CEIL)
-        res = selectivenet_loss(logits, g, outputs["aux"], y, cfg)
-        d_f = res.d_f
-        if cfg.uses_em:
-            H, dH = predictive_entropy(logits)
-            res.loss += cfg.beta * float(H.mean())
-            d_f = d_f + cfg.beta * dH / m
-        d_g_raw = (res.d_g * g * (1.0 - g))[:, None]
-        diagnostics.update(mean_g=res.mean_g,
-                           coverage_collapse=res.coverage_collapse,
-                           selective_term=res.selective_term,
-                           coverage_term=res.coverage_term,
-                           aux_term=res.aux_term)
-        return DispatchResult(loss=res.loss,
-                              dlogits={"logits": d_f, "select": d_g_raw,
-                                       "aux": res.d_h},
-                              diagnostics=diagnostics)
-    else:  # pragma: no cover - kinds are validated upstream
-        raise ConfigurationError(f"unknown objective kind {cfg.kind!r}")
+                f"target width {store.targets.shape[1]} does not match "
+                f"{k} logits")
+        t_y = store.targets[np.asarray(sample_ids, dtype=np.int64), y]
+    loss_i, H, d = _softmax_objective(kind, logits, y, scale=1.0 / m,
+                                      beta=beta / m, o=o, t_y=t_y)
+    loss = float(loss_i.mean())
+    if H is not None:
+        loss += beta * float(H.mean())
+    return DispatchResult(loss=loss, dlogits={"logits": d}, diagnostics={})
 
-    if cfg.uses_em:
-        loss_i, d = em_regularized(loss_i, d, logits, cfg.beta)
-    return DispatchResult(loss=float(loss_i.mean()), dlogits={"logits": d / m},
-                          diagnostics=diagnostics)
+
+def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
+                  beta: float) -> DispatchResult:
+    """Three-head selective loss with exact gradients.
+
+    With per-sample cross-entropies l_i on the prediction head f, the
+    selection values g = sigmoid(raw select unit) and D = mean(g):
+
+        selective = mean(l * g) / D
+        coverage  = max(0, c_target - D)^2   (or (c_target - D)^2 when
+                                              the symmetric form is chosen)
+        aux       = mean cross-entropy of the auxiliary head h
+        total     = alpha_mix * (selective + lam * coverage)
+                    + (1 - alpha_mix) * aux  (+ beta * mean entropy of f)
+
+    Gradients flow into g through both the numerator and the denominator
+    of the selective term:
+
+        d selective / d g_i = (l_i - selective) / (m * D)
+
+    D is floored at 1e-8; a floored batch is reported as coverage
+    collapse (the selection head has shut every sample off).
+    """
+    m, k = f.shape
+    if k != n_classes or "select" not in outputs or "aux" not in outputs:
+        raise ConfigurationError(
+            "selective objective needs the three-head layout")
+    h = np.asarray(outputs["aux"], dtype=np.float64)
+    g_raw = np.asarray(outputs["select"], dtype=np.float64)
+    if h.shape != f.shape or g_raw.shape != (m, 1):
+        raise ConfigurationError("selective loss inputs disagree in shape")
+    # the sigmoid's true value lies strictly inside (0, 1), but it rounds
+    # to 0 or 1 once the raw unit saturates (|g_raw| > ~37)
+    g = sigmoid(g_raw[:, 0]).clip(_G_FLOOR, _G_CEIL)
+    mean_g = float(g.mean())
+    collapse = mean_g < COVERAGE_EPS
+    denom = max(mean_g, COVERAGE_EPS)
+    a = cfg.alpha_mix
+    l_f, H, d_f = _softmax_objective("CE", f, y, scale=(a / (m * denom)) * g,
+                                     beta=beta / m)
+    l_h, _, d_h = _softmax_objective("CE", h, y, scale=(1 - a) / m)
+    selective = float((l_f * g).mean() / denom)
+
+    shortfall = cfg.c_target - mean_g
+    if cfg.coverage_penalty == "hinge":
+        active = shortfall > 0
+        coverage = float(max(0.0, shortfall) ** 2)
+        dcov_dg = (-2.0 * shortfall / m) if active else 0.0
+    else:
+        coverage = float(shortfall ** 2)
+        dcov_dg = -2.0 * shortfall / m
+    aux = float(l_h.mean())
+    loss = a * (selective + cfg.lam * coverage) + (1 - a) * aux
+    if H is not None:
+        loss += beta * float(H.mean())
+
+    if collapse:
+        d_g = np.full(m, a * (cfg.lam * dcov_dg))
+    else:
+        d_g = a * ((l_f - selective) / (m * denom) + cfg.lam * dcov_dg)
+    d_g_raw = (d_g * g * (1.0 - g))[:, None]
+    return DispatchResult(
+        loss=float(loss),
+        dlogits={"logits": d_f, "select": d_g_raw, "aux": d_h},
+        diagnostics=dict(mean_g=mean_g, coverage_collapse=collapse,
+                         selective_term=selective, coverage_term=coverage,
+                         aux_term=aux))

@@ -15,14 +15,12 @@ in floating point are flagged degenerate and scored -inf, so a finite
 threshold never selects them.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .nn import stable_softmax
-from .objectives import predictive_entropy
 from .util import atomic_write
 
 MECHANISM_KINDS = (
@@ -135,11 +133,14 @@ def mechanism_compatible(kind: str, head: str) -> bool:
 
 
 def scores_to_csv(path, scores, predicted, truth, header_comment: str = "") -> None:
-    scores = np.asarray(scores)
+    """One row per sample: id, score (shortest round-trip repr), predicted
+    and true class, with csv.writer's \\r\\n row endings."""
+    rows = zip(np.asarray(scores, dtype=np.float64).tolist(),
+               np.asarray(predicted, dtype=np.int64).tolist(),
+               np.asarray(truth, dtype=np.int64).tolist())
     with atomic_write(path) as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(["sample_id", "score", "predicted_class", "true_class"])
-        for i, (s, p, t) in enumerate(zip(scores, predicted, truth)):
-            w.writerow([i, repr(float(s)), int(p), int(t)])
+        f.write("sample_id,score,predicted_class,true_class\r\n")
+        f.write("".join(f"{i},{s!r},{p},{t}\r\n"
+                        for i, (s, p, t) in enumerate(rows)))

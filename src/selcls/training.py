@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
-from .nn import Network, network_backward, network_forward, stable_softmax
+from .nn import Network, gradient_buffer, network_backward, network_forward, stable_softmax
 from .objectives import (
     ObjectiveConfig,
     SatTargetStore,
@@ -123,8 +123,7 @@ def _evaluate(net: Network, X, y):
     logits = trace.head_raw["logits"]
     pred = np.argmax(logits[:, :net.n_classes], axis=1)
     acc = float(np.mean(pred == y))
-    H, _ = predictive_entropy(logits)
-    return acc, float(H.mean())
+    return acc, float(predictive_entropy(logits).mean())
 
 
 def train(net: Network, train_data, val_data, cfg: TrainConfig,
@@ -158,6 +157,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             pretrain_epochs=obj.sat_pretrain_epochs)
 
     velocity = np.zeros_like(net.params)
+    grad_buf = gradient_buffer(net)
 
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
@@ -177,7 +177,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
                 raise NumericFault(
                     f"training diverged (loss={result.loss}) at epoch "
                     f"{epoch}, batch starting at {start}")
-            grads = network_backward(net, trace, result.dlogits)
+            grads = network_backward(net, trace, result.dlogits, grad_buf)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay)
             if sat_adaptive and obj.sat_update == "batch":

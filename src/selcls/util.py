@@ -57,7 +57,8 @@ def atomic_write(path):
     The block writes to a sibling ``.tmp`` file, which is renamed over
     ``path`` at the end. If anything fails on the way, the temp file is
     removed and any previous file at ``path`` stays intact. Lines are
-    written untranslated, as with ``newline=""``.
+    written untranslated, as with ``newline=""``. An OSError that names no
+    file gets ``path`` as its filename, so callers can report it.
     """
     tmp = f"{os.fspath(path)}.tmp"
     f = open(tmp, "w", newline="")
@@ -65,6 +66,9 @@ def atomic_write(path):
         with f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.strerror = exc.strerror or str(exc)
+            exc.filename = os.fspath(path)
         raise

@@ -270,7 +270,7 @@ class TestGridCommand:
 
     @pytest.mark.parametrize("target", ["results.csv", "manifest.json"])
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch,
-                                                target):
+                                                capsys, target):
         cfg_path, doc = self.grid_config(tmp_path)
         assert main(["grid", "-c", str(cfg_path)]) == 0
         outdir = Path(doc["output_dir"])
@@ -280,12 +280,9 @@ class TestGridCommand:
         raw["training"]["epochs"] = 1
         cfg_path.write_text(json.dumps(raw))
         fail_writes(monkeypatch, target)
-        # main lets the OSError escape today; a non-zero exit code would
-        # keep the outputs just as well
-        try:
-            assert main(["grid", "-c", str(cfg_path)]) != 0
-        except OSError as exc:
-            assert "disk full" in str(exc)
+        assert main(["grid", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {outdir / target}: disk full"]
         assert (outdir / target).read_bytes() == before
         assert not list(outdir.rglob("*.tmp"))
 

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from selcls.datasets import Dataset
 from selcls.errors import ConfigurationError, NumericFault
 from selcls.nn import (
     Network,
@@ -17,8 +19,25 @@ from selcls.nn import (
     sigmoid,
     stable_softmax,
 )
+from selcls.objectives import ObjectiveConfig
+from selcls.training import TrainConfig, train
 
 from conftest import fail_writes, random_batch, random_net
+
+
+# (head layout, layer) for every layer of a two-layer trunk and every head
+FAULT_SITES = [(head, layer)
+               for head, heads in (("plain", ["logits"]),
+                                   ("abstain", ["logits"]),
+                                   ("selectivenet", ["logits", "select", "aux"]))
+               for layer in [0, 1, *heads]]
+
+
+def fault_message(layer) -> str:
+    """The NumericFault message for a non-finite trunk layer or head."""
+    if isinstance(layer, int):
+        return f"non-finite pre-activation at trunk layer {layer}"
+    return f"non-finite output at head {layer!r}"
 
 
 def affine(x, W, b):
@@ -93,6 +112,19 @@ class TestStableSoftmax:
         assert np.allclose(np.exp(log_softmax(z)), stable_softmax(z))
 
 
+def test_sigmoid_bit_identical_to_two_branch_form(rng):
+    # reference: 1/(1+exp(-z)) on z >= 0 and exp(z)/(1+exp(z)) below
+    z = np.concatenate([rng.uniform(-1000, 1000, size=100_000),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, 36.7, -745.2]])
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    expected[~pos] = ez / (1.0 + ez)
+    assert np.array_equal(sigmoid(z), expected, equal_nan=True)
+    assert sigmoid(z.astype(np.float32)).dtype == np.float32
+
+
 def test_sigmoid_stable_at_extremes():
     g = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert np.all(np.isfinite(g))
@@ -149,6 +181,28 @@ class TestNetworkForward:
         net = build_network(2, (4,), n_classes=2, head="plain", seed=0)
         with pytest.raises(NumericFault, match="layer 0"):
             network_forward(net, np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
+                             ids=["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("head,layer", FAULT_SITES)
+    def test_nonfinite_value_faults_naming_its_layer(self, rng, head, layer,
+                                                     value):
+        # a -inf pre-activation at trunk layer 1 is zeroed by the ReLU, so
+        # nothing downstream of it shows the fault
+        net = build_network(2, (8, 8), n_classes=3, head=head, seed=0)
+        target = net.trunk[layer] if isinstance(layer, int) \
+            else net.heads[layer]
+        target.b[0] = value
+        message = f"^{re.escape(fault_message(layer))}$"
+        for rows in (64, 2000):  # a training batch and a whole split
+            with pytest.raises(NumericFault, match=message):
+                network_forward(net, rng.normal(size=(rows, 2)))
+        data = Dataset(rng.normal(size=(64, 2)), rng.integers(0, 3, size=64))
+        kind = {"plain": "CE", "abstain": "DG",
+                "selectivenet": "SelectiveNet"}[head]
+        with pytest.raises(NumericFault, match=message):
+            train(net, data, data, TrainConfig(
+                epochs=1, objective=ObjectiveConfig(kind=kind)))
 
     def test_wrong_input_dim(self):
         net = build_network(3, (4,), n_classes=2, head="plain", seed=0)
@@ -230,18 +284,19 @@ class TestFiniteDifference:
             finite_difference_gradient(lambda n: float("nan"), net)
 
     def test_cross_entropy_backprop_agreement(self, rng):
-        from selcls.objectives import cross_entropy
+        from selcls.objectives import ObjectiveConfig, objective_dispatch
 
         net = random_net(rng, head="plain", n_classes=3, widths=(8, 6))
         X, y = random_batch(rng, net, m=5)
+        cfg = ObjectiveConfig(kind="CE")
 
         def lossfn(n):
-            loss, _ = cross_entropy(network_forward(n, X).head_raw["logits"], y)
-            return float(loss.mean())
+            return objective_dispatch(cfg, network_forward(n, X).head_raw, y,
+                                      n_classes=3).loss
 
         trace = network_forward(net, X)
-        _, d = cross_entropy(trace.head_raw["logits"], y)
-        analytic = network_backward(net, trace, {"logits": d / len(y)})
+        d = objective_dispatch(cfg, trace.head_raw, y, n_classes=3).dlogits
+        analytic = network_backward(net, trace, d)
         fd = finite_difference_gradient(lossfn, net, eps=1e-6)
         assert max_relative_error(net, analytic, fd) < 1e-5
 

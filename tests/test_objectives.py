@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from selcls.errors import ConfigurationError, ProtocolError
 from selcls.nn import (
@@ -10,16 +12,12 @@ from selcls.nn import (
     stable_softmax,
 )
 from selcls.objectives import (
+    OBJECTIVE_KINDS,
     ObjectiveConfig,
     SatTargetStore,
-    cross_entropy,
-    deep_gamblers,
-    em_regularized,
     objective_dispatch,
     predictive_entropy,
-    sat_loss,
     sat_update_targets,
-    selectivenet_loss,
 )
 
 from conftest import random_batch, random_net
@@ -32,99 +30,139 @@ def logits_for(p):
     return np.log(np.asarray(p, dtype=np.float64))
 
 
+def dispatch(kind, z, y, n_classes, **cfg):
+    """objective_dispatch on a single-head batch; a 1-d z is one sample."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    return objective_dispatch(ObjectiveConfig(kind=kind, **cfg), {"logits": z},
+                              np.atleast_1d(y), n_classes=n_classes)
+
+
+def per_sample(kind, z, y, n_classes, **cfg):
+    """Per-sample losses, one dispatch per row."""
+    return np.array([dispatch(kind, row, label, n_classes, **cfg).loss
+                     for row, label in zip(np.atleast_2d(z), np.atleast_1d(y))])
+
+
+def sat_dispatch(z, targets, y, kind="SAT", **cfg):
+    """The adaptive-phase target loss with the given soft target rows."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    y = np.atleast_1d(y)
+    store = SatTargetStore.initialize(y, z.shape[1] - 1, pretrain_epochs=0)
+    store.targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    return objective_dispatch(
+        ObjectiveConfig(kind=kind, sat_pretrain_epochs=0, **cfg),
+        {"logits": z}, y, n_classes=z.shape[1] - 1, store=store,
+        sample_ids=np.arange(len(y)), epoch=0)
+
+
+def ce_reference(z, y):
+    """Mean cross entropy and its logit gradient, written out in numpy."""
+    z = np.asarray(z, dtype=np.float64)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    onehot = np.zeros_like(p)
+    onehot[rows, y] = 1.0
+    return float(-np.log(p[rows, y]).mean()), (p - onehot) / len(y)
+
+
 class TestCrossEntropy:
     def test_symmetric_binary(self):
-        loss, d = cross_entropy([0.0, 0.0], 0)
-        assert abs(loss - LN2) < 1e-12
-        assert np.allclose(d, [-0.5, 0.5])
+        res = dispatch("CE", [0.0, 0.0], 0, 2)
+        assert abs(res.loss - LN2) < 1e-12
+        assert np.allclose(res.dlogits["logits"], [[-0.5, 0.5]])
 
     def test_confident_correct(self):
-        loss, d = cross_entropy([200.0, 0.0, 0.0], 0)
-        assert loss < 1e-12
-        assert np.max(np.abs(d)) < 1e-12
+        res = dispatch("CE", [200.0, 0.0, 0.0], 0, 3)
+        assert res.loss < 1e-12
+        assert np.max(np.abs(res.dlogits["logits"])) < 1e-12
 
     def test_frozen_value(self):
         # -ln softmax([1,2,3])[2], evaluated at 30 digits
-        loss, _ = cross_entropy([1.0, 2.0, 3.0], 2)
-        assert abs(loss - 0.4076059644443803) < 1e-14
+        res = dispatch("CE", [1.0, 2.0, 3.0], 2, 3)
+        assert abs(res.loss - 0.4076059644443803) < 1e-14
 
     def test_extreme_logits_never_infinite(self):
-        loss, d = cross_entropy([-5000.0, 5000.0], 0)
-        assert np.isfinite(loss) and loss == pytest.approx(10000.0)
-        assert np.all(np.isfinite(d))
+        res = dispatch("CE", [-5000.0, 5000.0], 0, 2)
+        assert np.isfinite(res.loss) and res.loss == pytest.approx(10000.0)
+        assert np.all(np.isfinite(res.dlogits["logits"]))
 
     def test_label_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            cross_entropy([0.0, 0.0], 2)
+            dispatch("CE", [0.0, 0.0], 2, 2)
 
 
 class TestPredictiveEntropy:
     def test_uniform_is_ln_k(self):
         for k in (2, 3, 8):
-            H, _ = predictive_entropy(np.zeros(k))
-            assert abs(H - np.log(k)) < 1e-12
+            H = predictive_entropy(np.zeros((1, k)))
+            assert abs(H[0] - np.log(k)) < 1e-12
 
     def test_one_hot_is_zero(self):
-        H, _ = predictive_entropy([300.0, 0.0, 0.0])
-        assert abs(H) < 1e-12
+        H = predictive_entropy([[300.0, 0.0, 0.0]])
+        assert abs(H[0]) < 1e-12
 
     def test_frozen_value(self):
-        H, _ = predictive_entropy(logits_for([0.7, 0.2, 0.1]))
-        assert abs(H - 0.80181855254333731) < 1e-14
+        H = predictive_entropy([logits_for([0.7, 0.2, 0.1])])
+        assert abs(H[0] - 0.80181855254333731) < 1e-14
 
     def test_bounds_and_max_at_uniform(self, rng):
         for _ in range(50):
             k = int(rng.integers(2, 9))
-            z = rng.normal(scale=3, size=k)
-            H, _ = predictive_entropy(z)
-            assert -1e-12 <= H <= np.log(k) + 1e-12
+            H = predictive_entropy(rng.normal(scale=3, size=(4, k)))
+            assert np.all(H >= -1e-12) and np.all(H <= np.log(k) + 1e-12)
             # perturbing away from uniform can only lower the entropy
-            Hu, _ = predictive_entropy(np.zeros(k))
-            assert H <= Hu + 1e-12
+            Hu = predictive_entropy(np.zeros((1, k)))
+            assert np.all(H <= Hu[0] + 1e-12)
 
     def test_gradient_zero_at_uniform(self):
-        _, d = predictive_entropy(np.zeros(5))
-        assert np.max(np.abs(d)) < 1e-12
+        # at uniform logits the entropy term adds nothing to the gradient
+        em = dispatch("CE+EM", np.zeros(5), 1, 5, beta=0.5)
+        ce = dispatch("CE", np.zeros(5), 1, 5)
+        assert np.max(np.abs(em.dlogits["logits"] - ce.dlogits["logits"])) \
+            < 1e-12
 
 
 class TestEmRegularized:
     def test_beta_zero_identity(self, rng):
-        z = rng.normal(size=4)
-        base_loss, base_d = cross_entropy(z, 1)
-        loss, d = em_regularized(base_loss, base_d, z, 0.0)
-        assert loss == base_loss
-        assert np.array_equal(d, base_d)
+        z = rng.normal(size=(3, 4))
+        y = np.array([1, 0, 3])
+        base = dispatch("CE", z, y, 4)
+        em = dispatch("CE+EM", z, y, 4, beta=0.0)
+        assert em.loss == base.loss
+        assert np.array_equal(em.dlogits["logits"], base.dlogits["logits"])
 
     def test_frozen_binary_uniform(self):
         # ln 2 + 0.01 * ln 2
-        z = np.zeros(2)
-        base_loss, base_d = cross_entropy(z, 0)
-        loss, _ = em_regularized(base_loss, base_d, z, 0.01)
-        assert abs(loss - 0.70007865236554476) < 1e-14
+        res = dispatch("CE+EM", np.zeros(2), 0, 2, beta=0.01)
+        assert abs(res.loss - 0.70007865236554476) < 1e-14
 
     def test_linearity_in_beta(self, rng):
+        # the entropy term is added once, with weight beta
         for _ in range(10):
-            z = rng.normal(scale=2, size=5)
+            z = rng.normal(scale=2, size=(3, 5))
+            y = rng.integers(0, 5, size=3)
             b1, b2 = rng.uniform(0.001, 0.5, size=2)
-            base = cross_entropy(z, 2)
-            once_loss, once_d = em_regularized(*base, z, b1 + b2)
-            step1 = em_regularized(*base, z, b1)
-            step2_loss, step2_d = em_regularized(*step1, z, b2)
-            assert abs(once_loss - step2_loss) < 1e-12
-            assert np.max(np.abs(once_d - step2_d)) < 1e-12
+            base = dispatch("CE", z, y, 5)
+            runs = [dispatch("CE+EM", z, y, 5, beta=b)
+                    for b in (b1 + b2, b1, b2)]
+            loss = [r.loss - base.loss for r in runs]
+            d = [r.dlogits["logits"] - base.dlogits["logits"] for r in runs]
+            assert abs(loss[0] - loss[1] - loss[2]) < 1e-12
+            assert np.max(np.abs(d[0] - d[1] - d[2])) < 1e-12
 
 
 class TestDeepGamblers:
     def test_frozen_value(self):
         # -ln(0.6 + 0.1/2)
-        loss, _ = deep_gamblers(logits_for([0.6, 0.3, 0.1]), 0, o=2.0)
-        assert abs(loss - 0.43078291609245426) < 1e-12
+        res = dispatch("DG", logits_for([0.6, 0.3, 0.1]), 0, 2, o=2.0)
+        assert abs(res.loss - 0.43078291609245426) < 1e-12
 
     def test_zero_abstain_mass_equals_ce(self, rng):
         z = np.array([1.0, -0.5, -2000.0])
-        dg, _ = deep_gamblers(z, 0, o=2.0)
-        ce, _ = cross_entropy(z, 0)
-        assert abs(dg - ce) < 1e-12
+        dg = dispatch("DG", z, 0, 2, o=2.0)
+        ce = dispatch("CE", z, 0, 3)
+        assert abs(dg.loss - ce.loss) < 1e-12
 
     def test_large_o_limit_matches_ce(self, rng):
         # gap is log1p(p_abstain / (o * p_true)) <= 1/(o * p_true), so keep
@@ -132,8 +170,8 @@ class TestDeepGamblers:
         for _ in range(20):
             z = rng.normal(scale=1, size=(6, 4))
             y = rng.integers(0, 3, size=6)
-            dg, _ = deep_gamblers(z, y, o=1e9, limit_test=True)
-            ce, _ = cross_entropy(z, y)
+            dg = per_sample("DG", z, y, 3, o=1e9, dg_limit_test=True)
+            ce = per_sample("CE", z, y, 4)
             assert np.max(np.abs(dg - ce)) < 1e-6
 
     def test_monotone_in_o(self, rng):
@@ -142,16 +180,16 @@ class TestDeepGamblers:
             z = rng.normal(scale=2, size=5)
             y = int(rng.integers(0, 4))
             grid = [1.1, 1.5, 2.0, 3.0, 4.0]
-            losses = [deep_gamblers(z, y, o=o)[0] for o in grid]
+            losses = [dispatch("DG", z, y, 4, o=o).loss for o in grid]
             assert all(a < b for a, b in zip(losses, losses[1:]))
 
     def test_o_constraints(self):
         z = np.zeros(4)
         with pytest.raises(ConfigurationError, match="always-abstain"):
-            deep_gamblers(z, 0, o=1.0)
+            dispatch("DG", z, 0, 3, o=1.0)
         with pytest.raises(ConfigurationError, match="limit-test"):
-            deep_gamblers(z, 0, o=5.0)
-        deep_gamblers(z, 0, o=5.0, limit_test=True)
+            dispatch("DG", z, 0, 3, o=5.0)
+        dispatch("DG", z, 0, 3, o=5.0, dg_limit_test=True)
 
 
 class TestSatLoss:
@@ -159,23 +197,24 @@ class TestSatLoss:
         z = rng.normal(size=5)
         t = np.zeros(5)
         t[2] = 1.0
-        loss, d = sat_loss(z, t, 2)
-        ce, dce = cross_entropy(z, 2)
-        assert abs(loss - ce) < 1e-12
-        assert np.max(np.abs(d - dce)) < 1e-12
+        res = sat_dispatch(z, t, 2)
+        ce = dispatch("CE", z, 2, 5)
+        assert abs(res.loss - ce.loss) < 1e-12
+        assert np.max(np.abs(res.dlogits["logits"] - ce.dlogits["logits"])) \
+            < 1e-12
 
     def test_frozen_value(self):
         # -(0.9 ln 0.6 + 0.1 ln 0.1)
         p = [0.6, 0.3, 0.1]
         t = np.array([0.9, 0.05, 0.05])
-        loss, _ = sat_loss(logits_for(p), t, 0)
-        assert abs(loss - 0.69000157068879618) < 1e-12
+        res = sat_dispatch(logits_for(p), t, 0)
+        assert abs(res.loss - 0.69000157068879618) < 1e-12
 
     def test_zero_target_pure_abstention(self):
         p = [0.6, 0.3, 0.1]
         t = np.array([0.0, 0.5, 0.5])
-        loss, _ = sat_loss(logits_for(p), t, 0)
-        assert abs(loss - (-np.log(0.1))) < 1e-12
+        res = sat_dispatch(logits_for(p), t, 0)
+        assert abs(res.loss - (-np.log(0.1))) < 1e-12
 
 
 class TestSatTargetStore:
@@ -245,36 +284,41 @@ def sn_cfg(**kw):
     return ObjectiveConfig(**defaults)
 
 
+def sn_dispatch(f, g, h, y, cfg):
+    """The three-head objective with selection values g, given through
+    their raw unit log(g / (1 - g))."""
+    g = np.asarray(g, dtype=np.float64)
+    raw = (np.log(g) - np.log1p(-g))[:, None]
+    return objective_dispatch(cfg, {"logits": f, "select": raw, "aux": h}, y,
+                              n_classes=f.shape[1])
+
+
 class TestSelectiveNetLoss:
     def test_equal_weights_give_plain_mean_ce(self, rng):
         m, C = 6, 3
         f = rng.normal(size=(m, C))
         h = rng.normal(size=(m, C))
         y = rng.integers(0, C, size=m)
-        g = np.full(m, 0.37)
-        res = selectivenet_loss(f, g, h, y, sn_cfg())
-        ce, _ = cross_entropy(f, y)
-        assert abs(res.selective_term - ce.mean()) < 1e-9
+        res = sn_dispatch(f, np.full(m, 0.37), h, y, sn_cfg())
+        ce = dispatch("CE", f, y, C)
+        assert abs(res.diagnostics["selective_term"] - ce.loss) < 1e-9
 
     def test_coverage_penalty_undershoot(self):
         f = np.zeros((10, 2))
         h = np.zeros((10, 2))
         y = np.zeros(10, dtype=int)
-        res = selectivenet_loss(f, np.full(10, 0.7), h, y,
-                                sn_cfg(c_target=0.8))
-        assert abs(res.coverage_term - 0.01) < 1e-12
+        res = sn_dispatch(f, np.full(10, 0.7), h, y, sn_cfg(c_target=0.8))
+        assert abs(res.diagnostics["coverage_term"] - 0.01) < 1e-12
 
     def test_coverage_penalty_overshoot_hinged(self):
         f = np.zeros((10, 2))
         h = np.zeros((10, 2))
         y = np.zeros(10, dtype=int)
-        res = selectivenet_loss(f, np.full(10, 0.9), h, y,
-                                sn_cfg(c_target=0.8))
-        assert res.coverage_term == 0.0
-        sym = selectivenet_loss(f, np.full(10, 0.9), h, y,
-                                sn_cfg(c_target=0.8,
-                                       coverage_penalty="symmetric"))
-        assert abs(sym.coverage_term - 0.01) < 1e-12
+        res = sn_dispatch(f, np.full(10, 0.9), h, y, sn_cfg(c_target=0.8))
+        assert res.diagnostics["coverage_term"] == 0.0
+        sym = sn_dispatch(f, np.full(10, 0.9), h, y,
+                          sn_cfg(c_target=0.8, coverage_penalty="symmetric"))
+        assert abs(sym.diagnostics["coverage_term"] - 0.01) < 1e-12
 
     def test_gradient_through_g_matches_fd(self, rng):
         # the denominator coupling is the part that is easy to get wrong
@@ -282,23 +326,29 @@ class TestSelectiveNetLoss:
         f = rng.normal(size=(m, C))
         h = rng.normal(size=(m, C))
         y = rng.integers(0, C, size=m)
-        g = rng.uniform(0.2, 0.9, size=m)
+        raw = rng.uniform(-1.5, 2.0, size=(m, 1))
         cfg = sn_cfg(c_target=0.9)  # undershoot, so the hinge is active
-        res = selectivenet_loss(f, g, h, y, cfg)
+
+        def run(select):
+            return objective_dispatch(
+                cfg, {"logits": f, "select": select, "aux": h}, y,
+                n_classes=C)
+
+        res = run(raw)
         eps = 1e-7
         for i in range(m):
-            gp, gm = g.copy(), g.copy()
-            gp[i] += eps
-            gm[i] -= eps
-            fd = (selectivenet_loss(f, gp, h, y, cfg).loss
-                  - selectivenet_loss(f, gm, h, y, cfg).loss) / (2 * eps)
-            assert abs(fd - res.d_g[i]) < 1e-6
+            up, down = raw.copy(), raw.copy()
+            up[i] += eps
+            down[i] -= eps
+            fd = (run(up).loss - run(down).loss) / (2 * eps)
+            assert abs(fd - res.dlogits["select"][i, 0]) < 1e-6
 
     def test_invalid_g_rejected(self, rng):
         f = rng.normal(size=(3, 2))
         with pytest.raises(ConfigurationError):
-            selectivenet_loss(f, np.array([0.5, 1.0, 0.2]), f,
-                              np.zeros(3, dtype=int), sn_cfg())
+            objective_dispatch(sn_cfg(), {"logits": f, "select": np.zeros((2, 1)),
+                                          "aux": f},
+                               np.zeros(3, dtype=int), n_classes=2)
 
 
 class TestDispatch:
@@ -307,9 +357,9 @@ class TestDispatch:
         y = rng.integers(0, 3, size=7)
         res = objective_dispatch(ObjectiveConfig(kind="CE"), {"logits": z}, y,
                                  n_classes=3)
-        ce, d = cross_entropy(z, y)
-        assert abs(res.loss - ce.mean()) < 1e-12
-        assert np.allclose(res.dlogits["logits"], d / 7)
+        loss, d = ce_reference(z, y)
+        assert abs(res.loss - loss) < 1e-12
+        assert np.allclose(res.dlogits["logits"], d)
 
     def test_sat_pretrain_equals_ce(self, rng):
         z = rng.normal(size=(4, 4))  # C=3 plus abstain
@@ -318,8 +368,8 @@ class TestDispatch:
         cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=5)
         res = objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
                                  store=store, sample_ids=np.arange(4), epoch=2)
-        ce, _ = cross_entropy(z, y)
-        assert abs(res.loss - ce.mean()) < 1e-12
+        loss, _ = ce_reference(z, y)
+        assert abs(res.loss - loss) < 1e-12
 
     def test_dg_em_beta_zero_equals_dg(self, rng):
         z = rng.normal(size=(5, 4))
@@ -346,6 +396,92 @@ class TestDispatch:
         cfg = ObjectiveConfig(kind="DG")
         assert 1.0 < cfg.resolved_o(2) <= 2.0
         assert cfg.resolved_o(8) == 7.0
+
+
+# ---------------------------------------------------------------------------
+# properties of every objective kind, through objective_dispatch
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                             database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+def random_case(kind, seed, m, n_classes, scale):
+    """(config, outputs, call keywords) for one random batch of ``kind``."""
+    rng = np.random.default_rng(seed)
+    cfg = ObjectiveConfig(kind=kind, beta=0.05, sat_pretrain_epochs=0,
+                          c_target=0.6, lam=4.0)
+    base = cfg.base_kind
+    width = n_classes + 1 if base in ("DG", "SAT") else n_classes
+    outputs = {"logits": rng.normal(scale=scale, size=(m, width))}
+    y = rng.integers(0, n_classes, size=m)
+    kw = {"y": y, "n_classes": n_classes}
+    if base == "SelectiveNet":
+        outputs["select"] = rng.normal(scale=2.0, size=(m, 1))
+        outputs["aux"] = rng.normal(scale=scale, size=(m, n_classes))
+    if base == "SAT":
+        store = SatTargetStore.initialize(y, n_classes, pretrain_epochs=0)
+        raw = rng.random((m, width))
+        store.targets = raw / raw.sum(axis=1, keepdims=True)
+        kw.update(store=store, sample_ids=np.arange(m), epoch=0)
+    return cfg, outputs, kw
+
+
+case_args = dict(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6),
+                 n_classes=st.integers(2, 5), scale=st.floats(0.1, 10.0))
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+@PROPERTY_SETTINGS
+@given(shift=st.floats(-50.0, 50.0), **case_args)
+def test_row_shift_leaves_loss_and_gradient(kind, shift, seed, m, n_classes,
+                                            scale):
+    cfg, outputs, kw = random_case(kind, seed, m, n_classes, scale)
+    res = objective_dispatch(cfg, outputs, **kw)
+    moved = dict(outputs)
+    row_shift = shift * np.linspace(-1.0, 1.0, m)[:, None]
+    for name in ("logits", "aux"):
+        if name in moved:
+            moved[name] = outputs[name] + row_shift
+    res2 = objective_dispatch(cfg, moved, **kw)
+    assert res2.loss == pytest.approx(res.loss, rel=1e-9, abs=1e-9)
+    for name, d in res.dlogits.items():
+        assert np.max(np.abs(res2.dlogits[name] - d)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in OBJECTIVE_KINDS if not k.startswith("SelectiveNet")])
+@PROPERTY_SETTINGS
+@given(**case_args)
+def test_gradient_rows_sum_to_zero(kind, seed, m, n_classes, scale):
+    cfg, outputs, kw = random_case(kind, seed, m, n_classes, scale)
+    d = objective_dispatch(cfg, outputs, **kw).dlogits["logits"]
+    assert np.max(np.abs(d.sum(axis=1))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(**case_args)
+def test_gradient_matches_central_differences(kind, seed, m, n_classes,
+                                              scale):
+    cfg, outputs, kw = random_case(kind, seed, m, n_classes, min(scale, 4.0))
+    if cfg.base_kind == "SelectiveNet":
+        # the hinge has a kink where the mean selection value meets c_target
+        g = 1.0 / (1.0 + np.exp(-outputs["select"]))
+        assume(abs(float(g.mean()) - cfg.c_target) > 1e-4)
+    res = objective_dispatch(cfg, outputs, **kw)
+    eps = 1e-6
+    for name, z in outputs.items():
+        fd = np.empty_like(z)
+        for idx in np.ndindex(z.shape):
+            up, down = dict(outputs), dict(outputs)
+            up[name], down[name] = z.copy(), z.copy()
+            up[name][idx] += eps
+            down[name][idx] -= eps
+            fd[idx] = (objective_dispatch(cfg, up, **kw).loss
+                       - objective_dispatch(cfg, down, **kw).loss) / (2 * eps)
+        assert np.max(np.abs(fd - res.dlogits[name])) < 1e-6
 
 
 # ---------------------------------------------------------------------------

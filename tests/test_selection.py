@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from selcls.selection import (
     score_batch,
     score_negative_entropy,
     score_selection_head,
+    scores_to_csv,
 )
 
 from conftest import random_batch, random_net
@@ -156,3 +160,21 @@ def test_class_probabilities_renormalize_identity(rng):
     assert not degenerate.any()
     manual = out.probs[:, :4] / (1.0 - out.probs[:, 4:5])
     assert np.max(np.abs(q - manual)) < 1e-12
+
+
+def test_scores_csv_bytes_match_csv_writer(rng, tmp_path):
+    scores = rng.normal(size=4000)
+    scores[[3, 17]] = -np.inf
+    scores[5] = 1e-300
+    predicted = rng.integers(0, 8, size=4000)
+    truth = rng.integers(0, 8, size=4000)
+    path = tmp_path / "scores.csv"
+    scores_to_csv(path, scores, predicted, truth, header_comment="config=abc")
+
+    reference = io.StringIO(newline="")
+    reference.write("# config=abc\n")
+    w = csv.writer(reference)
+    w.writerow(["sample_id", "score", "predicted_class", "true_class"])
+    for i, (s, p, t) in enumerate(zip(scores, predicted, truth)):
+        w.writerow([i, repr(float(s)), int(p), int(t)])
+    assert path.read_bytes() == reference.getvalue().encode()
