@@ -24,6 +24,7 @@ The selective three-head loss, which runs the kernel on its prediction and
 auxiliary heads, is documented on ``_selectivenet``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,24 +164,30 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     ``scale`` a number or one weight per row; the entropy H is returned
     only when ``beta`` is nonzero, otherwise None.
     """
-    shifted = z - z.max(axis=1, keepdims=True)
+    m, k = z.shape
+    # flat indices of each row's start and of its label entry: 1-d
+    # gathers and scatters cost less than (rows, cols) pairs, and an
+    # argmax plus a gather less than a row max
+    row_start = np.arange(0, m * k, k)
+    at_y = row_start + y
+    shifted = z - z.ravel()[row_start + z.argmax(axis=1)][:, None]
     p = np.exp(shifted)
     total = p.sum(axis=1, keepdims=True)
     p /= total
     lp = shifted
     lp -= np.log(total)
-    rows = np.arange(len(y))
-    lp_y = lp[rows, y]
+    lp_y = lp.ravel()[at_y]
     if kind == "CE":
         loss, w_y, w_a = -lp_y, 1.0, None
     elif kind == "DG":
-        lp_a = lp[:, -1] - np.log(o)
+        lp_a = lp[:, -1] - math.log(o)
         log_mass = np.logaddexp(lp_y, lp_a)
         loss = -log_mass
         w_y, w_a = np.exp(lp_y - log_mass), np.exp(lp_a - log_mass)
     else:
         w_y, w_a = t_y, 1.0 - t_y
         loss = -(w_y * lp_y + w_a * lp[:, -1])
+    # from here on p turns into the gradient, in place
     col = scale[:, None] if isinstance(scale, np.ndarray) else scale
     H = None
     if beta:
@@ -193,11 +200,10 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
         H = -neg_H[:, 0]
     else:
         p *= col
-    grad = p
-    grad[rows, y] -= scale * w_y
+    p.ravel()[at_y] -= scale * w_y
     if w_a is not None:
-        grad[:, -1] -= scale * w_a
-    return loss, H, grad
+        p[:, -1] -= scale * w_a
+    return loss, H, p
 
 
 @dataclass
@@ -265,7 +271,8 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     y = np.asarray(y, dtype=np.int64)
     logits = np.asarray(outputs["logits"], dtype=np.float64)
     m, k = logits.shape
-    if y.shape != (m,) or y.min() < 0 or y.max() >= n_classes:
+    # one reduction checks both ends: a negative label reads as >= 2**63
+    if y.shape != (m,) or y.view(np.uint64).max() >= n_classes:
         raise ConfigurationError(
             f"labels must be integers in [0, {n_classes}) with shape ({m},)")
     beta = cfg.beta if cfg.uses_em else 0.0
@@ -299,9 +306,9 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
         t_y = store.targets[np.asarray(sample_ids, dtype=np.int64), y]
     loss_i, H, d = _softmax_objective(kind, logits, y, scale=1.0 / m,
                                       beta=beta / m, o=o, t_y=t_y)
-    loss = float(loss_i.mean())
+    loss = float(loss_i.sum()) / m
     if H is not None:
-        loss += beta * float(H.mean())
+        loss += beta * (float(H.sum()) / m)
     return DispatchResult(loss=loss, dlogits={"logits": d}, diagnostics={})
 
 
@@ -338,14 +345,14 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     # the sigmoid's true value lies strictly inside (0, 1), but it rounds
     # to 0 or 1 once the raw unit saturates (|g_raw| > ~37)
     g = sigmoid(g_raw[:, 0]).clip(_G_FLOOR, _G_CEIL)
-    mean_g = float(g.mean())
+    mean_g = float(g.sum()) / m
     collapse = mean_g < COVERAGE_EPS
     denom = max(mean_g, COVERAGE_EPS)
     a = cfg.alpha_mix
     l_f, H, d_f = _softmax_objective("CE", f, y, scale=(a / (m * denom)) * g,
                                      beta=beta / m)
     l_h, _, d_h = _softmax_objective("CE", h, y, scale=(1 - a) / m)
-    selective = float((l_f * g).mean() / denom)
+    selective = float((l_f * g).sum()) / m / denom
 
     shortfall = cfg.c_target - mean_g
     if cfg.coverage_penalty == "hinge":
@@ -355,10 +362,10 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     else:
         coverage = float(shortfall ** 2)
         dcov_dg = -2.0 * shortfall / m
-    aux = float(l_h.mean())
+    aux = float(l_h.sum()) / m
     loss = a * (selective + cfg.lam * coverage) + (1 - a) * aux
     if H is not None:
-        loss += beta * float(H.mean())
+        loss += beta * (float(H.sum()) / m)
 
     if collapse:
         d_g = np.full(m, a * (cfg.lam * dcov_dg))
