@@ -272,9 +272,10 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     logits = np.asarray(outputs["logits"], dtype=np.float64)
     m, k = logits.shape
     # one reduction checks both ends: a negative label reads as >= 2**63
-    if y.shape != (m,) or y.view(np.uint64).max() >= n_classes:
+    if m < 1 or y.shape != (m,) or y.view(np.uint64).max() >= n_classes:
         raise ConfigurationError(
-            f"labels must be integers in [0, {n_classes}) with shape ({m},)")
+            f"need a non-empty batch with labels in [0, {n_classes}) of "
+            f"shape ({m},)")
     beta = cfg.beta if cfg.uses_em else 0.0
     if kind == "SelectiveNet":
         return _selectivenet(cfg, logits, outputs, y, n_classes, beta)

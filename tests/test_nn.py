@@ -10,6 +10,7 @@ from selcls.nn import (
     Network,
     build_network,
     finite_difference_gradient,
+    gradient_buffer,
     load_checkpoint,
     log_softmax,
     max_relative_error,
@@ -241,13 +242,19 @@ class TestNetworkBackward:
         net = random_net(rng, head="selectivenet", n_classes=3)
         X, _ = random_batch(rng, net)
         trace = network_forward(net, X)
-        grads = network_backward(
-            net, trace, {"logits": np.ones_like(trace.head_raw["logits"])})
+        ones = {name: np.ones_like(raw) for name, raw in trace.head_raw.items()}
+        # a reused buffer whose every entry was written by an earlier batch
+        buf = gradient_buffer(net)
+        network_backward(net, trace, ones, buf)
         # the select and aux heads follow the trunk and the logits head
         n_before = sum(layer.W.size + layer.b.size
                        for layer in net.trunk + [net.heads["logits"]])
-        assert np.any(grads[:n_before] != 0.0)
-        assert np.all(grads[n_before:] == 0.0)
+        for out in (None, buf):
+            grads = network_backward(net, trace, {"logits": ones["logits"]},
+                                     out)
+            assert np.any(grads[:n_before] != 0.0)
+            assert np.all(grads[n_before:] == 0.0)
+        assert grads is buf[0]
 
     def test_shape_mismatch_rejected(self, rng):
         net = random_net(rng)

@@ -16,7 +16,6 @@ trained parameters:
 
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
