@@ -20,7 +20,7 @@ from selcls.nn import (
     sigmoid,
     stable_softmax,
 )
-from selcls.objectives import ObjectiveConfig
+from selcls.objectives import ObjectiveConfig, objective_dispatch
 from selcls.training import TrainConfig, train
 
 from conftest import fail_writes, random_batch, random_net
@@ -291,8 +291,6 @@ class TestFiniteDifference:
             finite_difference_gradient(lambda n: float("nan"), net)
 
     def test_cross_entropy_backprop_agreement(self, rng):
-        from selcls.objectives import ObjectiveConfig, objective_dispatch
-
         net = random_net(rng, head="plain", n_classes=3, widths=(8, 6))
         X, y = random_batch(rng, net, m=5)
         cfg = ObjectiveConfig(kind="CE")
