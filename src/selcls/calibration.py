@@ -4,6 +4,10 @@ Fitting picks tau as the k-th largest score with k = ceil(coverage * n).
 On the fitting set, ties at tau are broken by ascending sample index so
 that exactly k samples come out; on fresh data the selector is the pure
 rule score >= tau and the achieved coverage may drift by O(1/sqrt(n)).
+
+Neither step sorts: the k-th largest value comes from one partition, and
+the exact-k mask takes every score above it plus the lowest-index ties,
+both in O(n).
 """
 
 import math
@@ -13,15 +17,11 @@ import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
 
-TIE_POLICY = "ascending_index"
-
 
 @dataclass
 class CalibratedSelector:
-    mechanism: str | None
     tau: float
     target_coverage: float
-    tie_policy: str = TIE_POLICY
 
 
 def required_count(n: int, target_coverage: float) -> int:
@@ -35,31 +35,31 @@ def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise ConfigurationError("scores must be a non-empty 1-d array")
-    if np.any(np.isnan(scores)) or np.any(scores == np.inf):
+    # one comparison rejects both: NaN < inf and inf < inf are False
+    if not (scores < np.inf).all():
         raise ConfigurationError(
             "scores must be finite (-inf allowed for degenerate samples)")
     return scores
 
 
-def _descending_order(scores: np.ndarray) -> np.ndarray:
-    # primary: score descending; secondary: sample index ascending
-    return np.lexsort((np.arange(scores.size), -scores))
+def _kth_largest(scores: np.ndarray, k: int) -> float:
+    """The k-th largest value; which of several equal values it is does
+    not matter, since they compare equal (+0.0 and -0.0 included)."""
+    i = scores.size - k
+    return np.partition(scores, i)[i]
 
 
-def fit_threshold(scores, target_coverage: float,
-                  mechanism: str | None = None) -> CalibratedSelector:
+def fit_threshold(scores, target_coverage: float) -> CalibratedSelector:
     """Fit tau so that exactly ceil(c*n) fitting samples score >= tau.
 
     Raises CalibrationError when every score is -inf, since no finite
     threshold can be chosen then.
     """
     scores = _check_scores(scores)
-    if not np.any(np.isfinite(scores)):
+    if scores.max() == -np.inf:
         raise CalibrationError("all scores are -inf; nothing can be selected")
     k = required_count(scores.size, target_coverage)
-    order = _descending_order(scores)
-    tau = float(scores[order[k - 1]])
-    return CalibratedSelector(mechanism=mechanism, tau=tau,
+    return CalibratedSelector(tau=float(_kth_largest(scores, k)),
                               target_coverage=float(target_coverage))
 
 
@@ -67,21 +67,18 @@ def apply_selector(sel: CalibratedSelector, scores, exact_k: bool = False) -> np
     """Accept mask under the fitted threshold.
 
     ``exact_k=False`` (fresh data): the pure rule scores >= tau.
-    ``exact_k=True`` (the fitting set): ties at tau are additionally
-    broken by ascending index so exactly ceil(c*n) samples come out.
+    ``exact_k=True`` (the fitting set): the top ceil(c*n) scores, ties at
+    the k-th largest broken by ascending index so exactly that many
+    samples come out.
     """
     scores = _check_scores(scores)
     if not exact_k:
         return scores >= sel.tau
     k = required_count(scores.size, sel.target_coverage)
-    order = _descending_order(scores)
-    mask = np.zeros(scores.size, dtype=bool)
-    mask[order[:k]] = True
+    kth = _kth_largest(scores, k)
+    mask = scores > kth
+    # fewer than k lie strictly above the k-th largest, and at least k at
+    # or above it, so the ties always fill the rest
+    ties = np.flatnonzero(scores == kth)
+    mask[ties[:k - np.count_nonzero(mask)]] = True
     return mask
-
-
-def achieved_coverage(mask) -> float:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.size == 0:
-        raise ConfigurationError("coverage of an empty mask is undefined")
-    return float(mask.mean())

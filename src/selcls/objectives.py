@@ -152,9 +152,9 @@ def predictive_entropy(logits) -> np.ndarray:
 
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
-                       o: float = 0.0, t_y=None):
-    """Per-sample loss, per-sample entropy and logit gradient of one
-    softmax head, from one log-softmax.
+                       o: float = 0.0, t_y=None, keep_p: bool = False):
+    """Per-sample loss, per-sample entropy, logit gradient and softmax of
+    one softmax head, from one log-softmax.
 
     ``kind`` picks the loss and its target weights w (rows sum to 1):
     "CE" is cross entropy (w = onehot(y)), "DG" the gambler loss with
@@ -162,7 +162,8 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     with true-class target mass ``t_y`` (w = t_y onehot(y) + (1 - t_y)
     onehot(A)). The gradient is ``scale * (p - w) + beta * dH/dz``, with
     ``scale`` a number or one weight per row; the entropy H is returned
-    only when ``beta`` is nonzero, otherwise None.
+    only when ``beta`` is nonzero, and a copy of p only when ``keep_p``,
+    otherwise None.
     """
     m, k = z.shape
     # flat indices of each row's start and of its label entry: 1-d
@@ -187,6 +188,7 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     else:
         w_y, w_a = t_y, 1.0 - t_y
         loss = -(w_y * lp_y + w_a * lp[:, -1])
+    probs = p.copy() if keep_p else None
     # from here on p turns into the gradient, in place
     col = scale[:, None] if isinstance(scale, np.ndarray) else scale
     H = None
@@ -203,7 +205,7 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     p.ravel()[at_y] -= scale * w_y
     if w_a is not None:
         p[:, -1] -= scale * w_a
-    return loss, H, p
+    return loss, H, p, probs
 
 
 @dataclass
@@ -250,9 +252,14 @@ def sat_update_targets(store: SatTargetStore, sample_ids, p_batch, epoch: int) -
 
 @dataclass
 class DispatchResult:
+    """Mean loss, d(mean loss)/d(raw outputs) per head and diagnostics;
+    in the adaptive SAT phase also the softmax of the logits (``probs``),
+    which the per-batch target update reuses."""
+
     loss: float
     dlogits: dict
     diagnostics: dict
+    probs: np.ndarray | None = None
 
 
 def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
@@ -305,12 +312,14 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
                 f"target width {store.targets.shape[1]} does not match "
                 f"{k} logits")
         t_y = store.targets[np.asarray(sample_ids, dtype=np.int64), y]
-    loss_i, H, d = _softmax_objective(kind, logits, y, scale=1.0 / m,
-                                      beta=beta / m, o=o, t_y=t_y)
+    loss_i, H, d, probs = _softmax_objective(
+        kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y,
+        keep_p=t_y is not None)
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)
-    return DispatchResult(loss=loss, dlogits={"logits": d}, diagnostics={})
+    return DispatchResult(loss=loss, dlogits={"logits": d}, diagnostics={},
+                          probs=probs)
 
 
 def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
@@ -350,9 +359,10 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     collapse = mean_g < COVERAGE_EPS
     denom = max(mean_g, COVERAGE_EPS)
     a = cfg.alpha_mix
-    l_f, H, d_f = _softmax_objective("CE", f, y, scale=(a / (m * denom)) * g,
-                                     beta=beta / m)
-    l_h, _, d_h = _softmax_objective("CE", h, y, scale=(1 - a) / m)
+    l_f, H, d_f, _ = _softmax_objective("CE", f, y,
+                                        scale=(a / (m * denom)) * g,
+                                        beta=beta / m)
+    l_h, _, d_h, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m)
     selective = float((l_f * g).sum()) / m / denom
 
     shortfall = cfg.c_target - mean_g

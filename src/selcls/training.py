@@ -7,7 +7,8 @@ Protocol notes baked in here:
   * moving-target objective: epochs below the pre-training horizon run
     plain (C+1)-way cross entropy and never touch the target store; later
     epochs use the target loss and refresh the touched targets right after
-    each parameter update (or once per epoch when configured so)
+    each parameter update, from the batch softmax the objective computed
+    (or once per epoch, from a fresh forward pass, when configured so)
 """
 
 import csv
@@ -181,8 +182,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay)
             if sat_adaptive and obj.sat_update == "batch":
-                p = stable_softmax(trace.head_raw["logits"])
-                sat_update_targets(store, ids, p, epoch)
+                sat_update_targets(store, ids, result.probs, epoch)
             loss_sum += result.loss * ids.size
             # accuracy of the pre-update network on this batch
             pred = trace.head_raw["logits"][:, :C].argmax(axis=1)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selcls.calibration import (
     CalibratedSelector,
-    achieved_coverage,
     apply_selector,
     fit_threshold,
     required_count,
 )
-from selcls.errors import CalibrationError, ConfigurationError
+from selcls.errors import CalibrationError, ConfigurationError, UndefinedRiskError
+from selcls.evaluation import RiskCoveragePoint, risk_coverage_curve, selective_risk
 
 
 def brute_force_tau(scores, k):
@@ -81,6 +83,14 @@ class TestFitThreshold:
         with pytest.raises(ConfigurationError):
             fit_threshold(np.array([1.0, np.nan]), 0.5)
 
+    def test_plus_inf_rejected(self):
+        with pytest.raises(ConfigurationError):
+            fit_threshold(np.array([1.0, np.inf]), 0.5)
+        sel = CalibratedSelector(tau=0.0, target_coverage=0.5)
+        for exact_k in (False, True):
+            with pytest.raises(ConfigurationError):
+                apply_selector(sel, np.array([np.inf, -np.inf]), exact_k)
+
     def test_coverage_out_of_range(self):
         with pytest.raises(ConfigurationError):
             fit_threshold(np.array([1.0]), 0.0)
@@ -90,13 +100,12 @@ class TestFitThreshold:
 
 class TestApplySelector:
     def test_boundary_inclusive(self):
-        sel = CalibratedSelector(mechanism=None, tau=0.6, target_coverage=0.5)
+        sel = CalibratedSelector(tau=0.6, target_coverage=0.5)
         mask = apply_selector(sel, np.array([0.59, 0.60, 0.61]))
         assert np.array_equal(mask, [False, True, True])
 
     def test_minus_inf_tau_selects_all(self):
-        sel = CalibratedSelector(mechanism=None, tau=-np.inf,
-                                 target_coverage=1.0)
+        sel = CalibratedSelector(tau=-np.inf, target_coverage=1.0)
         mask = apply_selector(sel, np.array([-np.inf, 0.0, 5.0]))
         assert mask.all()
 
@@ -106,22 +115,27 @@ class TestApplySelector:
         cal = rng.normal(size=10_000)
         test = rng.normal(size=10_000)
         sel = fit_threshold(cal, 0.5)
-        cov = achieved_coverage(apply_selector(sel, test))
+        cov = apply_selector(sel, test).mean()
         assert abs(cov - 0.5) < 0.02
 
 
 class TestAchievedCoverage:
     def test_all_ones(self):
-        assert achieved_coverage(np.ones(7, dtype=bool)) == 1.0
+        scores = np.array([0.3, -np.inf, 0.3, 2.0, 0.0, -0.0, 1.0])
+        mask = apply_selector(fit_threshold(scores, 1.0), scores)
+        assert mask.mean() == 1.0
 
     def test_half(self):
-        assert achieved_coverage([1, 0, 1, 0]) == 0.5
+        scores = np.array([0.9, 0.1, 0.9, 0.1])
+        mask = apply_selector(fit_threshold(scores, 0.5), scores)
+        assert mask.sum() == 2
+        assert mask.mean() == 0.5
 
     def test_fit_then_coverage_exact(self):
         scores = np.arange(0.1, 1.05, 0.1)
         sel = fit_threshold(scores, 0.5)
         mask = apply_selector(sel, scores, exact_k=True)
-        assert achieved_coverage(mask) == 0.5
+        assert mask.mean() == 0.5
 
 
 COVERAGE_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -166,3 +180,116 @@ class TestExactnessProperty:
                     assert sel.tau <= prev_tau
                 prev_mask, prev_tau = mask, sel.tau
 
+
+# ---------------------------------------------------------------------------
+# The tie rule against a sorting reference: order by (score descending,
+# index ascending), take tau at position k - 1 and the first k as the
+# exact-k mask. +0.0 and -0.0 compare equal in the sort as in the code.
+
+def reference_order(scores):
+    return np.lexsort((np.arange(scores.size), -scores))
+
+
+def reference_tau(scores, k):
+    return scores[reference_order(scores)[k - 1]]
+
+
+def reference_top_k(scores, k):
+    mask = np.zeros(scores.size, dtype=bool)
+    mask[reference_order(scores)[:k]] = True
+    return mask
+
+
+def reference_curve(scores, predicted, truth, grid, calibration_scores=None):
+    """Per-point composition of the sorting reference: fit on the
+    calibration scores (or the scores themselves), select, measure."""
+    fit_on = scores if calibration_scores is None else calibration_scores
+    points = []
+    for c in grid:
+        if np.all(fit_on == -np.inf):
+            raise CalibrationError("all scores are -inf")
+        if calibration_scores is None:
+            mask = reference_top_k(scores, required_count(scores.size, c))
+        else:
+            tau = reference_tau(fit_on, required_count(fit_on.size, c))
+            mask = scores >= tau
+        points.append(RiskCoveragePoint(
+            target_coverage=c, achieved_coverage=float(mask.mean()),
+            selective_risk=selective_risk(predicted, truth, mask),
+            n_selected=int(mask.sum())))
+    return points
+
+
+def outcome(fn):
+    """The value of fn(), or the class of the selection error it raised."""
+    try:
+        return fn()
+    except (CalibrationError, UndefinedRiskError) as exc:
+        return type(exc)
+
+
+TIE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                        database=None)
+# few distinct values, both zeros and -inf, so that ties are the rule
+TIE_POOL = (-np.inf, -2.0, -0.0, 0.0, 0.5, 1.0)
+tied_scores = st.one_of(
+    st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=40),
+    st.lists(st.one_of(st.sampled_from(TIE_POOL), st.floats(-3.0, 3.0)),
+             min_size=1, max_size=40),
+    st.builds(lambda v, n: [v] * n, st.sampled_from(TIE_POOL),
+              st.integers(1, 40)),
+).map(lambda xs: np.array(xs, dtype=np.float64))
+# folded into 1..n by the tests
+any_k = st.integers(1, 40)
+tie_examples = [
+    dict(scores=np.array([0.5, 0.5, -0.0, 0.0]), k=1),
+    dict(scores=np.array([0.0, -0.0, -np.inf, 0.0]), k=4),
+    dict(scores=np.full(7, 0.5), k=3),
+    dict(scores=np.array([-np.inf, 1.0, -np.inf, 1.0, -np.inf]), k=4),
+    dict(scores=np.array([-0.0, 0.0, -0.0, 0.0, 1.0]), k=2),
+]
+
+
+def with_examples(test):
+    for ex in tie_examples:
+        test = example(**ex)(test)
+    return test
+
+
+class TestTieRuleProperty:
+    @TIE_SETTINGS
+    @with_examples
+    @given(scores=tied_scores, k=any_k)
+    def test_tau_matches_sorting_reference(self, scores, k):
+        k = 1 + (k - 1) % scores.size
+        c = k / scores.size
+        if np.all(scores == -np.inf):
+            with pytest.raises(CalibrationError):
+                fit_threshold(scores, c)
+            return
+        assert fit_threshold(scores, c).tau == reference_tau(scores, k)
+
+    @TIE_SETTINGS
+    @with_examples
+    @given(scores=tied_scores, k=any_k)
+    def test_exact_k_mask_matches_sorting_reference(self, scores, k):
+        k = 1 + (k - 1) % scores.size
+        sel = CalibratedSelector(tau=0.0, target_coverage=k / scores.size)
+        mask = apply_selector(sel, scores, exact_k=True)
+        assert np.array_equal(mask, reference_top_k(scores, k))
+
+    @TIE_SETTINGS
+    @given(scores=tied_scores, calibration=tied_scores,
+           grid=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 16))
+    def test_curve_points_match_per_point_reference(self, scores, calibration,
+                                                    grid, seed):
+        rng = np.random.default_rng(seed)
+        predicted = rng.integers(0, 3, size=scores.size)
+        truth = rng.integers(0, 3, size=scores.size)
+        for cal in (None, calibration):
+            got = outcome(lambda: risk_coverage_curve(
+                scores, predicted, truth, grid, calibration_scores=cal))
+            want = outcome(lambda: reference_curve(
+                scores, predicted, truth, grid, calibration_scores=cal))
+            assert got == want

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from selcls.errors import ConfigurationError, ProtocolError
+from selcls.nn import stable_softmax
 from selcls.objectives import (
     OBJECTIVE_KINDS,
     ObjectiveConfig,
@@ -207,6 +208,17 @@ class TestSatLoss:
         t = np.array([0.0, 0.5, 0.5])
         res = sat_dispatch(logits_for(p), t, 0)
         assert abs(res.loss - (-np.log(0.1))) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["SAT", "SAT+EM"])
+    def test_probs_bitwise_equal_stable_softmax(self, rng, kind):
+        # the target update reuses these in place of its own softmax
+        z = rng.normal(scale=20.0, size=(64, 9))
+        y = rng.integers(0, 8, size=64)
+        raw = rng.random((64, 9))
+        res = sat_dispatch(z, raw / raw.sum(axis=1, keepdims=True), y,
+                           kind=kind)
+        assert np.array_equal(res.probs, stable_softmax(z))
+        assert dispatch(kind, z, y, 8).probs is None  # pre-training phase
 
 
 class TestSatTargetStore:

@@ -17,6 +17,13 @@ runs take about 20 s per checkout and write only to a temporary directory:
                          SelectiveNet checkpoints from those runs, with
                          val and test calibration and every mechanism
                          the head supports
+    eval/abstain-saturated-<split>/
+                         the same on the DG checkpoint with its abstain
+                         bias raised until about half the test rows reach
+                         p(abstain) = 1.0: those rows score -inf under
+                         softmax_response and negative_entropy and tie at
+                         0.0 under abstention_logit, so calibration meets
+                         heavy ties and coverages above the finite share
     grid/                selcls grid on perfbench/configs/grid_ref.json
     gradcheck/stdout     selcls gradcheck with its default arguments
 
@@ -125,11 +132,38 @@ def evaluate_checkpoints(checkpoints: dict) -> None:
                      "-o", os.path.join("eval", f"{head}-{split}")])
 
 
+def evaluate_saturated_abstain(checkpoint: str) -> None:
+    """selcls eval, both calibration splits, on a copy of an abstain
+    checkpoint whose abstain bias makes about half the test rows
+    degenerate. Runs after evaluate_checkpoints, whose configs it reuses."""
+    import numpy as np
+
+    from selcls import cli, config, nn
+
+    net = nn.load_checkpoint(checkpoint)[0]
+    _, _, test_ds, _ = cli.build_splits(config.load_run_config(BASE_CONFIG),
+                                        seed=SEED)
+    logits = nn.network_forward(net, test_ds.features).head_raw["logits"]
+    # p(abstain) = 1 / (1 + t) with t = exp(lse) the summed class mass
+    # relative to the abstain entry; it rounds to 1.0 once t < 2**-53, so
+    # this raise saturates the rows whose lse lies below the median
+    lse = np.log(np.exp(logits[:, :-1] - logits[:, -1:]).sum(axis=1))
+    net.heads["logits"].b[-1] += np.median(lse) + 53 * np.log(2)
+    path = os.path.join("eval-configs", "abstain-saturated.checkpoint.json")
+    nn.save_checkpoint(net, path)
+    for split in CALIBRATION_SPLITS:
+        run_cli(["eval", "-c", os.path.join("eval-configs",
+                                            f"abstain-{split}.json"),
+                 "--checkpoint", path,
+                 "-o", os.path.join("eval", f"abstain-saturated-{split}")])
+
+
 def digests():
     """Run everything in the current directory; returns (name, digest)
     pairs."""
     checkpoints = train_objectives()
     evaluate_checkpoints(checkpoints)
+    evaluate_saturated_abstain(checkpoints["DG"])
     run_cli(["grid", "-c", GRID_CONFIG, "-o", "grid"])
     os.makedirs("gradcheck")
     with open(os.path.join("gradcheck", "stdout"), "w") as f:
