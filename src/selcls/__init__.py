@@ -13,7 +13,6 @@ from .datasets import Dataset, MixtureSpec, bayes_posterior, blobs8, generate_mi
 from .evaluation import (
     RiskCoveragePoint,
     ScoreHistogram,
-    accuracy,
     risk_coverage_curve,
     score_histogram,
     selective_risk,
@@ -26,7 +25,7 @@ from .training import TrainConfig, TrainReport, train
 __all__ = [
     "CalibratedSelector", "apply_selector", "fit_threshold",
     "Dataset", "MixtureSpec", "bayes_posterior", "blobs8", "generate_mixture",
-    "RiskCoveragePoint", "ScoreHistogram", "accuracy", "risk_coverage_curve",
+    "RiskCoveragePoint", "ScoreHistogram", "risk_coverage_curve",
     "score_histogram", "selective_risk",
     "Network", "build_network", "network_backward", "network_forward",
     "stable_softmax",

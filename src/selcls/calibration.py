@@ -49,32 +49,40 @@ def _kth_largest(scores: np.ndarray, k: int) -> float:
     return np.partition(scores, i)[i]
 
 
-def fit_threshold(scores, target_coverage: float) -> CalibratedSelector:
-    """Fit tau so that exactly ceil(c*n) fitting samples score >= tau.
-
-    Raises CalibrationError when every score is -inf, since no finite
-    threshold can be chosen then.
-    """
+def _fitting_scores(scores) -> np.ndarray:
+    """Checked scores of a fitting set, which must hold one above -inf,
+    since no finite threshold can be chosen otherwise."""
     scores = _check_scores(scores)
     if scores.max() == -np.inf:
         raise CalibrationError("all scores are -inf; nothing can be selected")
+    return scores
+
+
+def fit_threshold(scores, target_coverage: float) -> CalibratedSelector:
+    """Fit tau so that exactly ceil(c*n) fitting samples score >= tau.
+
+    Raises CalibrationError when every score is -inf.
+    """
+    scores = _fitting_scores(scores)
     k = required_count(scores.size, target_coverage)
     return CalibratedSelector(tau=float(_kth_largest(scores, k)),
                               target_coverage=float(target_coverage))
 
 
-def apply_selector(sel: CalibratedSelector, scores, exact_k: bool = False) -> np.ndarray:
-    """Accept mask under the fitted threshold.
+def apply_selector(sel: CalibratedSelector, scores) -> np.ndarray:
+    """Accept mask of fresh data under the fitted threshold: the pure rule
+    scores >= tau."""
+    return _check_scores(scores) >= sel.tau
 
-    ``exact_k=False`` (fresh data): the pure rule scores >= tau.
-    ``exact_k=True`` (the fitting set): the top ceil(c*n) scores, ties at
-    the k-th largest broken by ascending index so exactly that many
-    samples come out.
+
+def exact_k_mask(scores, target_coverage: float) -> np.ndarray:
+    """Accept mask of the fitting set itself: its top ceil(c*n) scores,
+    ties at the k-th largest broken by ascending index so exactly that many
+    samples come out. These are the samples ``fit_threshold`` puts at or
+    above tau. Raises CalibrationError when every score is -inf.
     """
-    scores = _check_scores(scores)
-    if not exact_k:
-        return scores >= sel.tau
-    k = required_count(scores.size, sel.target_coverage)
+    scores = _fitting_scores(scores)
+    k = required_count(scores.size, target_coverage)
     kth = _kth_largest(scores, k)
     mask = scores > kth
     # fewer than k lie strictly above the k-th largest, and at least k at

@@ -27,7 +27,7 @@ from .datasets import generate_mixture, load_csv_dataset, save_csv_dataset, spli
 from .errors import ConfigurationError, NumericFault, SelclsError
 from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram
 from .gradcheck import TOLERANCE, run_suite
-from .nn import build_network, load_checkpoint, network_forward, save_checkpoint
+from .nn import build_network, load_checkpoint, network_outputs, save_checkpoint
 from .selection import (
     ProbOutput,
     SelectionMechanism,
@@ -75,7 +75,7 @@ def build_splits(cfg: RunConfig, seed: int | None = None):
 
 
 def model_outputs(net, dataset) -> ProbOutput:
-    return ProbOutput.from_trace(net, network_forward(net, dataset.features))
+    return ProbOutput.from_heads(net, network_outputs(net, dataset.features))
 
 
 def write_manifest(outdir: Path, payload: dict) -> None:

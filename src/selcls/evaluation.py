@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import apply_selector, fit_threshold
+from .calibration import apply_selector, exact_k_mask, fit_threshold
 from .errors import ConfigurationError, UndefinedRiskError
 from .util import atomic_write, fmt
 
@@ -29,12 +29,22 @@ class ScoreHistogram:
     degenerate: bool = False
 
 
-def accuracy(predicted, truth) -> float:
+def _aligned(predicted, truth, like):
+    """Predictions and labels as arrays, checked to have the shape of
+    ``like``, the mask or scores they go with."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
-    if predicted.shape != truth.shape or predicted.size == 0:
-        raise ConfigurationError("predictions and labels must align, n >= 1")
-    return float(np.mean(predicted == truth))
+    if not (predicted.shape == truth.shape == np.shape(like)):
+        raise ConfigurationError("predictions, labels, and mask must align")
+    return predicted, truth
+
+
+def _risk_and_count(correct, mask) -> tuple:
+    """(selective risk, samples selected) of a boolean mask, counted once."""
+    n_sel = np.count_nonzero(mask)
+    if n_sel == 0:
+        raise UndefinedRiskError("no samples selected; risk is undefined")
+    return 1.0 - np.count_nonzero(correct & mask) / n_sel, n_sel
 
 
 def selective_risk(predicted, truth, mask) -> float:
@@ -43,16 +53,9 @@ def selective_risk(predicted, truth, mask) -> float:
     Computed as 1 - (correct selected / selected) so that at full coverage
     the value is bitwise equal to 1 - accuracy.
     """
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
     mask = np.asarray(mask, dtype=bool)
-    if not (predicted.shape == truth.shape == mask.shape):
-        raise ConfigurationError("predictions, labels, and mask must align")
-    n_sel = int(mask.sum())
-    if n_sel == 0:
-        raise UndefinedRiskError("no samples selected; risk is undefined")
-    n_correct = int(np.sum((predicted == truth) & mask))
-    return 1.0 - n_correct / n_sel
+    predicted, truth = _aligned(predicted, truth, mask)
+    return _risk_and_count(predicted == truth, mask)[0]
 
 
 def risk_coverage_curve(scores, predicted, truth, grid,
@@ -68,19 +71,18 @@ def risk_coverage_curve(scores, predicted, truth, grid,
     if any(not 0 < c <= 1 for c in grid):
         raise ConfigurationError("coverage grid values must lie in (0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
+    predicted, truth = _aligned(predicted, truth, scores)
+    correct = predicted == truth
     points = []
     for c in grid:
         if calibration_scores is None:
-            sel = fit_threshold(scores, c)
-            mask = apply_selector(sel, scores, exact_k=True)
+            mask = exact_k_mask(scores, c)
         else:
-            sel = fit_threshold(calibration_scores, c)
-            mask = apply_selector(sel, scores)
+            mask = apply_selector(fit_threshold(calibration_scores, c), scores)
+        risk, n_sel = _risk_and_count(correct, mask)
         points.append(RiskCoveragePoint(
-            target_coverage=c,
-            achieved_coverage=float(mask.mean()),
-            selective_risk=selective_risk(predicted, truth, mask),
-            n_selected=int(mask.sum())))
+            target_coverage=c, achieved_coverage=n_sel / scores.size,
+            selective_risk=risk, n_selected=n_sel))
     return points
 
 

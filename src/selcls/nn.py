@@ -25,6 +25,7 @@ array per head, and ``network_backward`` chains them to every parameter.
 The ReLU subgradient at exactly 0 is taken to be 0.
 """
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -227,6 +228,41 @@ def network_forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x=x, pre=pre, act=act, head_raw=head_raw)
 
 
+# Row block of a whole-split forward. Blocks start at multiples of it and
+# the last one takes the remainder, so it holds FORWARD_BLOCK_ROWS to
+# 2 * FORWARD_BLOCK_ROWS - 1 rows. Blocks keep the forward's temporaries
+# small enough to be reused between calls instead of being mapped afresh.
+# They are aligned, and never smaller than 512 rows, because that keeps
+# every head output bit-identical to one call over the whole split: evenly
+# split blocks moved the one-wide select head by round-off, and blocks of
+# 64-128 rows move every head, since BLAS then uses its small-matrix kernel.
+FORWARD_BLOCK_ROWS = 512
+
+
+def network_outputs(net: Network, X) -> dict:
+    """Raw head outputs of ``network_forward`` over a whole split, run in
+    aligned row blocks of ``FORWARD_BLOCK_ROWS``; a split shorter than two
+    blocks runs as one call.
+
+    Returns {head name: (n, out_dim) array}, bit-identical to the
+    ``head_raw`` of a single call. A non-finite value raises the same
+    NumericFault, naming the same layer, as that call would.
+    """
+    x = np.asarray(X, dtype=net.dtype)
+    n_blocks = len(x) // FORWARD_BLOCK_ROWS if x.ndim == 2 else 0
+    if n_blocks < 2:
+        return network_forward(net, x).head_raw
+    out = {name: np.empty((len(x), h.b.size), dtype=net.dtype)
+           for name, h in net.heads.items()}
+    for i in range(n_blocks):
+        start = i * FORWARD_BLOCK_ROWS
+        rows = slice(start, None if i == n_blocks - 1
+                     else start + FORWARD_BLOCK_ROWS)
+        for name, raw in network_forward(net, x[rows]).head_raw.items():
+            out[name][rows] = raw
+    return out
+
+
 def gradient_buffer(net: Network) -> tuple:
     """A zeroed flat gradient laid out like ``net.params`` and its per-layer
     (W, b) views, for ``network_backward`` to fill in place batch after
@@ -327,12 +363,16 @@ def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray,
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 #
-# Format version 1: a JSON document with the architecture, the flattened
-# 64-bit parameters (repr round-trips each float exactly), and the hash of
-# the training config that produced it.
+# Format version 2: a JSON document with the architecture, the hash of the
+# training config that produced it, and in ``params`` the base64 of the
+# parameter vector as little-endian float64 bytes, in the flat layout
+# above. Raw bytes round-trip every value exactly and cost far less to
+# write and parse than one decimal per float, which version 1 stored.
+# Version-1 files are refused and must be written again.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_PARAM_DTYPE = np.dtype("<f8")
 
 
 def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
@@ -346,7 +386,8 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
         "head": net.head,
         "numeric_mode": net.numeric_mode,
         "config_hash": config_hash,
-        "params": net.params.astype(np.float64).tolist(),
+        "params": base64.b64encode(
+            net.params.astype(_PARAM_DTYPE).tobytes()).decode("ascii"),
     }
     with atomic_write(path) as f:
         f.write(json.dumps(doc))
@@ -354,15 +395,17 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
 
 # checkpoint key -> the JSON type it must hold
 _CHECKPOINT_FIELDS = {"input_dim": int, "hidden_dims": list, "n_classes": int,
-                      "head": str, "numeric_mode": str, "params": list}
+                      "head": str, "numeric_mode": str, "params": str}
 
 
 def load_checkpoint(path):
     """(network, config hash) from a checkpoint file.
 
     An unreadable file or a malformed document raises ConfigurationError
-    (ParseError for invalid JSON) naming the path; non-finite parameters
-    raise NumericFault.
+    (ParseError for invalid JSON) naming the path: another format version,
+    a missing or mistyped field, ``params`` that is not strict base64 or
+    does not hold 8 bytes per parameter of the architecture. Non-finite
+    parameters raise NumericFault.
     """
     try:
         with open(path) as f:
@@ -377,7 +420,9 @@ def load_checkpoint(path):
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigurationError(
             f"checkpoint {path}: unsupported format version "
-            f"{doc.get('format_version')!r}")
+            f"{doc.get('format_version')!r}, this build reads version "
+            f"{CHECKPOINT_VERSION}; write it again with `selcls train` or "
+            "`selcls grid`")
     for key, kind in _CHECKPOINT_FIELDS.items():
         if not isinstance(doc.get(key), kind):
             raise ConfigurationError(
@@ -394,14 +439,16 @@ def load_checkpoint(path):
     except ConfigurationError as exc:
         raise ConfigurationError(f"checkpoint {path}: {exc}") from exc
     try:
-        flat = np.asarray(doc["params"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        raw = base64.b64decode(doc["params"], validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise ConfigurationError(
-            f"checkpoint {path}: 'params' must be a list of numbers") from exc
-    if flat.shape != net.params.shape:
+            f"checkpoint {path}: 'params' is not valid base64") from exc
+    want = net.params.size * _PARAM_DTYPE.itemsize
+    if len(raw) != want:
         raise ConfigurationError(
-            f"checkpoint {path} holds parameters of shape {flat.shape}, "
-            f"architecture wants {net.params.size}")
+            f"checkpoint {path} holds {len(raw)} parameter bytes, "
+            f"architecture wants {want} ({net.params.size} float64 values)")
+    flat = np.frombuffer(raw, dtype=_PARAM_DTYPE)
     net.params[...] = flat
     if not np.all(np.isfinite(flat)):
         raise NumericFault(f"checkpoint {path} contains non-finite parameters")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import stable_softmax
+from .nn import sigmoid, stable_softmax
 from .util import atomic_write
 
 MECHANISM_KINDS = (
@@ -51,35 +51,17 @@ class ProbOutput:
     g_sel: np.ndarray | None = None
 
     @classmethod
-    def from_trace(cls, net, trace):
-        logits = trace.head_raw["logits"]
+    def from_heads(cls, net, head_raw: dict):
+        """From raw head outputs, such as ``nn.network_outputs`` returns."""
+        logits, select = head_raw["logits"], head_raw.get("select")
         return cls(logits=logits, probs=stable_softmax(logits),
                    n_classes=net.n_classes, has_abstain=net.has_abstain,
-                   g_sel=trace.g_sel)
+                   g_sel=None if select is None else sigmoid(select[:, 0]))
 
 
 def predict_classes(output: ProbOutput) -> np.ndarray:
     """Argmax over the C real classes (abstain entry never predicted)."""
     return np.argmax(output.probs[:, :output.n_classes], axis=1)
-
-
-def score_negative_entropy(p) -> np.ndarray | float:
-    p = np.asarray(p, dtype=np.float64)
-    logp = np.log(np.clip(p, 1e-300, None))
-    h = -np.where(p > 0, p * logp, 0.0).sum(axis=-1)
-    return -h
-
-
-def score_abstention_logit(p) -> np.ndarray | float:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] < 3:
-        raise ConfigurationError(
-            "abstention score needs C+1 >= 3 probability entries")
-    return 1.0 - p[..., -1]
-
-
-def score_selection_head(g_sel) -> np.ndarray | float:
-    return np.asarray(g_sel, dtype=np.float64)
 
 
 def class_probabilities(output: ProbOutput):
@@ -106,19 +88,23 @@ def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray
         return scores
     if kind == "negative_entropy":
         q, degenerate = class_probabilities(output)
-        scores = np.where(degenerate, -np.inf, score_negative_entropy(
-            np.where(degenerate[:, None], 1.0 / output.n_classes, q)))
+        p = np.where(degenerate[:, None], 1.0 / output.n_classes, q)
+        p = p.astype(np.float64, copy=False)
+        # sum of p log p, taken as 0 where p is 0
+        scores = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)),
+                          0.0).sum(axis=1)
+        scores[degenerate] = -np.inf
         return scores
     if kind == "abstention_logit":
         if not output.has_abstain:
             raise ConfigurationError(
                 "abstention_logit needs a C+1 head; this model has none")
-        return score_abstention_logit(output.probs)
+        return 1.0 - output.probs[:, -1].astype(np.float64)
     if kind == "selection_head":
         if output.g_sel is None:
             raise ConfigurationError(
                 "selection_head needs a three-head model; this model has none")
-        return score_selection_head(output.g_sel)
+        return np.asarray(output.g_sel, dtype=np.float64)
     raise ConfigurationError(f"unknown selection mechanism {kind!r}")
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericFault
-from .nn import Network, gradient_buffer, network_backward, network_forward, stable_softmax
+from .nn import (
+    Network,
+    gradient_buffer,
+    network_backward,
+    network_forward,
+    network_outputs,
+    stable_softmax,
+)
 from .objectives import (
     ObjectiveConfig,
     SatTargetStore,
@@ -120,8 +127,7 @@ def sgd_momentum_step(params, grads, velocity, lr, momentum,
 
 def _evaluate(net: Network, X, y):
     """Accuracy over the C real classes and mean full-softmax entropy."""
-    trace = network_forward(net, X)
-    logits = trace.head_raw["logits"]
+    logits = network_outputs(net, X)["logits"]
     pred = np.argmax(logits[:, :net.n_classes], axis=1)
     acc = float(np.mean(pred == y))
     return acc, float(predictive_entropy(logits).mean())
@@ -188,7 +194,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
             n_correct += np.count_nonzero(pred == yb)
         if sat_adaptive and obj.sat_update == "epoch":
-            p = stable_softmax(network_forward(net, X).head_raw["logits"])
+            p = stable_softmax(network_outputs(net, X)["logits"])
             sat_update_targets(store, np.arange(n), p, epoch)
 
         val_acc, val_entropy = _evaluate(net, Xv, yv)

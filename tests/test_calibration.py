@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from selcls.calibration import (
     CalibratedSelector,
     apply_selector,
+    exact_k_mask,
     fit_threshold,
     required_count,
 )
@@ -58,7 +59,7 @@ class TestFitThreshold:
         scores = np.arange(0.1, 1.05, 0.1)
         sel = fit_threshold(scores, 0.5)
         assert abs(sel.tau - 0.6) < 1e-12
-        mask = apply_selector(sel, scores, exact_k=True)
+        mask = exact_k_mask(scores, 0.5)
         assert mask.sum() == 5
 
     def test_full_coverage_selects_all(self):
@@ -71,13 +72,15 @@ class TestFitThreshold:
         scores = np.full(10, 0.5)
         sel = fit_threshold(scores, 0.4)
         assert sel.tau == 0.5
-        mask = apply_selector(sel, scores, exact_k=True)
+        mask = exact_k_mask(scores, 0.4)
         assert mask.sum() == 4
         assert np.array_equal(np.flatnonzero(mask), [0, 1, 2, 3])
 
     def test_all_minus_inf_fails(self):
         with pytest.raises(CalibrationError):
             fit_threshold(np.full(5, -np.inf), 0.5)
+        with pytest.raises(CalibrationError):
+            exact_k_mask(np.full(5, -np.inf), 0.5)
 
     def test_nan_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -87,9 +90,10 @@ class TestFitThreshold:
         with pytest.raises(ConfigurationError):
             fit_threshold(np.array([1.0, np.inf]), 0.5)
         sel = CalibratedSelector(tau=0.0, target_coverage=0.5)
-        for exact_k in (False, True):
-            with pytest.raises(ConfigurationError):
-                apply_selector(sel, np.array([np.inf, -np.inf]), exact_k)
+        with pytest.raises(ConfigurationError):
+            apply_selector(sel, np.array([np.inf, -np.inf]))
+        with pytest.raises(ConfigurationError):
+            exact_k_mask(np.array([np.inf, -np.inf]), 0.5)
 
     def test_coverage_out_of_range(self):
         with pytest.raises(ConfigurationError):
@@ -133,8 +137,7 @@ class TestAchievedCoverage:
 
     def test_fit_then_coverage_exact(self):
         scores = np.arange(0.1, 1.05, 0.1)
-        sel = fit_threshold(scores, 0.5)
-        mask = apply_selector(sel, scores, exact_k=True)
+        mask = exact_k_mask(scores, 0.5)
         assert mask.mean() == 0.5
 
 
@@ -149,8 +152,7 @@ class TestExactnessProperty:
             if not np.any(np.isfinite(scores)):
                 continue
             for c in COVERAGE_GRID:
-                sel = fit_threshold(scores, c)
-                mask = apply_selector(sel, scores, exact_k=True)
+                mask = exact_k_mask(scores, c)
                 assert mask.sum() == required_count(len(scores), c)
 
     def test_tau_matches_brute_force(self):
@@ -174,7 +176,7 @@ class TestExactnessProperty:
             prev_tau = None
             for c in COVERAGE_GRID:  # ascending coverage
                 sel = fit_threshold(scores, c)
-                mask = apply_selector(sel, scores, exact_k=True)
+                mask = exact_k_mask(scores, c)
                 if prev_mask is not None:
                     assert np.all(mask[prev_mask])  # previous set contained
                     assert sel.tau <= prev_tau
@@ -274,9 +276,13 @@ class TestTieRuleProperty:
     @given(scores=tied_scores, k=any_k)
     def test_exact_k_mask_matches_sorting_reference(self, scores, k):
         k = 1 + (k - 1) % scores.size
-        sel = CalibratedSelector(tau=0.0, target_coverage=k / scores.size)
-        mask = apply_selector(sel, scores, exact_k=True)
-        assert np.array_equal(mask, reference_top_k(scores, k))
+        c = k / scores.size
+        if np.all(scores == -np.inf):
+            with pytest.raises(CalibrationError):
+                exact_k_mask(scores, c)
+            return
+        assert np.array_equal(exact_k_mask(scores, c),
+                              reference_top_k(scores, k))
 
     @TIE_SETTINGS
     @given(scores=tied_scores, calibration=tied_scores,

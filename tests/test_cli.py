@@ -7,6 +7,7 @@ import pytest
 from selcls.cli import main
 from selcls.config import load_run_config
 from selcls.errors import ConfigurationError
+from selcls.nn import load_checkpoint
 
 from conftest import fail_writes
 
@@ -117,23 +118,36 @@ class TestEvalCommand:
         assert main(["eval", "-c", str(bad_cfg), "--force",
                      "--checkpoint", str(outdir / "checkpoint.json")]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_head", "missing"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_head", "missing",
+                                        "version_1", "bad_base64"])
     def test_malformed_checkpoint_exits_2_naming_path(self, tmp_path, capsys,
                                                       damage):
         cfg_path, outdir = self.train_one(tmp_path)
         ckpt = outdir / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
         if damage == "truncated":
             ckpt.write_text(ckpt.read_text()[:100])
         elif damage == "no_head":
-            doc = json.loads(ckpt.read_text())
             del doc["head"]
+            ckpt.write_text(json.dumps(doc))
+        elif damage == "version_1":
+            # a format-1 file: the same document with the parameters as a
+            # list of JSON numbers
+            net, _ = load_checkpoint(ckpt)
+            doc.update(format_version=1, params=net.params.tolist())
+            ckpt.write_text(json.dumps(doc))
+        elif damage == "bad_base64":
+            doc["params"] = doc["params"][:-1] + "*"
             ckpt.write_text(json.dumps(doc))
         else:
             ckpt.unlink()
         capsys.readouterr()
         assert main(["eval", "-c", str(cfg_path),
                      "--checkpoint", str(ckpt)]) == 2
-        assert str(ckpt) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(ckpt) in err
+        if damage == "version_1":
+            assert "unsupported format version 1" in err
 
     def test_hash_mismatch_refused_without_force(self, tmp_path):
         cfg_path, outdir = self.train_one(tmp_path)

@@ -6,12 +6,16 @@ import pytest
 from selcls.calibration import required_count
 from selcls.errors import ConfigurationError, UndefinedRiskError
 from selcls.evaluation import (
-    accuracy,
     mean_sd,
     risk_coverage_curve,
     score_histogram,
     selective_risk,
 )
+
+
+def accuracy(predicted, truth) -> float:
+    """Reference: the share of predictions equal to their labels."""
+    return float(np.mean(np.asarray(predicted) == np.asarray(truth)))
 
 
 def brute_force_point(scores, predicted, truth, c):
@@ -29,15 +33,23 @@ def brute_force_point(scores, predicted, truth, c):
 
 
 class TestAccuracy:
+    """Plain accuracy is the complement of the full-coverage risk."""
+
     def test_all_equal(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
+        [point] = risk_coverage_curve([0.3, 0.1, 0.2], [1, 2, 3], [1, 2, 3],
+                                      [1.0])
+        assert point.selective_risk == 0.0
 
     def test_none_equal(self):
-        assert accuracy([1, 2, 3], [0, 0, 0]) == 0.0
+        [point] = risk_coverage_curve([0.3, 0.1, 0.2], [1, 2, 3], [0, 0, 0],
+                                      [1.0])
+        assert point.selective_risk == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            accuracy([], [])
+            risk_coverage_curve([], [], [], [1.0])
+        with pytest.raises(ConfigurationError):
+            risk_coverage_curve([0.3, 0.1], [1, 2, 3], [1, 2, 3], [1.0])
 
 
 class TestSelectiveRisk:

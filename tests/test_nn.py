@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 
@@ -6,7 +7,9 @@ import pytest
 
 from selcls.datasets import Dataset
 from selcls.errors import ConfigurationError, NumericFault
+from selcls import nn
 from selcls.nn import (
+    FORWARD_BLOCK_ROWS,
     Network,
     build_network,
     finite_difference_gradient,
@@ -16,6 +19,7 @@ from selcls.nn import (
     max_relative_error,
     network_backward,
     network_forward,
+    network_outputs,
     save_checkpoint,
     sigmoid,
     stable_softmax,
@@ -217,6 +221,63 @@ class TestNetworkForward:
         assert np.array_equal(t1.head_raw["logits"], t2.head_raw["logits"])
 
 
+class TestNetworkOutputs:
+    @pytest.mark.parametrize("mode", ["f64", "f32"])
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1023, 1024, 1025,
+                                      2000, 4000, 8000])
+    def test_bitwise_equal_to_one_forward(self, rng, monkeypatch, rows, mode):
+        block_rows = []
+
+        def counted(net, batch):
+            block_rows.append(len(batch))
+            return network_forward(net, batch)
+
+        monkeypatch.setattr(nn, "network_forward", counted)
+        X = rng.normal(size=(rows, 5))
+        n_blocks = max(1, rows // FORWARD_BLOCK_ROWS)
+        blocks = [FORWARD_BLOCK_ROWS] * (n_blocks - 1) + \
+            [rows - FORWARD_BLOCK_ROWS * (n_blocks - 1)]
+        for head in ("plain", "abstain", "selectivenet"):
+            net = build_network(5, (64, 64), 8, head, seed=1,
+                                numeric_mode=mode)
+            net.params += rng.normal(scale=0.3, size=net.params.size)
+            want = network_forward(net, X).head_raw
+            block_rows.clear()
+            got = network_outputs(net, X)
+            # aligned blocks, the last one taking the remainder
+            assert block_rows == blocks
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].dtype == net.dtype
+                assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_nonfinite_value_in_a_later_block_faults_like_one_forward(
+            self, rng, layer):
+        net = build_network(5, (64, 64), 8, "selectivenet", seed=1)
+        X = rng.normal(size=(2000, 5))
+        if layer == 0:
+            X[1500, 2] = np.nan
+        else:
+            # finite at layer 0, past the float range at layer 1, only for
+            # the one row in the last block
+            X[1500] = 1e300
+            net.trunk[1].W[...] *= 1e10
+        message = f"^{re.escape(fault_message(layer))}$"
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericFault, match=message):
+                network_forward(net, X)
+            with pytest.raises(NumericFault, match=message):
+                network_outputs(net, X)
+        network_outputs(net, X[:1024])  # the earlier blocks are finite
+
+    def test_wrong_input_shape(self):
+        net = build_network(3, (4,), n_classes=2, head="plain", seed=0)
+        for X in (np.zeros((2000, 5)), np.zeros(2000)):
+            with pytest.raises(ConfigurationError):
+                network_outputs(net, X)
+
+
 class TestNetworkBackward:
     def test_zero_dlogits_zero_grads(self, rng):
         net = random_net(rng)
@@ -329,7 +390,9 @@ class TestCheckpoint:
                                    for layer in layers])
         path = tmp_path / "ckpt.json"
         save_checkpoint(net, path)
-        assert json.loads(path.read_text())["params"] == expected.tolist()
+        payload = base64.b64decode(json.loads(path.read_text())["params"],
+                                   validate=True)
+        assert np.array_equal(np.frombuffer(payload, dtype="<f8"), expected)
 
     def test_failed_write_keeps_previous_checkpoint(self, rng, tmp_path,
                                                     monkeypatch):
@@ -349,6 +412,90 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+
+    def test_f32_roundtrip_lossless(self, rng, tmp_path):
+        net = build_network(3, (5,), 3, "abstain", seed=4, numeric_mode="f32")
+        net.params += rng.normal(size=net.params.size).astype(np.float32)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.params.dtype == np.float32
+        assert np.array_equal(loaded.params, net.params)
+
+    @staticmethod
+    def rewrite(path, **fields):
+        doc = json.loads(path.read_text())
+        doc.update(fields)
+        path.write_text(json.dumps(doc))
+
+    def test_version_1_document_rejected_naming_path(self, rng, tmp_path):
+        net = random_net(rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        self.rewrite(path, format_version=1, params=net.params.tolist())
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"checkpoint {path}: unsupported "
+                                           "format version 1")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p[:40] + "!" + p[40:],
+        lambda p: p[:40] + " " + p[40:],
+        lambda p: "\n".join(p[i:i + 76] for i in range(0, len(p), 76)),
+        lambda p: p.rstrip("="),
+        lambda p: p + "AAAA",
+        lambda p: "Ä" + p[1:],
+    ], ids=["symbol", "space", "line-breaks", "unpadded", "after-padding",
+            "non-ascii"])
+    def test_invalid_base64_rejected_naming_path(self, rng, tmp_path, damage):
+        # the random net's 83 parameters need padding ("=="); a lenient
+        # decoder would skip the symbol, space and line breaks
+        net = random_net(rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        payload = json.loads(path.read_text())["params"]
+        assert net.params.size == 83 and payload.endswith("==")
+        self.rewrite(path, params=damage(payload))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"checkpoint {path}: 'params' is "
+                                           "not valid base64")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [-8, -1, 1, 8])
+    def test_wrong_byte_count_rejected_naming_path(self, rng, tmp_path,
+                                                   change):
+        net = random_net(rng)
+        raw = net.params.astype("<f8").tobytes()
+        raw = raw[:change] if change < 0 else raw + bytes(change)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        self.rewrite(path, params=base64.b64encode(raw).decode())
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"checkpoint {path} holds "
+                                           f"{len(raw)} parameter bytes, "
+                                           "architecture wants "
+                                           f"{8 * net.params.size}")):
+            load_checkpoint(path)
+
+    def test_params_of_the_wrong_json_type_rejected(self, rng, tmp_path):
+        path = tmp_path / "ckpt.json"
+        net = random_net(rng)
+        save_checkpoint(net, path)
+        self.rewrite(path, params=net.params.tolist())
+        with pytest.raises(ConfigurationError, match="'params' is missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_nonfinite_payload_faults_naming_path(self, rng, tmp_path, value):
+        net = random_net(rng)
+        net.params[7] = value
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+        with pytest.raises(NumericFault,
+                           match=re.escape(f"checkpoint {path} contains "
+                                           "non-finite parameters")):
             load_checkpoint(path)
 
     def test_parameter_count(self):

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from selcls.errors import ConfigurationError
-from selcls.nn import build_network, network_forward, stable_softmax
+from selcls.nn import network_forward, network_outputs, stable_softmax
 from selcls.selection import (
     ProbOutput,
     SelectionMechanism,
     class_probabilities,
     mechanism_compatible,
     predict_classes,
-    score_abstention_logit,
     score_batch,
-    score_negative_entropy,
-    score_selection_head,
     scores_to_csv,
 )
 
@@ -23,7 +20,18 @@ from conftest import random_batch, random_net
 
 
 def output_from(net, X):
-    return ProbOutput.from_trace(net, network_forward(net, X))
+    return ProbOutput.from_heads(net, network_outputs(net, X))
+
+
+def scores_of(kind, probs, has_abstain=False, g_sel=None):
+    """score_batch of one mechanism on rows of given probabilities; the
+    logits are their logs, so the two agree."""
+    probs = np.asarray(probs, dtype=np.float64)
+    logits = np.log(np.clip(probs, 1e-300, None))
+    n_classes = probs.shape[1] - has_abstain
+    out = ProbOutput(logits=logits, probs=probs, n_classes=n_classes,
+                     has_abstain=has_abstain, g_sel=g_sel)
+    return score_batch(SelectionMechanism(kind), out)
 
 
 class TestScoreFunctions:
@@ -36,22 +44,28 @@ class TestScoreFunctions:
         assert abs(sr[1] - 1 / 3) < 1e-15
 
     def test_negative_entropy(self):
-        assert abs(score_negative_entropy([1.0, 0.0, 0.0])) < 1e-12
-        assert abs(score_negative_entropy([0.25] * 4) + np.log(4)) < 1e-12
-        assert abs(score_negative_entropy([0.7, 0.2, 0.1])
-                   + 0.80181855254333731) < 1e-12
+        one_hot, uniform, skewed = scores_of(
+            "negative_entropy", [[1.0, 0.0, 0.0, 0.0], [0.25] * 4,
+                                 [0.7, 0.2, 0.1, 0.0]])
+        assert abs(one_hot) < 1e-12
+        assert abs(uniform + np.log(4)) < 1e-12
+        assert abs(skewed + 0.80181855254333731) < 1e-12
 
     def test_abstention_logit(self):
-        assert abs(score_abstention_logit([0.5, 0.4, 0.1]) - 0.9) < 1e-15
-        assert score_abstention_logit([0.0, 0.0, 1.0]) == 0.0
-        assert abs(score_abstention_logit([0.6, 0.3, 0.1]) - 0.9) < 1e-15
+        scores = scores_of("abstention_logit", [[0.5, 0.4, 0.1],
+                                                [0.0, 0.0, 1.0],
+                                                [0.6, 0.3, 0.1]],
+                           has_abstain=True)
+        assert abs(scores[0] - 0.9) < 1e-15
+        assert scores[1] == 0.0
+        assert abs(scores[2] - 0.9) < 1e-15
 
     def test_selection_head_identity(self):
         # 0.93 is a realistic fitted threshold for a selection head
-        assert score_selection_head(0.93) == 0.93
-        assert score_selection_head(0.5) == 0.5
         eps = 1e-9
-        assert score_selection_head(1 - eps) == 1 - eps
+        g_sel = np.array([0.93, 0.5, 1 - eps])
+        scores = scores_of("selection_head", [[0.5, 0.5]] * 3, g_sel=g_sel)
+        assert scores.tolist() == [0.93, 0.5, 1 - eps]
 
 
 class TestScoreBatch:
@@ -114,10 +128,9 @@ class TestScoreBatch:
     def test_selection_head_passthrough(self, rng):
         net = random_net(rng, head="selectivenet", n_classes=3)
         X, _ = random_batch(rng, net, m=4)
-        trace = network_forward(net, X)
-        out = ProbOutput.from_trace(net, trace)
-        scores = score_batch(SelectionMechanism("selection_head"), out)
-        assert np.array_equal(scores, trace.g_sel)
+        scores = score_batch(SelectionMechanism("selection_head"),
+                             output_from(net, X))
+        assert np.array_equal(scores, network_forward(net, X).g_sel)
 
     def test_degenerate_abstain_scores_minus_inf(self):
         probs = np.array([[0.0, 0.0, 1.0], [0.5, 0.4, 0.1]])

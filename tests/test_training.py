@@ -11,6 +11,7 @@ from selcls.nn import (
     build_network,
     load_checkpoint,
     network_forward,
+    network_outputs,
     save_checkpoint,
     stable_softmax,
 )
@@ -111,19 +112,28 @@ class TestTrain:
     ], ids=["CE", "SAT-batch-update", "SAT-epoch-update"])
     def test_one_forward_per_batch_plus_validation(self, monkeypatch, kind,
                                                    head, obj_kw, extra):
-        rows = []
+        # batches go through network_forward, whole splits (validation and
+        # the SAT end-of-epoch update) through network_outputs
+        batch_rows, split_rows = [], []
 
-        def counted(net, batch):
-            rows.append(len(batch))
+        def counted_forward(net, batch):
+            batch_rows.append(len(batch))
             return network_forward(net, batch)
 
-        monkeypatch.setattr(training, "network_forward", counted)
+        def counted_outputs(net, X):
+            split_rows.append(len(X))
+            return network_outputs(net, X)
+
+        monkeypatch.setattr(training, "network_forward", counted_forward)
+        monkeypatch.setattr(training, "network_outputs", counted_outputs)
         train_ds, val_ds, _ = generate_mixture(small_spec())
         net = build_network(2, (8,), 2, head, seed=0)
         train(net, train_ds, val_ds, quick_cfg(kind=kind, epochs=3, **obj_kw))
         batches = math.ceil(len(train_ds) / 32)
-        assert len(rows) == 3 * (batches + 1) + extra
-        assert rows.count(len(val_ds)) == 3
+        assert len(batch_rows) == 3 * batches and max(batch_rows) == 32
+        assert len(split_rows) == 3 + extra
+        assert split_rows.count(len(val_ds)) == 3
+        assert split_rows.count(len(train_ds)) == extra
 
     @pytest.mark.parametrize("kind, head", [("CE", "plain"), ("DG", "abstain")])
     def test_train_accuracy_of_a_network_that_does_not_move(self, kind, head):

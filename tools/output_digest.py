@@ -29,6 +29,13 @@ runs take about 20 s per checkout and write only to a temporary directory:
 
 The configs always come from this checkout, so both sides of a comparison
 run the same inputs.
+
+A ``*.checkpoint.json`` is digested by what the measured checkout's
+``load_checkpoint`` returns, not by its bytes: the architecture (input
+dim, hidden widths, classes), head, numeric mode, config hash and the
+parameters as little-endian float64 bytes. A change to the checkpoint
+file format alone therefore reads as no difference, while any changed
+parameter still differs.
 """
 
 import argparse
@@ -65,13 +72,27 @@ def file_digest(path) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def checkpoint_digest(path) -> str:
+    """Digest of the network and config hash that ``load_checkpoint``
+    reads from ``path``, independent of the file format."""
+    from selcls import nn
+
+    net, config_hash = nn.load_checkpoint(path)
+    fields = [net.input_dim, list(net.hidden_dims), net.n_classes, net.head,
+              net.numeric_mode, config_hash]
+    digest = hashlib.sha256(json.dumps(fields).encode())
+    digest.update(net.params.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
 def tree_digests(root):
     """(path relative to the working directory, digest) per file under
     ``root``, in sorted order."""
     found = []
     for dirpath, _, names in os.walk(root):
         found.extend(os.path.join(dirpath, name) for name in names)
-    return [(path, file_digest(path)) for path in sorted(found)]
+    return [(path, checkpoint_digest(path) if path.endswith(".checkpoint.json")
+             else file_digest(path)) for path in sorted(found)]
 
 
 def run_cli(argv) -> str:
