@@ -8,6 +8,11 @@ rule score >= tau and the achieved coverage may drift by O(1/sqrt(n)).
 Neither step sorts: the k-th largest value comes from one partition, and
 the exact-k mask takes every score above it plus the lowest-index ties,
 both in O(n).
+
+-inf scores (degenerate samples) rank last. When fewer fitting scores are
+finite than k, tau is therefore -inf, and ``apply_selector`` takes every
+sample of the fresh data, degenerate ones included: the achieved coverage
+is 1.0 whatever the target. Nothing flags this yet.
 """
 
 import math

@@ -20,6 +20,15 @@ Forward passes record a trace sufficient for the exact backward pass;
 neither pass mutates the network. Parameter updates happen only in the
 training loop, on ``Network.params``.
 
+Both passes allocate their buffers per call, unless they are given a
+``Workspace``: the preallocated buffers of one training run, sized to its
+batch. The forward pass then writes the trunk pre-activations and
+activations and the head outputs into the workspace, the objective
+kernel its p and log p, and the backward pass the ReLU mask, da (which
+becomes dz in place) and the flat gradient. A trace taken from a
+workspace is a set of views into it, valid until the next forward on the
+same workspace; whole-split forwards (``network_outputs``) use none.
+
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
 The ReLU subgradient at exactly 0 is taken to be 0.
@@ -123,33 +132,36 @@ def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
 
     Weights are uniform in +-sqrt(6/(fan_in+fan_out)) per layer, biases 0.
     """
+    net = _zero_network(input_dim, tuple(hidden_dims), n_classes, head,
+                        numeric_mode)
+    rng = rng_for(seed, "init")
+    for layer in net.trunk + list(net.heads.values()):
+        bound = np.sqrt(6.0 / sum(layer.W.shape))
+        layer.W[...] = rng.uniform(-bound, bound, size=layer.W.shape)
+    return net
+
+
+def _zero_network(input_dim, hidden_dims, n_classes, head,
+                  numeric_mode) -> Network:
+    """A network of the given architecture with every parameter 0."""
     if head not in HEAD_KINDS:
         raise ConfigurationError(f"unknown head kind {head!r}")
     if numeric_mode not in DTYPES:
         raise ConfigurationError(f"numeric_mode must be one of {tuple(DTYPES)}")
     if input_dim < 1 or n_classes < 2:
         raise ConfigurationError("need input_dim >= 1 and n_classes >= 2")
-    rng = rng_for(seed, "init")
     dims = (input_dim, *hidden_dims)
     head_dims = head_output_dims(head, n_classes)
     shapes = list(zip(dims[1:], dims[:-1])) + \
         [(out, dims[-1]) for out in head_dims.values()]
     params = np.zeros(sum(rows * cols + rows for rows, cols in shapes),
                       dtype=DTYPES[numeric_mode])
-    layers = []
-    for W, b in _layer_views(params, shapes):
-        bound = np.sqrt(6.0 / sum(W.shape))
-        W[...] = rng.uniform(-bound, bound, size=W.shape)
-        layers.append(Affine(W=W, b=b))
-    return Network(input_dim=input_dim, hidden_dims=tuple(hidden_dims),
+    layers = [Affine(W=W, b=b) for W, b in _layer_views(params, shapes)]
+    return Network(input_dim=input_dim, hidden_dims=hidden_dims,
                    n_classes=n_classes, head=head, params=params,
                    trunk=layers[:len(hidden_dims)],
                    heads=dict(zip(head_dims, layers[len(hidden_dims):])),
                    numeric_mode=numeric_mode)
-
-
-def relu(z):
-    return np.maximum(z, 0.0)
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -190,34 +202,112 @@ def _blocks(buf: np.ndarray, rows: int, widths) -> list:
     return blocks
 
 
-def network_forward(net: Network, batch: np.ndarray) -> ForwardTrace:
+def _forward_buffers(net: Network, m: int) -> tuple:
+    """New buffers of an m-row forward: (trunk buffer, its (m, width) block
+    per trunk layer, head buffer, {head name: its (m, width) block})."""
+    trunk = np.empty(m * sum(net.hidden_dims), dtype=net.dtype)
+    widths = [h.b.size for h in net.heads.values()]
+    head = np.empty(m * sum(widths), dtype=net.dtype)
+    return (trunk, _blocks(trunk, m, net.hidden_dims), head,
+            dict(zip(net.heads, _blocks(head, m, widths))))
+
+
+@dataclass
+class _BatchBuffers:
+    """A workspace's buffers for batches of one row count m."""
+
+    trunk: np.ndarray  # pre-activations of every trunk layer, one buffer
+    pre: list          # its (m, width) block per trunk layer
+    head: np.ndarray   # outputs of every head, one buffer
+    head_raw: dict     # its (m, width) block per head
+    act: list          # ReLU outputs per trunk layer
+    mask: list         # pre > 0 per trunk layer
+    da: list           # d(loss)/d(act) per trunk layer, turned into dz
+    da_head: np.ndarray | None  # one head's share of the last layer's da
+    kernel: dict       # head name -> softmax kernel's (p, log p, row argmax)
+
+    @classmethod
+    def allocate(cls, net: Network, m: int):
+        trunk, pre, head, head_raw = _forward_buffers(net, m)
+        dims = net.hidden_dims
+        return cls(
+            trunk=trunk, pre=pre, head=head, head_raw=head_raw,
+            act=[np.empty((m, w), dtype=net.dtype) for w in dims],
+            mask=[np.empty((m, w), dtype=bool) for w in dims],
+            da=[np.empty((m, w), dtype=net.dtype) for w in dims],
+            da_head=np.empty((m, dims[-1]), dtype=net.dtype) if dims else None,
+            # the objectives work in float64 whatever the network's dtype
+            kernel={name: (np.empty(raw.shape), np.empty(raw.shape),
+                           np.empty(m, dtype=np.int64))
+                    for name, raw in head_raw.items()})
+
+
+class Workspace:
+    """Preallocated buffers for the batch steps of one training run, for
+    batches of up to ``rows`` rows.
+
+    ``network_forward``, ``objective_dispatch`` and ``network_backward``
+    write into it when given it, instead of allocating. It holds the flat
+    gradient ``grad`` with its per-layer ``grad_views``, the optimizer's
+    ``step`` vector, and per batch row count the forward's buffers, the
+    backward's ReLU mask and da/dz buffers and the softmax kernel's p,
+    log p and row argmax per head. The buffers for ``rows`` rows are made
+    with the workspace, those for a shorter (last) batch on first use.
+    """
+
+    def __init__(self, net: Network, rows: int):
+        if rows < 1:
+            raise ConfigurationError("a workspace needs rows >= 1")
+        self.rows = rows
+        self.grad = np.zeros_like(net.params)
+        self.grad_views = _layer_views(self.grad, net.layer_shapes)
+        self.step = np.empty_like(net.params)
+        self._net = net
+        self._batches = {rows: _BatchBuffers.allocate(net, rows)}
+
+    def batch(self, m: int) -> _BatchBuffers:
+        """The buffers of an m-row batch."""
+        buffers = self._batches.get(m)
+        if buffers is None:
+            if not 0 < m <= self.rows:
+                raise ConfigurationError(
+                    f"a batch of {m} rows does not fit a workspace of "
+                    f"{self.rows}")
+            buffers = self._batches[m] = _BatchBuffers.allocate(self._net, m)
+        return buffers
+
+
+def network_forward(net: Network, batch: np.ndarray,
+                    ws: Workspace | None = None) -> ForwardTrace:
     """Run the trunk and all configured heads on a batch of shape (m, d).
 
     Trunk pre-activations fill one buffer and head outputs a second, so each
     takes one finite check; only a failed check scans the layers, in order,
-    to name the first non-finite one.
+    to name the first non-finite one. With a workspace ``ws`` every array
+    of the trace except ``x`` is a view into it, overwritten by its next
+    forward; without one they are new.
     """
     x = np.asarray(batch, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
     # layer shapes are fixed by build_network, so only the batch is checked
-    m = x.shape[0]
-    trunk_buf = np.empty(m * sum(net.hidden_dims), dtype=net.dtype)
-    pre = _blocks(trunk_buf, m, net.hidden_dims)
-    act = []
+    if ws is None:
+        trunk_buf, pre, head_buf, head_raw = _forward_buffers(net, x.shape[0])
+        act = [None] * len(pre)
+    else:
+        b = ws.batch(x.shape[0])
+        trunk_buf, pre, head_buf, head_raw, act = \
+            b.trunk, b.pre, b.head, b.head_raw, b.act
     a = x
-    for layer, z in zip(net.trunk, pre):
+    for i, layer in enumerate(net.trunk):
+        z = pre[i]
         np.matmul(a, layer.W.T, out=z)
         z += layer.b
-        a = relu(z)
-        act.append(a)
+        a = act[i] = np.maximum(z, 0.0, out=act[i])
     if not np.isfinite(trunk_buf).all():
         i = next(i for i, z in enumerate(pre) if not np.isfinite(z).all())
         raise NumericFault(f"non-finite pre-activation at trunk layer {i}")
-    widths = [h.b.size for h in net.heads.values()]
-    head_buf = np.empty(m * sum(widths), dtype=net.dtype)
-    head_raw = dict(zip(net.heads, _blocks(head_buf, m, widths)))
     for h, raw in zip(net.heads.values(), head_raw.values()):
         np.matmul(a, h.W.T, out=raw)
         raw += h.b
@@ -263,27 +353,27 @@ def network_outputs(net: Network, X) -> dict:
     return out
 
 
-def gradient_buffer(net: Network) -> tuple:
-    """A zeroed flat gradient laid out like ``net.params`` and its per-layer
-    (W, b) views, for ``network_backward`` to fill in place batch after
-    batch."""
-    grad = np.zeros_like(net.params)
-    return grad, _layer_views(grad, net.layer_shapes)
-
-
 def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
-                     out: tuple | None = None) -> np.ndarray:
+                     ws: Workspace | None = None) -> np.ndarray:
     """Chain d(loss)/d(raw head outputs) back to every parameter.
 
     ``dhead_raw`` maps head name to an (m, out_dim) array; omitted heads
     contribute nothing. Returns the flat gradient, laid out like
-    ``net.params``: the vector of ``out``, a ``gradient_buffer(net)`` pair
-    that is overwritten, or a new one.
+    ``net.params``: a new vector, or the workspace's ``ws.grad``,
+    overwritten, with every intermediate also written into ``ws``.
     """
-    grad, views = gradient_buffer(net) if out is None else out
-    if out is not None and len(dhead_raw) < len(net.heads):
-        grad.fill(0.0)  # the omitted heads' entries may hold older values
-    head_views = dict(zip(net.heads, views[len(net.trunk):]))
+    n_trunk = len(net.trunk)
+    if ws is None:
+        grad = np.zeros_like(net.params)
+        views = _layer_views(grad, net.layer_shapes)
+        mask, da_bufs, da_head = [None] * n_trunk, [None] * n_trunk, None
+    else:
+        grad, views = ws.grad, ws.grad_views
+        if len(dhead_raw) < len(net.heads):
+            grad.fill(0.0)  # the omitted heads' entries may hold older values
+        b = ws.batch(trace.x.shape[0])
+        mask, da_bufs, da_head = b.mask, b.da, b.da_head
+    head_views = dict(zip(net.heads, views[n_trunk:]))
     last_act = trace.act[-1] if trace.act else trace.x
     da = None
     for name, d in dhead_raw.items():
@@ -297,19 +387,23 @@ def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
         dW, db = head_views[name]
         np.matmul(d.T, last_act, out=dW)
         d.sum(axis=0, out=db)
-        da_head = d @ net.heads[name].W
-        da = da_head if da is None else da + da_head
-    if da is None:  # no head gradients, so every parameter's is 0
+        if not n_trunk:
+            continue
+        if da is None:
+            da = np.matmul(d, net.heads[name].W, out=da_bufs[-1])
+        else:
+            da += np.matmul(d, net.heads[name].W, out=da_head)
+    if da is None:  # no trunk, or no head gradients and so a zero trunk's
         return grad
 
-    for i in range(len(net.trunk) - 1, -1, -1):
-        dz = da * (trace.pre[i] > 0)
+    for i in range(n_trunk - 1, -1, -1):
+        dz = np.multiply(da, np.greater(trace.pre[i], 0, out=mask[i]), out=da)
         below = trace.act[i - 1] if i > 0 else trace.x
         dW, db = views[i]
         np.matmul(dz.T, below, out=dW)
         dz.sum(axis=0, out=db)
         if i:  # the input gradient below layer 0 is never used
-            da = dz @ net.trunk[i].W
+            da = np.matmul(dz, net.trunk[i].W, out=da_bufs[i - 1])
     return grad
 
 
@@ -432,10 +526,9 @@ def load_checkpoint(path):
         raise ConfigurationError(
             f"checkpoint {path}: 'hidden_dims' must hold positive integers")
     try:
-        net = build_network(
-            input_dim=doc["input_dim"], hidden_dims=tuple(doc["hidden_dims"]),
-            n_classes=doc["n_classes"], head=doc["head"], seed=0,
-            numeric_mode=doc["numeric_mode"])
+        net = _zero_network(doc["input_dim"], tuple(doc["hidden_dims"]),
+                            doc["n_classes"], doc["head"],
+                            doc["numeric_mode"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"checkpoint {path}: {exc}") from exc
     try:

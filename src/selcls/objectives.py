@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .nn import log_softmax, sigmoid
+from .nn import Workspace, log_softmax, sigmoid
 
 OBJECTIVE_KINDS = (
     "CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
@@ -152,9 +152,10 @@ def predictive_entropy(logits) -> np.ndarray:
 
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
-                       o: float = 0.0, t_y=None, keep_p: bool = False):
-    """Per-sample loss, per-sample entropy, logit gradient and softmax of
-    one softmax head, from one log-softmax.
+                       o: float = 0.0, t_y=None, keep_p: bool = False,
+                       out=None):
+    """Per-sample loss, per-sample entropy, logit gradient, softmax and row
+    argmax of one softmax head, from one log-softmax.
 
     ``kind`` picks the loss and its target weights w (rows sum to 1):
     "CE" is cross entropy (w = onehot(y)), "DG" the gambler loss with
@@ -163,16 +164,21 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     onehot(A)). The gradient is ``scale * (p - w) + beta * dH/dz``, with
     ``scale`` a number or one weight per row; the entropy H is returned
     only when ``beta`` is nonzero, and a copy of p only when ``keep_p``,
-    otherwise None.
+    otherwise None. ``out``, a (p, log p, argmax) triple of buffers (two
+    float64 ones shaped like z, one int64 one per row), takes those three
+    instead of new arrays, and the gradient is then written over its p.
     """
     m, k = z.shape
+    p_out, lp_out, argmax_out = (None, None, None) if out is None else out
     # flat indices of each row's start and of its label entry: 1-d
     # gathers and scatters cost less than (rows, cols) pairs, and an
     # argmax plus a gather less than a row max
     row_start = np.arange(0, m * k, k)
     at_y = row_start + y
-    shifted = z - z.ravel()[row_start + z.argmax(axis=1)][:, None]
-    p = np.exp(shifted)
+    argmax = z.argmax(axis=1, out=argmax_out)
+    shifted = np.subtract(z, z.ravel()[row_start + argmax][:, None],
+                          out=lp_out)
+    p = np.exp(shifted, out=p_out)
     total = p.sum(axis=1, keepdims=True)
     p /= total
     lp = shifted
@@ -205,7 +211,7 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     p.ravel()[at_y] -= scale * w_y
     if w_a is not None:
         p[:, -1] -= scale * w_a
-    return loss, H, p, probs
+    return loss, H, p, probs, argmax
 
 
 @dataclass
@@ -252,19 +258,23 @@ def sat_update_targets(store: SatTargetStore, sample_ids, p_batch, epoch: int) -
 
 @dataclass
 class DispatchResult:
-    """Mean loss, d(mean loss)/d(raw outputs) per head and diagnostics;
-    in the adaptive SAT phase also the softmax of the logits (``probs``),
-    which the per-batch target update reuses."""
+    """Mean loss, d(mean loss)/d(raw outputs) per head, diagnostics and
+    the row argmax of the logits head (``argmax``, the predicted class
+    where that head has C logits); in the adaptive SAT phase also the
+    softmax of the logits (``probs``), which the per-batch target update
+    reuses."""
 
     loss: float
     dlogits: dict
     diagnostics: dict
+    argmax: np.ndarray
     probs: np.ndarray | None = None
 
 
 def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
                        store: SatTargetStore | None = None,
-                       sample_ids=None, epoch: int = 0) -> DispatchResult:
+                       sample_ids=None, epoch: int = 0,
+                       ws: Workspace | None = None) -> DispatchResult:
     """Route a batch of head outputs through the configured objective.
 
     ``outputs`` maps head names to raw arrays as produced by the network
@@ -272,7 +282,9 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     "aux" for the three-head objective. Returns the mean loss and
     d(mean loss)/d(raw outputs) per head. Every head goes through the one
     softmax kernel, ``_softmax_objective``; the +EM variants add
-    ``beta * mean entropy`` of the prediction head.
+    ``beta * mean entropy`` of the prediction head. With a workspace
+    ``ws`` the kernel writes into its buffers, so the returned gradients
+    are views into it, valid until its next batch.
     """
     kind = cfg.base_kind
     y = np.asarray(y, dtype=np.int64)
@@ -284,8 +296,9 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             f"need a non-empty batch with labels in [0, {n_classes}) of "
             f"shape ({m},)")
     beta = cfg.beta if cfg.uses_em else 0.0
+    kernel = {} if ws is None else ws.batch(m).kernel
     if kind == "SelectiveNet":
-        return _selectivenet(cfg, logits, outputs, y, n_classes, beta)
+        return _selectivenet(cfg, logits, outputs, y, n_classes, beta, kernel)
 
     o, t_y = 0.0, None
     if kind == "CE":
@@ -312,18 +325,18 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
                 f"target width {store.targets.shape[1]} does not match "
                 f"{k} logits")
         t_y = store.targets[np.asarray(sample_ids, dtype=np.int64), y]
-    loss_i, H, d, probs = _softmax_objective(
+    loss_i, H, d, probs, argmax = _softmax_objective(
         kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y,
-        keep_p=t_y is not None)
+        keep_p=t_y is not None, out=kernel.get("logits"))
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)
     return DispatchResult(loss=loss, dlogits={"logits": d}, diagnostics={},
-                          probs=probs)
+                          argmax=argmax, probs=probs)
 
 
 def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
-                  beta: float) -> DispatchResult:
+                  beta: float, kernel: dict) -> DispatchResult:
     """Three-head selective loss with exact gradients.
 
     With per-sample cross-entropies l_i on the prediction head f, the
@@ -359,10 +372,11 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     collapse = mean_g < COVERAGE_EPS
     denom = max(mean_g, COVERAGE_EPS)
     a = cfg.alpha_mix
-    l_f, H, d_f, _ = _softmax_objective("CE", f, y,
-                                        scale=(a / (m * denom)) * g,
-                                        beta=beta / m)
-    l_h, _, d_h, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m)
+    l_f, H, d_f, _, argmax = _softmax_objective(
+        "CE", f, y, scale=(a / (m * denom)) * g, beta=beta / m,
+        out=kernel.get("logits"))
+    l_h, _, d_h, _, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m,
+                                           out=kernel.get("aux"))
     selective = float((l_f * g).sum()) / m / denom
 
     shortfall = cfg.c_target - mean_g
@@ -388,4 +402,5 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
         dlogits={"logits": d_f, "select": d_g_raw, "aux": d_h},
         diagnostics=dict(mean_g=mean_g, coverage_collapse=collapse,
                          selective_term=selective, coverage_term=coverage,
-                         aux_term=aux))
+                         aux_term=aux),
+        argmax=argmax)

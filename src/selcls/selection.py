@@ -12,7 +12,9 @@ the abstain entry and renormalize over the C real classes, implemented as
 the softmax of the first C raw logits (the algebraically identical, and
 numerically safer, form). Samples whose abstain probability is exactly 1
 in floating point are flagged degenerate and scored -inf, so a finite
-threshold never selects them.
+threshold never selects them. A threshold of -inf selects them all the
+same; calibration fits one when fewer held-out scores are finite than the
+target coverage needs (see ``calibration``).
 """
 
 from dataclasses import dataclass

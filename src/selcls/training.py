@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericFault
 from .nn import (
     Network,
-    gradient_buffer,
+    Workspace,
     network_backward,
     network_forward,
     network_outputs,
@@ -113,16 +113,17 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 
 def sgd_momentum_step(params, grads, velocity, lr, momentum,
-                      weight_decay: float = 0.0) -> None:
+                      weight_decay: float = 0.0, step=None) -> None:
     """v <- momentum*v + g (+ wd*theta); theta <- theta - lr*v, in place on
-    flat vectors. A non-finite gradient raises before anything changes."""
+    flat vectors, with lr*v written into ``step`` when given. A non-finite
+    gradient raises before anything changes."""
     if not np.isfinite(grads).all():
         raise NumericFault("non-finite gradient in optimizer step")
     if weight_decay:
         grads = grads + weight_decay * params
     velocity *= momentum
     velocity += grads
-    params -= lr * velocity
+    params -= np.multiply(velocity, lr, out=step)
 
 
 def _evaluate(net: Network, X, y):
@@ -139,10 +140,13 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
 
     Deterministic given (net, data, cfg): every shuffle draws from a
     sub-seed derived from cfg.seed and the epoch index. The network is
-    mutated in place; nothing else is.
+    mutated in place; nothing else is. Each epoch gathers the shuffled
+    split once, and every batch step computes in one ``Workspace``.
     """
     cfg.validate()
     obj = cfg.objective
+    # C is known here also for CSV data, which config loading cannot check
+    obj.validate(net.n_classes)
     if obj.required_head() != net.head:
         raise ConfigurationError(
             f"objective {obj.kind!r} needs a {obj.required_head()!r} head, "
@@ -164,35 +168,41 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             pretrain_epochs=obj.sat_pretrain_epochs)
 
     velocity = np.zeros_like(net.params)
-    grad_buf = gradient_buffer(net)
+    ws = Workspace(net, min(cfg.batch_size, n))
+    # the shuffled split, and each batch's predicted classes from the
+    # network as it was before that batch's update
+    Xp, yp, pred = np.empty_like(X), np.empty_like(y), np.empty_like(y)
 
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
         perm = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n)
+        np.take(X, perm, axis=0, out=Xp)
+        np.take(y, perm, out=yp)
         loss_sum = 0.0
-        n_correct = 0
         sat_adaptive = (obj.base_kind == "SAT"
                         and epoch >= obj.sat_pretrain_epochs)
         for start in range(0, n, cfg.batch_size):
-            ids = perm[start:start + cfg.batch_size]
-            yb = y[ids]
-            trace = network_forward(net, X[ids])
+            rows = slice(start, start + cfg.batch_size)
+            ids = perm[rows]
+            trace = network_forward(net, Xp[rows], ws)
             result = objective_dispatch(
-                obj, trace.head_raw, yb, n_classes=C, store=store,
-                sample_ids=ids, epoch=epoch)
+                obj, trace.head_raw, yp[rows], n_classes=C, store=store,
+                sample_ids=ids, epoch=epoch, ws=ws)
             if not np.isfinite(result.loss) or result.loss > DIVERGENCE_LIMIT:
                 raise NumericFault(
                     f"training diverged (loss={result.loss}) at epoch "
                     f"{epoch}, batch starting at {start}")
-            grads = network_backward(net, trace, result.dlogits, grad_buf)
+            grads = network_backward(net, trace, result.dlogits, ws)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
-                              cfg.weight_decay)
+                              cfg.weight_decay, ws.step)
             if sat_adaptive and obj.sat_update == "batch":
                 sat_update_targets(store, ids, result.probs, epoch)
             loss_sum += result.loss * ids.size
-            # accuracy of the pre-update network on this batch
-            pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
-            n_correct += np.count_nonzero(pred == yb)
+            # the kernel's argmax is the prediction unless the head has an
+            # abstain column
+            pred[rows] = (trace.head_raw["logits"][:, :C].argmax(axis=1)
+                          if net.has_abstain else result.argmax)
+        n_correct = np.count_nonzero(pred == yp)
         if sat_adaptive and obj.sat_update == "epoch":
             p = stable_softmax(network_outputs(net, X)["logits"])
             sat_update_targets(store, np.arange(n), p, epoch)

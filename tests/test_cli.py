@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selcls import training
 from selcls.cli import main
 from selcls.config import load_run_config
 from selcls.errors import ConfigurationError
-from selcls.nn import load_checkpoint
+from selcls.nn import load_checkpoint, network_forward
 
 from conftest import fail_writes
 
@@ -49,6 +50,31 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "1 < o <= C" in err
+
+    def test_csv_payoff_above_c_exits_2_before_any_forward(
+            self, tmp_path, capsys, monkeypatch):
+        # C of a CSV dataset is unknown until the file is read, so config
+        # loading cannot check the payoff; train() checks it first
+        forwards = []
+
+        def counted_forward(net, batch, ws=None):
+            forwards.append(len(batch))
+            return network_forward(net, batch, ws)
+
+        monkeypatch.setattr(training, "network_forward", counted_forward)
+        rng = np.random.default_rng(3)
+        rows = [f"{a},{b},{i % 3}" for i, (a, b) in
+                enumerate(rng.normal(size=(60, 2)).tolist())]
+        data = tmp_path / "three.csv"
+        data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        cfg_path, _ = base_config(
+            tmp_path, dataset={"kind": "csv", "path": str(data)},
+            objective={"kind": "DG", "o": 5.0})
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: payoff o=5.0 violates 1 < o <= C (C=3)")
+        assert "Traceback" not in err
+        assert forwards == []
 
     def test_unknown_key_exits_2_naming_key(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, training={"epochs": 1,

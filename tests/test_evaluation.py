@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from selcls.calibration import required_count
+from selcls.calibration import fit_threshold, required_count
 from selcls.errors import ConfigurationError, UndefinedRiskError
 from selcls.evaluation import (
     mean_sd,
@@ -145,6 +145,24 @@ class TestRiskCoverageCurve:
         # achieved coverage drifts from the target on fresh data
         assert 0.4 < point.achieved_coverage < 0.6
         assert point.n_selected == int(round(point.achieved_coverage * 1000))
+
+    def test_minus_inf_threshold_selects_every_sample(self):
+        # 2 of 6 calibration scores are finite, fewer than k = 3 for the
+        # 0.5 target, so tau is -inf and the held-out selector takes all
+        # evaluation samples, the degenerate -inf ones included. This pins
+        # today's behaviour: a fix that flags or refuses it must change
+        # this test on purpose.
+        cal = np.array([0.4, -np.inf, 0.9, -np.inf, -np.inf, -np.inf])
+        scores = np.array([-np.inf, 0.2, -np.inf, 0.7])
+        pred, truth = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0])
+        points = risk_coverage_curve(scores, pred, truth, [0.5, 0.3],
+                                     calibration_scores=cal)
+        assert fit_threshold(cal, 0.5).tau == -np.inf
+        assert points[0].achieved_coverage == 1.0
+        assert points[0].n_selected == 4
+        assert points[0].selective_risk == 0.25
+        # k = 2 finite scores are enough: tau is finite again
+        assert points[1].achieved_coverage == 0.25
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -11,9 +11,9 @@ from selcls import nn
 from selcls.nn import (
     FORWARD_BLOCK_ROWS,
     Network,
+    Workspace,
     build_network,
     finite_difference_gradient,
-    gradient_buffer,
     load_checkpoint,
     log_softmax,
     max_relative_error,
@@ -228,9 +228,9 @@ class TestNetworkOutputs:
     def test_bitwise_equal_to_one_forward(self, rng, monkeypatch, rows, mode):
         block_rows = []
 
-        def counted(net, batch):
+        def counted(net, batch, ws=None):
             block_rows.append(len(batch))
-            return network_forward(net, batch)
+            return network_forward(net, batch, ws)
 
         monkeypatch.setattr(nn, "network_forward", counted)
         X = rng.normal(size=(rows, 5))
@@ -278,6 +278,68 @@ class TestNetworkOutputs:
                 network_outputs(net, X)
 
 
+class TestWorkspace:
+    HEADS = ("plain", "abstain", "selectivenet")
+
+    @pytest.mark.parametrize("widths", [(64, 64), ()],
+                             ids=["64-64", "no-trunk"])
+    @pytest.mark.parametrize("mode", ["f64", "f32"])
+    @pytest.mark.parametrize("head", HEADS)
+    def test_bitwise_equal_to_fresh_buffers(self, rng, head, mode, widths):
+        net = build_network(5, widths, 8, head, seed=1, numeric_mode=mode)
+        net.params += rng.normal(scale=0.3, size=net.params.size)
+        ws = Workspace(net, 64)
+        for rows in (64, 16, 64):  # a short last batch, then a full one
+            X = rng.normal(size=(rows, 5))
+            want = network_forward(net, X)
+            got = network_forward(net, X, ws)
+            for name in want.head_raw:
+                assert np.array_equal(got.head_raw[name], want.head_raw[name])
+            for a, b in zip(got.pre + got.act, want.pre + want.act):
+                assert np.array_equal(a, b)
+            d = {name: rng.normal(size=raw.shape)
+                 for name, raw in want.head_raw.items()}
+            assert np.array_equal(network_backward(net, got, d, ws),
+                                  network_backward(net, want, d))
+
+    def test_trace_is_overwritten_by_the_next_forward(self, rng):
+        net = random_net(rng, head="selectivenet")
+        ws = Workspace(net, 8)
+        X1, X2 = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
+        first = network_forward(net, X1, ws)
+        logits1 = first.head_raw["logits"].copy()
+        second = network_forward(net, X2, ws)
+        # the first trace's arrays now hold the second batch's values
+        for name, raw in second.head_raw.items():
+            assert raw is first.head_raw[name]
+        for a, b in zip(first.pre + first.act, second.pre + second.act):
+            assert a is b
+        assert np.array_equal(first.head_raw["logits"],
+                              network_forward(net, X2).head_raw["logits"])
+        assert not np.array_equal(first.head_raw["logits"], logits1)
+
+    def test_network_outputs_never_alias_a_workspace(self, rng):
+        net = random_net(rng, head="selectivenet")
+        ws = Workspace(net, 8)
+        trace = network_forward(net, rng.normal(size=(8, 4)), ws)
+        outputs = [network_outputs(net, rng.normal(size=(rows, 4)))
+                   for rows in (8, 2000)]
+        kept = [{name: raw.copy() for name, raw in out.items()}
+                for out in outputs]
+        network_forward(net, rng.normal(size=(8, 4)), ws)
+        buffers = trace.pre + trace.act + list(trace.head_raw.values())
+        for out, before in zip(outputs, kept):
+            for name, raw in out.items():
+                assert np.array_equal(raw, before[name])
+                assert not any(np.shares_memory(raw, b) for b in buffers)
+
+    def test_batch_larger_than_the_workspace_rejected(self, rng):
+        net = random_net(rng)
+        ws = Workspace(net, 8)
+        with pytest.raises(ConfigurationError, match="9 rows"):
+            network_forward(net, rng.normal(size=(9, 4)), ws)
+
+
 class TestNetworkBackward:
     def test_zero_dlogits_zero_grads(self, rng):
         net = random_net(rng)
@@ -304,18 +366,19 @@ class TestNetworkBackward:
         X, _ = random_batch(rng, net)
         trace = network_forward(net, X)
         ones = {name: np.ones_like(raw) for name, raw in trace.head_raw.items()}
-        # a reused buffer whose every entry was written by an earlier batch
-        buf = gradient_buffer(net)
-        network_backward(net, trace, ones, buf)
+        # a reused workspace whose every gradient entry was written by an
+        # earlier batch
+        ws = Workspace(net, len(X))
+        network_backward(net, trace, ones, ws)
         # the select and aux heads follow the trunk and the logits head
         n_before = sum(layer.W.size + layer.b.size
                        for layer in net.trunk + [net.heads["logits"]])
-        for out in (None, buf):
+        for workspace in (None, ws):
             grads = network_backward(net, trace, {"logits": ones["logits"]},
-                                     out)
+                                     workspace)
             assert np.any(grads[:n_before] != 0.0)
             assert np.all(grads[n_before:] == 0.0)
-        assert grads is buf[0]
+        assert grads is ws.grad
 
     def test_shape_mismatch_rejected(self, rng):
         net = random_net(rng)
@@ -376,6 +439,18 @@ class TestCheckpoint:
         assert h == "abc123"
         assert loaded.head == net.head
         assert np.array_equal(net.params, loaded.params)
+
+    def test_load_draws_no_initialization(self, rng, tmp_path, monkeypatch):
+        net = random_net(rng, head="selectivenet", n_classes=4)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(net, path)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew an initialization")
+
+        monkeypatch.setattr(nn, "rng_for", no_draw)
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded.params, net.params)
 
     def test_flat_layout_is_checkpoint_order(self, tmp_path):
         net = build_network(3, (5, 4), n_classes=3, head="selectivenet",

@@ -5,20 +5,35 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selcls.config import DatasetConfig
 from selcls.datasets import MixtureSpec, generate_mixture
 from selcls.errors import ConfigurationError, NumericFault
 from selcls.nn import (
     build_network,
     load_checkpoint,
+    network_backward,
     network_forward,
     network_outputs,
     save_checkpoint,
     stable_softmax,
 )
-from selcls.objectives import ObjectiveConfig
+from selcls.objectives import (
+    OBJECTIVE_KINDS,
+    ObjectiveConfig,
+    SatTargetStore,
+    objective_dispatch,
+    sat_update_targets,
+)
 from selcls.cli import grid_cell_name, main
 from selcls import training
-from selcls.training import TrainConfig, lr_at_epoch, sgd_momentum_step, train
+from selcls.training import (
+    EpochStats,
+    TrainConfig,
+    lr_at_epoch,
+    sgd_momentum_step,
+    train,
+)
+from selcls.util import rng_for
 
 
 def small_spec(seed=0, separation=6.0, noise=0.0):
@@ -116,9 +131,9 @@ class TestTrain:
         # the SAT end-of-epoch update) through network_outputs
         batch_rows, split_rows = [], []
 
-        def counted_forward(net, batch):
+        def counted_forward(net, batch, ws=None):
             batch_rows.append(len(batch))
-            return network_forward(net, batch)
+            return network_forward(net, batch, ws)
 
         def counted_outputs(net, X):
             split_rows.append(len(X))
@@ -272,6 +287,101 @@ class TestTrain:
         cfg = quick_cfg(kind="SelectiveNet", epochs=8, seed=4, c_target=0.8)
         report, _ = train(net, train_ds, val_ds, cfg)
         assert report.epochs[-1].val_accuracy > 0.6
+
+
+def per_batch_reference_train(net, train_ds, val_ds, cfg):
+    """The training loop as it ran before the workspace: every batch
+    gathered by its shuffled ids and computed in new arrays, its accuracy
+    counted per batch. Returns (epoch stats, target store)."""
+    obj = cfg.objective
+    X = np.asarray(train_ds.features, dtype=net.dtype)
+    y = train_ds.labels
+    n, C = len(y), net.n_classes
+    store = None
+    if obj.base_kind == "SAT":
+        store = SatTargetStore.initialize(
+            y, C, momentum=obj.sat_momentum,
+            pretrain_epochs=obj.sat_pretrain_epochs)
+    velocity = np.zeros_like(net.params)
+    epochs = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at_epoch(cfg, epoch)
+        perm = rng_for(cfg.seed, f"shuffle:{epoch}").permutation(n)
+        loss_sum, n_correct = 0.0, 0
+        adaptive = obj.base_kind == "SAT" and epoch >= obj.sat_pretrain_epochs
+        for start in range(0, n, cfg.batch_size):
+            ids = perm[start:start + cfg.batch_size]
+            trace = network_forward(net, X[ids])
+            result = objective_dispatch(obj, trace.head_raw, y[ids], C,
+                                        store=store, sample_ids=ids,
+                                        epoch=epoch)
+            grads = network_backward(net, trace, result.dlogits)
+            sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum)
+            if adaptive and obj.sat_update == "batch":
+                sat_update_targets(store, ids, result.probs, epoch)
+            loss_sum += result.loss * ids.size
+            pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
+            n_correct += np.count_nonzero(pred == y[ids])
+        if adaptive and obj.sat_update == "epoch":
+            p = stable_softmax(network_outputs(net, X)["logits"])
+            sat_update_targets(store, np.arange(n), p, epoch)
+        val_acc, entropy = training._evaluate(
+            net, np.asarray(val_ds.features, dtype=net.dtype), val_ds.labels)
+        epochs.append(EpochStats(epoch, lr, loss_sum / n, n_correct / n,
+                                 val_acc, entropy))
+    return epochs, store
+
+
+class TestWorkspaceTraining:
+    """train() computes every batch in one workspace on slices of a
+    once-per-epoch gathered split; nothing it reports or learns may move
+    by a bit against the per-batch reference loop."""
+
+    @pytest.fixture(scope="class")
+    def splits(self):
+        # 2,000 rows in batches of 64: the last batch of an epoch has 16
+        spec = DatasetConfig(n_train=2000, n_val=300, n_test=10) \
+            .mixture_spec(11)
+        return generate_mixture(spec)[:2]
+
+    @pytest.mark.parametrize("kind, obj_kw, mode", [
+        *[(kind, {}, "f64") for kind in OBJECTIVE_KINDS],
+        ("SAT", {"sat_update": "epoch"}, "f64"),
+        ("CE", {}, "f32"),
+    ], ids=[*OBJECTIVE_KINDS, "SAT-epoch-update", "CE-f32"])
+    def test_bitwise_equal_to_per_batch_reference(self, splits, kind,
+                                                  obj_kw, mode):
+        train_ds, val_ds = splits
+        objective = ObjectiveConfig(kind=kind, c_target=0.5,
+                                    sat_pretrain_epochs=1, **obj_kw)
+        cfg = TrainConfig(epochs=3, batch_size=64, seed=11,
+                          objective=objective, numeric_mode=mode)
+        nets = [build_network(train_ds.dim, (64, 64), 8,
+                              objective.required_head(), seed=11,
+                              numeric_mode=mode) for _ in range(2)]
+        report, store = train(nets[0], train_ds, val_ds, cfg)
+        want, want_store = per_batch_reference_train(nets[1], train_ds,
+                                                     val_ds, cfg)
+        assert report.epochs == want
+        assert nets[0].params.tobytes() == nets[1].params.tobytes()
+        if store is not None:
+            assert store.targets.tobytes() == want_store.targets.tobytes()
+
+    def test_inadmissible_payoff_fails_before_any_forward(self, monkeypatch):
+        # C = 2, so the payoff 3 lies above C; config loading checks it
+        # only for mixture datasets, train() for every dataset
+        forwards = []
+
+        def counted_forward(net, batch, ws=None):
+            forwards.append(len(batch))
+            return network_forward(net, batch, ws)
+
+        monkeypatch.setattr(training, "network_forward", counted_forward)
+        train_ds, val_ds, _ = generate_mixture(small_spec())
+        net = build_network(2, (8,), 2, "abstain", seed=0)
+        with pytest.raises(ConfigurationError, match="1 < o <= C"):
+            train(net, train_ds, val_ds, quick_cfg(kind="DG", o=3.0))
+        assert forwards == []
 
 
 class TestMethodGrid:

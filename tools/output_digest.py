@@ -13,6 +13,10 @@ runs take about 20 s per checkout and write only to a temporary directory:
     train/<objective>.*  train() for each of the 8 objectives on
                          perfbench/configs/blobs8.json: its checkpoint
                          and report CSV
+    train/SAT_epoch_update.*, train/CE_f32.*
+                         the same for SAT with the end-of-epoch target
+                         update and for CE on an f32 network, the two
+                         training paths the 8 runs above miss
     eval/<head>-<split>/ selcls eval on the CE (plain), DG (abstain) and
                          SelectiveNet checkpoints from those runs, with
                          val and test calibration and every mechanism
@@ -60,6 +64,11 @@ BASE_CONFIG = os.path.join(CONFIGS, "blobs8.json")
 GRID_CONFIG = os.path.join(CONFIGS, "grid_ref.json")
 OBJECTIVES = ("CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
               "SelectiveNet", "SelectiveNet+EM")
+# (name, objective kind, objective overrides, numeric mode) per train run
+TRAIN_RUNS = [(kind, kind, {}, "f64") for kind in OBJECTIVES] + [
+    ("SAT_epoch_update", "SAT", {"sat_update": "epoch"}, "f64"),
+    ("CE_f32", "CE", {}, "f32"),
+]
 # the objectives whose checkpoints are evaluated, one per head layout
 EVAL_OBJECTIVES = ("CE", "DG", "SelectiveNet")
 CALIBRATION_SPLITS = ("val", "test")
@@ -108,23 +117,23 @@ def run_cli(argv) -> str:
 
 
 def train_objectives() -> dict:
-    """Train every objective; returns {objective: checkpoint path}."""
+    """Run every entry of TRAIN_RUNS; returns {name: checkpoint path}."""
     from selcls import cli, config, nn, training
 
     cfg = config.load_run_config(BASE_CONFIG)
     train_ds, val_ds, _, n_classes = cli.build_splits(cfg, seed=SEED)
     os.makedirs("train")
     checkpoints = {}
-    for kind in OBJECTIVES:
-        objective = replace(cfg.objective, kind=kind)
+    for name, kind, overrides, mode in TRAIN_RUNS:
+        objective = replace(cfg.objective, kind=kind, **overrides)
         net = nn.build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
                                n_classes, objective.required_head(),
-                               seed=SEED)
+                               seed=SEED, numeric_mode=mode)
         report, _ = training.train(net, train_ds, val_ds, replace(
-            cfg.training, seed=SEED, objective=objective))
-        stem = os.path.join("train", kind.replace("+", "_"))
-        checkpoints[kind] = f"{stem}.checkpoint.json"
-        nn.save_checkpoint(net, checkpoints[kind])
+            cfg.training, seed=SEED, objective=objective, numeric_mode=mode))
+        stem = os.path.join("train", name.replace("+", "_"))
+        checkpoints[name] = f"{stem}.checkpoint.json"
+        nn.save_checkpoint(net, checkpoints[name])
         report.to_csv(f"{stem}.report.csv")
     return checkpoints
 
