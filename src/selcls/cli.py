@@ -92,8 +92,7 @@ def cmd_train(args) -> int:
                   sort_keys=True)
     train_ds, val_ds, _, n_classes = build_splits(cfg)
     net = build_network(train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
-                        cfg.head, seed=cfg.training.seed,
-                        numeric_mode=cfg.training.numeric_mode)
+                        cfg.objective.required_head(), seed=cfg.training.seed)
     report, _ = train(net, train_ds, val_ds, cfg.training)
     ckpt = outdir / "checkpoint.json"
     save_checkpoint(net, ckpt, config_hash=h)
@@ -226,8 +225,7 @@ def cmd_grid(args) -> int:
                     else replace(base, c_target=float(coverage))
                 net = build_network(
                     train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
-                    objective.required_head(), seed=seed,
-                    numeric_mode=cfg.training.numeric_mode)
+                    objective.required_head(), seed=seed)
                 report, _ = train(net, train_ds, val_ds, replace(
                     cfg.training, seed=seed, objective=objective))
                 path = str(cells_dir / f"{name}.checkpoint.json")

@@ -1,20 +1,21 @@
 """Run configuration: one JSON document drives a whole pipeline run.
 
 Validation is strict and happens before any work: every section rejects
-unknown keys by name, and every value is range-checked through the
-component it configures. All randomness flows from training.seed; the
-dataset seed, unless pinned explicitly, is derived from it by labeled
-hashing so that one seed row reproduces the entire run.
+unknown keys by name, every value must have the JSON type its field is
+annotated with and is range-checked through the component it configures.
+All randomness flows from training.seed; the dataset seed, unless pinned
+explicitly, is derived from it by labeled hashing so that one seed row
+reproduces the entire run.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
 from .datasets import MixtureSpec, blobs8
 from .errors import ConfigurationError, ParseError
-from .nn import HEAD_KINDS
 from .objectives import ObjectiveConfig
 from .selection import MECHANISM_KINDS
 from .training import TrainConfig
@@ -24,10 +25,39 @@ DEFAULT_COVERAGE_GRID = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
 
 
 def _require_keys(section: dict, allowed, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} section must be a JSON object")
     for key in section:
         if key not in allowed:
             raise ConfigurationError(
                 f"unknown key {key!r} in {where} section")
+
+
+def _is_a(value, kind) -> bool:
+    """Whether a JSON value has the annotated type ``kind``: a class, a
+    ``list[X]`` or a union. Integers are numbers; true and false are not."""
+    if type(kind) is not type:
+        args = get_args(kind)
+        if get_origin(kind) is list:
+            return isinstance(value, list) and \
+                all(_is_a(v, args[0]) for v in value)
+        return any(_is_a(value, k) for k in args)
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(cfg, where: str = "") -> None:
+    """Raise ConfigurationError naming the first field of the dataclass
+    ``cfg`` whose value does not have its annotated type."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _is_a(value, f.type):
+            key = {"lam": "lambda"}.get(f.name, f.name)
+            kind = f.type if get_args(f.type) else f.type.__name__
+            raise ConfigurationError(
+                f"{where}{'.' if where else ''}{key} must be {kind}, got "
+                f"{json.dumps(value)}")
 
 
 @dataclass
@@ -36,16 +66,16 @@ class DatasetConfig:
     preset: str | None = "blobs8"
     n_classes: int | None = None
     dim: int | None = None
-    means: list | None = None
-    variances: list | None = None
-    priors: list | None = None
+    means: list[list[float]] | None = None
+    variances: list[float] | None = None
+    priors: list[float] | None = None
     label_noise: float | None = None
     n_train: int | None = None
     n_val: int | None = None
     n_test: int | None = None
     seed: int | None = None
     path: str | None = None
-    fractions: list = field(default_factory=lambda: [0.7, 0.15, 0.15])
+    fractions: list[float] = field(default_factory=lambda: [0.7, 0.15, 0.15])
     standardize: bool = False
 
     ALLOWED = ("kind", "preset", "n_classes", "dim", "means", "variances",
@@ -56,6 +86,7 @@ class DatasetConfig:
     def from_dict(cls, d: dict) -> "DatasetConfig":
         _require_keys(d, cls.ALLOWED, "dataset")
         cfg = cls(**d)
+        _check_types(cfg, "dataset")
         if cfg.kind not in ("mixture", "csv"):
             raise ConfigurationError("dataset.kind must be 'mixture' or 'csv'")
         if cfg.kind == "csv" and not cfg.path:
@@ -114,30 +145,29 @@ class DatasetConfig:
 
 @dataclass
 class ModelConfig:
-    hidden_dims: list = field(default_factory=lambda: [64, 64])
-    head: str | None = None   # None: derived from the objective
+    """The trunk's hidden widths; the head follows from the objective."""
 
-    ALLOWED = ("hidden_dims", "head")
+    hidden_dims: list[int] = field(default_factory=lambda: [64, 64])
+
+    ALLOWED = ("hidden_dims",)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         _require_keys(d, cls.ALLOWED, "model")
         cfg = cls(**d)
-        if cfg.head is not None and cfg.head not in HEAD_KINDS:
-            raise ConfigurationError(
-                f"model.head must be one of {HEAD_KINDS} (or omitted)")
-        if any(int(w) < 1 for w in cfg.hidden_dims):
+        _check_types(cfg, "model")
+        if any(w < 1 for w in cfg.hidden_dims):
             raise ConfigurationError("hidden widths must be >= 1")
         return cfg
 
     def to_dict(self) -> dict:
-        return {"hidden_dims": list(self.hidden_dims), "head": self.head}
+        return {"hidden_dims": list(self.hidden_dims)}
 
 
 @dataclass
 class EvalConfig:
-    mechanisms: list = field(default_factory=lambda: ["softmax_response"])
-    coverage_grid: list = field(
+    mechanisms: list[str] = field(default_factory=lambda: ["softmax_response"])
+    coverage_grid: list[float] = field(
         default_factory=lambda: list(DEFAULT_COVERAGE_GRID))
     calibration_split: str = "val"
     histogram_bins: int = 20
@@ -149,6 +179,7 @@ class EvalConfig:
     def from_dict(cls, d: dict) -> "EvalConfig":
         _require_keys(d, cls.ALLOWED, "evaluation")
         cfg = cls(**d)
+        _check_types(cfg, "evaluation")
         for m in cfg.mechanisms:
             if m not in MECHANISM_KINDS:
                 raise ConfigurationError(
@@ -171,11 +202,11 @@ class EvalConfig:
 
 @dataclass
 class GridConfig:
-    methods: list = field(default_factory=lambda: ["CE"])
-    mechanisms: list = field(
+    methods: list[str] = field(default_factory=lambda: ["CE"])
+    mechanisms: list[str] = field(
         default_factory=lambda: ["softmax_response"])
-    coverages: list = field(default_factory=lambda: [0.9, 0.7, 0.5])
-    seeds: list = field(default_factory=lambda: [0])
+    coverages: list[float] = field(default_factory=lambda: [0.9, 0.7, 0.5])
+    seeds: list[int] = field(default_factory=lambda: [0])
 
     ALLOWED = ("methods", "mechanisms", "coverages", "seeds")
 
@@ -185,6 +216,7 @@ class GridConfig:
 
         _require_keys(d, cls.ALLOWED, "grid")
         cfg = cls(**d)
+        _check_types(cfg, "grid")
         for m in cfg.methods:
             if m not in OBJECTIVE_KINDS:
                 raise ConfigurationError(f"unknown grid method {m!r}")
@@ -207,19 +239,23 @@ class GridConfig:
 def _objective_from_dict(d: dict) -> ObjectiveConfig:
     allowed = ("kind", "beta", "o", "lambda", "alpha_mix", "c_target",
                "coverage_penalty", "sat_momentum", "sat_pretrain_epochs",
-               "sat_update", "dg_limit_test")
+               "sat_update")
     _require_keys(d, allowed, "objective")
     d = dict(d)
     if "lambda" in d:
         d["lam"] = d.pop("lambda")
-    return ObjectiveConfig(**d)
+    cfg = ObjectiveConfig(**d)
+    _check_types(cfg, "objective")
+    return cfg
 
 
 def _training_from_dict(d: dict, objective: ObjectiveConfig) -> TrainConfig:
     allowed = ("epochs", "batch_size", "lr0", "momentum", "decay_factor",
-               "decay_every", "seed", "numeric_mode", "weight_decay")
+               "decay_every", "seed", "weight_decay")
     _require_keys(d, allowed, "training")
-    return TrainConfig(objective=objective, **d)
+    cfg = TrainConfig(objective=objective, **d)
+    _check_types(cfg, "training")
+    return cfg
 
 
 @dataclass
@@ -237,8 +273,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigurationError("config document must be a JSON object")
         _require_keys(doc, cls.ALLOWED, "top-level")
         objective = _objective_from_dict(doc.get("objective", {}))
         cfg = cls(
@@ -250,15 +284,12 @@ class RunConfig:
             grid=GridConfig.from_dict(doc["grid"]) if "grid" in doc else None,
             output_dir=doc.get("output_dir", "runs/out"),
         )
+        _check_types(cfg)
         cfg.training.validate()
         if cfg.dataset.kind == "mixture":
             spec = cfg.dataset.mixture_spec(cfg.training.seed)
             cfg.objective.validate(spec.n_classes)
         return cfg
-
-    @property
-    def head(self) -> str:
-        return self.model.head or self.objective.required_head()
 
     def normalized(self) -> dict:
         doc = {
@@ -285,4 +316,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    return RunConfig.from_dict(doc)
+    try:
+        return RunConfig.from_dict(doc)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None

@@ -54,17 +54,6 @@ class MixtureSpec:
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigurationError("every split needs at least one sample")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes, "dim": self.dim,
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "priors": self.priors.tolist(),
-            "label_noise": self.label_noise,
-            "n_train": self.n_train, "n_val": self.n_val,
-            "n_test": self.n_test, "seed": self.seed,
-        }
-
 
 def circle_mixture(n_classes: int, radius: float, sigma: float = 1.0,
                    label_noise: float = 0.0, n_train: int = 1000,

@@ -9,10 +9,10 @@ three head layouts:
                  logits (C), a single selection unit passed through a
                  sigmoid, and auxiliary logits (C)
 
-Every parameter lives in one contiguous vector, ``Network.params``. Each
-layer's ``W`` and ``b`` are views into it, laid out as trunk ``W, b`` per
-layer, then the heads ``logits``, ``select``, ``aux``; checkpoints store
-the vector in that order. The backward pass, the optimizer velocity and
+Every parameter lives in one contiguous float64 vector,
+``Network.params``. Each layer's ``W`` and ``b`` are views into it, laid
+out as trunk ``W, b`` per layer, then the heads ``logits``, ``select``,
+``aux``; checkpoints store the vector in that order. The backward pass, the optimizer velocity and
 the finite-difference oracle use vectors of the same layout, and
 ``_layer_views`` cuts any of them into per-layer ``(W, b)`` views.
 
@@ -46,9 +46,6 @@ from .util import atomic_write, rng_for
 HEAD_PLAIN = "plain"
 HEAD_ABSTAIN = "abstain"
 HEAD_SELECTIVENET = "selectivenet"
-HEAD_KINDS = (HEAD_PLAIN, HEAD_ABSTAIN, HEAD_SELECTIVENET)
-
-DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
 @dataclass
@@ -71,11 +68,6 @@ class Network:
     params: np.ndarray
     trunk: list
     heads: dict
-    numeric_mode: str = "f64"
-
-    @property
-    def dtype(self):
-        return DTYPES[self.numeric_mode]
 
     @property
     def has_abstain(self) -> bool:
@@ -127,13 +119,12 @@ def head_output_dims(head: str, n_classes: int) -> dict:
 
 
 def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
-                  seed=0, numeric_mode="f64") -> Network:
+                  seed=0) -> Network:
     """Construct a seeded network.
 
     Weights are uniform in +-sqrt(6/(fan_in+fan_out)) per layer, biases 0.
     """
-    net = _zero_network(input_dim, tuple(hidden_dims), n_classes, head,
-                        numeric_mode)
+    net = _zero_network(input_dim, tuple(hidden_dims), n_classes, head)
     rng = rng_for(seed, "init")
     for layer in net.trunk + list(net.heads.values()):
         bound = np.sqrt(6.0 / sum(layer.W.shape))
@@ -141,27 +132,20 @@ def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
     return net
 
 
-def _zero_network(input_dim, hidden_dims, n_classes, head,
-                  numeric_mode) -> Network:
+def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
     """A network of the given architecture with every parameter 0."""
-    if head not in HEAD_KINDS:
-        raise ConfigurationError(f"unknown head kind {head!r}")
-    if numeric_mode not in DTYPES:
-        raise ConfigurationError(f"numeric_mode must be one of {tuple(DTYPES)}")
     if input_dim < 1 or n_classes < 2:
         raise ConfigurationError("need input_dim >= 1 and n_classes >= 2")
     dims = (input_dim, *hidden_dims)
     head_dims = head_output_dims(head, n_classes)
     shapes = list(zip(dims[1:], dims[:-1])) + \
         [(out, dims[-1]) for out in head_dims.values()]
-    params = np.zeros(sum(rows * cols + rows for rows, cols in shapes),
-                      dtype=DTYPES[numeric_mode])
+    params = np.zeros(sum(rows * cols + rows for rows, cols in shapes))
     layers = [Affine(W=W, b=b) for W, b in _layer_views(params, shapes)]
     return Network(input_dim=input_dim, hidden_dims=hidden_dims,
                    n_classes=n_classes, head=head, params=params,
                    trunk=layers[:len(hidden_dims)],
-                   heads=dict(zip(head_dims, layers[len(hidden_dims):])),
-                   numeric_mode=numeric_mode)
+                   heads=dict(zip(head_dims, layers[len(hidden_dims):])))
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -205,9 +189,9 @@ def _blocks(buf: np.ndarray, rows: int, widths) -> list:
 def _forward_buffers(net: Network, m: int) -> tuple:
     """New buffers of an m-row forward: (trunk buffer, its (m, width) block
     per trunk layer, head buffer, {head name: its (m, width) block})."""
-    trunk = np.empty(m * sum(net.hidden_dims), dtype=net.dtype)
+    trunk = np.empty(m * sum(net.hidden_dims))
     widths = [h.b.size for h in net.heads.values()]
-    head = np.empty(m * sum(widths), dtype=net.dtype)
+    head = np.empty(m * sum(widths))
     return (trunk, _blocks(trunk, m, net.hidden_dims), head,
             dict(zip(net.heads, _blocks(head, m, widths))))
 
@@ -232,11 +216,10 @@ class _BatchBuffers:
         dims = net.hidden_dims
         return cls(
             trunk=trunk, pre=pre, head=head, head_raw=head_raw,
-            act=[np.empty((m, w), dtype=net.dtype) for w in dims],
+            act=[np.empty((m, w)) for w in dims],
             mask=[np.empty((m, w), dtype=bool) for w in dims],
-            da=[np.empty((m, w), dtype=net.dtype) for w in dims],
-            da_head=np.empty((m, dims[-1]), dtype=net.dtype) if dims else None,
-            # the objectives work in float64 whatever the network's dtype
+            da=[np.empty((m, w)) for w in dims],
+            da_head=np.empty((m, dims[-1])) if dims else None,
             kernel={name: (np.empty(raw.shape), np.empty(raw.shape),
                            np.empty(m, dtype=np.int64))
                     for name, raw in head_raw.items()})
@@ -287,7 +270,7 @@ def network_forward(net: Network, batch: np.ndarray,
     of the trace except ``x`` is a view into it, overwritten by its next
     forward; without one they are new.
     """
-    x = np.asarray(batch, dtype=net.dtype)
+    x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
@@ -338,11 +321,11 @@ def network_outputs(net: Network, X) -> dict:
     ``head_raw`` of a single call. A non-finite value raises the same
     NumericFault, naming the same layer, as that call would.
     """
-    x = np.asarray(X, dtype=net.dtype)
+    x = np.asarray(X, dtype=np.float64)
     n_blocks = len(x) // FORWARD_BLOCK_ROWS if x.ndim == 2 else 0
     if n_blocks < 2:
         return network_forward(net, x).head_raw
-    out = {name: np.empty((len(x), h.b.size), dtype=net.dtype)
+    out = {name: np.empty((len(x), h.b.size))
            for name, h in net.heads.items()}
     for i in range(n_blocks):
         start = i * FORWARD_BLOCK_ROWS
@@ -379,7 +362,7 @@ def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
     for name, d in dhead_raw.items():
         if name not in net.heads:
             raise ConfigurationError(f"gradient for unknown head {name!r}")
-        d = np.asarray(d, dtype=net.dtype)
+        d = np.asarray(d, dtype=np.float64)
         if d.shape != trace.head_raw[name].shape:
             raise ConfigurationError(
                 f"dlogits shape {d.shape} does not match head {name!r} "
@@ -462,7 +445,8 @@ def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray,
 # parameter vector as little-endian float64 bytes, in the flat layout
 # above. Raw bytes round-trip every value exactly and cost far less to
 # write and parse than one decimal per float, which version 1 stored.
-# Version-1 files are refused and must be written again.
+# Version-1 files are refused and must be written again. Loading ignores
+# keys it does not read, so version-2 files with extra keys still load.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 2
@@ -478,7 +462,6 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
         "hidden_dims": list(net.hidden_dims),
         "n_classes": net.n_classes,
         "head": net.head,
-        "numeric_mode": net.numeric_mode,
         "config_hash": config_hash,
         "params": base64.b64encode(
             net.params.astype(_PARAM_DTYPE).tobytes()).decode("ascii"),
@@ -489,7 +472,7 @@ def save_checkpoint(net: Network, path, config_hash: str = "") -> None:
 
 # checkpoint key -> the JSON type it must hold
 _CHECKPOINT_FIELDS = {"input_dim": int, "hidden_dims": list, "n_classes": int,
-                      "head": str, "numeric_mode": str, "params": str}
+                      "head": str, "params": str}
 
 
 def load_checkpoint(path):
@@ -527,8 +510,7 @@ def load_checkpoint(path):
             f"checkpoint {path}: 'hidden_dims' must hold positive integers")
     try:
         net = _zero_network(doc["input_dim"], tuple(doc["hidden_dims"]),
-                            doc["n_classes"], doc["head"],
-                            doc["numeric_mode"])
+                            doc["n_classes"], doc["head"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"checkpoint {path}: {exc}") from exc
     try:

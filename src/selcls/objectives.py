@@ -49,10 +49,11 @@ _G_CEIL = 1.0 - np.finfo(np.float64).epsneg
 class ObjectiveConfig:
     """Objective choice plus every knob the loss family reads.
 
-    ``kind`` is one of OBJECTIVE_KINDS. ``beta`` is the entropy
-    regularization weight (used by the +EM variants). ``o`` is the gambler
-    payoff, admissible in (1, C]; None picks the default C-1 (or the
-    interval midpoint when C = 2). ``lam``/``alpha_mix``/``c_target``
+    ``kind`` is one of OBJECTIVE_KINDS and fixes the network head
+    (``required_head``). ``beta`` is the entropy regularization weight
+    (used by the +EM variants). ``o`` is the gambler payoff, admissible in
+    (1, C], and any other value is refused; None picks the default C-1 (or
+    the interval midpoint when C = 2). ``lam``/``alpha_mix``/``c_target``
     parameterize the three-head selective loss, ``coverage_penalty``
     chooses between the undershoot-only squared hinge and the symmetric
     square. The sat_* fields drive the moving-target objective.
@@ -68,7 +69,6 @@ class ObjectiveConfig:
     sat_momentum: float = 0.9
     sat_pretrain_epochs: int = 10
     sat_update: str = "batch"
-    dg_limit_test: bool = False
 
     @property
     def base_kind(self) -> str:
@@ -99,8 +99,7 @@ class ObjectiveConfig:
         if self.beta < 0:
             raise ConfigurationError("beta must be >= 0")
         if self.base_kind == "DG" and n_classes is not None:
-            check_gambler_payoff(self.resolved_o(n_classes), n_classes,
-                                 limit_test=self.dg_limit_test)
+            check_gambler_payoff(self.resolved_o(n_classes), n_classes)
         if self.base_kind == "SelectiveNet":
             if not 0 < self.c_target <= 1:
                 raise ConfigurationError("c_target must lie in (0, 1]")
@@ -130,19 +129,17 @@ class ObjectiveConfig:
             "sat_momentum": self.sat_momentum,
             "sat_pretrain_epochs": self.sat_pretrain_epochs,
             "sat_update": self.sat_update,
-            "dg_limit_test": self.dg_limit_test,
         }
 
 
-def check_gambler_payoff(o: float, n_classes: int, limit_test: bool = False) -> None:
+def check_gambler_payoff(o: float, n_classes: int) -> None:
     if o <= 1:
         raise ConfigurationError(
             f"payoff o={o} violates 1 < o <= C: o <= 1 is the always-abstain "
             "regime")
-    if o > n_classes and not limit_test:
+    if o > n_classes:
         raise ConfigurationError(
-            f"payoff o={o} violates 1 < o <= C (C={n_classes}); values above "
-            "C are allowed only in limit-test mode")
+            f"payoff o={o} violates 1 < o <= C (C={n_classes})")
 
 
 def predictive_entropy(logits) -> np.ndarray:
@@ -311,7 +308,7 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             f"needs an abstain head ({n_classes + 1} logits, head has {k})")
     elif kind == "DG":
         o = cfg.resolved_o(n_classes)
-        check_gambler_payoff(o, n_classes, limit_test=cfg.dg_limit_test)
+        check_gambler_payoff(o, n_classes)
     elif epoch < cfg.sat_pretrain_epochs or store is None:
         # pre-training phase: plain (C+1)-way cross entropy on one-hot
         # labels; identical to the target loss with untouched targets

@@ -47,7 +47,6 @@ class TrainConfig:
     decay_every: int = 25
     seed: int = 0
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    numeric_mode: str = "f64"
     weight_decay: float = 0.0
 
     def validate(self) -> None:
@@ -69,8 +68,7 @@ class TrainConfig:
             "epochs": self.epochs, "batch_size": self.batch_size,
             "lr0": self.lr0, "momentum": self.momentum,
             "decay_factor": self.decay_factor, "decay_every": self.decay_every,
-            "seed": self.seed, "numeric_mode": self.numeric_mode,
-            "weight_decay": self.weight_decay,
+            "seed": self.seed, "weight_decay": self.weight_decay,
         }
 
 
@@ -155,9 +153,9 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
     if cfg.epochs == 0:
         return report, store
 
-    X = np.asarray(train_data.features, dtype=net.dtype)
+    X = np.asarray(train_data.features, dtype=np.float64)
     y = np.asarray(train_data.labels, dtype=np.int64)
-    Xv = np.asarray(val_data.features, dtype=net.dtype)
+    Xv = np.asarray(val_data.features, dtype=np.float64)
     yv = np.asarray(val_data.labels, dtype=np.int64)
     n = X.shape[0]
     C = net.n_classes

@@ -45,8 +45,7 @@ class TestTrainCommand:
 
     def test_inadmissible_payoff_exits_2_naming_constraint(self, tmp_path, capsys):
         cfg_path, _ = base_config(
-            tmp_path, objective={"kind": "DG", "o": 0.5},
-            model={"hidden_dims": [8], "head": "abstain"})
+            tmp_path, objective={"kind": "DG", "o": 0.5})
         assert main(["train", "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "1 < o <= C" in err
@@ -81,6 +80,41 @@ class TestTrainCommand:
                                                       "warmup": 3})
         assert main(["train", "-c", str(cfg_path)]) == 2
         assert "warmup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "head", "abstain"),
+        ("training", "numeric_mode", "f32"),
+        ("objective", "dg_limit_test", True),
+    ])
+    def test_removed_key_exits_2_naming_key(self, tmp_path, capsys,
+                                            section, key, value):
+        cfg_path, doc = base_config(tmp_path)
+        doc[section][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in {section} section" in err
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("make-data", "model", "hidden_dims", 5),
+        ("make-data", "model", "hidden_dims", ["a"]),
+        ("make-data", "training", "epochs", "3"),
+        ("make-data", "objective", "beta", "x"),
+        ("make-data", "evaluation", "coverage_grid", ["a"]),
+        ("make-data", "dataset", "n_train", "5"),
+        ("grid", "grid", "seeds", 5),
+        ("train", "training", "weight_decay", "0.1"),
+    ])
+    def test_mistyped_value_exits_2_naming_file_and_key(
+            self, tmp_path, capsys, command, section, key, value):
+        cfg_path, doc = base_config(tmp_path, grid={})
+        doc[section][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: {section}.{key} must be ")
+        assert err.endswith(f", got {json.dumps(value)}\n")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, extra_section={"x": 1})

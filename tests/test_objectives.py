@@ -9,6 +9,7 @@ from selcls.objectives import (
     OBJECTIVE_KINDS,
     ObjectiveConfig,
     SatTargetStore,
+    _softmax_objective,
     objective_dispatch,
     predictive_entropy,
     sat_update_targets,
@@ -163,7 +164,8 @@ class TestDeepGamblers:
         for _ in range(20):
             z = rng.normal(scale=1, size=(6, 4))
             y = rng.integers(0, 3, size=6)
-            dg = per_sample("DG", z, y, 3, o=1e9, dg_limit_test=True)
+            # o above C is refused by the objective, so call its kernel
+            dg = _softmax_objective("DG", z, y, o=1e9)[0]
             ce = per_sample("CE", z, y, 4)
             assert np.max(np.abs(dg - ce)) < 1e-6
 
@@ -180,9 +182,10 @@ class TestDeepGamblers:
         z = np.zeros(4)
         with pytest.raises(ConfigurationError, match="always-abstain"):
             dispatch("DG", z, 0, 3, o=1.0)
-        with pytest.raises(ConfigurationError, match="limit-test"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^payoff o=5.0 violates 1 < o <= C \(C=3\)$"):
             dispatch("DG", z, 0, 3, o=5.0)
-        dispatch("DG", z, 0, 3, o=5.0, dg_limit_test=True)
+        dispatch("DG", z, 0, 3, o=3.0)
 
 
 class TestSatLoss:

@@ -10,11 +10,9 @@ from selcls.datasets import MixtureSpec, generate_mixture
 from selcls.errors import ConfigurationError, NumericFault
 from selcls.nn import (
     build_network,
-    load_checkpoint,
     network_backward,
     network_forward,
     network_outputs,
-    save_checkpoint,
     stable_softmax,
 )
 from selcls.objectives import (
@@ -260,27 +258,6 @@ class TestTrain:
         expected = 0.7 * before.targets + 0.3 * p
         assert np.max(np.abs(after.targets - expected)) < 1e-12
 
-    def test_f32_training_keeps_f32_views_and_checkpoint_bits(self, tmp_path):
-        train_ds, val_ds, _ = generate_mixture(small_spec())
-        net = build_network(2, (8, 8), 2, "selectivenet", seed=4,
-                            numeric_mode="f32")
-        cfg = quick_cfg(kind="SelectiveNet", epochs=3, seed=4, c_target=0.8)
-        cfg.numeric_mode = "f32"
-        report, _ = train(net, train_ds, val_ds, cfg)
-        assert report.epochs[-1].val_accuracy > 0.6
-        assert net.params.dtype == np.float32
-        for layer in net.trunk + list(net.heads.values()):
-            assert layer.W.dtype == np.float32
-            assert np.shares_memory(layer.W, net.params)
-            assert np.shares_memory(layer.b, net.params)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(net, path)
-        loaded, _ = load_checkpoint(path)
-        assert loaded.numeric_mode == "f32"
-        assert loaded.params.dtype == np.float32
-        assert np.array_equal(loaded.params.view(np.uint32),
-                              net.params.view(np.uint32))
-
     def test_selectivenet_trains(self):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.1))
         net = build_network(2, (8, 8), 2, "selectivenet", seed=4)
@@ -294,7 +271,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
     gathered by its shuffled ids and computed in new arrays, its accuracy
     counted per batch. Returns (epoch stats, target store)."""
     obj = cfg.objective
-    X = np.asarray(train_ds.features, dtype=net.dtype)
+    X = train_ds.features
     y = train_ds.labels
     n, C = len(y), net.n_classes
     store = None
@@ -316,7 +293,8 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
                                         store=store, sample_ids=ids,
                                         epoch=epoch)
             grads = network_backward(net, trace, result.dlogits)
-            sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum)
+            sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
+                              cfg.weight_decay)
             if adaptive and obj.sat_update == "batch":
                 sat_update_targets(store, ids, result.probs, epoch)
             loss_sum += result.loss * ids.size
@@ -325,8 +303,8 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
         if adaptive and obj.sat_update == "epoch":
             p = stable_softmax(network_outputs(net, X)["logits"])
             sat_update_targets(store, np.arange(n), p, epoch)
-        val_acc, entropy = training._evaluate(
-            net, np.asarray(val_ds.features, dtype=net.dtype), val_ds.labels)
+        val_acc, entropy = training._evaluate(net, val_ds.features,
+                                              val_ds.labels)
         epochs.append(EpochStats(epoch, lr, loss_sum / n, n_correct / n,
                                  val_acc, entropy))
     return epochs, store
@@ -344,21 +322,21 @@ class TestWorkspaceTraining:
             .mixture_spec(11)
         return generate_mixture(spec)[:2]
 
-    @pytest.mark.parametrize("kind, obj_kw, mode", [
-        *[(kind, {}, "f64") for kind in OBJECTIVE_KINDS],
-        ("SAT", {"sat_update": "epoch"}, "f64"),
-        ("CE", {}, "f32"),
-    ], ids=[*OBJECTIVE_KINDS, "SAT-epoch-update", "CE-f32"])
+    @pytest.mark.parametrize("kind, obj_kw, weight_decay", [
+        *[(kind, {}, 0.0) for kind in OBJECTIVE_KINDS],
+        ("SAT", {"sat_update": "epoch"}, 0.0),
+        ("CE", {}, 5e-4),
+    ], ids=[*OBJECTIVE_KINDS, "SAT-epoch-update", "CE-weight-decay"])
     def test_bitwise_equal_to_per_batch_reference(self, splits, kind,
-                                                  obj_kw, mode):
+                                                  obj_kw, weight_decay):
         train_ds, val_ds = splits
         objective = ObjectiveConfig(kind=kind, c_target=0.5,
                                     sat_pretrain_epochs=1, **obj_kw)
         cfg = TrainConfig(epochs=3, batch_size=64, seed=11,
-                          objective=objective, numeric_mode=mode)
+                          objective=objective, weight_decay=weight_decay)
         nets = [build_network(train_ds.dim, (64, 64), 8,
-                              objective.required_head(), seed=11,
-                              numeric_mode=mode) for _ in range(2)]
+                              objective.required_head(), seed=11)
+                for _ in range(2)]
         report, store = train(nets[0], train_ds, val_ds, cfg)
         want, want_store = per_batch_reference_train(nets[1], train_ds,
                                                      val_ds, cfg)

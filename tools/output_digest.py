@@ -13,10 +13,10 @@ runs take about 20 s per checkout and write only to a temporary directory:
     train/<objective>.*  train() for each of the 8 objectives on
                          perfbench/configs/blobs8.json: its checkpoint
                          and report CSV
-    train/SAT_epoch_update.*, train/CE_f32.*
+    train/SAT_epoch_update.*
                          the same for SAT with the end-of-epoch target
-                         update and for CE on an f32 network, the two
-                         training paths the 8 runs above miss
+                         update, the one training path the 8 runs above
+                         miss
     eval/<head>-<split>/ selcls eval on the CE (plain), DG (abstain) and
                          SelectiveNet checkpoints from those runs, with
                          val and test calibration and every mechanism
@@ -36,8 +36,8 @@ run the same inputs.
 
 A ``*.checkpoint.json`` is digested by what the measured checkout's
 ``load_checkpoint`` returns, not by its bytes: the architecture (input
-dim, hidden widths, classes), head, numeric mode, config hash and the
-parameters as little-endian float64 bytes. A change to the checkpoint
+dim, hidden widths, classes), head, config hash and the parameters as
+little-endian float64 bytes. A change to the checkpoint
 file format alone therefore reads as no difference, while any changed
 parameter still differs.
 """
@@ -64,10 +64,9 @@ BASE_CONFIG = os.path.join(CONFIGS, "blobs8.json")
 GRID_CONFIG = os.path.join(CONFIGS, "grid_ref.json")
 OBJECTIVES = ("CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
               "SelectiveNet", "SelectiveNet+EM")
-# (name, objective kind, objective overrides, numeric mode) per train run
-TRAIN_RUNS = [(kind, kind, {}, "f64") for kind in OBJECTIVES] + [
-    ("SAT_epoch_update", "SAT", {"sat_update": "epoch"}, "f64"),
-    ("CE_f32", "CE", {}, "f32"),
+# (name, objective kind, objective overrides) per train run
+TRAIN_RUNS = [(kind, kind, {}) for kind in OBJECTIVES] + [
+    ("SAT_epoch_update", "SAT", {"sat_update": "epoch"}),
 ]
 # the objectives whose checkpoints are evaluated, one per head layout
 EVAL_OBJECTIVES = ("CE", "DG", "SelectiveNet")
@@ -88,7 +87,7 @@ def checkpoint_digest(path) -> str:
 
     net, config_hash = nn.load_checkpoint(path)
     fields = [net.input_dim, list(net.hidden_dims), net.n_classes, net.head,
-              net.numeric_mode, config_hash]
+              config_hash]
     digest = hashlib.sha256(json.dumps(fields).encode())
     digest.update(net.params.astype("<f8").tobytes())
     return digest.hexdigest()
@@ -124,13 +123,13 @@ def train_objectives() -> dict:
     train_ds, val_ds, _, n_classes = cli.build_splits(cfg, seed=SEED)
     os.makedirs("train")
     checkpoints = {}
-    for name, kind, overrides, mode in TRAIN_RUNS:
+    for name, kind, overrides in TRAIN_RUNS:
         objective = replace(cfg.objective, kind=kind, **overrides)
         net = nn.build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
                                n_classes, objective.required_head(),
-                               seed=SEED, numeric_mode=mode)
+                               seed=SEED)
         report, _ = training.train(net, train_ds, val_ds, replace(
-            cfg.training, seed=SEED, objective=objective, numeric_mode=mode))
+            cfg.training, seed=SEED, objective=objective))
         stem = os.path.join("train", name.replace("+", "_"))
         checkpoints[name] = f"{stem}.checkpoint.json"
         nn.save_checkpoint(net, checkpoints[name])
