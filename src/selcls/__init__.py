@@ -15,7 +15,6 @@ from .evaluation import (
     ScoreHistogram,
     risk_coverage_curve,
     score_histogram,
-    selective_risk,
 )
 from .nn import Network, build_network, network_backward, network_forward, stable_softmax
 from .objectives import ObjectiveConfig, SatTargetStore, objective_dispatch
@@ -26,7 +25,7 @@ __all__ = [
     "CalibratedSelector", "apply_selector", "fit_threshold",
     "Dataset", "MixtureSpec", "bayes_posterior", "blobs8", "generate_mixture",
     "RiskCoveragePoint", "ScoreHistogram", "risk_coverage_curve",
-    "score_histogram", "selective_risk",
+    "score_histogram",
     "Network", "build_network", "network_backward", "network_forward",
     "stable_softmax",
     "ObjectiveConfig", "SatTargetStore", "objective_dispatch",

@@ -1,22 +1,25 @@
 """Run configuration: one JSON document drives a whole pipeline run.
 
-Validation is strict and happens before any work: every section rejects
-unknown keys by name, every value must have the JSON type its field is
-annotated with and is range-checked through the component it configures.
-All randomness flows from training.seed; the dataset seed, unless pinned
-explicitly, is derived from it by labeled hashing so that one seed row
-reproduces the entire run.
+The section dataclasses are the schema. A section's JSON keys are its
+field names, or a field's ``metadata["key"]`` where it has one; a value's
+JSON type is its field's annotation; and the config hash is taken over a
+document read off the same fields. Validation is strict and happens
+before any work: every section rejects unknown keys by name, every value
+must have its annotated type, and every section range-checks itself in
+``validate``. All randomness flows from training.seed; the dataset seed,
+unless pinned explicitly, is derived from it by labeled hashing so that
+one seed row reproduces the entire run.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 import numpy as np
 
 from .datasets import MixtureSpec, blobs8
 from .errors import ConfigurationError, ParseError
-from .objectives import ObjectiveConfig
+from .objectives import OBJECTIVE_KINDS, ObjectiveConfig
 from .selection import MECHANISM_KINDS
 from .training import TrainConfig
 from .util import config_hash, derive_seed
@@ -24,13 +27,31 @@ from .util import config_hash, derive_seed
 DEFAULT_COVERAGE_GRID = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
 
 
-def _require_keys(section: dict, allowed, where: str) -> None:
-    if not isinstance(section, dict):
+def _key(f) -> str:
+    """The JSON key of the dataclass field ``f``."""
+    return f.metadata.get("key", f.name)
+
+
+def _field_names(cls, d, where: str, given=()) -> dict:
+    """{JSON key: field name} over the fields of ``cls`` outside ``given``,
+    once ``d`` is checked to be a JSON object with only those keys."""
+    if not isinstance(d, dict):
         raise ConfigurationError(f"{where} section must be a JSON object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigurationError(
-                f"unknown key {key!r} in {where} section")
+    names = {_key(f): f.name for f in fields(cls) if f.name not in given}
+    for key in d:
+        if key not in names:
+            raise ConfigurationError(f"unknown key {key!r} in {where} section")
+    return names
+
+
+def _section(cls, d, where: str, **given):
+    """The dataclass ``cls`` built from the JSON object ``d`` of section
+    ``where`` and type-checked; ``given`` fills fields that are not JSON
+    keys."""
+    names = _field_names(cls, d, where, given)
+    cfg = cls(**{names[key]: value for key, value in d.items()}, **given)
+    _check_types(cfg, where)
+    return cfg
 
 
 def _is_a(value, kind) -> bool:
@@ -53,11 +74,35 @@ def _check_types(cfg, where: str = "") -> None:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _is_a(value, f.type):
-            key = {"lam": "lambda"}.get(f.name, f.name)
             kind = f.type if get_args(f.type) else f.type.__name__
             raise ConfigurationError(
-                f"{where}{'.' if where else ''}{key} must be {kind}, got "
+                f"{where}{'.' if where else ''}{_key(f)} must be {kind}, got "
                 f"{json.dumps(value)}")
+
+
+def _normalized(value, kind):
+    """The hash-document form of ``value``, annotated ``kind``. A section
+    becomes an object keyed by JSON key, without the sections nested in
+    it; lists are copied; every number annotated float becomes a float, so
+    ``1`` and ``1.0`` hash alike."""
+    if is_dataclass(value):
+        return {_key(f): _normalized(getattr(value, f.name), f.type)
+                for f in fields(value) if not is_dataclass(f.type)}
+    kinds = (kind, *get_args(kind))
+    if isinstance(value, list):
+        item = next(get_args(k)[0] for k in kinds if get_origin(k) is list)
+        return [_normalized(v, item) for v in value]
+    return float(value) if float in kinds and value is not None else value
+
+
+def _check_list(where: str, values: list, distinct: bool = False) -> None:
+    """Refuse an empty list and, when ``distinct``, a repeated value."""
+    if not values:
+        raise ConfigurationError(f"{where} must not be empty")
+    for i, value in enumerate(values if distinct else []):
+        if value in values[:i]:
+            raise ConfigurationError(
+                f"{where} lists {json.dumps(value)} twice")
 
 
 @dataclass
@@ -78,25 +123,17 @@ class DatasetConfig:
     fractions: list[float] = field(default_factory=lambda: [0.7, 0.15, 0.15])
     standardize: bool = False
 
-    ALLOWED = ("kind", "preset", "n_classes", "dim", "means", "variances",
-               "priors", "label_noise", "n_train", "n_val", "n_test", "seed",
-               "path", "fractions", "standardize")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetConfig":
-        _require_keys(d, cls.ALLOWED, "dataset")
-        cfg = cls(**d)
-        _check_types(cfg, "dataset")
-        if cfg.kind not in ("mixture", "csv"):
+    def validate(self) -> None:
+        if self.kind not in ("mixture", "csv"):
             raise ConfigurationError("dataset.kind must be 'mixture' or 'csv'")
-        if cfg.kind == "csv" and not cfg.path:
+        if self.kind == "csv" and not self.path:
             raise ConfigurationError("dataset.kind 'csv' needs a path")
-        if cfg.kind == "mixture" and cfg.preset is None and cfg.means is None:
+        if self.kind == "mixture" and self.preset is None and \
+                self.means is None:
             raise ConfigurationError(
                 "mixture dataset needs a preset or explicit means")
-        if cfg.preset not in (None, "blobs8"):
-            raise ConfigurationError(f"unknown dataset preset {cfg.preset!r}")
-        return cfg
+        if self.preset not in (None, "blobs8"):
+            raise ConfigurationError(f"unknown dataset preset {self.preset!r}")
 
     def mixture_spec(self, root_seed: int) -> MixtureSpec:
         if self.kind != "mixture":
@@ -130,18 +167,6 @@ class DatasetConfig:
         spec.validate()
         return spec
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "preset": self.preset,
-            "n_classes": self.n_classes, "dim": self.dim,
-            "means": self.means, "variances": self.variances,
-            "priors": self.priors, "label_noise": self.label_noise,
-            "n_train": self.n_train, "n_val": self.n_val,
-            "n_test": self.n_test, "seed": self.seed, "path": self.path,
-            "fractions": list(self.fractions),
-            "standardize": self.standardize,
-        }
-
 
 @dataclass
 class ModelConfig:
@@ -149,19 +174,9 @@ class ModelConfig:
 
     hidden_dims: list[int] = field(default_factory=lambda: [64, 64])
 
-    ALLOWED = ("hidden_dims",)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        _require_keys(d, cls.ALLOWED, "model")
-        cfg = cls(**d)
-        _check_types(cfg, "model")
-        if any(w < 1 for w in cfg.hidden_dims):
+    def validate(self) -> None:
+        if any(w < 1 for w in self.hidden_dims):
             raise ConfigurationError("hidden widths must be >= 1")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {"hidden_dims": list(self.hidden_dims)}
 
 
 @dataclass
@@ -172,32 +187,20 @@ class EvalConfig:
     calibration_split: str = "val"
     histogram_bins: int = 20
 
-    ALLOWED = ("mechanisms", "coverage_grid", "calibration_split",
-               "histogram_bins")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalConfig":
-        _require_keys(d, cls.ALLOWED, "evaluation")
-        cfg = cls(**d)
-        _check_types(cfg, "evaluation")
-        for m in cfg.mechanisms:
+    def validate(self) -> None:
+        _check_list("evaluation.mechanisms", self.mechanisms)
+        for m in self.mechanisms:
             if m not in MECHANISM_KINDS:
                 raise ConfigurationError(
                     f"unknown mechanism {m!r} in evaluation.mechanisms")
-        if cfg.calibration_split not in ("val", "test"):
+        if self.calibration_split not in ("val", "test"):
             raise ConfigurationError(
                 "evaluation.calibration_split must be 'val' or 'test'")
-        if any(not 0 < float(c) <= 1 for c in cfg.coverage_grid):
+        _check_list("evaluation.coverage_grid", self.coverage_grid)
+        if any(not 0 < c <= 1 for c in self.coverage_grid):
             raise ConfigurationError("coverage grid values must lie in (0, 1]")
-        if cfg.histogram_bins < 2:
+        if self.histogram_bins < 2:
             raise ConfigurationError("histogram_bins must be >= 2")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {"mechanisms": list(self.mechanisms),
-                "coverage_grid": [float(c) for c in self.coverage_grid],
-                "calibration_split": self.calibration_split,
-                "histogram_bins": self.histogram_bins}
 
 
 @dataclass
@@ -208,54 +211,21 @@ class GridConfig:
     coverages: list[float] = field(default_factory=lambda: [0.9, 0.7, 0.5])
     seeds: list[int] = field(default_factory=lambda: [0])
 
-    ALLOWED = ("methods", "mechanisms", "coverages", "seeds")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        from .objectives import OBJECTIVE_KINDS
-
-        _require_keys(d, cls.ALLOWED, "grid")
-        cfg = cls(**d)
-        _check_types(cfg, "grid")
-        for m in cfg.methods:
+    def validate(self) -> None:
+        _check_list("grid.methods", self.methods, distinct=True)
+        for m in self.methods:
             if m not in OBJECTIVE_KINDS:
                 raise ConfigurationError(f"unknown grid method {m!r}")
-        for m in cfg.mechanisms:
+        _check_list("grid.mechanisms", self.mechanisms)
+        for m in self.mechanisms:
             if m not in MECHANISM_KINDS:
                 raise ConfigurationError(f"unknown grid mechanism {m!r}")
-        if any(not 0 < float(c) <= 1 for c in cfg.coverages):
+        _check_list("grid.coverages", self.coverages, distinct=True)
+        if any(not 0 < c <= 1 for c in self.coverages):
             raise ConfigurationError("grid coverages must lie in (0, 1]")
-        if not cfg.seeds:
+        if not self.seeds:
             raise ConfigurationError("grid needs at least one seed")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {"methods": list(self.methods),
-                "mechanisms": list(self.mechanisms),
-                "coverages": [float(c) for c in self.coverages],
-                "seeds": [int(s) for s in self.seeds]}
-
-
-def _objective_from_dict(d: dict) -> ObjectiveConfig:
-    allowed = ("kind", "beta", "o", "lambda", "alpha_mix", "c_target",
-               "coverage_penalty", "sat_momentum", "sat_pretrain_epochs",
-               "sat_update")
-    _require_keys(d, allowed, "objective")
-    d = dict(d)
-    if "lambda" in d:
-        d["lam"] = d.pop("lambda")
-    cfg = ObjectiveConfig(**d)
-    _check_types(cfg, "objective")
-    return cfg
-
-
-def _training_from_dict(d: dict, objective: ObjectiveConfig) -> TrainConfig:
-    allowed = ("epochs", "batch_size", "lr0", "momentum", "decay_factor",
-               "decay_every", "seed", "weight_decay")
-    _require_keys(d, allowed, "training")
-    cfg = TrainConfig(objective=objective, **d)
-    _check_types(cfg, "training")
-    return cfg
+        _check_list("grid.seeds", self.seeds, distinct=True)
 
 
 @dataclass
@@ -268,41 +238,36 @@ class RunConfig:
     grid: GridConfig | None
     output_dir: str
 
-    ALLOWED = ("dataset", "model", "objective", "training", "evaluation",
-               "grid", "output_dir")
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        _require_keys(doc, cls.ALLOWED, "top-level")
-        objective = _objective_from_dict(doc.get("objective", {}))
+        _field_names(cls, doc, "top-level")
+        objective = _section(ObjectiveConfig, doc.get("objective", {}),
+                             "objective")
         cfg = cls(
-            dataset=DatasetConfig.from_dict(doc.get("dataset", {})),
-            model=ModelConfig.from_dict(doc.get("model", {})),
+            dataset=_section(DatasetConfig, doc.get("dataset", {}), "dataset"),
+            model=_section(ModelConfig, doc.get("model", {}), "model"),
             objective=objective,
-            training=_training_from_dict(doc.get("training", {}), objective),
-            evaluation=EvalConfig.from_dict(doc.get("evaluation", {})),
-            grid=GridConfig.from_dict(doc["grid"]) if "grid" in doc else None,
+            training=_section(TrainConfig, doc.get("training", {}),
+                              "training", objective=objective),
+            evaluation=_section(EvalConfig, doc.get("evaluation", {}),
+                                "evaluation"),
+            grid=_section(GridConfig, doc["grid"], "grid")
+            if "grid" in doc else None,
             output_dir=doc.get("output_dir", "runs/out"),
         )
         _check_types(cfg)
-        cfg.training.validate()
+        for section in (cfg.dataset, cfg.model, cfg.training, cfg.evaluation,
+                        cfg.grid):
+            if section is not None:
+                section.validate()  # training's validates the objective
         if cfg.dataset.kind == "mixture":
             spec = cfg.dataset.mixture_spec(cfg.training.seed)
             cfg.objective.validate(spec.n_classes)
         return cfg
 
     def normalized(self) -> dict:
-        doc = {
-            "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "objective": self.objective.to_dict(),
-            "training": self.training.to_dict(),
-            "evaluation": self.evaluation.to_dict(),
-            "output_dir": self.output_dir,
-        }
-        if self.grid is not None:
-            doc["grid"] = self.grid.to_dict()
-        return doc
+        return {f.name: _normalized(getattr(self, f.name), f.type)
+                for f in fields(self) if getattr(self, f.name) is not None}
 
     def hash(self) -> str:
         return config_hash(self.normalized())

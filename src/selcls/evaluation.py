@@ -29,35 +29,6 @@ class ScoreHistogram:
     degenerate: bool = False
 
 
-def _aligned(predicted, truth, like):
-    """Predictions and labels as arrays, checked to have the shape of
-    ``like``, the mask or scores they go with."""
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    if not (predicted.shape == truth.shape == np.shape(like)):
-        raise ConfigurationError("predictions, labels, and mask must align")
-    return predicted, truth
-
-
-def _risk_and_count(correct, mask) -> tuple:
-    """(selective risk, samples selected) of a boolean mask, counted once."""
-    n_sel = np.count_nonzero(mask)
-    if n_sel == 0:
-        raise UndefinedRiskError("no samples selected; risk is undefined")
-    return 1.0 - np.count_nonzero(correct & mask) / n_sel, n_sel
-
-
-def selective_risk(predicted, truth, mask) -> float:
-    """0/1 error over the selected samples.
-
-    Computed as 1 - (correct selected / selected) so that at full coverage
-    the value is bitwise equal to 1 - accuracy.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    predicted, truth = _aligned(predicted, truth, mask)
-    return _risk_and_count(predicted == truth, mask)[0]
-
-
 def risk_coverage_curve(scores, predicted, truth, grid,
                         calibration_scores=None) -> list:
     """One RiskCoveragePoint per target coverage in ``grid``.
@@ -66,12 +37,17 @@ def risk_coverage_curve(scores, predicted, truth, grid,
     the evaluation scores as a pure threshold (the held-out protocol).
     Without it, the evaluation scores calibrate themselves with exact-k
     tie handling, which makes every point identical to top-k selection.
+    Risk is 1 - (correct selected / selected), so at full coverage it is
+    bitwise equal to 1 - accuracy.
     """
     grid = [float(c) for c in grid]
     if any(not 0 < c <= 1 for c in grid):
         raise ConfigurationError("coverage grid values must lie in (0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
-    predicted, truth = _aligned(predicted, truth, scores)
+    predicted = np.asarray(predicted)
+    truth = np.asarray(truth)
+    if not (predicted.shape == truth.shape == scores.shape):
+        raise ConfigurationError("predictions, labels, and scores must align")
     correct = predicted == truth
     points = []
     for c in grid:
@@ -79,10 +55,13 @@ def risk_coverage_curve(scores, predicted, truth, grid,
             mask = exact_k_mask(scores, c)
         else:
             mask = apply_selector(fit_threshold(calibration_scores, c), scores)
-        risk, n_sel = _risk_and_count(correct, mask)
+        n_sel = np.count_nonzero(mask)
+        if n_sel == 0:
+            raise UndefinedRiskError("no samples selected; risk is undefined")
         points.append(RiskCoveragePoint(
             target_coverage=c, achieved_coverage=n_sel / scores.size,
-            selective_risk=risk, n_selected=n_sel))
+            selective_risk=1.0 - np.count_nonzero(correct & mask) / n_sel,
+            n_selected=n_sel))
     return points
 
 

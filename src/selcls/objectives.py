@@ -25,7 +25,7 @@ auxiliary heads, is documented on ``_selectivenet``.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,8 +53,9 @@ class ObjectiveConfig:
     (``required_head``). ``beta`` is the entropy regularization weight
     (used by the +EM variants). ``o`` is the gambler payoff, admissible in
     (1, C], and any other value is refused; None picks the default C-1 (or
-    the interval midpoint when C = 2). ``lam``/``alpha_mix``/``c_target``
-    parameterize the three-head selective loss, ``coverage_penalty``
+    the interval midpoint when C = 2). ``lam`` (JSON key ``lambda``),
+    ``alpha_mix`` and ``c_target`` parameterize the three-head selective
+    loss, ``coverage_penalty``
     chooses between the undershoot-only squared hinge and the symmetric
     square. The sat_* fields drive the moving-target objective.
     """
@@ -62,7 +63,7 @@ class ObjectiveConfig:
     kind: str = "CE"
     beta: float = 0.01
     o: float | None = None
-    lam: float = 32.0
+    lam: float = field(default=32.0, metadata={"key": "lambda"})
     alpha_mix: float = 0.5
     c_target: float = 0.8
     coverage_penalty: str = "hinge"
@@ -119,17 +120,6 @@ class ObjectiveConfig:
                 raise ConfigurationError("sat_pretrain_epochs must be >= 0")
             if self.sat_update not in ("batch", "epoch"):
                 raise ConfigurationError("sat_update must be 'batch' or 'epoch'")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "beta": self.beta, "o": self.o,
-            "lambda": self.lam, "alpha_mix": self.alpha_mix,
-            "c_target": self.c_target,
-            "coverage_penalty": self.coverage_penalty,
-            "sat_momentum": self.sat_momentum,
-            "sat_pretrain_epochs": self.sat_pretrain_epochs,
-            "sat_update": self.sat_update,
-        }
 
 
 def check_gambler_payoff(o: float, n_classes: int) -> None:

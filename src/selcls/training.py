@@ -63,14 +63,6 @@ class TrainConfig:
             raise ConfigurationError("weight_decay must be >= 0")
         self.objective.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "lr0": self.lr0, "momentum": self.momentum,
-            "decay_factor": self.decay_factor, "decay_every": self.decay_every,
-            "seed": self.seed, "weight_decay": self.weight_decay,
-        }
-
 
 @dataclass
 class EpochStats:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from selcls import util
+from selcls.errors import UndefinedRiskError
 from selcls.nn import build_network, network_forward
 
 
@@ -31,6 +32,17 @@ def random_batch(rng, net, m=4):
     X = rng.normal(size=(m, net.input_dim))
     y = rng.integers(0, net.n_classes, size=m)
     return X, y
+
+
+def selective_risk(predicted, truth, mask) -> float:
+    """Reference: 0/1 error over the samples ``mask`` selects, computed as
+    1 - (correct selected / selected) like ``risk_coverage_curve``."""
+    mask = np.asarray(mask, dtype=bool)
+    n_selected = np.count_nonzero(mask)
+    if n_selected == 0:
+        raise UndefinedRiskError("no samples selected; risk is undefined")
+    correct = np.asarray(predicted) == np.asarray(truth)
+    return 1.0 - np.count_nonzero(correct & mask) / n_selected
 
 
 def fail_writes(monkeypatch, name_prefix=""):

@@ -11,7 +11,9 @@ from selcls.calibration import (
     required_count,
 )
 from selcls.errors import CalibrationError, ConfigurationError, UndefinedRiskError
-from selcls.evaluation import RiskCoveragePoint, risk_coverage_curve, selective_risk
+from selcls.evaluation import RiskCoveragePoint, risk_coverage_curve
+
+from conftest import selective_risk
 
 
 def brute_force_tau(scores, k):

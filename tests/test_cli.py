@@ -1,4 +1,6 @@
+import copy
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +8,22 @@ import pytest
 
 from selcls import training
 from selcls.cli import main
-from selcls.config import load_run_config
+from selcls.config import (
+    DatasetConfig,
+    EvalConfig,
+    GridConfig,
+    ModelConfig,
+    RunConfig,
+    load_run_config,
+)
 from selcls.errors import ConfigurationError
 from selcls.nn import load_checkpoint, network_forward
+from selcls.objectives import ObjectiveConfig
+from selcls.training import TrainConfig
 
 from conftest import fail_writes
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def base_config(tmp_path, _name="config.json", **overrides):
@@ -244,6 +257,34 @@ class TestMakeDataCommand:
             lines = (data_dir / f"{name}.csv").read_text().splitlines()
             assert len(lines) == n + 1
 
+    def test_csv_standardize_rescales_features_keeps_labels(self, tmp_path):
+        rng = np.random.default_rng(6)
+        rows = [f"{a},{b},{i % 3}" for i, (a, b) in enumerate(
+            rng.normal(loc=[4.0, -1.0], scale=[3.0, 0.2],
+                       size=(90, 2)).tolist())]
+        data = tmp_path / "three.csv"
+        data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        cfg_path, doc = base_config(tmp_path)
+        splits = {}
+        for standardize in (False, True):
+            doc["dataset"] = {"kind": "csv", "path": str(data),
+                              "standardize": standardize}
+            cfg_path.write_text(json.dumps(doc))
+            out = tmp_path / f"standardize-{standardize}"
+            assert main(["make-data", "-c", str(cfg_path),
+                         "-o", str(out)]) == 0
+            splits[standardize] = [np.loadtxt(
+                out / "data" / f"{name}.csv", delimiter=",", skiprows=1)
+                for name in ("train", "val", "test")]
+        raw = np.concatenate(splits[False])
+        scaled = np.concatenate(splits[True])
+        # the same rows land in the same splits; only the features move
+        assert np.array_equal(scaled[:, -1], raw[:, -1])
+        assert np.allclose(scaled[:, :-1].mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(scaled[:, :-1].std(axis=0), 1.0)
+        mu, sd = raw[:, :-1].mean(axis=0), raw[:, :-1].std(axis=0)
+        assert np.allclose(scaled[:, :-1], (raw[:, :-1] - mu) / sd)
+
 
 class TestGridCommand:
     def grid_config(self, tmp_path, **kw):
@@ -308,6 +349,29 @@ class TestGridCommand:
             "training": {"epochs": 1},
             "output_dir": str(tmp_path / "run")}))
         assert main(["grid", "-c", str(path)]) == 0
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("grid", "methods", [], "grid.methods must not be empty"),
+        ("grid", "mechanisms", [], "grid.mechanisms must not be empty"),
+        ("grid", "coverages", [], "grid.coverages must not be empty"),
+        ("grid", "seeds", [], "grid needs at least one seed"),
+        ("evaluation", "mechanisms", [],
+         "evaluation.mechanisms must not be empty"),
+        ("evaluation", "coverage_grid", [],
+         "evaluation.coverage_grid must not be empty"),
+        ("grid", "methods", ["CE", "DG", "CE"],
+         'grid.methods lists "CE" twice'),
+        ("grid", "coverages", [0.5, 0.5], "grid.coverages lists 0.5 twice"),
+        ("grid", "seeds", [0, 1, 0], "grid.seeds lists 0 twice"),
+    ])
+    def test_empty_or_repeated_list_exits_2_naming_key(
+            self, tmp_path, capsys, section, key, value, message):
+        cfg_path, doc = self.grid_config(tmp_path)
+        doc[section][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["grid", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not Path(doc["output_dir"]).exists()
 
     def test_failed_cell_nonzero_exit(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path, methods=["DG", "CE"])
@@ -379,7 +443,119 @@ class TestOutputRoot:
         assert (tmp_path / "root" / "rel" / "run" / "checkpoint.json").exists()
 
 
+# a config that sets every key of every section, each float as a float
+FULL_CONFIG = {
+    "dataset": {"kind": "csv", "preset": None, "n_classes": 2, "dim": 2,
+                "means": [[0.0, 0.0], [2.0, 2.0]], "variances": [1.0, 1.0],
+                "priors": [0.5, 0.5], "label_noise": 0.0, "n_train": 100,
+                "n_val": 50, "n_test": 50, "seed": 7, "path": "data.csv",
+                "fractions": [0.6, 0.2, 0.2], "standardize": False},
+    "model": {"hidden_dims": [8]},
+    "objective": {"kind": "SelectiveNet", "beta": 0.01, "o": 1.5,
+                  "lambda": 32.0, "alpha_mix": 0.5, "c_target": 0.8,
+                  "coverage_penalty": "hinge", "sat_momentum": 0.9,
+                  "sat_pretrain_epochs": 10, "sat_update": "batch"},
+    "training": {"epochs": 2, "batch_size": 32, "lr0": 0.1, "momentum": 0.9,
+                 "decay_factor": 0.5, "decay_every": 25, "seed": 0,
+                 "weight_decay": 0.0},
+    "evaluation": {"mechanisms": ["softmax_response"],
+                   "coverage_grid": [1.0, 0.5], "calibration_split": "val",
+                   "histogram_bins": 4},
+    "grid": {"methods": ["CE"], "mechanisms": ["softmax_response"],
+             "coverages": [0.5], "seeds": [0]},
+    "output_dir": "out",
+}
+# per section and key, a second valid value that differs from FULL_CONFIG's
+OTHER_VALUE = {
+    "dataset": {"kind": "mixture", "preset": "blobs8", "n_classes": 3,
+                "dim": 3, "means": [[0.0, 0.0], [3.0, 3.0]],
+                "variances": [2.0, 2.0], "priors": [0.25, 0.75],
+                "label_noise": 0.1, "n_train": 101, "n_val": 51,
+                "n_test": 51, "seed": 8, "path": "other.csv",
+                "fractions": [0.5, 0.25, 0.25], "standardize": True},
+    "model": {"hidden_dims": [16]},
+    "objective": {"kind": "DG", "beta": 0.02, "o": 1.75, "lambda": 16.0,
+                  "alpha_mix": 0.25, "c_target": 0.7,
+                  "coverage_penalty": "symmetric", "sat_momentum": 0.8,
+                  "sat_pretrain_epochs": 5, "sat_update": "epoch"},
+    "training": {"epochs": 3, "batch_size": 16, "lr0": 0.05, "momentum": 0.5,
+                 "decay_factor": 0.25, "decay_every": 10, "seed": 1,
+                 "weight_decay": 0.001},
+    "evaluation": {"mechanisms": ["negative_entropy"], "coverage_grid": [0.9],
+                   "calibration_split": "test", "histogram_bins": 8},
+    "grid": {"methods": ["DG"], "mechanisms": ["negative_entropy"],
+             "coverages": [0.7], "seeds": [1]},
+}
+SECTIONS = {"dataset": DatasetConfig, "model": ModelConfig,
+            "objective": ObjectiveConfig, "training": TrainConfig,
+            "evaluation": EvalConfig, "grid": GridConfig}
+
+
+def json_keys(cls) -> list:
+    """The JSON keys of a section, read off its dataclass fields."""
+    return [f.metadata.get("key", f.name) for f in fields(cls)
+            if not is_dataclass(f.type)]
+
+
+def config_hash_of(doc) -> str:
+    return RunConfig.from_dict(doc).hash()
+
+
+def with_value(section, key, value):
+    doc = copy.deepcopy(FULL_CONFIG)
+    doc[section][key] = value
+    return doc
+
+
 class TestConfigHash:
+    @pytest.mark.parametrize("name, digest", [
+        ("blobs8.json",
+         "9d1135da77e6f7b8c1fad3c98f07b739ee88cd0cb6092f7c38fc867b388a282b"),
+        ("grid_ref.json",
+         "ed691e64e3bd00def27dd1a7b7877d2493a71b62ae6ab05ee6ec042ad94d5931"),
+    ])
+    def test_checked_in_config_hash_is_pinned(self, name, digest):
+        assert load_run_config(CONFIGS / name).hash() == digest
+
+    def test_full_config_hash_is_pinned(self):
+        assert config_hash_of(FULL_CONFIG) == \
+            "a5dbcdec67207d04a046e526b252e075e72bae4d8211c631934fa65c93dd9dfe"
+
+    def test_full_config_sets_every_key(self):
+        assert list(FULL_CONFIG) == [f.name for f in fields(RunConfig)]
+        for section, cls in SECTIONS.items():
+            assert sorted(FULL_CONFIG[section]) == sorted(json_keys(cls))
+            assert sorted(OTHER_VALUE[section]) == sorted(json_keys(cls))
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, cls in SECTIONS.items()
+        for key in json_keys(cls)])
+    def test_every_field_is_loaded_and_hashed(self, section, key):
+        value = OTHER_VALUE[section][key]
+        assert value != FULL_CONFIG[section][key]
+        cfg = RunConfig.from_dict(with_value(section, key, value))
+        assert cfg.normalized()[section][key] == value
+        assert cfg.hash() != config_hash_of(FULL_CONFIG)
+
+    @pytest.mark.parametrize("section, key, value, is_default", [
+        ("objective", "lambda", 32, True),
+        ("training", "weight_decay", 0, True),
+        ("training", "lr0", 1, False),
+        ("objective", "o", 3, False),
+        ("dataset", "means", [[0, 0], [2, 2]], False),
+    ])
+    def test_integer_spelling_of_a_float_hashes_as_the_float(
+            self, section, key, value, is_default):
+        def floats(v):
+            return [floats(x) for x in v] if isinstance(v, list) else float(v)
+
+        h = config_hash_of(with_value(section, key, value))
+        assert h == config_hash_of(with_value(section, key, floats(value)))
+        if is_default:
+            doc = copy.deepcopy(FULL_CONFIG)
+            del doc[section][key]
+            assert h == config_hash_of(doc)
+
     def test_stable_under_key_order(self, tmp_path):
         p1, doc = base_config(tmp_path, _name="fwd.json")
         cfg1 = load_run_config(p1)

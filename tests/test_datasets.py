@@ -141,6 +141,21 @@ class TestCsvRoundTrip:
         loaded = load_csv_dataset(path)
         assert loaded.fingerprint == train.fingerprint
 
+    def test_standardize_gives_zero_mean_unit_sd_columns(self, tmp_path):
+        rng = np.random.default_rng(4)
+        feats = rng.normal(loc=[3.0, -2.0], scale=[5.0, 0.5], size=(50, 2))
+        # a constant column has no spread to divide by; it is only centred
+        feats = np.column_stack([feats, np.full(50, 7.0)])
+        labels = rng.integers(0, 3, size=50)
+        path = tmp_path / "raw.csv"
+        save_csv_dataset(path, Dataset(features=feats, labels=labels))
+        ds = load_csv_dataset(path, standardize=True)
+        assert np.allclose(ds.features.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(ds.features.std(axis=0), [1.0, 1.0, 0.0])
+        assert np.array_equal(ds.features[:, 2], np.zeros(50))
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(load_csv_dataset(path).features, feats)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("a,b,label\n0.1,0.2,0\n")

@@ -5,12 +5,9 @@ import pytest
 
 from selcls.calibration import fit_threshold, required_count
 from selcls.errors import ConfigurationError, UndefinedRiskError
-from selcls.evaluation import (
-    mean_sd,
-    risk_coverage_curve,
-    score_histogram,
-    selective_risk,
-)
+from selcls.evaluation import mean_sd, risk_coverage_curve, score_histogram
+
+from conftest import selective_risk
 
 
 def accuracy(predicted, truth) -> float:
@@ -53,17 +50,22 @@ class TestAccuracy:
 
 
 class TestSelectiveRisk:
+    """Risk of a curve point is the 0/1 error over the samples it selects,
+    as the reference ``selective_risk`` counts it over the same mask."""
+
     def test_first_two_selected(self):
         pred = np.array([0, 1, 0, 1])
         truth = np.array([0, 0, 0, 0])
         mask = np.array([True, True, False, False])
-        assert selective_risk(pred, truth, mask) == 0.5
+        [point] = risk_coverage_curve(mask.astype(float), pred, truth, [0.5])
+        assert point.selective_risk == selective_risk(pred, truth, mask) == 0.5
 
     def test_only_correct_selected(self):
         pred = np.array([0, 1, 0, 1])
         truth = np.array([0, 0, 0, 0])
         mask = pred == truth
-        assert selective_risk(pred, truth, mask) == 0.0
+        [point] = risk_coverage_curve(mask.astype(float), pred, truth, [0.5])
+        assert point.selective_risk == selective_risk(pred, truth, mask) == 0.0
 
     def test_complement_identity_at_full_coverage(self):
         rng = np.random.default_rng(5)
@@ -71,10 +73,17 @@ class TestSelectiveRisk:
             pred = rng.integers(0, 3, size=n)
             truth = rng.integers(0, 3, size=n)
             full = np.ones(n, dtype=bool)
+            [point] = risk_coverage_curve(rng.normal(size=n), pred, truth,
+                                          [1.0])
             # bitwise identical, not just close
-            assert selective_risk(pred, truth, full) == 1.0 - accuracy(pred, truth)
+            assert point.selective_risk == 1.0 - accuracy(pred, truth)
+            assert selective_risk(pred, truth, full) == point.selective_risk
 
     def test_empty_selection_is_an_error(self):
+        # tau fitted on a score above every evaluation score selects none
+        with pytest.raises(UndefinedRiskError):
+            risk_coverage_curve([0.0, 1.0], [0, 1], [0, 1], [0.5],
+                                calibration_scores=[5.0])
         with pytest.raises(UndefinedRiskError):
             selective_risk([0, 1], [0, 1], [False, False])
 

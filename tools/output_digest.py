@@ -30,6 +30,11 @@ runs take about 20 s per checkout and write only to a temporary directory:
                          heavy ties and coverages above the finite share
     grid/                selcls grid on perfbench/configs/grid_ref.json
     gradcheck/stdout     selcls gradcheck with its default arguments
+    config/<name>.hash   not a file: the RunConfig.hash() of each config
+                         the runs above load (blobs8, grid_ref and the six
+                         eval configs), so that a changed config hash is
+                         named directly, not only through the checkpoints
+                         and CSVs that embed it
 
 The configs always come from this checkout, so both sides of a comparison
 run the same inputs.
@@ -187,6 +192,19 @@ def evaluate_saturated_abstain(checkpoint: str) -> None:
                  "-o", os.path.join("eval", f"abstain-saturated-{split}")])
 
 
+def config_hashes():
+    """("config/<name>.hash", config hash) per config the runs load. Runs
+    after evaluate_checkpoints, whose configs it reads."""
+    from selcls import config
+
+    paths = [BASE_CONFIG, GRID_CONFIG] + [
+        os.path.join("eval-configs", name)
+        for name in sorted(os.listdir("eval-configs"))
+        if not name.endswith(".checkpoint.json")]
+    return [(f"config/{os.path.basename(path).removesuffix('.json')}.hash",
+             config.load_run_config(path).hash()) for path in paths]
+
+
 def digests():
     """Run everything in the current directory; returns (name, digest)
     pairs."""
@@ -198,7 +216,7 @@ def digests():
     with open(os.path.join("gradcheck", "stdout"), "w") as f:
         f.write(run_cli(["gradcheck"]))
     return [pair for root in ("train", "eval", "grid", "gradcheck")
-            for pair in tree_digests(root)]
+            for pair in tree_digests(root)] + config_hashes()
 
 
 def digest_lines(src: str) -> list:
