@@ -109,8 +109,6 @@ def _check_list(where: str, values: list, distinct: bool = False) -> None:
 class DatasetConfig:
     kind: str = "mixture"
     preset: str | None = "blobs8"
-    n_classes: int | None = None
-    dim: int | None = None
     means: list[list[float]] | None = None
     variances: list[float] | None = None
     priors: list[float] | None = None
@@ -132,6 +130,9 @@ class DatasetConfig:
                 self.means is None:
             raise ConfigurationError(
                 "mixture dataset needs a preset or explicit means")
+        if self.means is not None and len({len(r) for r in self.means}) != 1:
+            raise ConfigurationError(
+                "dataset.means must be a non-empty list of equal-length rows")
         if self.preset not in (None, "blobs8"):
             raise ConfigurationError(f"unknown dataset preset {self.preset!r}")
 
@@ -143,10 +144,10 @@ class DatasetConfig:
         if self.preset == "blobs8":
             spec = blobs8(seed=seed)
         else:
-            C = self.n_classes or len(self.means)
             means = np.asarray(self.means, dtype=np.float64)
+            C, dim = means.shape
             spec = MixtureSpec(
-                n_classes=C, dim=self.dim or means.shape[1], means=means,
+                n_classes=C, dim=dim, means=means,
                 variances=np.asarray(self.variances, dtype=np.float64)
                 if self.variances is not None else np.ones(C),
                 priors=np.asarray(self.priors, dtype=np.float64)
@@ -188,7 +189,7 @@ class EvalConfig:
     histogram_bins: int = 20
 
     def validate(self) -> None:
-        _check_list("evaluation.mechanisms", self.mechanisms)
+        _check_list("evaluation.mechanisms", self.mechanisms, distinct=True)
         for m in self.mechanisms:
             if m not in MECHANISM_KINDS:
                 raise ConfigurationError(
@@ -216,7 +217,7 @@ class GridConfig:
         for m in self.methods:
             if m not in OBJECTIVE_KINDS:
                 raise ConfigurationError(f"unknown grid method {m!r}")
-        _check_list("grid.mechanisms", self.mechanisms)
+        _check_list("grid.mechanisms", self.mechanisms, distinct=True)
         for m in self.mechanisms:
             if m not in MECHANISM_KINDS:
                 raise ConfigurationError(f"unknown grid mechanism {m!r}")

@@ -55,9 +55,7 @@ class ObjectiveConfig:
     (1, C], and any other value is refused; None picks the default C-1 (or
     the interval midpoint when C = 2). ``lam`` (JSON key ``lambda``),
     ``alpha_mix`` and ``c_target`` parameterize the three-head selective
-    loss, ``coverage_penalty``
-    chooses between the undershoot-only squared hinge and the symmetric
-    square. The sat_* fields drive the moving-target objective.
+    loss. The sat_* fields drive the moving-target objective.
     """
 
     kind: str = "CE"
@@ -66,10 +64,8 @@ class ObjectiveConfig:
     lam: float = field(default=32.0, metadata={"key": "lambda"})
     alpha_mix: float = 0.5
     c_target: float = 0.8
-    coverage_penalty: str = "hinge"
     sat_momentum: float = 0.9
     sat_pretrain_epochs: int = 10
-    sat_update: str = "batch"
 
     @property
     def base_kind(self) -> str:
@@ -107,9 +103,6 @@ class ObjectiveConfig:
             if self.lam < 0 or not 0 <= self.alpha_mix <= 1:
                 raise ConfigurationError(
                     "need lam >= 0 and alpha_mix in [0, 1]")
-            if self.coverage_penalty not in ("hinge", "symmetric"):
-                raise ConfigurationError(
-                    "coverage_penalty must be 'hinge' or 'symmetric'")
         if self.base_kind == "SAT":
             # the admissible range is (0, 1); the boundary 1.0 is accepted
             # as the explicit target-freezing limit, where the objective
@@ -118,8 +111,6 @@ class ObjectiveConfig:
                 raise ConfigurationError("sat_momentum must lie in (0, 1]")
             if self.sat_pretrain_epochs < 0:
                 raise ConfigurationError("sat_pretrain_epochs must be >= 0")
-            if self.sat_update not in ("batch", "epoch"):
-                raise ConfigurationError("sat_update must be 'batch' or 'epoch'")
 
 
 def check_gambler_payoff(o: float, n_classes: int) -> None:
@@ -330,8 +321,7 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     selection values g = sigmoid(raw select unit) and D = mean(g):
 
         selective = mean(l * g) / D
-        coverage  = max(0, c_target - D)^2   (or (c_target - D)^2 when
-                                              the symmetric form is chosen)
+        coverage  = max(0, c_target - D)^2
         aux       = mean cross-entropy of the auxiliary head h
         total     = alpha_mix * (selective + lam * coverage)
                     + (1 - alpha_mix) * aux  (+ beta * mean entropy of f)
@@ -367,13 +357,8 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     selective = float((l_f * g).sum()) / m / denom
 
     shortfall = cfg.c_target - mean_g
-    if cfg.coverage_penalty == "hinge":
-        active = shortfall > 0
-        coverage = float(max(0.0, shortfall) ** 2)
-        dcov_dg = (-2.0 * shortfall / m) if active else 0.0
-    else:
-        coverage = float(shortfall ** 2)
-        dcov_dg = -2.0 * shortfall / m
+    coverage = float(max(0.0, shortfall) ** 2)
+    dcov_dg = (-2.0 * shortfall / m) if shortfall > 0 else 0.0
     aux = float(l_h.sum()) / m
     loss = a * (selective + cfg.lam * coverage) + (1 - a) * aux
     if H is not None:

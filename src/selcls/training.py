@@ -8,7 +8,6 @@ Protocol notes baked in here:
     plain (C+1)-way cross entropy and never touch the target store; later
     epochs use the target loss and refresh the touched targets right after
     each parameter update, from the batch softmax the objective computed
-    (or once per epoch, from a fresh forward pass, when configured so)
 """
 
 import csv
@@ -23,7 +22,6 @@ from .nn import (
     network_backward,
     network_forward,
     network_outputs,
-    stable_softmax,
 )
 from .objectives import (
     ObjectiveConfig,
@@ -124,8 +122,7 @@ def _evaluate(net: Network, X, y):
     return acc, float(predictive_entropy(logits).mean())
 
 
-def train(net: Network, train_data, val_data, cfg: TrainConfig,
-          store: SatTargetStore | None = None):
+def train(net: Network, train_data, val_data, cfg: TrainConfig):
     """Run the optimization loop; returns (TrainReport, target store).
 
     Deterministic given (net, data, cfg): every shuffle draws from a
@@ -141,7 +138,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
         raise ConfigurationError(
             f"objective {obj.kind!r} needs a {obj.required_head()!r} head, "
             f"network has {net.head!r}")
-    report = TrainReport()
+    report, store = TrainReport(), None
     if cfg.epochs == 0:
         return report, store
 
@@ -152,7 +149,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
     n = X.shape[0]
     C = net.n_classes
 
-    if obj.base_kind == "SAT" and store is None:
+    if obj.base_kind == "SAT":
         store = SatTargetStore.initialize(
             y, C, momentum=obj.sat_momentum,
             pretrain_epochs=obj.sat_pretrain_epochs)
@@ -185,7 +182,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             grads = network_backward(net, trace, result.dlogits, ws)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, ws.step)
-            if sat_adaptive and obj.sat_update == "batch":
+            if sat_adaptive:
                 sat_update_targets(store, ids, result.probs, epoch)
             loss_sum += result.loss * ids.size
             # the kernel's argmax is the prediction unless the head has an
@@ -193,10 +190,6 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig,
             pred[rows] = (trace.head_raw["logits"][:, :C].argmax(axis=1)
                           if net.has_abstain else result.argmax)
         n_correct = np.count_nonzero(pred == yp)
-        if sat_adaptive and obj.sat_update == "epoch":
-            p = stable_softmax(network_outputs(net, X)["logits"])
-            sat_update_targets(store, np.arange(n), p, epoch)
-
         val_acc, val_entropy = _evaluate(net, Xv, yv)
         report.epochs.append(EpochStats(
             epoch=epoch, lr=lr, train_loss=loss_sum / n,

@@ -98,6 +98,10 @@ class TestTrainCommand:
         ("model", "head", "abstain"),
         ("training", "numeric_mode", "f32"),
         ("objective", "dg_limit_test", True),
+        ("objective", "sat_update", "epoch"),
+        ("objective", "coverage_penalty", "symmetric"),
+        ("dataset", "n_classes", 8),
+        ("dataset", "dim", 2),
     ])
     def test_removed_key_exits_2_naming_key(self, tmp_path, capsys,
                                             section, key, value):
@@ -285,6 +289,28 @@ class TestMakeDataCommand:
         mu, sd = raw[:, :-1].mean(axis=0), raw[:, :-1].std(axis=0)
         assert np.allclose(scaled[:, :-1], (raw[:, :-1] - mu) / sd)
 
+    def test_explicit_mixture_takes_its_shape_from_means(self, tmp_path):
+        cfg_path, doc = base_config(tmp_path, dataset={
+            "preset": None, "means": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]})
+        assert main(["make-data", "-c", str(cfg_path)]) == 0
+        data_dir = Path(doc["output_dir"]) / "data"
+        for name in ("train", "val", "test"):
+            path = data_dir / f"{name}.csv"
+            assert path.read_text().splitlines()[0] == "f0,f1,label"
+            labels = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
+            assert set(labels.tolist()) == {0.0, 1.0, 2.0}
+
+    @pytest.mark.parametrize("means", [[], [[0.0, 0.0], [1.0]]],
+                             ids=["empty", "ragged"])
+    def test_malformed_means_exits_2_naming_key(self, tmp_path, capsys,
+                                                means):
+        cfg_path, _ = base_config(tmp_path, dataset={"preset": None,
+                                                     "means": means})
+        assert main(["make-data", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: dataset.means must be a non-empty list of "
+            "equal-length rows\n")
+
 
 class TestGridCommand:
     def grid_config(self, tmp_path, **kw):
@@ -363,6 +389,10 @@ class TestGridCommand:
          'grid.methods lists "CE" twice'),
         ("grid", "coverages", [0.5, 0.5], "grid.coverages lists 0.5 twice"),
         ("grid", "seeds", [0, 1, 0], "grid.seeds lists 0 twice"),
+        ("grid", "mechanisms", ["softmax_response", "softmax_response"],
+         'grid.mechanisms lists "softmax_response" twice'),
+        ("evaluation", "mechanisms", ["softmax_response", "softmax_response"],
+         'evaluation.mechanisms lists "softmax_response" twice'),
     ])
     def test_empty_or_repeated_list_exits_2_naming_key(
             self, tmp_path, capsys, section, key, value, message):
@@ -445,7 +475,7 @@ class TestOutputRoot:
 
 # a config that sets every key of every section, each float as a float
 FULL_CONFIG = {
-    "dataset": {"kind": "csv", "preset": None, "n_classes": 2, "dim": 2,
+    "dataset": {"kind": "csv", "preset": None,
                 "means": [[0.0, 0.0], [2.0, 2.0]], "variances": [1.0, 1.0],
                 "priors": [0.5, 0.5], "label_noise": 0.0, "n_train": 100,
                 "n_val": 50, "n_test": 50, "seed": 7, "path": "data.csv",
@@ -453,8 +483,7 @@ FULL_CONFIG = {
     "model": {"hidden_dims": [8]},
     "objective": {"kind": "SelectiveNet", "beta": 0.01, "o": 1.5,
                   "lambda": 32.0, "alpha_mix": 0.5, "c_target": 0.8,
-                  "coverage_penalty": "hinge", "sat_momentum": 0.9,
-                  "sat_pretrain_epochs": 10, "sat_update": "batch"},
+                  "sat_momentum": 0.9, "sat_pretrain_epochs": 10},
     "training": {"epochs": 2, "batch_size": 32, "lr0": 0.1, "momentum": 0.9,
                  "decay_factor": 0.5, "decay_every": 25, "seed": 0,
                  "weight_decay": 0.0},
@@ -467,17 +496,16 @@ FULL_CONFIG = {
 }
 # per section and key, a second valid value that differs from FULL_CONFIG's
 OTHER_VALUE = {
-    "dataset": {"kind": "mixture", "preset": "blobs8", "n_classes": 3,
-                "dim": 3, "means": [[0.0, 0.0], [3.0, 3.0]],
+    "dataset": {"kind": "mixture", "preset": "blobs8",
+                "means": [[0.0, 0.0], [3.0, 3.0]],
                 "variances": [2.0, 2.0], "priors": [0.25, 0.75],
                 "label_noise": 0.1, "n_train": 101, "n_val": 51,
                 "n_test": 51, "seed": 8, "path": "other.csv",
                 "fractions": [0.5, 0.25, 0.25], "standardize": True},
     "model": {"hidden_dims": [16]},
     "objective": {"kind": "DG", "beta": 0.02, "o": 1.75, "lambda": 16.0,
-                  "alpha_mix": 0.25, "c_target": 0.7,
-                  "coverage_penalty": "symmetric", "sat_momentum": 0.8,
-                  "sat_pretrain_epochs": 5, "sat_update": "epoch"},
+                  "alpha_mix": 0.25, "c_target": 0.7, "sat_momentum": 0.8,
+                  "sat_pretrain_epochs": 5},
     "training": {"epochs": 3, "batch_size": 16, "lr0": 0.05, "momentum": 0.5,
                  "decay_factor": 0.25, "decay_every": 10, "seed": 1,
                  "weight_decay": 0.001},
@@ -510,16 +538,16 @@ def with_value(section, key, value):
 class TestConfigHash:
     @pytest.mark.parametrize("name, digest", [
         ("blobs8.json",
-         "9d1135da77e6f7b8c1fad3c98f07b739ee88cd0cb6092f7c38fc867b388a282b"),
+         "35edbe09e676b579af68b65053893446a2f00e44747c17dc6f3a1b0b3ef07e3c"),
         ("grid_ref.json",
-         "ed691e64e3bd00def27dd1a7b7877d2493a71b62ae6ab05ee6ec042ad94d5931"),
-    ])
+         "e7966d4bc664ab4ad6284ef391f2a2996110a0ae5c66e6567b800a56e8a406c4"),
+    ], ids=["blobs8.json", "grid_ref.json"])
     def test_checked_in_config_hash_is_pinned(self, name, digest):
         assert load_run_config(CONFIGS / name).hash() == digest
 
     def test_full_config_hash_is_pinned(self):
         assert config_hash_of(FULL_CONFIG) == \
-            "a5dbcdec67207d04a046e526b252e075e72bae4d8211c631934fa65c93dd9dfe"
+            "af32059fd9166b1f6575e622f55c73f2c37443c6248876b9e7c148ef200bf2d1"
 
     def test_full_config_sets_every_key(self):
         assert list(FULL_CONFIG) == [f.name for f in fields(RunConfig)]

@@ -13,7 +13,6 @@ from selcls.nn import (
     network_backward,
     network_forward,
     network_outputs,
-    stable_softmax,
 )
 from selcls.objectives import (
     OBJECTIVE_KINDS,
@@ -115,18 +114,14 @@ class TestTrain:
         report, _ = train(net, train_ds, val_ds, quick_cfg(epochs=50, seed=1))
         assert report.epochs[-1].train_accuracy >= 0.99
 
-    @pytest.mark.parametrize("kind, head, obj_kw, extra", [
-        ("CE", "plain", {}, 0),
-        ("SAT", "abstain", {"sat_pretrain_epochs": 1}, 0),
-        # the end-of-epoch target update runs the whole training split once
-        # per adaptive epoch
-        ("SAT", "abstain", {"sat_pretrain_epochs": 1, "sat_update": "epoch"},
-         2),
-    ], ids=["CE", "SAT-batch-update", "SAT-epoch-update"])
+    @pytest.mark.parametrize("kind, head, obj_kw", [
+        ("CE", "plain", {}),
+        ("SAT", "abstain", {"sat_pretrain_epochs": 1}),
+    ], ids=["CE", "SAT-batch-update"])
     def test_one_forward_per_batch_plus_validation(self, monkeypatch, kind,
-                                                   head, obj_kw, extra):
-        # batches go through network_forward, whole splits (validation and
-        # the SAT end-of-epoch update) through network_outputs
+                                                   head, obj_kw):
+        # batches go through network_forward, the validation split through
+        # network_outputs
         batch_rows, split_rows = [], []
 
         def counted_forward(net, batch, ws=None):
@@ -144,9 +139,7 @@ class TestTrain:
         train(net, train_ds, val_ds, quick_cfg(kind=kind, epochs=3, **obj_kw))
         batches = math.ceil(len(train_ds) / 32)
         assert len(batch_rows) == 3 * batches and max(batch_rows) == 32
-        assert len(split_rows) == 3 + extra
-        assert split_rows.count(len(val_ds)) == 3
-        assert split_rows.count(len(train_ds)) == extra
+        assert split_rows == [len(val_ds)] * 3
 
     @pytest.mark.parametrize("kind, head", [("CE", "plain"), ("DG", "abstain")])
     def test_train_accuracy_of_a_network_that_does_not_move(self, kind, head):
@@ -237,27 +230,6 @@ class TestTrain:
         ce_net = run("SAT", sat_pretrain_epochs=10_000)
         assert np.max(np.abs(sat_net.params - ce_net.params)) < 1e-10
 
-    def test_sat_epoch_update_uses_end_of_epoch_predictions(self):
-        train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
-
-        def run(epochs):
-            net = build_network(2, (8,), 2, "abstain", seed=2)
-            cfg = quick_cfg(kind="SAT", epochs=epochs, seed=2,
-                            sat_pretrain_epochs=1, sat_update="epoch",
-                            sat_momentum=0.7)
-            _, store = train(net, train_ds, val_ds, cfg)
-            return net, store
-
-        # training is a deterministic function of the epoch index, so the
-        # two-epoch run is the first two epochs of the three-epoch run
-        _, before = run(2)
-        net, after = run(3)
-        assert np.any(before.targets[:, -1] > 0)
-        p = stable_softmax(
-            network_forward(net, train_ds.features).head_raw["logits"])
-        expected = 0.7 * before.targets + 0.3 * p
-        assert np.max(np.abs(after.targets - expected)) < 1e-12
-
     def test_selectivenet_trains(self):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.1))
         net = build_network(2, (8, 8), 2, "selectivenet", seed=4)
@@ -295,14 +267,11 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay)
-            if adaptive and obj.sat_update == "batch":
+            if adaptive:
                 sat_update_targets(store, ids, result.probs, epoch)
             loss_sum += result.loss * ids.size
             pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
             n_correct += np.count_nonzero(pred == y[ids])
-        if adaptive and obj.sat_update == "epoch":
-            p = stable_softmax(network_outputs(net, X)["logits"])
-            sat_update_targets(store, np.arange(n), p, epoch)
         val_acc, entropy = training._evaluate(net, val_ds.features,
                                               val_ds.labels)
         epochs.append(EpochStats(epoch, lr, loss_sum / n, n_correct / n,
@@ -322,16 +291,15 @@ class TestWorkspaceTraining:
             .mixture_spec(11)
         return generate_mixture(spec)[:2]
 
-    @pytest.mark.parametrize("kind, obj_kw, weight_decay", [
-        *[(kind, {}, 0.0) for kind in OBJECTIVE_KINDS],
-        ("SAT", {"sat_update": "epoch"}, 0.0),
-        ("CE", {}, 5e-4),
-    ], ids=[*OBJECTIVE_KINDS, "SAT-epoch-update", "CE-weight-decay"])
+    @pytest.mark.parametrize("kind, weight_decay", [
+        *[(kind, 0.0) for kind in OBJECTIVE_KINDS],
+        ("CE", 5e-4),
+    ], ids=[*OBJECTIVE_KINDS, "CE-weight-decay"])
     def test_bitwise_equal_to_per_batch_reference(self, splits, kind,
-                                                  obj_kw, weight_decay):
+                                                  weight_decay):
         train_ds, val_ds = splits
         objective = ObjectiveConfig(kind=kind, c_target=0.5,
-                                    sat_pretrain_epochs=1, **obj_kw)
+                                    sat_pretrain_epochs=1)
         cfg = TrainConfig(epochs=3, batch_size=64, seed=11,
                           objective=objective, weight_decay=weight_decay)
         nets = [build_network(train_ds.dim, (64, 64), 8,

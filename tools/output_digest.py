@@ -13,10 +13,9 @@ runs take about 20 s per checkout and write only to a temporary directory:
     train/<objective>.*  train() for each of the 8 objectives on
                          perfbench/configs/blobs8.json: its checkpoint
                          and report CSV
-    train/SAT_epoch_update.*
-                         the same for SAT with the end-of-epoch target
-                         update, the one training path the 8 runs above
-                         miss
+    train/cli/           selcls train on perfbench/configs/blobs8.json:
+                         run_config.json, checkpoint.json,
+                         train_report.csv and manifest.json
     eval/<head>-<split>/ selcls eval on the CE (plain), DG (abstain) and
                          SelectiveNet checkpoints from those runs, with
                          val and test calibration and every mechanism
@@ -39,12 +38,12 @@ runs take about 20 s per checkout and write only to a temporary directory:
 The configs always come from this checkout, so both sides of a comparison
 run the same inputs.
 
-A ``*.checkpoint.json`` is digested by what the measured checkout's
-``load_checkpoint`` returns, not by its bytes: the architecture (input
-dim, hidden widths, classes), head, config hash and the parameters as
-little-endian float64 bytes. A change to the checkpoint
-file format alone therefore reads as no difference, while any changed
-parameter still differs.
+A file named ``checkpoint.json`` or ``*.checkpoint.json`` is digested by
+what the measured checkout's ``load_checkpoint`` returns, not by its
+bytes: the architecture (input dim, hidden widths, classes), head, config
+hash and the parameters as little-endian float64 bytes. A change to the
+checkpoint file format alone therefore reads as no difference, while any
+changed parameter still differs.
 """
 
 import argparse
@@ -69,10 +68,6 @@ BASE_CONFIG = os.path.join(CONFIGS, "blobs8.json")
 GRID_CONFIG = os.path.join(CONFIGS, "grid_ref.json")
 OBJECTIVES = ("CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
               "SelectiveNet", "SelectiveNet+EM")
-# (name, objective kind, objective overrides) per train run
-TRAIN_RUNS = [(kind, kind, {}) for kind in OBJECTIVES] + [
-    ("SAT_epoch_update", "SAT", {"sat_update": "epoch"}),
-]
 # the objectives whose checkpoints are evaluated, one per head layout
 EVAL_OBJECTIVES = ("CE", "DG", "SelectiveNet")
 CALIBRATION_SPLITS = ("val", "test")
@@ -104,7 +99,7 @@ def tree_digests(root):
     found = []
     for dirpath, _, names in os.walk(root):
         found.extend(os.path.join(dirpath, name) for name in names)
-    return [(path, checkpoint_digest(path) if path.endswith(".checkpoint.json")
+    return [(path, checkpoint_digest(path) if path.endswith("checkpoint.json")
              else file_digest(path)) for path in sorted(found)]
 
 
@@ -121,23 +116,23 @@ def run_cli(argv) -> str:
 
 
 def train_objectives() -> dict:
-    """Run every entry of TRAIN_RUNS; returns {name: checkpoint path}."""
+    """train() each of OBJECTIVES; returns {objective: checkpoint path}."""
     from selcls import cli, config, nn, training
 
     cfg = config.load_run_config(BASE_CONFIG)
     train_ds, val_ds, _, n_classes = cli.build_splits(cfg, seed=SEED)
     os.makedirs("train")
     checkpoints = {}
-    for name, kind, overrides in TRAIN_RUNS:
-        objective = replace(cfg.objective, kind=kind, **overrides)
+    for kind in OBJECTIVES:
+        objective = replace(cfg.objective, kind=kind)
         net = nn.build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
                                n_classes, objective.required_head(),
                                seed=SEED)
         report, _ = training.train(net, train_ds, val_ds, replace(
             cfg.training, seed=SEED, objective=objective))
-        stem = os.path.join("train", name.replace("+", "_"))
-        checkpoints[name] = f"{stem}.checkpoint.json"
-        nn.save_checkpoint(net, checkpoints[name])
+        stem = os.path.join("train", kind.replace("+", "_"))
+        checkpoints[kind] = f"{stem}.checkpoint.json"
+        nn.save_checkpoint(net, checkpoints[kind])
         report.to_csv(f"{stem}.report.csv")
     return checkpoints
 
@@ -209,6 +204,7 @@ def digests():
     """Run everything in the current directory; returns (name, digest)
     pairs."""
     checkpoints = train_objectives()
+    run_cli(["train", "-c", BASE_CONFIG, "-o", os.path.join("train", "cli")])
     evaluate_checkpoints(checkpoints)
     evaluate_saturated_abstain(checkpoints["DG"])
     run_cli(["grid", "-c", GRID_CONFIG, "-o", "grid"])
