@@ -62,15 +62,11 @@ def build_splits(cfg: RunConfig, seed: int | None = None):
         train_ds, val_ds, test_ds = generate_mixture(spec)
         return train_ds, val_ds, test_ds, spec.n_classes
     data = load_csv_dataset(cfg.dataset.path,
-                            standardize=cfg.dataset.standardize, tag="csv")
-    fractions = cfg.dataset.fractions
-    if len(fractions) != 3:
-        raise ConfigurationError(
-            "csv datasets need three split fractions (train, val, test)")
+                            standardize=cfg.dataset.standardize)
     split_seed = cfg.dataset.seed if cfg.dataset.seed is not None \
         else derive_seed(root, "dataset")
     train_ds, val_ds, test_ds = split_dataset(
-        data, fractions, split_seed, tags=("train", "val", "test"))
+        data, cfg.dataset.fractions, split_seed)
     return train_ds, val_ds, test_ds, int(data.labels.max()) + 1
 
 
@@ -155,8 +151,7 @@ def cmd_eval(args) -> int:
                      seed=cfg.training.seed, header_comment=comment)
         finite = np.isfinite(scores)
         hist = score_histogram(scores[finite], predicted[finite],
-                               test_ds.labels[finite], ev.histogram_bins,
-                               mechanism=kind)
+                               test_ds.labels[finite], ev.histogram_bins)
         histogram_to_csv(outdir / f"histogram_{kind}.csv", hist,
                          header_comment=f"{comment} "
                                         f"dropped={int((~finite).sum())}")

@@ -12,7 +12,7 @@ one seed row reproduces the entire run.
 """
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin
 
 import numpy as np
@@ -124,8 +124,17 @@ class DatasetConfig:
     def validate(self) -> None:
         if self.kind not in ("mixture", "csv"):
             raise ConfigurationError("dataset.kind must be 'mixture' or 'csv'")
-        if self.kind == "csv" and not self.path:
-            raise ConfigurationError("dataset.kind 'csv' needs a path")
+        if self.kind == "csv":
+            if not self.path:
+                raise ConfigurationError("dataset.kind 'csv' needs a path")
+            if len(self.fractions) != 3:
+                raise ConfigurationError(
+                    "dataset.fractions must list three split fractions "
+                    "(train, val, test)")
+            if any(f <= 0 for f in self.fractions) or \
+                    sum(self.fractions) > 1 + 1e-9:
+                raise ConfigurationError(
+                    "dataset.fractions must be positive and sum to <= 1")
         if self.kind == "mixture" and self.preset is None and \
                 self.means is None:
             raise ConfigurationError(
@@ -137,6 +146,8 @@ class DatasetConfig:
             raise ConfigurationError(f"unknown dataset preset {self.preset!r}")
 
     def mixture_spec(self, root_seed: int) -> MixtureSpec:
+        """The preset, or ``means`` with unit variances and uniform priors,
+        with every key that is set applied on top."""
         if self.kind != "mixture":
             raise ConfigurationError("not a mixture dataset")
         seed = self.seed if self.seed is not None \
@@ -144,27 +155,14 @@ class DatasetConfig:
         if self.preset == "blobs8":
             spec = blobs8(seed=seed)
         else:
-            means = np.asarray(self.means, dtype=np.float64)
-            C, dim = means.shape
-            spec = MixtureSpec(
-                n_classes=C, dim=dim, means=means,
-                variances=np.asarray(self.variances, dtype=np.float64)
-                if self.variances is not None else np.ones(C),
-                priors=np.asarray(self.priors, dtype=np.float64)
-                if self.priors is not None else np.full(C, 1.0 / C),
-                seed=seed)
-        for name in ("label_noise", "n_train", "n_val", "n_test"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(spec, name, value)
-        if self.preset is not None:
-            # explicit geometry overrides apply on top of the preset too
-            if self.means is not None:
-                spec.means = np.asarray(self.means, dtype=np.float64)
-            if self.variances is not None:
-                spec.variances = np.asarray(self.variances, dtype=np.float64)
-            if self.priors is not None:
-                spec.priors = np.asarray(self.priors, dtype=np.float64)
+            C = len(self.means)
+            spec = MixtureSpec(means=self.means, variances=np.ones(C),
+                               priors=np.full(C, 1.0 / C), seed=seed)
+        spec = replace(spec, **{
+            name: getattr(self, name)
+            for name in ("means", "variances", "priors", "label_noise",
+                         "n_train", "n_val", "n_test")
+            if getattr(self, name) is not None})
         spec.validate()
         return spec
 
@@ -197,7 +195,8 @@ class EvalConfig:
         if self.calibration_split not in ("val", "test"):
             raise ConfigurationError(
                 "evaluation.calibration_split must be 'val' or 'test'")
-        _check_list("evaluation.coverage_grid", self.coverage_grid)
+        _check_list("evaluation.coverage_grid", self.coverage_grid,
+                    distinct=True)
         if any(not 0 < c <= 1 for c in self.coverage_grid):
             raise ConfigurationError("coverage grid values must lie in (0, 1]")
         if self.histogram_bins < 2:

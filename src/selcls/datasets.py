@@ -8,7 +8,7 @@ method can be judged against it.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,9 @@ from .util import atomic_write, rng_for, sha256_hex
 class MixtureSpec:
     """Generative model: x | y=c ~ N(mean_c, var_c I), then with
     probability ``label_noise`` the label is resampled uniformly over the
-    other classes."""
+    other classes. The class count C and the dimension d are the shape of
+    ``means``."""
 
-    n_classes: int
-    dim: int
     means: np.ndarray          # (C, d)
     variances: np.ndarray      # (C,)
     priors: np.ndarray         # (C,)
@@ -38,12 +37,20 @@ class MixtureSpec:
         self.variances = np.asarray(self.variances, dtype=np.float64)
         self.priors = np.asarray(self.priors, dtype=np.float64)
 
+    @property
+    def n_classes(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
     def validate(self) -> None:
-        C, d = self.n_classes, self.dim
+        if self.means.ndim != 2 or not np.all(np.isfinite(self.means)):
+            raise ConfigurationError("means must be a finite (C, d) array")
+        C, d = self.means.shape
         if C < 2 or d < 1:
             raise ConfigurationError("need n_classes >= 2 and dim >= 1")
-        if self.means.shape != (C, d) or not np.all(np.isfinite(self.means)):
-            raise ConfigurationError(f"means must be finite with shape ({C}, {d})")
         if self.variances.shape != (C,) or np.any(self.variances <= 0):
             raise ConfigurationError("variances must be positive, one per class")
         if self.priors.shape != (C,) or np.any(self.priors < 0) or \
@@ -62,7 +69,7 @@ def circle_mixture(n_classes: int, radius: float, sigma: float = 1.0,
     angles = 2 * np.pi * np.arange(n_classes) / n_classes
     means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return MixtureSpec(
-        n_classes=n_classes, dim=2, means=means,
+        means=means,
         variances=np.full(n_classes, sigma ** 2),
         priors=np.full(n_classes, 1.0 / n_classes),
         label_noise=label_noise, n_train=n_train, n_val=n_val,
@@ -76,20 +83,10 @@ def blobs8(seed: int = 0) -> MixtureSpec:
                           n_train=8000, n_val=2000, n_test=4000, seed=seed)
 
 
-def dataset_fingerprint(features: np.ndarray, labels: np.ndarray) -> str:
-    h = sha256_hex(
-        np.asarray(features.shape, dtype=np.int64).tobytes()
-        + np.ascontiguousarray(features, dtype=np.float64).tobytes()
-        + np.ascontiguousarray(labels, dtype=np.int64).tobytes())
-    return h[:16]
-
-
 @dataclass
 class Dataset:
     features: np.ndarray       # (n, d) float64
     labels: np.ndarray         # (n,) int64
-    tag: str = ""
-    fingerprint: str = field(default="")
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -97,8 +94,6 @@ class Dataset:
         if self.features.ndim != 2 or self.labels.ndim != 1 or \
                 self.features.shape[0] != self.labels.shape[0]:
             raise ConfigurationError("features (n, d) and labels (n,) must align")
-        if not self.fingerprint:
-            self.fingerprint = dataset_fingerprint(self.features, self.labels)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -106,6 +101,14 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def fingerprint(self) -> str:
+        """16 hex digits of the SHA-256 of the shape, features and labels."""
+        return sha256_hex(
+            np.asarray(self.features.shape, dtype=np.int64).tobytes()
+            + np.ascontiguousarray(self.features, dtype=np.float64).tobytes()
+            + np.ascontiguousarray(self.labels, dtype=np.int64).tobytes())[:16]
 
 
 def _sample_split(spec: MixtureSpec, n: int, tag: str) -> Dataset:
@@ -120,7 +123,7 @@ def _sample_split(spec: MixtureSpec, n: int, tag: str) -> Dataset:
         other = other + (other >= labels[flip])
         labels = labels.copy()
         labels[flip] = other
-    return Dataset(features=x, labels=labels, tag=tag)
+    return Dataset(features=x, labels=labels)
 
 
 def generate_mixture(spec: MixtureSpec):
@@ -166,8 +169,7 @@ def save_csv_dataset(path, ds: Dataset) -> None:
             w.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def load_csv_dataset(path, n_classes: int | None = None,
-                     standardize: bool = False, tag: str = "") -> Dataset:
+def load_csv_dataset(path, standardize: bool = False) -> Dataset:
     """Parse ``f0,...,f{d-1},label`` rows; errors carry the line number."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -195,10 +197,8 @@ def load_csv_dataset(path, n_classes: int | None = None,
             except ValueError:
                 raise ParseError(
                     f"{path}:{lineno}: non-integer label") from None
-            if label < 0 or (n_classes is not None and label >= n_classes):
-                raise ParseError(
-                    f"{path}:{lineno}: label {label} outside [0, "
-                    f"{n_classes if n_classes is not None else '...'})")
+            if label < 0:
+                raise ParseError(f"{path}:{lineno}: negative label {label}")
             labels.append(label)
     if not labels:
         raise ParseError(f"{path}: no data rows")
@@ -208,10 +208,10 @@ def load_csv_dataset(path, n_classes: int | None = None,
         sd = features.std(axis=0)
         sd[sd == 0] = 1.0
         features = (features - mu) / sd
-    return Dataset(features=features, labels=np.asarray(labels), tag=tag)
+    return Dataset(features=features, labels=np.asarray(labels))
 
 
-def split_dataset(data: Dataset, fractions, seed: int, tags=None):
+def split_dataset(data: Dataset, fractions, seed: int):
     """Stratified, seeded, disjoint splits.
 
     Per class, split sizes use largest-remainder rounding, so each class
@@ -220,11 +220,6 @@ def split_dataset(data: Dataset, fractions, seed: int, tags=None):
     fractions = [float(f) for f in fractions]
     if not fractions or any(f <= 0 for f in fractions) or sum(fractions) > 1 + 1e-9:
         raise ConfigurationError("fractions must be positive and sum to <= 1")
-    if tags is None:
-        tags = [f"{data.tag}/split{i}" if data.tag else f"split{i}"
-                for i in range(len(fractions))]
-    if len(tags) != len(fractions):
-        raise ConfigurationError("one tag per fraction")
 
     classes = np.unique(data.labels)
     per_split_indices = [[] for _ in fractions]
@@ -249,8 +244,8 @@ def split_dataset(data: Dataset, fractions, seed: int, tags=None):
             start += count
 
     out = []
-    for j, tag in enumerate(tags):
-        ids = np.sort(np.concatenate(per_split_indices[j]))
+    for split in per_split_indices:
+        ids = np.sort(np.concatenate(split))
         out.append(Dataset(features=data.features[ids],
-                           labels=data.labels[ids], tag=tag))
+                           labels=data.labels[ids]))
     return out

@@ -21,10 +21,6 @@ class NumericFault(SelclsError):
     """NaN/Inf or divergence encountered where finite values are required."""
 
 
-class ProtocolError(SelclsError):
-    """Operation invoked in a phase that forbids it."""
-
-
 class CalibrationError(SelclsError):
     """Threshold fitting is impossible on the given scores."""
 

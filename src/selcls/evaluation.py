@@ -25,7 +25,6 @@ class ScoreHistogram:
     bin_edges: np.ndarray
     counts_correct: np.ndarray
     counts_incorrect: np.ndarray
-    mechanism: str = ""
     degenerate: bool = False
 
 
@@ -65,8 +64,7 @@ def risk_coverage_curve(scores, predicted, truth, grid,
     return points
 
 
-def score_histogram(scores, predicted, truth, n_bins: int,
-                    mechanism: str = "") -> ScoreHistogram:
+def score_histogram(scores, predicted, truth, n_bins: int) -> ScoreHistogram:
     """Counts of correctly vs incorrectly predicted samples per score bin.
 
     Bins are equal width over [min, max] of the scores. Constant scores
@@ -88,13 +86,12 @@ def score_histogram(scores, predicted, truth, n_bins: int,
             bin_edges=edges,
             counts_correct=np.array([int(correct.sum())]),
             counts_incorrect=np.array([int((~correct).sum())]),
-            mechanism=mechanism, degenerate=True)
+            degenerate=True)
     edges = np.linspace(lo, hi, n_bins + 1)
     c_counts, _ = np.histogram(scores[correct], bins=edges)
     i_counts, _ = np.histogram(scores[~correct], bins=edges)
     return ScoreHistogram(bin_edges=edges, counts_correct=c_counts,
-                          counts_incorrect=i_counts, mechanism=mechanism,
-                          degenerate=False)
+                          counts_incorrect=i_counts, degenerate=False)
 
 
 def mean_sd(values) -> tuple:

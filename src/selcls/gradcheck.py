@@ -80,7 +80,7 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int) -> GradcheckCas
             continue  # the hinge has its own kink at the target coverage
         store = None
         if cfg.base_kind == "SAT":
-            store = SatTargetStore.initialize(y, n_classes, pretrain_epochs=0)
+            store = SatTargetStore.initialize(y, n_classes)
             raw = rng.random((m, n_classes + 1))
             store.targets = raw / raw.sum(axis=1, keepdims=True)
         return GradcheckCase(net=net, X=X, y=y, store=store, cfg=cfg,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .nn import Workspace, log_softmax, sigmoid
 
 OBJECTIVE_KINDS = (
@@ -197,16 +197,15 @@ class SatTargetStore:
     """Per-training-sample soft targets for the moving-target objective.
 
     Targets start as one-hot rows over C+1 entries (abstain mass 0) and,
-    once the pre-training phase is over, relax toward the model's own
+    after each adaptive-phase batch, relax toward the model's own
     predictions: t <- momentum * t + (1 - momentum) * p.
     """
 
     targets: np.ndarray
     momentum: float
-    pretrain_epochs: int
 
     @classmethod
-    def initialize(cls, labels, n_classes, momentum=0.9, pretrain_epochs=10):
+    def initialize(cls, labels, n_classes, momentum=0.9):
         labels = np.asarray(labels, dtype=np.int64)
         if labels.min() < 0 or labels.max() >= n_classes:
             raise ConfigurationError("labels out of range for target store")
@@ -214,16 +213,11 @@ class SatTargetStore:
             raise ConfigurationError("momentum must lie in (0, 1]")
         t = np.zeros((labels.size, n_classes + 1), dtype=np.float64)
         t[np.arange(labels.size), labels] = 1.0
-        return cls(targets=t, momentum=momentum,
-                   pretrain_epochs=int(pretrain_epochs))
+        return cls(targets=t, momentum=momentum)
 
 
-def sat_update_targets(store: SatTargetStore, sample_ids, p_batch, epoch: int) -> None:
+def sat_update_targets(store: SatTargetStore, sample_ids, p_batch) -> None:
     """Convex-combination update of the touched target rows, in place."""
-    if epoch < store.pretrain_epochs:
-        raise ProtocolError(
-            f"target update requested at epoch {epoch} during the "
-            f"pre-training phase (< {store.pretrain_epochs})")
     ids = np.asarray(sample_ids, dtype=np.int64)
     p = np.asarray(p_batch, dtype=np.float64)
     if p.shape != (ids.size, store.targets.shape[1]):
@@ -290,14 +284,15 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     elif kind == "DG":
         o = cfg.resolved_o(n_classes)
         check_gambler_payoff(o, n_classes)
-    elif epoch < cfg.sat_pretrain_epochs or store is None:
+    elif epoch < cfg.sat_pretrain_epochs:
         # pre-training phase: plain (C+1)-way cross entropy on one-hot
         # labels; identical to the target loss with untouched targets
         kind = "CE"
     else:
-        if sample_ids is None:
+        if store is None or sample_ids is None:
             raise ConfigurationError(
-                "moving-target objective needs sample ids into the store")
+                "moving-target objective needs a target store and sample "
+                "ids into it")
         if store.targets.shape[1] != k:
             raise ConfigurationError(
                 f"target width {store.targets.shape[1]} does not match "

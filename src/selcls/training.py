@@ -4,10 +4,10 @@ Protocol notes baked in here:
 
   * learning rate: lr0 * decay_factor ** floor(epoch / decay_every)
   * momentum update is the classical form v <- mu v + g, theta <- theta - lr v
-  * moving-target objective: epochs below the pre-training horizon run
-    plain (C+1)-way cross entropy and never touch the target store; later
-    epochs use the target loss and refresh the touched targets right after
-    each parameter update, from the batch softmax the objective computed
+  * moving-target objective: the objective decides the phase. In
+    pre-training it runs plain (C+1)-way cross entropy and returns no
+    softmax; in the adaptive phase it returns the batch softmax, from which
+    the touched targets are refreshed right after each parameter update
 """
 
 import csv
@@ -150,9 +150,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
     C = net.n_classes
 
     if obj.base_kind == "SAT":
-        store = SatTargetStore.initialize(
-            y, C, momentum=obj.sat_momentum,
-            pretrain_epochs=obj.sat_pretrain_epochs)
+        store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum)
 
     velocity = np.zeros_like(net.params)
     ws = Workspace(net, min(cfg.batch_size, n))
@@ -166,8 +164,6 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
         np.take(X, perm, axis=0, out=Xp)
         np.take(y, perm, out=yp)
         loss_sum = 0.0
-        sat_adaptive = (obj.base_kind == "SAT"
-                        and epoch >= obj.sat_pretrain_epochs)
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             ids = perm[rows]
@@ -182,8 +178,8 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
             grads = network_backward(net, trace, result.dlogits, ws)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, ws.step)
-            if sat_adaptive:
-                sat_update_targets(store, ids, result.probs, epoch)
+            if result.probs is not None:
+                sat_update_targets(store, ids, result.probs)
             loss_sum += result.loss * ids.size
             # the kernel's argmax is the prediction unless the head has an
             # abstain column

@@ -16,10 +16,12 @@ from selcls.config import (
     RunConfig,
     load_run_config,
 )
+from selcls.datasets import MixtureSpec, blobs8
 from selcls.errors import ConfigurationError
 from selcls.nn import load_checkpoint, network_forward
 from selcls.objectives import ObjectiveConfig
 from selcls.training import TrainConfig
+from selcls.util import derive_seed
 
 from conftest import fail_writes
 
@@ -311,6 +313,66 @@ class TestMakeDataCommand:
             f"error: {cfg_path}: dataset.means must be a non-empty list of "
             "equal-length rows\n")
 
+    def test_checked_in_config_fingerprints_are_pinned(self, tmp_path,
+                                                       capsys):
+        assert main(["make-data", "-c", str(CONFIGS / "blobs8.json"),
+                     "-o", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "train: n=8000 fingerprint=85cb41477b4a9917",
+            "val: n=2000 fingerprint=1d1a65ca58ef74cb",
+            "test: n=4000 fingerprint=fbe082d3d327345b",
+        ]
+
+    @pytest.mark.parametrize("fractions, message", [
+        ([0.5, 0.5], "must list three split fractions (train, val, test)"),
+        ([0.9, 0.9, 0.1], "must be positive and sum to <= 1"),
+    ], ids=["two", "sum-above-1"])
+    def test_csv_fractions_exit_2_naming_key(self, tmp_path, capsys,
+                                             fractions, message):
+        data = tmp_path / "data.csv"
+        data.write_text("f0,label\n" + "".join(
+            f"{i / 10},{i % 2}\n" for i in range(20)))
+        cfg_path, doc = base_config(tmp_path, dataset={
+            "kind": "csv", "path": str(data), "fractions": fractions})
+        assert main(["make-data", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg_path}: dataset.fractions {message}\n"
+        assert not Path(doc["output_dir"]).exists()
+
+
+class TestMixtureSpec:
+    """DatasetConfig.mixture_spec, field by field."""
+
+    @staticmethod
+    def assert_same_spec(got, want):
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == np.float64 and np.array_equal(a, b), f.name
+            else:
+                assert type(a) is type(b) and a == b, f.name
+        assert (got.n_classes, got.dim) == (want.n_classes, want.dim)
+
+    def test_preset_with_overrides(self):
+        variances = [0.5 + 0.25 * c for c in range(8)]
+        priors = [0.0625] * 4 + [0.1875] * 4
+        got = DatasetConfig(variances=variances, priors=priors,
+                            label_noise=0.2, n_train=300).mixture_spec(7)
+        want = blobs8(seed=derive_seed(7, "dataset"))
+        want.variances = np.array(variances)
+        want.priors = np.array(priors)
+        want.label_noise, want.n_train = 0.2, 300
+        self.assert_same_spec(got, want)
+
+    def test_explicit_means_default_variances_and_priors(self):
+        means = [[0, 0, 1], [3, 0, 0], [0, 3, 0]]
+        got = DatasetConfig(preset=None, means=means, seed=5).mixture_spec(7)
+        want = MixtureSpec(means=np.array(means, dtype=np.float64),
+                           variances=np.ones(3), priors=np.full(3, 1 / 3),
+                           seed=5)
+        self.assert_same_spec(got, want)
+        assert (got.n_classes, got.dim) == (3, 3)
+
 
 class TestGridCommand:
     def grid_config(self, tmp_path, **kw):
@@ -393,6 +455,8 @@ class TestGridCommand:
          'grid.mechanisms lists "softmax_response" twice'),
         ("evaluation", "mechanisms", ["softmax_response", "softmax_response"],
          'evaluation.mechanisms lists "softmax_response" twice'),
+        ("evaluation", "coverage_grid", [0.5, 0.5],
+         "evaluation.coverage_grid lists 0.5 twice"),
     ])
     def test_empty_or_repeated_list_exits_2_naming_key(
             self, tmp_path, capsys, section, key, value, message):

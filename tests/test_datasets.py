@@ -17,7 +17,6 @@ from selcls.errors import ConfigurationError, ParseError
 
 def two_blob_spec(separation=6.0, noise=0.0, seed=0, n=(400, 100, 200)):
     return MixtureSpec(
-        n_classes=2, dim=2,
         means=np.array([[-separation / 2, 0.0], [separation / 2, 0.0]]),
         variances=np.array([1.0, 1.0]), priors=np.array([0.5, 0.5]),
         label_noise=noise, n_train=n[0], n_val=n[1], n_test=n[2], seed=seed)
@@ -118,9 +117,9 @@ class TestCsvRoundTrip:
 
     def test_label_out_of_range_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("f0,label\n0.1,0\n0.2,2\n")
+        path.write_text("f0,label\n0.1,0\n0.2,-1\n")
         with pytest.raises(ParseError, match="bad.csv:3"):
-            load_csv_dataset(path, n_classes=2)
+            load_csv_dataset(path)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -168,21 +167,19 @@ class TestSplitDataset:
         labels = np.repeat(np.arange(C), n_per_class)
         rng = np.random.default_rng(0)
         return Dataset(features=rng.normal(size=(C * n_per_class, 3)),
-                       labels=labels, tag="all")
+                       labels=labels)
 
     def test_80_20_stratified(self):
         data = self.make(n_per_class=50, C=2)
-        train, val = split_dataset(data, (0.8, 0.2), seed=0,
-                                   tags=("train", "val"))
+        train, val = split_dataset(data, (0.8, 0.2), seed=0)
         assert len(train) == 80 and len(val) == 20
         for c in range(2):
             assert np.sum(train.labels == c) == 40
             assert np.sum(val.labels == c) == 10
 
-    def test_full_fraction_copy_with_new_tag(self):
+    def test_full_fraction_is_a_copy(self):
         data = self.make()
-        [copy] = split_dataset(data, (1.0,), seed=0, tags=("copy",))
-        assert copy.tag == "copy"
+        [copy] = split_dataset(data, (1.0,), seed=0)
         assert copy.fingerprint == data.fingerprint
 
     def test_two_seeds_differ_same_counts(self):

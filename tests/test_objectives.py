@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from selcls.errors import ConfigurationError, ProtocolError
+from selcls.errors import ConfigurationError
 from selcls.nn import stable_softmax
 from selcls.objectives import (
     OBJECTIVE_KINDS,
@@ -40,7 +40,7 @@ def sat_dispatch(z, targets, y, kind="SAT", **cfg):
     """The adaptive-phase target loss with the given soft target rows."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(y)
-    store = SatTargetStore.initialize(y, z.shape[1] - 1, pretrain_epochs=0)
+    store = SatTargetStore.initialize(y, z.shape[1] - 1)
     store.targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     return objective_dispatch(
         ObjectiveConfig(kind=kind, sat_pretrain_epochs=0, **cfg),
@@ -232,21 +232,14 @@ class TestSatTargetStore:
         assert np.array_equal(store.targets, expected)
 
     def test_stated_update_rule(self):
-        store = SatTargetStore.initialize([0], n_classes=2, momentum=0.9,
-                                          pretrain_epochs=0)
-        sat_update_targets(store, [0], [[0.8, 0.1, 0.1]], epoch=0)
+        store = SatTargetStore.initialize([0], n_classes=2, momentum=0.9)
+        sat_update_targets(store, [0], [[0.8, 0.1, 0.1]])
         assert np.allclose(store.targets[0], [0.98, 0.01, 0.01])
 
-    def test_update_during_pretrain_rejected(self):
-        store = SatTargetStore.initialize([0], n_classes=2, pretrain_epochs=5)
-        with pytest.raises(ProtocolError):
-            sat_update_targets(store, [0], [[0.8, 0.1, 0.1]], epoch=3)
-
     def test_momentum_one_freezes_targets(self):
-        store = SatTargetStore.initialize([0], n_classes=2, momentum=1.0,
-                                          pretrain_epochs=0)
+        store = SatTargetStore.initialize([0], n_classes=2, momentum=1.0)
         before = store.targets.copy()
-        sat_update_targets(store, [0], [[0.2, 0.3, 0.5]], epoch=0)
+        sat_update_targets(store, [0], [[0.2, 0.3, 0.5]])
         assert np.array_equal(store.targets, before)
 
     def test_momentum_out_of_range(self):
@@ -256,32 +249,29 @@ class TestSatTargetStore:
             SatTargetStore.initialize([0], n_classes=2, momentum=1.1)
 
     def test_geometric_convergence(self):
-        store = SatTargetStore.initialize([0], n_classes=2, momentum=0.9,
-                                          pretrain_epochs=0)
+        store = SatTargetStore.initialize([0], n_classes=2, momentum=0.9)
         p = np.array([[0.5, 0.3, 0.2]])
         gap0 = np.max(np.abs(store.targets[0] - p[0]))
         for step in range(1, 25):
-            sat_update_targets(store, [0], p, epoch=0)
+            sat_update_targets(store, [0], p)
             gap = np.max(np.abs(store.targets[0] - p[0]))
             assert abs(gap - 0.9 ** step * gap0) < 1e-12
 
     def test_simplex_preserved(self, rng):
         store = SatTargetStore.initialize(rng.integers(0, 4, size=20),
-                                          n_classes=4, momentum=0.7,
-                                          pretrain_epochs=0)
+                                          n_classes=4, momentum=0.7)
         for _ in range(60):
             ids = rng.integers(0, 20, size=8)
             raw = rng.random((8, 5))
             p = raw / raw.sum(axis=1, keepdims=True)
-            sat_update_targets(store, ids, p, epoch=0)
+            sat_update_targets(store, ids, p)
         assert np.all(store.targets >= 0)
         assert np.max(np.abs(store.targets.sum(axis=1) - 1.0)) < 1e-9
 
     def test_untouched_rows_unchanged(self):
-        store = SatTargetStore.initialize([0, 1], n_classes=2,
-                                          pretrain_epochs=0)
+        store = SatTargetStore.initialize([0, 1], n_classes=2)
         before = store.targets[1].copy()
-        sat_update_targets(store, [0], [[0.5, 0.25, 0.25]], epoch=0)
+        sat_update_targets(store, [0], [[0.5, 0.25, 0.25]])
         assert np.array_equal(store.targets[1], before)
 
 
@@ -368,12 +358,22 @@ class TestDispatch:
     def test_sat_pretrain_equals_ce(self, rng):
         z = rng.normal(size=(4, 4))  # C=3 plus abstain
         y = rng.integers(0, 3, size=4)
-        store = SatTargetStore.initialize(y, 3, pretrain_epochs=5)
+        store = SatTargetStore.initialize(y, 3)
         cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=5)
         res = objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
                                  store=store, sample_ids=np.arange(4), epoch=2)
         loss, _ = ce_reference(z, y)
         assert abs(res.loss - loss) < 1e-12
+
+    def test_sat_adaptive_phase_needs_store_and_ids(self, rng):
+        z = rng.normal(size=(4, 4))
+        y = rng.integers(0, 3, size=4)
+        cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=2)
+        store = SatTargetStore.initialize(y, 3)
+        for kw in ({"sample_ids": np.arange(4)}, {"store": store}):
+            with pytest.raises(ConfigurationError, match="target store"):
+                objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
+                                   epoch=2, **kw)
 
     def test_dg_em_beta_zero_equals_dg(self, rng):
         z = rng.normal(size=(5, 4))
@@ -425,7 +425,7 @@ def random_case(kind, seed, m, n_classes, scale):
         outputs["select"] = rng.normal(scale=2.0, size=(m, 1))
         outputs["aux"] = rng.normal(scale=scale, size=(m, n_classes))
     if base == "SAT":
-        store = SatTargetStore.initialize(y, n_classes, pretrain_epochs=0)
+        store = SatTargetStore.initialize(y, n_classes)
         raw = rng.random((m, width))
         store.targets = raw / raw.sum(axis=1, keepdims=True)
         kw.update(store=store, sample_ids=np.arange(m), epoch=0)

@@ -35,7 +35,6 @@ from selcls.util import rng_for
 
 def small_spec(seed=0, separation=6.0, noise=0.0):
     return MixtureSpec(
-        n_classes=2, dim=2,
         means=np.array([[-separation / 2, 0.0], [separation / 2, 0.0]]),
         variances=np.array([1.0, 1.0]), priors=np.array([0.5, 0.5]),
         label_noise=noise, n_train=300, n_val=80, n_test=80, seed=seed)
@@ -248,9 +247,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
     n, C = len(y), net.n_classes
     store = None
     if obj.base_kind == "SAT":
-        store = SatTargetStore.initialize(
-            y, C, momentum=obj.sat_momentum,
-            pretrain_epochs=obj.sat_pretrain_epochs)
+        store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum)
     velocity = np.zeros_like(net.params)
     epochs = []
     for epoch in range(cfg.epochs):
@@ -268,7 +265,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay)
             if adaptive:
-                sat_update_targets(store, ids, result.probs, epoch)
+                sat_update_targets(store, ids, result.probs)
             loss_sum += result.loss * ids.size
             pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
             n_correct += np.count_nonzero(pred == y[ids])

@@ -28,6 +28,9 @@ runs take about 20 s per checkout and write only to a temporary directory:
                          0.0 under abstention_logit, so calibration meets
                          heavy ties and coverages above the finite share
     grid/                selcls grid on perfbench/configs/grid_ref.json
+    make-data/           selcls make-data on perfbench/configs/blobs8.json:
+                         its stdout (split sizes and fingerprints) and
+                         the three split CSVs under data/
     gradcheck/stdout     selcls gradcheck with its default arguments
     config/<name>.hash   not a file: the RunConfig.hash() of each config
                          the runs above load (blobs8, grid_ref and the six
@@ -208,10 +211,14 @@ def digests():
     evaluate_checkpoints(checkpoints)
     evaluate_saturated_abstain(checkpoints["DG"])
     run_cli(["grid", "-c", GRID_CONFIG, "-o", "grid"])
+    stdout = run_cli(["make-data", "-c", BASE_CONFIG, "-o", "make-data"])
+    with open(os.path.join("make-data", "stdout"), "w") as f:
+        f.write(stdout)
     os.makedirs("gradcheck")
     with open(os.path.join("gradcheck", "stdout"), "w") as f:
         f.write(run_cli(["gradcheck"]))
-    return [pair for root in ("train", "eval", "grid", "gradcheck")
+    return [pair for root in ("train", "eval", "grid", "make-data",
+                              "gradcheck")
             for pair in tree_digests(root)] + config_hashes()
 
 
