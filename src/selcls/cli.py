@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import GridConfig, RunConfig, load_run_config
-from .datasets import generate_mixture, load_csv_dataset, save_csv_dataset, split_dataset
+from .datasets import generate_mixture, save_csv_dataset
 from .errors import ConfigurationError, NumericFault, SelclsError
 from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram
 from .gradcheck import TOLERANCE, run_suite
@@ -37,7 +37,7 @@ from .selection import (
     scores_to_csv,
 )
 from .training import train
-from .util import atomic_write, derive_seed, fmt
+from .util import atomic_write, fmt
 
 OUTPUT_ROOT_ENV = "SELCLS_OUTPUT_ROOT"
 
@@ -51,23 +51,15 @@ def resolve_outdir(cfg_dir: str, override: str | None) -> Path:
 
 
 def build_splits(cfg: RunConfig, seed: int | None = None):
-    """(train, val, test, n_classes) per the dataset section.
+    """(train, val, test, n_classes) of the configured mixture.
 
     ``seed`` overrides training.seed as the root for dataset derivation;
     the grid runner uses it to give every seed row its own draw.
     """
-    root = cfg.training.seed if seed is None else seed
-    if cfg.dataset.kind == "mixture":
-        spec = cfg.dataset.mixture_spec(root)
-        train_ds, val_ds, test_ds = generate_mixture(spec)
-        return train_ds, val_ds, test_ds, spec.n_classes
-    data = load_csv_dataset(cfg.dataset.path,
-                            standardize=cfg.dataset.standardize)
-    split_seed = cfg.dataset.seed if cfg.dataset.seed is not None \
-        else derive_seed(root, "dataset")
-    train_ds, val_ds, test_ds = split_dataset(
-        data, cfg.dataset.fractions, split_seed)
-    return train_ds, val_ds, test_ds, int(data.labels.max()) + 1
+    spec = cfg.dataset.mixture_spec(cfg.training.seed if seed is None
+                                    else seed)
+    train_ds, val_ds, test_ds = generate_mixture(spec)
+    return train_ds, val_ds, test_ds, spec.n_classes
 
 
 def model_outputs(net, dataset) -> ProbOutput:

@@ -107,7 +107,7 @@ def _check_list(where: str, values: list, distinct: bool = False) -> None:
 
 @dataclass
 class DatasetConfig:
-    kind: str = "mixture"
+    kind: str = "mixture"  # the only kind; kept so that configs may name it
     preset: str | None = "blobs8"
     means: list[list[float]] | None = None
     variances: list[float] | None = None
@@ -117,26 +117,12 @@ class DatasetConfig:
     n_val: int | None = None
     n_test: int | None = None
     seed: int | None = None
-    path: str | None = None
-    fractions: list[float] = field(default_factory=lambda: [0.7, 0.15, 0.15])
-    standardize: bool = False
 
     def validate(self) -> None:
-        if self.kind not in ("mixture", "csv"):
-            raise ConfigurationError("dataset.kind must be 'mixture' or 'csv'")
-        if self.kind == "csv":
-            if not self.path:
-                raise ConfigurationError("dataset.kind 'csv' needs a path")
-            if len(self.fractions) != 3:
-                raise ConfigurationError(
-                    "dataset.fractions must list three split fractions "
-                    "(train, val, test)")
-            if any(f <= 0 for f in self.fractions) or \
-                    sum(self.fractions) > 1 + 1e-9:
-                raise ConfigurationError(
-                    "dataset.fractions must be positive and sum to <= 1")
-        if self.kind == "mixture" and self.preset is None and \
-                self.means is None:
+        if self.kind != "mixture":
+            raise ConfigurationError(
+                f"dataset.kind must be 'mixture', got {json.dumps(self.kind)}")
+        if self.preset is None and self.means is None:
             raise ConfigurationError(
                 "mixture dataset needs a preset or explicit means")
         if self.means is not None and len({len(r) for r in self.means}) != 1:
@@ -146,23 +132,27 @@ class DatasetConfig:
             raise ConfigurationError(f"unknown dataset preset {self.preset!r}")
 
     def mixture_spec(self, root_seed: int) -> MixtureSpec:
-        """The preset, or ``means`` with unit variances and uniform priors,
-        with every key that is set applied on top."""
-        if self.kind != "mixture":
-            raise ConfigurationError("not a mixture dataset")
+        """The preset, or MixtureSpec's defaults, with every key that is set
+        applied on top. ``means`` brings unit variances and uniform priors
+        over its classes, which ``variances`` and ``priors`` override."""
         seed = self.seed if self.seed is not None \
             else derive_seed(root_seed, "dataset")
-        if self.preset == "blobs8":
-            spec = blobs8(seed=seed)
-        else:
+        given = {name: getattr(self, name)
+                 for name in ("means", "variances", "priors", "label_noise",
+                              "n_train", "n_val", "n_test")
+                 if getattr(self, name) is not None}
+        if self.means is not None:
             C = len(self.means)
-            spec = MixtureSpec(means=self.means, variances=np.ones(C),
-                               priors=np.full(C, 1.0 / C), seed=seed)
-        spec = replace(spec, **{
-            name: getattr(self, name)
-            for name in ("means", "variances", "priors", "label_noise",
-                         "n_train", "n_val", "n_test")
-            if getattr(self, name) is not None})
+            given = {"variances": np.ones(C), "priors": np.full(C, 1.0 / C),
+                     **given}
+        # validate() has ensured means wherever there is no preset
+        spec = replace(blobs8(seed=seed), **given) \
+            if self.preset == "blobs8" else MixtureSpec(seed=seed, **given)
+        for name in ("variances", "priors"):
+            if len(getattr(spec, name)) != spec.n_classes:
+                raise ConfigurationError(
+                    f"dataset.{name} must list one value per class "
+                    f"({spec.n_classes}), got {len(getattr(spec, name))}")
         spec.validate()
         return spec
 
@@ -241,10 +231,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         _field_names(cls, doc, "top-level")
+        dataset = doc.get("dataset", {})
+        if isinstance(dataset, dict) and "kind" in dataset:
+            # an old CSV config is told its kind, not its first unknown key
+            DatasetConfig(kind=dataset["kind"]).validate()
         objective = _section(ObjectiveConfig, doc.get("objective", {}),
                              "objective")
         cfg = cls(
-            dataset=_section(DatasetConfig, doc.get("dataset", {}), "dataset"),
+            dataset=_section(DatasetConfig, dataset, "dataset"),
             model=_section(ModelConfig, doc.get("model", {}), "model"),
             objective=objective,
             training=_section(TrainConfig, doc.get("training", {}),
@@ -260,9 +254,8 @@ class RunConfig:
                         cfg.grid):
             if section is not None:
                 section.validate()  # training's validates the objective
-        if cfg.dataset.kind == "mixture":
-            spec = cfg.dataset.mixture_spec(cfg.training.seed)
-            cfg.objective.validate(spec.n_classes)
+        cfg.objective.validate(
+            cfg.dataset.mixture_spec(cfg.training.seed).n_classes)
         return cfg
 
     def normalized(self) -> dict:

@@ -1,5 +1,5 @@
-"""Synthetic Gaussian-mixture tasks with an exact posterior, CSV ingestion,
-and deterministic stratified splitting.
+"""Synthetic Gaussian-mixture tasks with an exact posterior, and their
+splits written out as CSV.
 
 The mixture generator is the stand-in for real image benchmarks: class-
 conditional isotropic Gaussians with optional uniform label noise, so the
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError
 from .util import atomic_write, rng_for, sha256_hex
 
 
@@ -167,85 +167,3 @@ def save_csv_dataset(path, ds: Dataset) -> None:
         w.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
         for row, label in zip(ds.features, ds.labels):
             w.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def load_csv_dataset(path, standardize: bool = False) -> Dataset:
-    """Parse ``f0,...,f{d-1},label`` rows; errors carry the line number."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        d = len(header) - 1
-        if d < 1 or header[-1] != "label" or \
-                header[:-1] != [f"f{i}" for i in range(d)]:
-            raise ParseError(
-                f"{path}:1: header must be f0,...,f{{d-1}},label")
-        feats, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {d + 1} cells, got {len(row)}")
-            try:
-                feats.append([float(v) for v in row[:-1]])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric feature cell") from None
-            try:
-                label = int(row[-1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-integer label") from None
-            if label < 0:
-                raise ParseError(f"{path}:{lineno}: negative label {label}")
-            labels.append(label)
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
-    features = np.asarray(feats, dtype=np.float64)
-    if standardize:
-        mu = features.mean(axis=0)
-        sd = features.std(axis=0)
-        sd[sd == 0] = 1.0
-        features = (features - mu) / sd
-    return Dataset(features=features, labels=np.asarray(labels))
-
-
-def split_dataset(data: Dataset, fractions, seed: int):
-    """Stratified, seeded, disjoint splits.
-
-    Per class, split sizes use largest-remainder rounding, so each class
-    count deviates from the exact fraction by at most one sample.
-    """
-    fractions = [float(f) for f in fractions]
-    if not fractions or any(f <= 0 for f in fractions) or sum(fractions) > 1 + 1e-9:
-        raise ConfigurationError("fractions must be positive and sum to <= 1")
-
-    classes = np.unique(data.labels)
-    per_split_indices = [[] for _ in fractions]
-    for c in classes:
-        idx = np.flatnonzero(data.labels == c)
-        if idx.size < len(fractions):
-            raise ConfigurationError(
-                f"class {c} has {idx.size} samples, fewer than the "
-                f"{len(fractions)} requested splits")
-        rng = rng_for(seed, f"split:class{c}")
-        idx = rng.permutation(idx)
-        targets = [idx.size * f for f in fractions]
-        base = [int(np.floor(t + 1e-9)) for t in targets]
-        total = int(np.floor(sum(targets) + 1e-9))
-        remainders = [t - b for t, b in zip(targets, base)]
-        extra = total - sum(base)
-        for j in np.argsort([-r for r in remainders])[:extra]:
-            base[j] += 1
-        start = 0
-        for j, count in enumerate(base):
-            per_split_indices[j].append(idx[start:start + count])
-            start += count
-
-    out = []
-    for split in per_split_indices:
-        ids = np.sort(np.concatenate(split))
-        out.append(Dataset(features=data.features[ids],
-                           labels=data.labels[ids]))
-    return out

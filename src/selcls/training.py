@@ -132,7 +132,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
     """
     cfg.validate()
     obj = cfg.objective
-    # C is known here also for CSV data, which config loading cannot check
+    # a TrainConfig built in code has passed no config load, which checks C
     obj.validate(net.n_classes)
     if obj.required_head() != net.head:
         raise ConfigurationError(

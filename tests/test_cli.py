@@ -65,10 +65,8 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "1 < o <= C" in err
 
-    def test_csv_payoff_above_c_exits_2_before_any_forward(
-            self, tmp_path, capsys, monkeypatch):
-        # C of a CSV dataset is unknown until the file is read, so config
-        # loading cannot check the payoff; train() checks it first
+    def test_payoff_above_c_exits_2_at_config_load(self, tmp_path, capsys,
+                                                   monkeypatch):
         forwards = []
 
         def counted_forward(net, batch, ws=None):
@@ -76,19 +74,15 @@ class TestTrainCommand:
             return network_forward(net, batch, ws)
 
         monkeypatch.setattr(training, "network_forward", counted_forward)
-        rng = np.random.default_rng(3)
-        rows = [f"{a},{b},{i % 3}" for i, (a, b) in
-                enumerate(rng.normal(size=(60, 2)).tolist())]
-        data = tmp_path / "three.csv"
-        data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
-        cfg_path, _ = base_config(
-            tmp_path, dataset={"kind": "csv", "path": str(data)},
+        cfg_path, doc = base_config(
+            tmp_path, dataset={"preset": None,
+                               "means": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]},
             objective={"kind": "DG", "o": 5.0})
         assert main(["train", "-c", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: payoff o=5.0 violates 1 < o <= C (C=3)")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: payoff o=5.0 violates 1 < o <= C (C=3)\n")
         assert forwards == []
+        assert not Path(doc["output_dir"]).exists()
 
     def test_unknown_key_exits_2_naming_key(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, training={"epochs": 1,
@@ -104,6 +98,9 @@ class TestTrainCommand:
         ("objective", "coverage_penalty", "symmetric"),
         ("dataset", "n_classes", 8),
         ("dataset", "dim", 2),
+        ("dataset", "path", "data.csv"),
+        ("dataset", "fractions", [0.7, 0.15, 0.15]),
+        ("dataset", "standardize", True),
     ])
     def test_removed_key_exits_2_naming_key(self, tmp_path, capsys,
                                             section, key, value):
@@ -134,6 +131,20 @@ class TestTrainCommand:
         assert err.startswith(f"error: {cfg_path}: {section}.{key} must be ")
         assert err.endswith(f", got {json.dumps(value)}\n")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "csv"},
+        {"kind": "csv", "path": "data.csv", "fractions": [0.7, 0.15, 0.15]},
+    ], ids=["kind", "with-csv-keys"])
+    def test_csv_dataset_kind_exits_2_naming_key(self, tmp_path, capsys,
+                                                 dataset):
+        cfg_path, doc = base_config(tmp_path)
+        doc["dataset"] = dataset
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: dataset.kind must be 'mixture', got "
+            '"csv"\n')
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg_path, _ = base_config(tmp_path, extra_section={"x": 1})
@@ -263,34 +274,6 @@ class TestMakeDataCommand:
             lines = (data_dir / f"{name}.csv").read_text().splitlines()
             assert len(lines) == n + 1
 
-    def test_csv_standardize_rescales_features_keeps_labels(self, tmp_path):
-        rng = np.random.default_rng(6)
-        rows = [f"{a},{b},{i % 3}" for i, (a, b) in enumerate(
-            rng.normal(loc=[4.0, -1.0], scale=[3.0, 0.2],
-                       size=(90, 2)).tolist())]
-        data = tmp_path / "three.csv"
-        data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
-        cfg_path, doc = base_config(tmp_path)
-        splits = {}
-        for standardize in (False, True):
-            doc["dataset"] = {"kind": "csv", "path": str(data),
-                              "standardize": standardize}
-            cfg_path.write_text(json.dumps(doc))
-            out = tmp_path / f"standardize-{standardize}"
-            assert main(["make-data", "-c", str(cfg_path),
-                         "-o", str(out)]) == 0
-            splits[standardize] = [np.loadtxt(
-                out / "data" / f"{name}.csv", delimiter=",", skiprows=1)
-                for name in ("train", "val", "test")]
-        raw = np.concatenate(splits[False])
-        scaled = np.concatenate(splits[True])
-        # the same rows land in the same splits; only the features move
-        assert np.array_equal(scaled[:, -1], raw[:, -1])
-        assert np.allclose(scaled[:, :-1].mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(scaled[:, :-1].std(axis=0), 1.0)
-        mu, sd = raw[:, :-1].mean(axis=0), raw[:, :-1].std(axis=0)
-        assert np.allclose(scaled[:, :-1], (raw[:, :-1] - mu) / sd)
-
     def test_explicit_mixture_takes_its_shape_from_means(self, tmp_path):
         cfg_path, doc = base_config(tmp_path, dataset={
             "preset": None, "means": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]})
@@ -323,20 +306,18 @@ class TestMakeDataCommand:
             "test: n=4000 fingerprint=fbe082d3d327345b",
         ]
 
-    @pytest.mark.parametrize("fractions, message", [
-        ([0.5, 0.5], "must list three split fractions (train, val, test)"),
-        ([0.9, 0.9, 0.1], "must be positive and sum to <= 1"),
-    ], ids=["two", "sum-above-1"])
-    def test_csv_fractions_exit_2_naming_key(self, tmp_path, capsys,
-                                             fractions, message):
-        data = tmp_path / "data.csv"
-        data.write_text("f0,label\n" + "".join(
-            f"{i / 10},{i % 2}\n" for i in range(20)))
+    @pytest.mark.parametrize("key, value", [
+        ("variances", [1.0, 1.0]),
+        ("priors", [0.25, 0.25, 0.25, 0.25]),
+    ])
+    def test_wrong_length_exits_2_naming_key(self, tmp_path, capsys, key,
+                                             value):
         cfg_path, doc = base_config(tmp_path, dataset={
-            "kind": "csv", "path": str(data), "fractions": fractions})
+            "means": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], key: value})
         assert main(["make-data", "-c", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: {cfg_path}: dataset.fractions {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: dataset.{key} must list one value per "
+            f"class (3), got {len(value)}\n")
         assert not Path(doc["output_dir"]).exists()
 
 
@@ -372,6 +353,18 @@ class TestMixtureSpec:
                            seed=5)
         self.assert_same_spec(got, want)
         assert (got.n_classes, got.dim) == (3, 3)
+
+    def test_preset_means_default_variances_and_priors(self):
+        # the preset's label noise and sizes stay; its 8 variances and
+        # priors give way to unit variances and uniform priors over 3
+        means = [[0, 0], [1, 1], [2, 2]]
+        got = DatasetConfig(means=means, priors=[0.5, 0.25, 0.25]) \
+            .mixture_spec(7)
+        want = blobs8(seed=derive_seed(7, "dataset"))
+        want.means = np.array(means, dtype=np.float64)
+        want.variances = np.ones(3)
+        want.priors = np.array([0.5, 0.25, 0.25])
+        self.assert_same_spec(got, want)
 
 
 class TestGridCommand:
@@ -539,11 +532,10 @@ class TestOutputRoot:
 
 # a config that sets every key of every section, each float as a float
 FULL_CONFIG = {
-    "dataset": {"kind": "csv", "preset": None,
+    "dataset": {"kind": "mixture", "preset": None,
                 "means": [[0.0, 0.0], [2.0, 2.0]], "variances": [1.0, 1.0],
                 "priors": [0.5, 0.5], "label_noise": 0.0, "n_train": 100,
-                "n_val": 50, "n_test": 50, "seed": 7, "path": "data.csv",
-                "fractions": [0.6, 0.2, 0.2], "standardize": False},
+                "n_val": 50, "n_test": 50, "seed": 7},
     "model": {"hidden_dims": [8]},
     "objective": {"kind": "SelectiveNet", "beta": 0.01, "o": 1.5,
                   "lambda": 32.0, "alpha_mix": 0.5, "c_target": 0.8,
@@ -558,14 +550,13 @@ FULL_CONFIG = {
              "coverages": [0.5], "seeds": [0]},
     "output_dir": "out",
 }
-# per section and key, a second valid value that differs from FULL_CONFIG's
+# per section and key, a second valid value that differs from FULL_CONFIG's;
+# dataset.kind has none, since "mixture" is its only valid value
 OTHER_VALUE = {
-    "dataset": {"kind": "mixture", "preset": "blobs8",
-                "means": [[0.0, 0.0], [3.0, 3.0]],
+    "dataset": {"preset": "blobs8", "means": [[0.0, 0.0], [3.0, 3.0]],
                 "variances": [2.0, 2.0], "priors": [0.25, 0.75],
                 "label_noise": 0.1, "n_train": 101, "n_val": 51,
-                "n_test": 51, "seed": 8, "path": "other.csv",
-                "fractions": [0.5, 0.25, 0.25], "standardize": True},
+                "n_test": 51, "seed": 8},
     "model": {"hidden_dims": [16]},
     "objective": {"kind": "DG", "beta": 0.02, "o": 1.75, "lambda": 16.0,
                   "alpha_mix": 0.25, "c_target": 0.7, "sat_momentum": 0.8,
@@ -602,26 +593,28 @@ def with_value(section, key, value):
 class TestConfigHash:
     @pytest.mark.parametrize("name, digest", [
         ("blobs8.json",
-         "35edbe09e676b579af68b65053893446a2f00e44747c17dc6f3a1b0b3ef07e3c"),
+         "d50ae4aa5b2fc199335d9431007012bda60c1ea0dfa382de3ff401cf102676f6"),
         ("grid_ref.json",
-         "e7966d4bc664ab4ad6284ef391f2a2996110a0ae5c66e6567b800a56e8a406c4"),
+         "70dee8bb4062d48998c871e90b469b0b585b2a2a9a5c7cc442621bec76849983"),
     ], ids=["blobs8.json", "grid_ref.json"])
     def test_checked_in_config_hash_is_pinned(self, name, digest):
         assert load_run_config(CONFIGS / name).hash() == digest
 
     def test_full_config_hash_is_pinned(self):
         assert config_hash_of(FULL_CONFIG) == \
-            "af32059fd9166b1f6575e622f55c73f2c37443c6248876b9e7c148ef200bf2d1"
+            "fb8166116506f4104025f13540a3639c68be873649dd1763bc1038661a2d1698"
 
     def test_full_config_sets_every_key(self):
         assert list(FULL_CONFIG) == [f.name for f in fields(RunConfig)]
         for section, cls in SECTIONS.items():
             assert sorted(FULL_CONFIG[section]) == sorted(json_keys(cls))
-            assert sorted(OTHER_VALUE[section]) == sorted(json_keys(cls))
+            assert sorted(OTHER_VALUE[section]) == sorted(
+                key for key in json_keys(cls)
+                if (section, key) != ("dataset", "kind"))
 
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, cls in SECTIONS.items()
-        for key in json_keys(cls)])
+        for key in json_keys(cls) if key in OTHER_VALUE[section]])
     def test_every_field_is_loaded_and_hashed(self, section, key):
         value = OTHER_VALUE[section][key]
         assert value != FULL_CONFIG[section][key]

@@ -3,10 +3,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from selcls.errors import ConfigurationError
 from selcls.nn import network_forward, network_outputs, stable_softmax
 from selcls.selection import (
+    MECHANISM_KINDS,
     ProbOutput,
     SelectionMechanism,
     class_probabilities,
@@ -21,6 +25,19 @@ from conftest import random_batch, random_net
 
 def output_from(net, X):
     return ProbOutput.from_heads(net, network_outputs(net, X))
+
+
+@st.composite
+def logits_and_row_shifts(draw):
+    """(logits, one shift per row, C, has_abstain) for a batch of 1-6 rows
+    of a plain or an abstain head."""
+    m = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 5))
+    has_abstain = draw(st.booleans())
+    logits = draw(arrays(np.float64, (m, n_classes + has_abstain),
+                         elements=st.floats(-30.0, 30.0)))
+    shifts = draw(arrays(np.float64, (m, 1), elements=st.floats(-1e3, 1e3)))
+    return logits, shifts, n_classes, has_abstain
 
 
 def scores_of(kind, probs, has_abstain=False, g_sel=None):
@@ -88,17 +105,24 @@ class TestScoreBatch:
             assert np.array_equal(np.argsort(sr, kind="stable"),
                                   np.argsort(ne, kind="stable"))
 
-    def test_sr_invariant_under_logit_shift(self, rng):
-        net = random_net(rng, head="plain", n_classes=4)
-        X, _ = random_batch(rng, net, m=8)
-        out = output_from(net, X)
-        shifted = ProbOutput(logits=out.logits + 100.0,
-                             probs=stable_softmax(out.logits + 100.0),
-                             n_classes=out.n_classes,
-                             has_abstain=out.has_abstain)
-        a = score_batch(SelectionMechanism("softmax_response"), out)
-        b = score_batch(SelectionMechanism("softmax_response"), shifted)
-        assert np.max(np.abs(a - b)) < 1e-12
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(case=logits_and_row_shifts())
+    def test_scores_invariant_under_per_row_logit_shift(self, case):
+        logits, shifts, n_classes, has_abstain = case
+        outs = [ProbOutput(logits=z, probs=stable_softmax(z),
+                           n_classes=n_classes, has_abstain=has_abstain)
+                for z in (logits, logits + shifts)]
+        # a row whose abstain mass rounds to 1.0 scores -inf, and a shift
+        # may move it across that edge
+        assume(not any(out.has_abstain and np.any(out.probs[:, -1] >= 1.0)
+                       for out in outs))
+        head = "abstain" if has_abstain else "plain"
+        for kind in MECHANISM_KINDS:
+            if mechanism_compatible(kind, head):
+                a, b = (score_batch(SelectionMechanism(kind), out)
+                        for out in outs)
+                assert np.max(np.abs(a - b)) < 1e-9, kind
 
     def test_abstain_sr_equals_softmax_of_real_class_logits(self, rng):
         net = random_net(rng, head="abstain", n_classes=3)

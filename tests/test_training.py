@@ -311,8 +311,8 @@ class TestWorkspaceTraining:
             assert store.targets.tobytes() == want_store.targets.tobytes()
 
     def test_inadmissible_payoff_fails_before_any_forward(self, monkeypatch):
-        # C = 2, so the payoff 3 lies above C; config loading checks it
-        # only for mixture datasets, train() for every dataset
+        # C = 2, so the payoff 3 lies above C; a TrainConfig built in code
+        # passes no config load, so train() checks it itself
         forwards = []
 
         def counted_forward(net, batch, ws=None):

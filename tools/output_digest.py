@@ -39,12 +39,17 @@ runs take about 20 s per checkout and write only to a temporary directory:
                          and CSVs that embed it
 
 The configs always come from this checkout, so both sides of a comparison
-run the same inputs.
+run the same inputs. Before a file is digested, each of those config
+hashes in it is replaced by its config's name, so a change that moves
+only the config hashes differs in ``config/*.hash`` and in
+``train/cli/run_config.json`` (which holds the hashed config itself), not
+in every file that embeds a hash.
 
 A file named ``checkpoint.json`` or ``*.checkpoint.json`` is digested by
 what the measured checkout's ``load_checkpoint`` returns, not by its
 bytes: the architecture (input dim, hidden widths, classes), head, config
-hash and the parameters as little-endian float64 bytes. A change to the
+hash (as a config name, like the file bytes) and the parameters as
+little-endian float64 bytes. A change to the
 checkpoint file format alone therefore reads as no difference, while any
 changed parameter still differs.
 """
@@ -78,32 +83,40 @@ CALIBRATION_SPLITS = ("val", "test")
 SEED = 0
 
 
-def file_digest(path) -> str:
+def file_digest(path, names: dict) -> str:
+    """Digest of the bytes of ``path`` with each config hash in ``names``
+    replaced by its config's name."""
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        data = f.read()
+    for config_hash, name in names.items():
+        data = data.replace(config_hash.encode(), name.encode())
+    return hashlib.sha256(data).hexdigest()
 
 
-def checkpoint_digest(path) -> str:
+def checkpoint_digest(path, names: dict) -> str:
     """Digest of the network and config hash that ``load_checkpoint``
-    reads from ``path``, independent of the file format."""
+    reads from ``path``, independent of the file format; a hash in
+    ``names`` counts as its config's name."""
     from selcls import nn
 
     net, config_hash = nn.load_checkpoint(path)
     fields = [net.input_dim, list(net.hidden_dims), net.n_classes, net.head,
-              config_hash]
+              names.get(config_hash, config_hash)]
     digest = hashlib.sha256(json.dumps(fields).encode())
     digest.update(net.params.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
-def tree_digests(root):
+def tree_digests(root, names: dict):
     """(path relative to the working directory, digest) per file under
-    ``root``, in sorted order."""
+    ``root``, in sorted order, with the config hashes in ``names`` read as
+    config names."""
     found = []
-    for dirpath, _, names in os.walk(root):
-        found.extend(os.path.join(dirpath, name) for name in names)
-    return [(path, checkpoint_digest(path) if path.endswith("checkpoint.json")
-             else file_digest(path)) for path in sorted(found)]
+    for dirpath, _, files in os.walk(root):
+        found.extend(os.path.join(dirpath, name) for name in files)
+    return [(path, checkpoint_digest(path, names)
+             if path.endswith("checkpoint.json") else file_digest(path, names))
+            for path in sorted(found)]
 
 
 def run_cli(argv) -> str:
@@ -191,15 +204,15 @@ def evaluate_saturated_abstain(checkpoint: str) -> None:
 
 
 def config_hashes():
-    """("config/<name>.hash", config hash) per config the runs load. Runs
-    after evaluate_checkpoints, whose configs it reads."""
+    """(config name, config hash) per config the runs load. Runs after
+    evaluate_checkpoints, whose configs it reads."""
     from selcls import config
 
     paths = [BASE_CONFIG, GRID_CONFIG] + [
         os.path.join("eval-configs", name)
         for name in sorted(os.listdir("eval-configs"))
         if not name.endswith(".checkpoint.json")]
-    return [(f"config/{os.path.basename(path).removesuffix('.json')}.hash",
+    return [(os.path.basename(path).removesuffix(".json"),
              config.load_run_config(path).hash()) for path in paths]
 
 
@@ -217,9 +230,14 @@ def digests():
     os.makedirs("gradcheck")
     with open(os.path.join("gradcheck", "stdout"), "w") as f:
         f.write(run_cli(["gradcheck"]))
+    hashes = config_hashes()
+    names = {}
+    for name, config_hash in hashes:
+        names.setdefault(config_hash, name)
     return [pair for root in ("train", "eval", "grid", "make-data",
                               "gradcheck")
-            for pair in tree_digests(root)] + config_hashes()
+            for pair in tree_digests(root, names)] + [
+        (f"config/{name}.hash", config_hash) for name, config_hash in hashes]
 
 
 def digest_lines(src: str) -> list:
