@@ -8,7 +8,7 @@ emits risk-coverage tables and score histograms.
 
 __version__ = "0.1.0"
 
-from .calibration import CalibratedSelector, apply_selector, fit_threshold
+from .calibration import apply_selector, fit_threshold
 from .datasets import Dataset, MixtureSpec, bayes_posterior, blobs8, generate_mixture
 from .evaluation import (
     RiskCoveragePoint,
@@ -22,7 +22,7 @@ from .selection import ProbOutput, SelectionMechanism, score_batch
 from .training import TrainConfig, TrainReport, train
 
 __all__ = [
-    "CalibratedSelector", "apply_selector", "fit_threshold",
+    "apply_selector", "fit_threshold",
     "Dataset", "MixtureSpec", "bayes_posterior", "blobs8", "generate_mixture",
     "RiskCoveragePoint", "ScoreHistogram", "risk_coverage_curve",
     "score_histogram",

@@ -16,17 +16,10 @@ is 1.0 whatever the target. Nothing flags this yet.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
-
-
-@dataclass
-class CalibratedSelector:
-    tau: float
-    target_coverage: float
 
 
 def required_count(n: int, target_coverage: float) -> int:
@@ -63,21 +56,20 @@ def _fitting_scores(scores) -> np.ndarray:
     return scores
 
 
-def fit_threshold(scores, target_coverage: float) -> CalibratedSelector:
+def fit_threshold(scores, target_coverage: float) -> float:
     """Fit tau so that exactly ceil(c*n) fitting samples score >= tau.
 
     Raises CalibrationError when every score is -inf.
     """
     scores = _fitting_scores(scores)
     k = required_count(scores.size, target_coverage)
-    return CalibratedSelector(tau=float(_kth_largest(scores, k)),
-                              target_coverage=float(target_coverage))
+    return float(_kth_largest(scores, k))
 
 
-def apply_selector(sel: CalibratedSelector, scores) -> np.ndarray:
+def apply_selector(tau: float, scores) -> np.ndarray:
     """Accept mask of fresh data under the fitted threshold: the pure rule
     scores >= tau."""
-    return _check_scores(scores) >= sel.tau
+    return _check_scores(scores) >= tau
 
 
 def exact_k_mask(scores, target_coverage: float) -> np.ndarray:

@@ -12,7 +12,6 @@ or a file that cannot be read or written, 3 numeric fault.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -37,7 +36,7 @@ from .selection import (
     scores_to_csv,
 )
 from .training import train
-from .util import atomic_write, fmt
+from .util import atomic_write, fmt, write_csv
 
 OUTPUT_ROOT_ENV = "SELCLS_OUTPUT_ROOT"
 
@@ -81,7 +80,7 @@ def cmd_train(args) -> int:
     train_ds, val_ds, _, n_classes = build_splits(cfg)
     net = build_network(train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
                         cfg.objective.required_head(), seed=cfg.training.seed)
-    report, _ = train(net, train_ds, val_ds, cfg.training)
+    report = train(net, train_ds, val_ds, cfg.training)
     ckpt = outdir / "checkpoint.json"
     save_checkpoint(net, ckpt, config_hash=h)
     report.to_csv(outdir / "train_report.csv", header_comment=f"config={h}")
@@ -154,8 +153,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(n_cases=args.cases, seed=args.seed,
-                        corrupt=args.inject_fault)
+    results = run_suite(n_cases=args.cases, seed=args.seed)
     failed = []
     for name, err in results.items():
         ok = err < TOLERANCE
@@ -213,7 +211,7 @@ def cmd_grid(args) -> int:
                 net = build_network(
                     train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
                     objective.required_head(), seed=seed)
-                report, _ = train(net, train_ds, val_ds, replace(
+                report = train(net, train_ds, val_ds, replace(
                     cfg.training, seed=seed, objective=objective))
                 path = str(cells_dir / f"{name}.checkpoint.json")
                 save_checkpoint(net, path)
@@ -235,15 +233,11 @@ def cmd_grid(args) -> int:
                         point.selective_risk)
 
     results_path = outdir / "results.csv"
-    with atomic_write(results_path) as f:
-        f.write(f"# config={h}\n")
-        w = csv.writer(f)
-        w.writerow(["method", "mechanism", "coverage", "mean_risk", "sd_risk",
-                    "n_seeds"])
-        for (method, kind, c) in sorted(rows):
-            mean, sd = mean_sd(rows[(method, kind, c)])
-            w.writerow([method, kind, fmt(c), fmt(mean), fmt(sd),
-                        len(rows[(method, kind, c)])])
+    write_csv(results_path, ["method", "mechanism", "coverage", "mean_risk",
+                             "sd_risk", "n_seeds"],
+              ([method, kind, fmt(c), *map(fmt, mean_sd(risks)), len(risks)]
+               for (method, kind, c), risks in sorted(rows.items())),
+              f"config={h}")
 
     write_manifest(outdir, {"config_hash": h, "cells": cells,
                             "results": "results.csv"})
@@ -292,7 +286,6 @@ def make_parser() -> argparse.ArgumentParser:
                             help="finite-difference gradient verification")
     p_grad.add_argument("--cases", type=int, default=20)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_grid = sub.add_parser("grid", help="run the method-comparison grid")

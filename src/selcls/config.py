@@ -148,11 +148,6 @@ class DatasetConfig:
         # validate() has ensured means wherever there is no preset
         spec = replace(blobs8(seed=seed), **given) \
             if self.preset == "blobs8" else MixtureSpec(seed=seed, **given)
-        for name in ("variances", "priors"):
-            if len(getattr(spec, name)) != spec.n_classes:
-                raise ConfigurationError(
-                    f"dataset.{name} must list one value per class "
-                    f"({spec.n_classes}), got {len(getattr(spec, name))}")
         spec.validate()
         return spec
 
@@ -213,8 +208,6 @@ class GridConfig:
         _check_list("grid.coverages", self.coverages, distinct=True)
         if any(not 0 < c <= 1 for c in self.coverages):
             raise ConfigurationError("grid coverages must lie in (0, 1]")
-        if not self.seeds:
-            raise ConfigurationError("grid needs at least one seed")
         _check_list("grid.seeds", self.seeds, distinct=True)
 
 
@@ -254,8 +247,11 @@ class RunConfig:
                         cfg.grid):
             if section is not None:
                 section.validate()  # training's validates the objective
-        cfg.objective.validate(
-            cfg.dataset.mixture_spec(cfg.training.seed).n_classes)
+        n_classes = cfg.dataset.mixture_spec(cfg.training.seed).n_classes
+        try:  # training.validate checked the rest; only the payoff needs C
+            cfg.objective.validate(n_classes)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"objective.o: {exc}") from None
         return cfg
 
     def normalized(self) -> dict:

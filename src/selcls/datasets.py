@@ -7,13 +7,12 @@ Bayes-optimal classifier is known in closed form and every selective
 method can be judged against it.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .util import atomic_write, rng_for, sha256_hex
+from .util import rng_for, sha256_hex, write_csv
 
 
 @dataclass
@@ -46,20 +45,28 @@ class MixtureSpec:
         return self.means.shape[1]
 
     def validate(self) -> None:
-        if self.means.ndim != 2 or not np.all(np.isfinite(self.means)):
-            raise ConfigurationError("means must be a finite (C, d) array")
-        C, d = self.means.shape
-        if C < 2 or d < 1:
-            raise ConfigurationError("need n_classes >= 2 and dim >= 1")
-        if self.variances.shape != (C,) or np.any(self.variances <= 0):
-            raise ConfigurationError("variances must be positive, one per class")
-        if self.priors.shape != (C,) or np.any(self.priors < 0) or \
-                abs(self.priors.sum() - 1.0) > 1e-9:
-            raise ConfigurationError("priors must be non-negative and sum to 1")
+        """Each error names the config key ``dataset.<field>`` at fault."""
+        if self.means.ndim != 2 or len(self.means) < 2 or \
+                not self.means.size or not np.all(np.isfinite(self.means)):
+            raise ConfigurationError(
+                "dataset.means must be a finite (C, d) array, C >= 2, d >= 1")
+        C = self.n_classes
+        for name in ("variances", "priors"):
+            if getattr(self, name).shape != (C,):
+                raise ConfigurationError(
+                    f"dataset.{name} must list one value per class ({C}), "
+                    f"got {getattr(self, name).size}")
+        if np.any(self.variances <= 0):
+            raise ConfigurationError("dataset.variances must be positive")
+        if np.any(self.priors < 0) or abs(self.priors.sum() - 1.0) > 1e-9:
+            raise ConfigurationError(
+                "dataset.priors must be non-negative and sum to 1")
         if not 0 <= self.label_noise < 0.5:
-            raise ConfigurationError("label_noise must lie in [0, 0.5)")
-        if min(self.n_train, self.n_val, self.n_test) < 1:
-            raise ConfigurationError("every split needs at least one sample")
+            raise ConfigurationError(
+                "dataset.label_noise must lie in [0, 0.5)")
+        for name in ("n_train", "n_val", "n_test"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"dataset.{name} must be >= 1")
 
 
 def circle_mixture(n_classes: int, radius: float, sigma: float = 1.0,
@@ -162,8 +169,6 @@ def bayes_posterior(spec: MixtureSpec, x) -> np.ndarray:
 
 
 def save_csv_dataset(path, ds: Dataset) -> None:
-    with atomic_write(path) as f:
-        w = csv.writer(f)
-        w.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
-        for row, label in zip(ds.features, ds.labels):
-            w.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_csv(path, [f"f{i}" for i in range(ds.dim)] + ["label"],
+              ([repr(float(v)) for v in row] + [int(label)]
+               for row, label in zip(ds.features, ds.labels)))

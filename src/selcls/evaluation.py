@@ -1,13 +1,12 @@
 """Selective metrics, risk-coverage curves, and score histograms."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import apply_selector, exact_k_mask, fit_threshold
 from .errors import ConfigurationError, UndefinedRiskError
-from .util import atomic_write, fmt
+from .util import fmt, write_csv
 
 
 @dataclass
@@ -25,7 +24,6 @@ class ScoreHistogram:
     bin_edges: np.ndarray
     counts_correct: np.ndarray
     counts_incorrect: np.ndarray
-    degenerate: bool = False
 
 
 def risk_coverage_curve(scores, predicted, truth, grid,
@@ -68,7 +66,7 @@ def score_histogram(scores, predicted, truth, n_bins: int) -> ScoreHistogram:
     """Counts of correctly vs incorrectly predicted samples per score bin.
 
     Bins are equal width over [min, max] of the scores. Constant scores
-    collapse to a single unit-width bin, flagged degenerate.
+    collapse to a single unit-width bin centred on their value.
     """
     if n_bins < 2:
         raise ConfigurationError("need n_bins >= 2")
@@ -81,17 +79,15 @@ def score_histogram(scores, predicted, truth, n_bins: int) -> ScoreHistogram:
     lo, hi = float(scores.min()), float(scores.max())
     correct = predicted == truth
     if lo == hi:
-        edges = np.array([lo - 0.5, lo + 0.5])
-        return ScoreHistogram(
-            bin_edges=edges,
-            counts_correct=np.array([int(correct.sum())]),
-            counts_incorrect=np.array([int((~correct).sum())]),
-            degenerate=True)
+        n_ok = np.count_nonzero(correct)
+        return ScoreHistogram(bin_edges=np.array([lo - 0.5, lo + 0.5]),
+                              counts_correct=np.array([n_ok]),
+                              counts_incorrect=np.array([correct.size - n_ok]))
     edges = np.linspace(lo, hi, n_bins + 1)
     c_counts, _ = np.histogram(scores[correct], bins=edges)
     i_counts, _ = np.histogram(scores[~correct], bins=edges)
     return ScoreHistogram(bin_edges=edges, counts_correct=c_counts,
-                          counts_incorrect=i_counts, degenerate=False)
+                          counts_incorrect=i_counts)
 
 
 def mean_sd(values) -> tuple:
@@ -102,26 +98,17 @@ def mean_sd(values) -> tuple:
     return mean, sd
 
 
-def curve_to_csv(path, points, seed=None, header_comment: str = "") -> None:
-    with atomic_write(path) as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(["target_coverage", "achieved_coverage", "selective_risk",
-                    "n_selected", "seed"])
-        for p in points:
-            w.writerow([fmt(p.target_coverage), fmt(p.achieved_coverage),
-                        fmt(p.selective_risk), p.n_selected,
-                        "" if seed is None else seed])
+def curve_to_csv(path, points, seed: int, header_comment: str = "") -> None:
+    write_csv(path, ["target_coverage", "achieved_coverage", "selective_risk",
+                     "n_selected", "seed"],
+              ([fmt(p.target_coverage), fmt(p.achieved_coverage),
+                fmt(p.selective_risk), p.n_selected, seed] for p in points),
+              header_comment)
 
 
 def histogram_to_csv(path, hist: ScoreHistogram, header_comment: str = "") -> None:
-    with atomic_write(path) as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        w = csv.writer(f)
-        w.writerow(["bin_lo", "bin_hi", "count_correct", "count_incorrect"])
-        for i in range(len(hist.counts_correct)):
-            w.writerow([fmt(hist.bin_edges[i]), fmt(hist.bin_edges[i + 1]),
-                        int(hist.counts_correct[i]),
-                        int(hist.counts_incorrect[i])])
+    write_csv(path, ["bin_lo", "bin_hi", "count_correct", "count_incorrect"],
+              ([fmt(lo), fmt(hi), int(c), int(i)] for lo, hi, c, i in zip(
+                  hist.bin_edges[:-1], hist.bin_edges[1:],
+                  hist.counts_correct, hist.counts_incorrect)),
+              header_comment)

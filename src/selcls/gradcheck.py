@@ -88,43 +88,31 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int) -> GradcheckCas
     raise RuntimeError("could not draw a kink-free gradcheck case")
 
 
-def check_case(case: GradcheckCase, eps: float = FD_EPS,
-               corrupt: bool = False) -> float:
+def check_case(case: GradcheckCase) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    cfg, net = case.cfg, case.net
+    net = case.net
 
-    def lossfn(n):
-        t = network_forward(n, case.X)
-        return objective_dispatch(cfg, t.head_raw, case.y,
+    def dispatch(trace):
+        return objective_dispatch(case.cfg, trace.head_raw, case.y,
                                   n_classes=case.n_classes, store=case.store,
-                                  sample_ids=np.arange(len(case.y)),
-                                  epoch=0).loss
+                                  sample_ids=np.arange(len(case.y)), epoch=0)
 
     trace = network_forward(net, case.X)
-    res = objective_dispatch(cfg, trace.head_raw, case.y,
-                             n_classes=case.n_classes, store=case.store,
-                             sample_ids=np.arange(len(case.y)), epoch=0)
-    if corrupt:
-        res.dlogits["logits"] = res.dlogits["logits"] + 0.05
-    analytic = network_backward(net, trace, res.dlogits)
-    fd = finite_difference_gradient(lossfn, net, eps=eps)
+    analytic = network_backward(net, trace, dispatch(trace).dlogits)
+    fd = finite_difference_gradient(
+        lambda n: dispatch(network_forward(n, case.X)).loss, net, eps=FD_EPS)
     return max_relative_error(net, analytic, fd)
 
 
-def check_objective(cfg: ObjectiveConfig, n_cases: int = 20, seed: int = 0,
-                    corrupt: bool = False) -> float:
+def check_objective(cfg: ObjectiveConfig, n_cases: int = 20,
+                    seed: int = 0) -> float:
     worst = 0.0
     for i in range(n_cases):
-        case = _draw_case(cfg, seed, i)
-        worst = max(worst, check_case(case, corrupt=corrupt))
+        worst = max(worst, check_case(_draw_case(cfg, seed, i)))
     return worst
 
 
-def run_suite(n_cases: int = 20, seed: int = 0, corrupt: str | None = None) -> dict:
-    """Per-objective max relative error; ``corrupt`` names an objective
-    whose analytic gradient is deliberately broken (fault-injection)."""
-    results = {}
-    for name, cfg in suite_objectives():
-        results[name] = check_objective(cfg, n_cases=n_cases, seed=seed,
-                                        corrupt=(name == corrupt))
-    return results
+def run_suite(n_cases: int = 20, seed: int = 0) -> dict:
+    """Per-objective max relative error."""
+    return {name: check_objective(cfg, n_cases=n_cases, seed=seed)
+            for name, cfg in suite_objectives()}

@@ -416,15 +416,18 @@ def finite_difference_gradient(lossfn, net: Network,
     return grad
 
 
-def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray,
-                       guard: float = 1e-8) -> float:
+RELATIVE_ERROR_GUARD = 1e-8
+
+
+def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray) -> float:
     """Infinity-norm relative disagreement of two flat gradients of ``net``,
     maximized over its parameter arrays.
 
-    Per array: max|a - b| / max(guard, max|a|, max|b|). The difference is
-    scaled by the array's own gradient magnitude because entry-wise scaling
-    would put central-difference round-off (~1e-9 absolute in 64-bit) above
-    any useful tolerance whenever an individual entry happens to be tiny.
+    Per array: max|a - b| / max(RELATIVE_ERROR_GUARD, max|a|, max|b|). The
+    difference is scaled by the array's own gradient magnitude because
+    entry-wise scaling would put central-difference round-off (~1e-9
+    absolute in 64-bit) above any useful tolerance whenever an individual
+    entry happens to be tiny.
     """
     worst = 0.0
     shapes = net.layer_shapes
@@ -432,7 +435,7 @@ def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray,
         for a, b in zip(pair1, pair2):
             if not a.size:
                 continue
-            denom = max(guard, float(np.abs(a).max()), float(np.abs(b).max()))
+            denom = max(RELATIVE_ERROR_GUARD, np.abs(a).max(), np.abs(b).max())
             worst = max(worst, float(np.abs(a - b).max()) / denom)
     return worst
 

@@ -122,7 +122,8 @@ def mechanism_compatible(kind: str, head: str) -> bool:
 
 def scores_to_csv(path, scores, predicted, truth, header_comment: str = "") -> None:
     """One row per sample: id, score (shortest round-trip repr), predicted
-    and true class, with csv.writer's \\r\\n row endings."""
+    and true class, with the CRLF row endings of ``util.write_csv``, which
+    it bypasses for speed."""
     rows = zip(np.asarray(scores, dtype=np.float64).tolist(),
                np.asarray(predicted, dtype=np.int64).tolist(),
                np.asarray(truth, dtype=np.int64).tolist())

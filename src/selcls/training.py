@@ -10,7 +10,6 @@ Protocol notes baked in here:
     the touched targets are refreshed right after each parameter update
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from .objectives import (
     predictive_entropy,
     sat_update_targets,
 )
-from .util import atomic_write, fmt, rng_for
+from .util import fmt, rng_for, write_csv
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -82,16 +81,12 @@ class TrainReport:
     epochs: list = field(default_factory=list)
 
     def to_csv(self, path, header_comment: str = "") -> None:
-        with atomic_write(path) as f:
-            if header_comment:
-                f.write(f"# {header_comment}\n")
-            w = csv.writer(f)
-            w.writerow(["epoch", "lr", "train_loss", "train_accuracy",
-                        "val_accuracy", "mean_entropy"])
-            for e in self.epochs:
-                w.writerow([e.epoch, fmt(e.lr), fmt(e.train_loss),
-                            fmt(e.train_accuracy), fmt(e.val_accuracy),
-                            fmt(e.mean_entropy)])
+        write_csv(path, ["epoch", "lr", "train_loss", "train_accuracy",
+                         "val_accuracy", "mean_entropy"],
+                  ([e.epoch, fmt(e.lr), fmt(e.train_loss),
+                    fmt(e.train_accuracy), fmt(e.val_accuracy),
+                    fmt(e.mean_entropy)] for e in self.epochs),
+                  header_comment)
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -122,8 +117,8 @@ def _evaluate(net: Network, X, y):
     return acc, float(predictive_entropy(logits).mean())
 
 
-def train(net: Network, train_data, val_data, cfg: TrainConfig):
-    """Run the optimization loop; returns (TrainReport, target store).
+def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
+    """Run the optimization loop; returns the TrainReport.
 
     Deterministic given (net, data, cfg): every shuffle draws from a
     sub-seed derived from cfg.seed and the epoch index. The network is
@@ -138,9 +133,9 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
         raise ConfigurationError(
             f"objective {obj.kind!r} needs a {obj.required_head()!r} head, "
             f"network has {net.head!r}")
-    report, store = TrainReport(), None
+    report = TrainReport()
     if cfg.epochs == 0:
-        return report, store
+        return report
 
     X = np.asarray(train_data.features, dtype=np.float64)
     y = np.asarray(train_data.labels, dtype=np.int64)
@@ -149,8 +144,8 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
     n = X.shape[0]
     C = net.n_classes
 
-    if obj.base_kind == "SAT":
-        store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum)
+    store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum) \
+        if obj.base_kind == "SAT" else None
 
     velocity = np.zeros_like(net.params)
     ws = Workspace(net, min(cfg.batch_size, n))
@@ -191,5 +186,5 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig):
             epoch=epoch, lr=lr, train_loss=loss_sum / n,
             train_accuracy=n_correct / n, val_accuracy=val_acc,
             mean_entropy=val_entropy))
-    return report, store
+    return report
 

@@ -1,6 +1,7 @@
 """Seed derivation, canonical hashing, atomic writes, and small formatting
 helpers."""
 
+import csv
 import hashlib
 import json
 import os
@@ -72,3 +73,15 @@ def atomic_write(path):
             exc.strerror = exc.strerror or str(exc)
             exc.filename = os.fspath(path)
         raise
+
+
+def write_csv(path, header, rows, comment: str = "") -> None:
+    """Atomically write ``path``: a ``# comment`` line when ``comment`` is
+    given, then ``header`` and ``rows`` through ``csv.writer``, whose rows
+    end in CRLF."""
+    with atomic_write(path) as f:
+        if comment:
+            f.write(f"# {comment}\n")
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selcls.calibration import (
-    CalibratedSelector,
     apply_selector,
     exact_k_mask,
     fit_threshold,
@@ -59,21 +58,21 @@ class TestRequiredCount:
 class TestFitThreshold:
     def test_distinct_scores_example(self):
         scores = np.arange(0.1, 1.05, 0.1)
-        sel = fit_threshold(scores, 0.5)
-        assert abs(sel.tau - 0.6) < 1e-12
+        tau = fit_threshold(scores, 0.5)
+        assert abs(tau - 0.6) < 1e-12
         mask = exact_k_mask(scores, 0.5)
         assert mask.sum() == 5
 
     def test_full_coverage_selects_all(self):
         scores = np.array([3.0, -1.0, 2.0])
-        sel = fit_threshold(scores, 1.0)
-        assert sel.tau == -1.0
-        assert apply_selector(sel, scores).all()
+        tau = fit_threshold(scores, 1.0)
+        assert tau == -1.0
+        assert apply_selector(tau, scores).all()
 
     def test_all_ties_lowest_ids_win(self):
         scores = np.full(10, 0.5)
-        sel = fit_threshold(scores, 0.4)
-        assert sel.tau == 0.5
+        tau = fit_threshold(scores, 0.4)
+        assert tau == 0.5
         mask = exact_k_mask(scores, 0.4)
         assert mask.sum() == 4
         assert np.array_equal(np.flatnonzero(mask), [0, 1, 2, 3])
@@ -91,9 +90,8 @@ class TestFitThreshold:
     def test_plus_inf_rejected(self):
         with pytest.raises(ConfigurationError):
             fit_threshold(np.array([1.0, np.inf]), 0.5)
-        sel = CalibratedSelector(tau=0.0, target_coverage=0.5)
         with pytest.raises(ConfigurationError):
-            apply_selector(sel, np.array([np.inf, -np.inf]))
+            apply_selector(0.0, np.array([np.inf, -np.inf]))
         with pytest.raises(ConfigurationError):
             exact_k_mask(np.array([np.inf, -np.inf]), 0.5)
 
@@ -106,13 +104,11 @@ class TestFitThreshold:
 
 class TestApplySelector:
     def test_boundary_inclusive(self):
-        sel = CalibratedSelector(tau=0.6, target_coverage=0.5)
-        mask = apply_selector(sel, np.array([0.59, 0.60, 0.61]))
+        mask = apply_selector(0.6, np.array([0.59, 0.60, 0.61]))
         assert np.array_equal(mask, [False, True, True])
 
     def test_minus_inf_tau_selects_all(self):
-        sel = CalibratedSelector(tau=-np.inf, target_coverage=1.0)
-        mask = apply_selector(sel, np.array([-np.inf, 0.0, 5.0]))
+        mask = apply_selector(-np.inf, np.array([-np.inf, 0.0, 5.0]))
         assert mask.all()
 
     def test_fresh_data_coverage_near_target(self):
@@ -120,8 +116,8 @@ class TestApplySelector:
         rng = np.random.default_rng(99)
         cal = rng.normal(size=10_000)
         test = rng.normal(size=10_000)
-        sel = fit_threshold(cal, 0.5)
-        cov = apply_selector(sel, test).mean()
+        tau = fit_threshold(cal, 0.5)
+        cov = apply_selector(tau, test).mean()
         assert abs(cov - 0.5) < 0.02
 
 
@@ -164,9 +160,9 @@ class TestExactnessProperty:
             if not np.any(np.isfinite(scores)):
                 continue
             for c in (0.2, 0.5, 0.9, 1.0):
-                sel = fit_threshold(scores, c)
+                tau = fit_threshold(scores, c)
                 k = required_count(len(scores), c)
-                assert sel.tau == brute_force_tau(scores, k)
+                assert tau == brute_force_tau(scores, k)
 
     def test_nested_selection_and_monotone_tau(self):
         rng = np.random.default_rng(4242)
@@ -177,12 +173,12 @@ class TestExactnessProperty:
             prev_mask = None
             prev_tau = None
             for c in COVERAGE_GRID:  # ascending coverage
-                sel = fit_threshold(scores, c)
+                tau = fit_threshold(scores, c)
                 mask = exact_k_mask(scores, c)
                 if prev_mask is not None:
                     assert np.all(mask[prev_mask])  # previous set contained
-                    assert sel.tau <= prev_tau
-                prev_mask, prev_tau = mask, sel.tau
+                    assert tau <= prev_tau
+                prev_mask, prev_tau = mask, tau
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +267,7 @@ class TestTieRuleProperty:
             with pytest.raises(CalibrationError):
                 fit_threshold(scores, c)
             return
-        assert fit_threshold(scores, c).tau == reference_tau(scores, k)
+        assert fit_threshold(scores, c) == reference_tau(scores, k)
 
     @TIE_SETTINGS
     @with_examples

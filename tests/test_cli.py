@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selcls import training
+from selcls import cli, gradcheck, training
 from selcls.cli import main
 from selcls.config import (
     DatasetConfig,
@@ -18,8 +18,9 @@ from selcls.config import (
 )
 from selcls.datasets import MixtureSpec, blobs8
 from selcls.errors import ConfigurationError
+from selcls.evaluation import RiskCoveragePoint
 from selcls.nn import load_checkpoint, network_forward
-from selcls.objectives import ObjectiveConfig
+from selcls.objectives import ObjectiveConfig, objective_dispatch
 from selcls.training import TrainConfig
 from selcls.util import derive_seed
 
@@ -80,7 +81,8 @@ class TestTrainCommand:
             objective={"kind": "DG", "o": 5.0})
         assert main(["train", "-c", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {cfg_path}: payoff o=5.0 violates 1 < o <= C (C=3)\n")
+            f"error: {cfg_path}: objective.o: payoff o=5.0 violates "
+            "1 < o <= C (C=3)\n")
         assert forwards == []
         assert not Path(doc["output_dir"]).exists()
 
@@ -258,11 +260,24 @@ class TestGradcheckCommand:
             assert family in out
         assert out.count("PASS") >= 5
 
-    def test_injected_fault_detected_and_named(self, capsys):
-        assert main(["gradcheck", "--cases", "1", "--seed", "3",
-                     "--inject-fault", "DG"]) == 1
+    def test_injected_fault_detected_and_named(self, capsys, monkeypatch):
+        def broken_dg(cfg, *args, **kwargs):
+            result = objective_dispatch(cfg, *args, **kwargs)
+            if cfg.kind == "DG":
+                result.dlogits["logits"] = result.dlogits["logits"] + 0.05
+            return result
+
+        monkeypatch.setattr(gradcheck, "objective_dispatch", broken_dg)
+        assert main(["gradcheck", "--cases", "1", "--seed", "3"]) == 1
         out = capsys.readouterr().out
         assert "FAIL DG" in out
+
+    def test_fault_injection_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--inject-fault", "DG"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-fault DG" in \
+            capsys.readouterr().err
 
 
 class TestMakeDataCommand:
@@ -318,6 +333,19 @@ class TestMakeDataCommand:
         assert capsys.readouterr().err == (
             f"error: {cfg_path}: dataset.{key} must list one value per "
             f"class (3), got {len(value)}\n")
+        assert not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize("dataset, message", [
+        ({"preset": None, "means": [[0, 0], [1, 1]], "priors": [0.5, 0.6]},
+         "dataset.priors must be non-negative and sum to 1"),
+        ({"label_noise": 0.7}, "dataset.label_noise must lie in [0, 0.5)"),
+        ({"n_train": 0}, "dataset.n_train must be >= 1"),
+    ], ids=["priors", "label_noise", "n_train"])
+    def test_bad_mixture_exits_2_naming_key(self, tmp_path, capsys, dataset,
+                                            message):
+        cfg_path, doc = base_config(tmp_path, dataset=dataset)
+        assert main(["make-data", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
         assert not Path(doc["output_dir"]).exists()
 
 
@@ -382,6 +410,28 @@ class TestGridCommand:
                 if r and not r.startswith("#")]
         return manifest, rows
 
+    def test_results_csv_bytes(self, tmp_path, monkeypatch):
+        # each cell's evaluation returns the next fixed risk, so the file's
+        # means and SDs over the two seeds are known in advance
+        risks = iter([0.25, 0.5, 0.125, 0.375])
+
+        def fixed_risks(net, val_ds, test_ds, mechanisms, coverages, split):
+            return None, {k: (None, [RiskCoveragePoint(c, c, next(risks), 1)
+                                     for c in coverages])
+                          for k in mechanisms}
+
+        monkeypatch.setattr(cli, "evaluate_mechanisms", fixed_risks)
+        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                         coverages=[0.5], seeds=[0, 1])
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        h = load_run_config(cfg_path).hash()
+        sd = b"0.1767766952966369"  # of either pair of risks
+        assert (Path(doc["output_dir"]) / "results.csv").read_bytes() == (
+            f"# config={h}\n".encode()
+            + b"method,mechanism,coverage,mean_risk,sd_risk,n_seeds\r\n"
+            + b"CE,softmax_response,0.5,0.375," + sd + b",2\r\n"
+            + b"DG,softmax_response,0.5,0.25," + sd + b",2\r\n")
+
     def test_single_cell_single_row_per_coverage(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path)
         assert main(["grid", "-c", str(cfg_path)]) == 0
@@ -435,7 +485,7 @@ class TestGridCommand:
         ("grid", "methods", [], "grid.methods must not be empty"),
         ("grid", "mechanisms", [], "grid.mechanisms must not be empty"),
         ("grid", "coverages", [], "grid.coverages must not be empty"),
-        ("grid", "seeds", [], "grid needs at least one seed"),
+        ("grid", "seeds", [], "grid.seeds must not be empty"),
         ("evaluation", "mechanisms", [],
          "evaluation.mechanisms must not be empty"),
         ("evaluation", "coverage_grid", [],

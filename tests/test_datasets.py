@@ -114,6 +114,15 @@ class TestCsvRoundTrip:
         loaded = Dataset(features=table[:, :-1], labels=table[:, -1])
         assert loaded.fingerprint == train.fingerprint
 
+    def test_exact_bytes(self, tmp_path):
+        # no comment line; shortest round-trip floats, \r\n row endings
+        ds = Dataset(features=[[0.1, -2.0], [3.0, 1 / 3]], labels=[1, 0])
+        save_csv_dataset(tmp_path / "data.csv", ds)
+        assert (tmp_path / "data.csv").read_bytes() == (
+            b"f0,f1,label\r\n"
+            b"0.1,-2.0,1\r\n"
+            b"3.0,0.3333333333333333,0\r\n")
+
 
 def test_blobs8_shape():
     spec = blobs8()

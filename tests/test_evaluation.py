@@ -5,7 +5,15 @@ import pytest
 
 from selcls.calibration import fit_threshold, required_count
 from selcls.errors import ConfigurationError, UndefinedRiskError
-from selcls.evaluation import mean_sd, risk_coverage_curve, score_histogram
+from selcls.evaluation import (
+    RiskCoveragePoint,
+    ScoreHistogram,
+    curve_to_csv,
+    histogram_to_csv,
+    mean_sd,
+    risk_coverage_curve,
+    score_histogram,
+)
 
 from conftest import selective_risk
 
@@ -166,7 +174,7 @@ class TestRiskCoverageCurve:
         pred, truth = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0])
         points = risk_coverage_curve(scores, pred, truth, [0.5, 0.3],
                                      calibration_scores=cal)
-        assert fit_threshold(cal, 0.5).tau == -np.inf
+        assert fit_threshold(cal, 0.5) == -np.inf
         assert points[0].achieved_coverage == 1.0
         assert points[0].n_selected == 4
         assert points[0].selective_risk == 0.25
@@ -208,7 +216,7 @@ class TestScoreHistogram:
     def test_constant_scores_degenerate(self):
         hist = score_histogram(np.full(5, 0.3), [0, 0, 1, 1, 0],
                                [0, 0, 0, 0, 0], n_bins=4)
-        assert hist.degenerate
+        assert np.array_equal(hist.bin_edges, [-0.2, 0.8])
         assert len(hist.counts_correct) == 1
         assert hist.counts_correct[0] == 3
         assert hist.counts_incorrect[0] == 2
@@ -216,6 +224,36 @@ class TestScoreHistogram:
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ConfigurationError):
             score_histogram([0.1, -np.inf], [0, 0], [0, 0], n_bins=2)
+
+
+class TestCsvBytes:
+    """The exact bytes of the curve and histogram CSVs: a '# ' comment
+    line ending in \n, then the header and rows ending in \r\n, floats in
+    shortest round-trip form."""
+
+    def test_curve(self, tmp_path):
+        points = [RiskCoveragePoint(1.0, 1.0, 0.25, 4),
+                  RiskCoveragePoint(0.5, 0.5, 1 / 3, 3)]
+        curve_to_csv(tmp_path / "curve.csv", points, seed=7,
+                     header_comment="config=abc mechanism=softmax_response")
+        assert (tmp_path / "curve.csv").read_bytes() == (
+            b"# config=abc mechanism=softmax_response\n"
+            b"target_coverage,achieved_coverage,selective_risk,n_selected,"
+            b"seed\r\n"
+            b"1.0,1.0,0.25,4,7\r\n"
+            b"0.5,0.5,0.3333333333333333,3,7\r\n")
+
+    def test_histogram(self, tmp_path):
+        hist = ScoreHistogram(bin_edges=np.linspace(0.0, 1.0, 3),
+                              counts_correct=np.array([1, 2]),
+                              counts_incorrect=np.array([3, 0]))
+        histogram_to_csv(tmp_path / "hist.csv", hist,
+                         header_comment="config=abc dropped=2")
+        assert (tmp_path / "hist.csv").read_bytes() == (
+            b"# config=abc dropped=2\n"
+            b"bin_lo,bin_hi,count_correct,count_incorrect\r\n"
+            b"0.0,0.5,1,3\r\n"
+            b"0.5,1.0,2,0\r\n")
 
 
 def test_mean_sd_conventions():

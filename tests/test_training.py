@@ -26,11 +26,28 @@ from selcls import training
 from selcls.training import (
     EpochStats,
     TrainConfig,
+    TrainReport,
     lr_at_epoch,
     sgd_momentum_step,
     train,
 )
 from selcls.util import rng_for
+
+
+def train_keeping_store(monkeypatch, net, train_ds, val_ds, cfg):
+    """train()'s report and the SAT target store it made (None for any
+    other objective), caught where SatTargetStore.initialize returns it."""
+    stores = []
+    initialize = SatTargetStore.initialize
+
+    def kept(*args, **kwargs):
+        stores.append(initialize(*args, **kwargs))
+        return stores[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(SatTargetStore, "initialize", kept)
+        report = train(net, train_ds, val_ds, cfg)
+    return report, (stores[0] if stores else None)
 
 
 def small_spec(seed=0, separation=6.0, noise=0.0):
@@ -103,14 +120,14 @@ class TestTrain:
         train_ds, val_ds, _ = generate_mixture(small_spec())
         net = build_network(2, (8,), 2, "plain", seed=0)
         before = net.params.copy()
-        report, _ = train(net, train_ds, val_ds, quick_cfg(epochs=0))
+        report = train(net, train_ds, val_ds, quick_cfg(epochs=0))
         assert report.epochs == []
         assert np.array_equal(net.params, before)
 
     def test_separable_blobs_reach_high_accuracy(self):
         train_ds, val_ds, _ = generate_mixture(small_spec(separation=6.0))
         net = build_network(2, (16,), 2, "plain", seed=1)
-        report, _ = train(net, train_ds, val_ds, quick_cfg(epochs=50, seed=1))
+        report = train(net, train_ds, val_ds, quick_cfg(epochs=50, seed=1))
         assert report.epochs[-1].train_accuracy >= 0.99
 
     @pytest.mark.parametrize("kind, head, obj_kw", [
@@ -152,7 +169,7 @@ class TestTrain:
                                   == train_ds.labels))
         cfg = quick_cfg(kind=kind, epochs=2, seed=6)
         cfg.lr0 = 1e-300
-        report, _ = train(net, train_ds, val_ds, cfg)
+        report = train(net, train_ds, val_ds, cfg)
         assert np.allclose(net.params, before, rtol=0.0, atol=1e-280)
         assert [e.train_accuracy for e in report.epochs] == [untrained] * 2
 
@@ -161,7 +178,7 @@ class TestTrain:
         cfg = quick_cfg(epochs=4)
         cfg.decay_every = 2
         net = build_network(2, (4,), 2, "plain", seed=0)
-        report, _ = train(net, train_ds, val_ds, cfg)
+        report = train(net, train_ds, val_ds, cfg)
         assert [e.lr for e in report.epochs] == \
             [lr_at_epoch(cfg, e) for e in range(4)]
 
@@ -172,7 +189,7 @@ class TestTrain:
             net = build_network(2, (8, 8), 2, "abstain", seed=5)
             cfg = quick_cfg(kind="SAT", epochs=6, seed=5,
                             sat_pretrain_epochs=2)
-            report, _ = train(net, train_ds, val_ds, cfg)
+            report = train(net, train_ds, val_ds, cfg)
             return net, report
 
         n1, r1 = run()
@@ -195,20 +212,22 @@ class TestTrain:
         with pytest.raises(NumericFault, match="epoch"):
             train(net, train_ds, val_ds, cfg)
 
-    def test_sat_targets_untouched_during_pretrain(self):
+    def test_sat_targets_untouched_during_pretrain(self, monkeypatch):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
         net = build_network(2, (8,), 2, "abstain", seed=2)
         cfg = quick_cfg(kind="SAT", epochs=3, seed=2, sat_pretrain_epochs=3)
-        _, store = train(net, train_ds, val_ds, cfg)
+        _, store = train_keeping_store(monkeypatch, net, train_ds, val_ds,
+                                       cfg)
         onehot = np.zeros((len(train_ds), 3))
         onehot[np.arange(len(train_ds)), train_ds.labels] = 1.0
         assert np.array_equal(store.targets, onehot)
 
-    def test_sat_targets_move_after_pretrain(self):
+    def test_sat_targets_move_after_pretrain(self, monkeypatch):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
         net = build_network(2, (8,), 2, "abstain", seed=2)
         cfg = quick_cfg(kind="SAT", epochs=4, seed=2, sat_pretrain_epochs=2)
-        _, store = train(net, train_ds, val_ds, cfg)
+        _, store = train_keeping_store(monkeypatch, net, train_ds, val_ds,
+                                       cfg)
         assert np.any(store.targets[:, -1] > 0)
         assert np.max(np.abs(store.targets.sum(axis=1) - 1.0)) < 1e-9
 
@@ -233,8 +252,24 @@ class TestTrain:
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.1))
         net = build_network(2, (8, 8), 2, "selectivenet", seed=4)
         cfg = quick_cfg(kind="SelectiveNet", epochs=8, seed=4, c_target=0.8)
-        report, _ = train(net, train_ds, val_ds, cfg)
+        report = train(net, train_ds, val_ds, cfg)
         assert report.epochs[-1].val_accuracy > 0.6
+
+
+@pytest.mark.parametrize("comment, first_line", [
+    ("config=abc", b"# config=abc\n"),
+    ("", b""),
+], ids=["comment", "no-comment"])
+def test_report_csv_bytes(tmp_path, comment, first_line):
+    # the optional '# ' comment line ends in \n, the header and rows in
+    # \r\n; floats are written in shortest round-trip form
+    report = TrainReport(epochs=[EpochStats(0, 0.1, 0.5, 0.75, 0.625, 1.25),
+                                 EpochStats(1, 0.05, 1 / 3, 1.0, 0.5, 0.0)])
+    report.to_csv(tmp_path / "report.csv", header_comment=comment)
+    assert (tmp_path / "report.csv").read_bytes() == first_line + (
+        b"epoch,lr,train_loss,train_accuracy,val_accuracy,mean_entropy\r\n"
+        b"0,0.1,0.5,0.75,0.625,1.25\r\n"
+        b"1,0.05,0.3333333333333333,1.0,0.5,0.0\r\n")
 
 
 def per_batch_reference_train(net, train_ds, val_ds, cfg):
@@ -293,7 +328,7 @@ class TestWorkspaceTraining:
         ("CE", 5e-4),
     ], ids=[*OBJECTIVE_KINDS, "CE-weight-decay"])
     def test_bitwise_equal_to_per_batch_reference(self, splits, kind,
-                                                  weight_decay):
+                                                  weight_decay, monkeypatch):
         train_ds, val_ds = splits
         objective = ObjectiveConfig(kind=kind, c_target=0.5,
                                     sat_pretrain_epochs=1)
@@ -302,11 +337,13 @@ class TestWorkspaceTraining:
         nets = [build_network(train_ds.dim, (64, 64), 8,
                               objective.required_head(), seed=11)
                 for _ in range(2)]
-        report, store = train(nets[0], train_ds, val_ds, cfg)
+        report, store = train_keeping_store(monkeypatch, nets[0], train_ds,
+                                            val_ds, cfg)
         want, want_store = per_batch_reference_train(nets[1], train_ds,
                                                      val_ds, cfg)
         assert report.epochs == want
         assert nets[0].params.tobytes() == nets[1].params.tobytes()
+        assert (store is None) == (objective.base_kind != "SAT")
         if store is not None:
             assert store.targets.tobytes() == want_store.targets.tobytes()
 

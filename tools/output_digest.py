@@ -144,7 +144,7 @@ def train_objectives() -> dict:
         net = nn.build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
                                n_classes, objective.required_head(),
                                seed=SEED)
-        report, _ = training.train(net, train_ds, val_ds, replace(
+        report = training.train(net, train_ds, val_ds, replace(
             cfg.training, seed=SEED, objective=objective))
         stem = os.path.join("train", kind.replace("+", "_"))
         checkpoints[kind] = f"{stem}.checkpoint.json"
