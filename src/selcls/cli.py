@@ -70,6 +70,20 @@ def write_manifest(outdir: Path, payload: dict) -> None:
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
+def run_cell(cfg: RunConfig, objective, seed: int, splits, checkpoint,
+             report, config_hash: str = ""):
+    """Train a new ``objective`` network on ``splits`` from init and shuffle
+    seed ``seed``; save it and its report, tagged with any ``config_hash``."""
+    train_ds, val_ds, _, n_classes = splits
+    net = build_network(train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
+                        objective.required_head(), seed=seed)
+    result = train(net, train_ds, val_ds,
+                   replace(cfg.training, seed=seed, objective=objective))
+    save_checkpoint(net, checkpoint, config_hash=config_hash)
+    result.to_csv(report, config_hash and f"config={config_hash}")
+    return net
+
+
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     outdir = resolve_outdir(cfg.output_dir, args.output)
@@ -77,13 +91,9 @@ def cmd_train(args) -> int:
     with atomic_write(outdir / "run_config.json") as f:
         json.dump({"hash": h, "config": cfg.normalized()}, f, indent=2,
                   sort_keys=True)
-    train_ds, val_ds, _, n_classes = build_splits(cfg)
-    net = build_network(train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
-                        cfg.objective.required_head(), seed=cfg.training.seed)
-    report = train(net, train_ds, val_ds, cfg.training)
     ckpt = outdir / "checkpoint.json"
-    save_checkpoint(net, ckpt, config_hash=h)
-    report.to_csv(outdir / "train_report.csv", header_comment=f"config={h}")
+    run_cell(cfg, cfg.objective, cfg.training.seed, build_splits(cfg), ckpt,
+             outdir / "train_report.csv", config_hash=h)
     write_manifest(outdir, {
         "config_hash": h, "status": "ok",
         "artifacts": ["run_config.json", "checkpoint.json",
@@ -153,6 +163,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.cases < 1:
+        raise ConfigurationError(f"--cases must be >= 1, got {args.cases}")
     results = run_suite(n_cases=args.cases, seed=args.seed)
     failed = []
     for name, err in results.items():
@@ -205,18 +217,13 @@ def cmd_grid(args) -> int:
             try:
                 if seed not in splits:
                     splits[seed] = build_splits(cfg, seed=seed)
-                train_ds, val_ds, test_ds, n_classes = splits[seed]
                 objective = base if coverage is None \
                     else replace(base, c_target=float(coverage))
-                net = build_network(
-                    train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
-                    objective.required_head(), seed=seed)
-                report = train(net, train_ds, val_ds, replace(
-                    cfg.training, seed=seed, objective=objective))
                 path = str(cells_dir / f"{name}.checkpoint.json")
-                save_checkpoint(net, path)
-                report.to_csv(cells_dir / f"{name}.report.csv")
+                net = run_cell(cfg, objective, seed, splits[seed], path,
+                               cells_dir / f"{name}.report.csv")
                 cell["checkpoint"] = path
+                _, val_ds, test_ds, _ = splits[seed]
                 eval_covs = grid.coverages if coverage is None else [coverage]
                 _, results = evaluate_mechanisms(
                     net, val_ds, test_ds,

@@ -22,7 +22,6 @@ from .objectives import ObjectiveConfig, SatTargetStore, objective_dispatch
 from .util import rng_for
 
 TOLERANCE = 1e-5
-FD_EPS = 1e-6
 # pre-activations must sit at least this far from the rectifier kink for
 # the central-difference oracle to be trustworthy
 KINK_MARGIN = 1e-4
@@ -100,7 +99,7 @@ def check_case(case: GradcheckCase) -> float:
     trace = network_forward(net, case.X)
     analytic = network_backward(net, trace, dispatch(trace).dlogits)
     fd = finite_difference_gradient(
-        lambda n: dispatch(network_forward(n, case.X)).loss, net, eps=FD_EPS)
+        lambda n: dispatch(network_forward(n, case.X)).loss, net)
     return max_relative_error(net, analytic, fd)
 
 

@@ -390,29 +390,29 @@ def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
     return grad
 
 
-def finite_difference_gradient(lossfn, net: Network,
-                               eps: float = 1e-6) -> np.ndarray:
+FD_EPS = 1e-6
+
+
+def finite_difference_gradient(lossfn, net: Network) -> np.ndarray:
     """Central-difference gradient of ``lossfn(net)``, laid out like
-    ``net.params``.
+    ``net.params``, stepping each entry by +/-``FD_EPS``.
 
     Perturbs entries in place and restores them; the loss function must be
     deterministic. This is the verification oracle for every analytic
     gradient in the package and stays independent of the backward pass.
     """
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
     theta = net.params
     grad = np.zeros_like(theta)
     for j in range(theta.size):
         orig = theta[j]
-        theta[j] = orig + eps
+        theta[j] = orig + FD_EPS
         up = lossfn(net)
-        theta[j] = orig - eps
+        theta[j] = orig - FD_EPS
         down = lossfn(net)
         theta[j] = orig
         if not (np.isfinite(up) and np.isfinite(down)):
             raise NumericFault("loss function returned a non-finite value")
-        grad[j] = (up - down) / (2.0 * eps)
+        grad[j] = (up - down) / (2.0 * FD_EPS)
     return grad
 
 

@@ -272,6 +272,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL DG" in out
 
+    @pytest.mark.parametrize("cases", ["0", "-2"])
+    def test_cases_below_one_exits_2_naming_flag(self, capsys, cases):
+        assert main(["gradcheck", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err == f"error: --cases must be >= 1, got {cases}\n"
+
     def test_fault_injection_is_not_a_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--inject-fault", "DG"])
@@ -443,6 +450,26 @@ class TestGridCommand:
         assert cell["status"] == "ok"
         assert cell["checkpoint"].endswith(f"{cell['name']}.checkpoint.json")
         assert Path(cell["checkpoint"]).exists()
+
+    def test_one_cell_grid_trains_the_same_model_as_train(self, tmp_path):
+        cfg_path, _ = base_config(
+            tmp_path, objective={"kind": "SelectiveNet+EM", "c_target": 0.7},
+            training={"seed": 5},
+            grid={"methods": ["SelectiveNet+EM"], "coverages": [0.7],
+                  "seeds": [5]})
+        train_dir, grid_dir = tmp_path / "train", tmp_path / "grid"
+        assert main(["train", "-c", str(cfg_path), "-o", str(train_dir)]) == 0
+        assert main(["grid", "-c", str(cfg_path), "-o", str(grid_dir)]) == 0
+        cell = grid_dir / "cells" / "SelectiveNet_EM_c0.7_s5"
+        train_net, train_hash = load_checkpoint(train_dir / "checkpoint.json")
+        cell_net, cell_hash = load_checkpoint(f"{cell}.checkpoint.json")
+        assert train_net.params.tobytes() == cell_net.params.tobytes()
+        assert train_hash == load_run_config(cfg_path).hash()
+        assert cell_hash == ""
+        comment, rest = (train_dir / "train_report.csv").read_bytes().split(
+            b"\n", 1)
+        assert comment == f"# config={train_hash}".encode()
+        assert rest == Path(f"{cell}.report.csv").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path, seeds=[0, 1])

@@ -396,13 +396,13 @@ class TestFiniteDifference:
         def lossfn(n):
             return float(n.heads["logits"].W[0, 0] ** 2)
 
-        g = finite_difference_gradient(lossfn, net, eps=1e-4)
+        g = finite_difference_gradient(lossfn, net)
         assert abs(g[0] - 6.0) < 1e-6
         assert np.all(g[1:] == 0.0)
 
     def test_constant_loss_zero_gradient(self, rng):
         net = random_net(rng)
-        g = finite_difference_gradient(lambda n: 1.25, net, eps=1e-5)
+        g = finite_difference_gradient(lambda n: 1.25, net)
         assert g.shape == net.params.shape
         assert np.all(g == 0.0)
 
@@ -423,7 +423,7 @@ class TestFiniteDifference:
         trace = network_forward(net, X)
         d = objective_dispatch(cfg, trace.head_raw, y, n_classes=3).dlogits
         analytic = network_backward(net, trace, d)
-        fd = finite_difference_gradient(lossfn, net, eps=1e-6)
+        fd = finite_difference_gradient(lossfn, net)
         assert max_relative_error(net, analytic, fd) < 1e-5
 
 

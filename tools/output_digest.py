@@ -10,7 +10,7 @@ change, is checked by comparing its digests with its parent's:
 ``--against`` exits 1 when any artifact differs and names each one. The
 runs take about 20 s per checkout and write only to a temporary directory:
 
-    train/<objective>.*  train() for each of the 8 objectives on
+    train/<objective>.*  cli.run_cell for each of the 8 objectives on
                          perfbench/configs/blobs8.json: its checkpoint
                          and report CSV
     train/cli/           selcls train on perfbench/configs/blobs8.json:
@@ -132,24 +132,18 @@ def run_cli(argv) -> str:
 
 
 def train_objectives() -> dict:
-    """train() each of OBJECTIVES; returns {objective: checkpoint path}."""
-    from selcls import cli, config, nn, training
+    """run_cell each of OBJECTIVES; returns {objective: checkpoint path}."""
+    from selcls import cli, config
 
     cfg = config.load_run_config(BASE_CONFIG)
-    train_ds, val_ds, _, n_classes = cli.build_splits(cfg, seed=SEED)
+    splits = cli.build_splits(cfg, seed=SEED)
     os.makedirs("train")
     checkpoints = {}
     for kind in OBJECTIVES:
-        objective = replace(cfg.objective, kind=kind)
-        net = nn.build_network(train_ds.dim, tuple(cfg.model.hidden_dims),
-                               n_classes, objective.required_head(),
-                               seed=SEED)
-        report = training.train(net, train_ds, val_ds, replace(
-            cfg.training, seed=SEED, objective=objective))
         stem = os.path.join("train", kind.replace("+", "_"))
         checkpoints[kind] = f"{stem}.checkpoint.json"
-        nn.save_checkpoint(net, checkpoints[kind])
-        report.to_csv(f"{stem}.report.csv")
+        cli.run_cell(cfg, replace(cfg.objective, kind=kind), SEED, splits,
+                     checkpoints[kind], f"{stem}.report.csv")
     return checkpoints
 
 
