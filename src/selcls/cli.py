@@ -117,10 +117,6 @@ def evaluate_mechanisms(net, val_ds, test_ds, mechanisms, coverages,
     predicted = predict_classes(test_out)
     results = {}
     for kind in mechanisms:
-        if not mechanism_compatible(kind, net.head):
-            raise ConfigurationError(
-                f"mechanism {kind!r} is incompatible with a {net.head!r} "
-                "head checkpoint")
         mech = SelectionMechanism(kind)
         scores = score_batch(mech, test_out)
         calibration_scores = None if val_out is None \
@@ -312,7 +308,7 @@ def main(argv=None) -> int:
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, SelclsError) as exc:
+    except SelclsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a file that cannot be read or written

@@ -12,6 +12,7 @@ one seed row reproduces the entire run.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin
 
@@ -56,7 +57,8 @@ def _section(cls, d, where: str, **given):
 
 def _is_a(value, kind) -> bool:
     """Whether a JSON value has the annotated type ``kind``: a class, a
-    ``list[X]`` or a union. Integers are numbers; true and false are not."""
+    ``list[X]`` or a union. Integers are numbers; true and false are not,
+    and neither are NaN, Infinity and integers too large for a float."""
     if type(kind) is not type:
         args = get_args(kind)
         if get_origin(kind) is list:
@@ -65,7 +67,9 @@ def _is_a(value, kind) -> bool:
         return any(_is_a(value, k) for k in args)
     if isinstance(value, bool) and kind is not bool:
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:  # finite: no NaN, no value beyond the float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _check_types(cfg, where: str = "") -> None:
@@ -95,14 +99,18 @@ def _normalized(value, kind):
     return float(value) if float in kinds and value is not None else value
 
 
-def _check_list(where: str, values: list, distinct: bool = False) -> None:
-    """Refuse an empty list and, when ``distinct``, a repeated value."""
+def _check_list(where: str, values: list, known=None) -> None:
+    """Refuse an empty list, a repeated value and, given ``known``, a value
+    outside it."""
     if not values:
         raise ConfigurationError(f"{where} must not be empty")
-    for i, value in enumerate(values if distinct else []):
+    for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigurationError(
                 f"{where} lists {json.dumps(value)} twice")
+        if known is not None and value not in known:
+            raise ConfigurationError(
+                f"{where} lists unknown value {json.dumps(value)}")
 
 
 @dataclass
@@ -172,16 +180,11 @@ class EvalConfig:
     histogram_bins: int = 20
 
     def validate(self) -> None:
-        _check_list("evaluation.mechanisms", self.mechanisms, distinct=True)
-        for m in self.mechanisms:
-            if m not in MECHANISM_KINDS:
-                raise ConfigurationError(
-                    f"unknown mechanism {m!r} in evaluation.mechanisms")
+        _check_list("evaluation.mechanisms", self.mechanisms, MECHANISM_KINDS)
         if self.calibration_split not in ("val", "test"):
             raise ConfigurationError(
                 "evaluation.calibration_split must be 'val' or 'test'")
-        _check_list("evaluation.coverage_grid", self.coverage_grid,
-                    distinct=True)
+        _check_list("evaluation.coverage_grid", self.coverage_grid)
         if any(not 0 < c <= 1 for c in self.coverage_grid):
             raise ConfigurationError("coverage grid values must lie in (0, 1]")
         if self.histogram_bins < 2:
@@ -197,18 +200,12 @@ class GridConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
 
     def validate(self) -> None:
-        _check_list("grid.methods", self.methods, distinct=True)
-        for m in self.methods:
-            if m not in OBJECTIVE_KINDS:
-                raise ConfigurationError(f"unknown grid method {m!r}")
-        _check_list("grid.mechanisms", self.mechanisms, distinct=True)
-        for m in self.mechanisms:
-            if m not in MECHANISM_KINDS:
-                raise ConfigurationError(f"unknown grid mechanism {m!r}")
-        _check_list("grid.coverages", self.coverages, distinct=True)
+        _check_list("grid.methods", self.methods, OBJECTIVE_KINDS)
+        _check_list("grid.mechanisms", self.mechanisms, MECHANISM_KINDS)
+        _check_list("grid.coverages", self.coverages)
         if any(not 0 < c <= 1 for c in self.coverages):
             raise ConfigurationError("grid coverages must lie in (0, 1]")
-        _check_list("grid.seeds", self.seeds, distinct=True)
+        _check_list("grid.seeds", self.seeds)
 
 
 @dataclass
@@ -246,12 +243,9 @@ class RunConfig:
         for section in (cfg.dataset, cfg.model, cfg.training, cfg.evaluation,
                         cfg.grid):
             if section is not None:
-                section.validate()  # training's validates the objective
-        n_classes = cfg.dataset.mixture_spec(cfg.training.seed).n_classes
-        try:  # training.validate checked the rest; only the payoff needs C
-            cfg.objective.validate(n_classes)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"objective.o: {exc}") from None
+                section.validate()
+        cfg.objective.validate(
+            cfg.dataset.mixture_spec(cfg.training.seed).n_classes)
         return cfg
 
     def normalized(self) -> dict:
@@ -264,10 +258,13 @@ class RunConfig:
 
 def load_run_config(path) -> RunConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     try:

@@ -17,6 +17,7 @@ from .nn import (
     max_relative_error,
     network_backward,
     network_forward,
+    sigmoid,
 )
 from .objectives import ObjectiveConfig, SatTargetStore, objective_dispatch
 from .util import rng_for
@@ -75,7 +76,8 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int) -> GradcheckCas
         if min(float(np.abs(z).min()) for z in trace.pre) < KINK_MARGIN:
             continue
         if cfg.base_kind == "SelectiveNet" and \
-                abs(float(trace.g_sel.mean()) - cfg.c_target) < KINK_MARGIN:
+                abs(float(sigmoid(trace.head_raw["select"][:, 0]).mean())
+                    - cfg.c_target) < KINK_MARGIN:
             continue  # the hinge has its own kink at the target coverage
         store = None
         if cfg.base_kind == "SAT":

@@ -89,12 +89,6 @@ class ForwardTrace:
     act: list
     head_raw: dict
 
-    @property
-    def g_sel(self) -> np.ndarray | None:
-        """Selection values of a three-head network, else None."""
-        raw = self.head_raw.get("select")
-        return None if raw is None else sigmoid(raw[:, 0])
-
 
 def _layer_views(flat: np.ndarray, shapes) -> list:
     """Cut a flat vector into one (W, b) pair of views per (out, in) shape."""

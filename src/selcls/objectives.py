@@ -86,7 +86,7 @@ class ObjectiveConfig:
         # interval midpoint there
         return float(n_classes - 1) if n_classes > 2 else (1 + n_classes) / 2.0
 
-    def validate(self, n_classes: int | None = None) -> None:
+    def validate(self, n_classes: int) -> None:
         if self.kind not in OBJECTIVE_KINDS:
             raise ConfigurationError(
                 f"unknown objective kind {self.kind!r}; expected one of "
@@ -95,7 +95,7 @@ class ObjectiveConfig:
             raise ConfigurationError("+EM objectives require beta > 0")
         if self.beta < 0:
             raise ConfigurationError("beta must be >= 0")
-        if self.base_kind == "DG" and n_classes is not None:
+        if self.base_kind == "DG":
             check_gambler_payoff(self.resolved_o(n_classes), n_classes)
         if self.base_kind == "SelectiveNet":
             if not 0 < self.c_target <= 1:
@@ -116,11 +116,11 @@ class ObjectiveConfig:
 def check_gambler_payoff(o: float, n_classes: int) -> None:
     if o <= 1:
         raise ConfigurationError(
-            f"payoff o={o} violates 1 < o <= C: o <= 1 is the always-abstain "
-            "regime")
+            f"objective.o: payoff o={o} violates 1 < o <= C: o <= 1 is the "
+            "always-abstain regime")
     if o > n_classes:
         raise ConfigurationError(
-            f"payoff o={o} violates 1 < o <= C (C={n_classes})")
+            f"objective.o: payoff o={o} violates 1 < o <= C (C={n_classes})")
 
 
 def predictive_entropy(logits) -> np.ndarray:
@@ -283,7 +283,6 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             f"needs an abstain head ({n_classes + 1} logits, head has {k})")
     elif kind == "DG":
         o = cfg.resolved_o(n_classes)
-        check_gambler_payoff(o, n_classes)
     elif epoch < cfg.sat_pretrain_epochs:
         # pre-training phase: plain (C+1)-way cross entropy on one-hot
         # labels; identical to the target loss with untouched targets

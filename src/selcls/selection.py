@@ -25,9 +25,12 @@ from .errors import ConfigurationError
 from .nn import sigmoid, stable_softmax
 from .util import atomic_write
 
-MECHANISM_KINDS = (
-    "softmax_response", "negative_entropy", "abstention_logit", "selection_head",
-)
+# the head each mechanism needs, or None where any head will do
+MECHANISM_HEADS = {
+    "softmax_response": None, "negative_entropy": None,
+    "abstention_logit": "abstain", "selection_head": "selectivenet",
+}
+MECHANISM_KINDS = tuple(MECHANISM_HEADS)
 
 
 @dataclass(frozen=True)
@@ -49,15 +52,19 @@ class ProbOutput:
     logits: np.ndarray            # (m, C) or (m, C+1)
     probs: np.ndarray             # softmax(logits), same shape
     n_classes: int
-    has_abstain: bool
+    head: str                     # the network's head layout
     g_sel: np.ndarray | None = None
+
+    @property
+    def has_abstain(self) -> bool:
+        return self.head == "abstain"
 
     @classmethod
     def from_heads(cls, net, head_raw: dict):
         """From raw head outputs, such as ``nn.network_outputs`` returns."""
         logits, select = head_raw["logits"], head_raw.get("select")
         return cls(logits=logits, probs=stable_softmax(logits),
-                   n_classes=net.n_classes, has_abstain=net.has_abstain,
+                   n_classes=net.n_classes, head=net.head,
                    g_sel=None if select is None else sigmoid(select[:, 0]))
 
 
@@ -83,6 +90,9 @@ def class_probabilities(output: ProbOutput):
 def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray:
     """One selectability score per sample; sample order preserved."""
     kind = mechanism.kind
+    if not mechanism_compatible(kind, output.head):
+        raise ConfigurationError(
+            f"mechanism {kind!r} is incompatible with a {output.head!r} head")
     if kind == "softmax_response":
         q, degenerate = class_probabilities(output)
         scores = q.max(axis=1)
@@ -98,26 +108,12 @@ def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray
         scores[degenerate] = -np.inf
         return scores
     if kind == "abstention_logit":
-        if not output.has_abstain:
-            raise ConfigurationError(
-                "abstention_logit needs a C+1 head; this model has none")
         return 1.0 - output.probs[:, -1].astype(np.float64)
-    if kind == "selection_head":
-        if output.g_sel is None:
-            raise ConfigurationError(
-                "selection_head needs a three-head model; this model has none")
-        return np.asarray(output.g_sel, dtype=np.float64)
-    raise ConfigurationError(f"unknown selection mechanism {kind!r}")
+    return np.asarray(output.g_sel, dtype=np.float64)  # selection_head
 
 
 def mechanism_compatible(kind: str, head: str) -> bool:
-    if kind in ("softmax_response", "negative_entropy"):
-        return True
-    if kind == "abstention_logit":
-        return head == "abstain"
-    if kind == "selection_head":
-        return head == "selectivenet"
-    return False
+    return MECHANISM_HEADS[kind] in (None, head)
 
 
 def scores_to_csv(path, scores, predicted, truth, header_comment: str = "") -> None:

@@ -58,7 +58,6 @@ class TrainConfig:
                 "need decay_every >= 1 and decay_factor > 0")
         if self.weight_decay < 0:
             raise ConfigurationError("weight_decay must be >= 0")
-        self.objective.validate()
 
 
 @dataclass

@@ -122,6 +122,16 @@ class TestTrainCommand:
         ("make-data", "dataset", "n_train", "5"),
         ("grid", "grid", "seeds", 5),
         ("train", "training", "weight_decay", "0.1"),
+        # json reads NaN, Infinity and integers beyond the float range; no
+        # config float may be any of them
+        ("train", "training", "lr0", float("nan")),
+        ("train", "training", "weight_decay", float("inf")),
+        ("train", "dataset", "variances", [float("nan")] + [1] * 7),
+        ("train", "dataset", "priors", [float("nan")] + [0.125] * 7),
+        ("train", "objective", "o", float("nan")),
+        ("train", "objective", "lambda", float("-inf")),
+        pytest.param("train", "objective", "o", 10 ** 400,
+                     id="train-objective-o-1e400"),
     ])
     def test_mistyped_value_exits_2_naming_file_and_key(
             self, tmp_path, capsys, command, section, key, value):
@@ -160,6 +170,15 @@ class TestTrainCommand:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "-c", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "make-data"])
+    def test_non_utf8_config_exits_2_naming_byte(self, tmp_path, capsys,
+                                                 command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"output_dir": "o\xff"}')
+        assert main([command, "-c", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text at byte 17\n")
 
 
 class TestEvalCommand:
@@ -201,14 +220,18 @@ class TestEvalCommand:
         risk = float(first[header.index("selective_risk")])
         assert risk == 1.0 - correct / len(score_rows)
 
-    def test_incompatible_mechanism_exits_2(self, tmp_path):
+    def test_incompatible_mechanism_exits_2(self, tmp_path, capsys):
         cfg_path, outdir = self.train_one(tmp_path)
         bad_cfg, _ = base_config(
             tmp_path,
             evaluation={"mechanisms": ["abstention_logit"],
                         "coverage_grid": [1.0], "histogram_bins": 4})
+        capsys.readouterr()
         assert main(["eval", "-c", str(bad_cfg), "--force",
                      "--checkpoint", str(outdir / "checkpoint.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: mechanism 'abstention_logit' is incompatible with a "
+            "'plain' head\n")
 
     @pytest.mark.parametrize("damage", ["truncated", "no_head", "missing",
                                         "version_1", "bad_base64"])
@@ -527,6 +550,12 @@ class TestGridCommand:
          'evaluation.mechanisms lists "softmax_response" twice'),
         ("evaluation", "coverage_grid", [0.5, 0.5],
          "evaluation.coverage_grid lists 0.5 twice"),
+        ("grid", "methods", ["CE", "XYZ"],
+         'grid.methods lists unknown value "XYZ"'),
+        ("grid", "mechanisms", ["magic"],
+         'grid.mechanisms lists unknown value "magic"'),
+        ("evaluation", "mechanisms", ["softmax_response", "magic"],
+         'evaluation.mechanisms lists unknown value "magic"'),
     ])
     def test_empty_or_repeated_list_exits_2_naming_key(
             self, tmp_path, capsys, section, key, value, message):

@@ -174,8 +174,8 @@ class TestNetworkForward:
         assert trace.head_raw["logits"].shape == (3, 4)
         assert trace.head_raw["select"].shape == (3, 1)
         assert trace.head_raw["aux"].shape == (3, 4)
-        assert trace.g_sel.shape == (3,)
-        assert np.all((trace.g_sel > 0) & (trace.g_sel < 1))
+        g = sigmoid(trace.head_raw["select"][:, 0])
+        assert np.all((g > 0) & (g < 1))
 
     def test_abstain_head_arity(self):
         net = build_network(2, (4,), n_classes=3, head="abstain", seed=0)

@@ -179,13 +179,14 @@ class TestDeepGamblers:
             assert all(a < b for a, b in zip(losses, losses[1:]))
 
     def test_o_constraints(self):
-        z = np.zeros(4)
-        with pytest.raises(ConfigurationError, match="always-abstain"):
-            dispatch("DG", z, 0, 3, o=1.0)
         with pytest.raises(ConfigurationError,
-                           match=r"^payoff o=5.0 violates 1 < o <= C \(C=3\)$"):
-            dispatch("DG", z, 0, 3, o=5.0)
-        dispatch("DG", z, 0, 3, o=3.0)
+                           match=r"^objective\.o: payoff o=1\.0 .*always-abstain"):
+            ObjectiveConfig(kind="DG", o=1.0).validate(3)
+        with pytest.raises(ConfigurationError,
+                           match=r"^objective\.o: payoff o=5.0 violates "
+                                 r"1 < o <= C \(C=3\)$"):
+            ObjectiveConfig(kind="DG", o=5.0).validate(3)
+        ObjectiveConfig(kind="DG", o=3.0).validate(3)
 
 
 class TestSatLoss:
@@ -387,7 +388,7 @@ class TestDispatch:
 
     def test_em_kind_with_zero_beta_fails_validation(self):
         with pytest.raises(ConfigurationError):
-            ObjectiveConfig(kind="DG+EM", o=2.0, beta=0.0).validate()
+            ObjectiveConfig(kind="DG+EM", o=2.0, beta=0.0).validate(3)
 
     def test_head_mismatch_rejected(self, rng):
         z = rng.normal(size=(3, 3))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from selcls.errors import ConfigurationError
-from selcls.nn import network_forward, network_outputs, stable_softmax
+from selcls.nn import network_forward, network_outputs, sigmoid, stable_softmax
 from selcls.selection import (
     MECHANISM_KINDS,
     ProbOutput,
@@ -40,14 +40,14 @@ def logits_and_row_shifts(draw):
     return logits, shifts, n_classes, has_abstain
 
 
-def scores_of(kind, probs, has_abstain=False, g_sel=None):
+def scores_of(kind, probs, head="plain", g_sel=None):
     """score_batch of one mechanism on rows of given probabilities; the
     logits are their logs, so the two agree."""
     probs = np.asarray(probs, dtype=np.float64)
     logits = np.log(np.clip(probs, 1e-300, None))
-    n_classes = probs.shape[1] - has_abstain
+    n_classes = probs.shape[1] - (head == "abstain")
     out = ProbOutput(logits=logits, probs=probs, n_classes=n_classes,
-                     has_abstain=has_abstain, g_sel=g_sel)
+                     head=head, g_sel=g_sel)
     return score_batch(SelectionMechanism(kind), out)
 
 
@@ -55,7 +55,7 @@ class TestScoreFunctions:
     def test_softmax_response(self):
         logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
         out = ProbOutput(logits=logits, probs=stable_softmax(logits),
-                         n_classes=3, has_abstain=False)
+                         n_classes=3, head="plain")
         sr = score_batch(SelectionMechanism("softmax_response"), out)
         assert abs(sr[0] - 0.66524095577482189) < 1e-15
         assert abs(sr[1] - 1 / 3) < 1e-15
@@ -72,7 +72,7 @@ class TestScoreFunctions:
         scores = scores_of("abstention_logit", [[0.5, 0.4, 0.1],
                                                 [0.0, 0.0, 1.0],
                                                 [0.6, 0.3, 0.1]],
-                           has_abstain=True)
+                           head="abstain")
         assert abs(scores[0] - 0.9) < 1e-15
         assert scores[1] == 0.0
         assert abs(scores[2] - 0.9) < 1e-15
@@ -81,7 +81,8 @@ class TestScoreFunctions:
         # 0.93 is a realistic fitted threshold for a selection head
         eps = 1e-9
         g_sel = np.array([0.93, 0.5, 1 - eps])
-        scores = scores_of("selection_head", [[0.5, 0.5]] * 3, g_sel=g_sel)
+        scores = scores_of("selection_head", [[0.5, 0.5]] * 3,
+                           head="selectivenet", g_sel=g_sel)
         assert scores.tolist() == [0.93, 0.5, 1 - eps]
 
 
@@ -110,14 +111,14 @@ class TestScoreBatch:
     @given(case=logits_and_row_shifts())
     def test_scores_invariant_under_per_row_logit_shift(self, case):
         logits, shifts, n_classes, has_abstain = case
+        head = "abstain" if has_abstain else "plain"
         outs = [ProbOutput(logits=z, probs=stable_softmax(z),
-                           n_classes=n_classes, has_abstain=has_abstain)
+                           n_classes=n_classes, head=head)
                 for z in (logits, logits + shifts)]
         # a row whose abstain mass rounds to 1.0 scores -inf, and a shift
         # may move it across that edge
         assume(not any(out.has_abstain and np.any(out.probs[:, -1] >= 1.0)
                        for out in outs))
-        head = "abstain" if has_abstain else "plain"
         for kind in MECHANISM_KINDS:
             if mechanism_compatible(kind, head):
                 a, b = (score_batch(SelectionMechanism(kind), out)
@@ -154,13 +155,14 @@ class TestScoreBatch:
         X, _ = random_batch(rng, net, m=4)
         scores = score_batch(SelectionMechanism("selection_head"),
                              output_from(net, X))
-        assert np.array_equal(scores, network_forward(net, X).g_sel)
+        select = network_forward(net, X).head_raw["select"]
+        assert np.array_equal(scores, sigmoid(select[:, 0]))
 
     def test_degenerate_abstain_scores_minus_inf(self):
         probs = np.array([[0.0, 0.0, 1.0], [0.5, 0.4, 0.1]])
         logits = np.array([[-800.0, -800.0, 0.0], [0.5, 0.3, -1.0]])
         out = ProbOutput(logits=logits, probs=probs, n_classes=2,
-                         has_abstain=True)
+                         head="abstain")
         sr = score_batch(SelectionMechanism("softmax_response"), out)
         ne = score_batch(SelectionMechanism("negative_entropy"), out)
         assert sr[0] == -np.inf and np.isfinite(sr[1])
@@ -178,6 +180,22 @@ def test_predict_classes_ignores_abstain_entry(rng):
     pred = predict_classes(out)
     assert np.all(pred < 3)
     assert np.array_equal(pred, np.argmax(out.probs[:, :3], axis=1))
+
+
+@pytest.mark.parametrize("head", ["plain", "abstain", "selectivenet"])
+@pytest.mark.parametrize("kind", MECHANISM_KINDS)
+def test_score_batch_scores_exactly_the_compatible_pairs(rng, kind, head):
+    net = random_net(rng, head=head, n_classes=3)
+    X, _ = random_batch(rng, net, m=5)
+    out = output_from(net, X)
+    mechanism = SelectionMechanism(kind)
+    if mechanism_compatible(kind, head):
+        assert np.isfinite(score_batch(mechanism, out)).all()
+    else:
+        with pytest.raises(ConfigurationError) as err:
+            score_batch(mechanism, out)
+        assert str(err.value) == \
+            f"mechanism {kind!r} is incompatible with a {head!r} head"
 
 
 def test_mechanism_compatibility_table():
