@@ -186,8 +186,11 @@ def cmd_grid(args) -> int:
 
     Three-head selective models get one cell per (method, coverage, seed);
     everything else trains once per (method, seed) and is evaluated at all
-    coverages. A cell that fails in training or evaluation is recorded in
-    the manifest, adds no results rows, and makes the grid exit 1.
+    coverages. A cell that fails in training, evaluation or writing its
+    checkpoint or report (a SelclsError or an OSError) is recorded in the
+    manifest, adds no results rows, and makes the grid exit 1; the other
+    cells still run. A failed write of the grid's own results.csv or
+    manifest.json ends the command with exit 2.
     """
     cfg = load_run_config(args.config)
     if cfg.grid is None:
@@ -226,7 +229,7 @@ def cmd_grid(args) -> int:
                     [k for k in grid.mechanisms
                      if mechanism_compatible(k, net.head)],
                     eval_covs, cfg.evaluation.calibration_split)
-            except SelclsError as exc:
+            except (SelclsError, OSError) as exc:
                 cell["status"] = "failed"
                 cell["error"] = f"{type(exc).__name__}: {exc}"
                 continue

@@ -20,14 +20,15 @@ Forward passes record a trace sufficient for the exact backward pass;
 neither pass mutates the network. Parameter updates happen only in the
 training loop, on ``Network.params``.
 
-Both passes allocate their buffers per call, unless they are given a
-``Workspace``: the preallocated buffers of one training run, sized to its
-batch. The forward pass then writes the trunk pre-activations and
-activations and the head outputs into the workspace, the objective
-kernel its p and log p, and the backward pass the ReLU mask, da (which
-becomes dz in place) and the flat gradient. A trace taken from a
-workspace is a set of views into it, valid until the next forward on the
-same workspace; whole-split forwards (``network_outputs``) use none.
+Both passes write into a ``Workspace``, the buffers of one network per
+batch row count: the forward pass its trunk pre-activations and
+activations and its head outputs, the objective kernel its p and log p,
+and the backward pass the ReLU mask, da (which becomes dz in place) and
+the flat gradient. A caller that passes none gets a fresh one, so every
+pass runs the same buffer code. ``train()`` holds one workspace for all
+of its batch steps; each whole-split forward (``network_outputs``) makes
+its own. A trace is a set of views into its workspace, valid until the
+next forward on it.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
@@ -37,6 +38,7 @@ The ReLU subgradient at exactly 0 is taken to be 0.
 import base64
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -180,77 +182,76 @@ def _blocks(buf: np.ndarray, rows: int, widths) -> list:
     return blocks
 
 
-def _forward_buffers(net: Network, m: int) -> tuple:
-    """New buffers of an m-row forward: (trunk buffer, its (m, width) block
-    per trunk layer, head buffer, {head name: its (m, width) block})."""
-    trunk = np.empty(m * sum(net.hidden_dims))
-    widths = [h.b.size for h in net.heads.values()]
-    head = np.empty(m * sum(widths))
-    return (trunk, _blocks(trunk, m, net.hidden_dims), head,
-            dict(zip(net.heads, _blocks(head, m, widths))))
-
-
-@dataclass
 class _BatchBuffers:
-    """A workspace's buffers for batches of one row count m."""
+    """A workspace's buffers for batches of one row count m. The forward's
+    are made with it; the backward's and the softmax kernel's, which a
+    forward-only caller never touches, on first use."""
 
-    trunk: np.ndarray  # pre-activations of every trunk layer, one buffer
-    pre: list          # its (m, width) block per trunk layer
-    head: np.ndarray   # outputs of every head, one buffer
-    head_raw: dict     # its (m, width) block per head
-    act: list          # ReLU outputs per trunk layer
-    mask: list         # pre > 0 per trunk layer
-    da: list           # d(loss)/d(act) per trunk layer, turned into dz
-    da_head: np.ndarray | None  # one head's share of the last layer's da
-    kernel: dict       # head name -> softmax kernel's (p, log p, row argmax)
+    def __init__(self, net: Network, m: int):
+        widths = [h.b.size for h in net.heads.values()]
+        # pre-activations of every trunk layer in one buffer, the outputs
+        # of every head in another, one (m, width) block per layer or head
+        self.trunk = np.empty(m * sum(net.hidden_dims))
+        self.pre = _blocks(self.trunk, m, net.hidden_dims)
+        self.head = np.empty(m * sum(widths))
+        self.head_raw = dict(zip(net.heads, _blocks(self.head, m, widths)))
+        self.act = [np.empty((m, w)) for w in net.hidden_dims]
 
-    @classmethod
-    def allocate(cls, net: Network, m: int):
-        trunk, pre, head, head_raw = _forward_buffers(net, m)
-        dims = net.hidden_dims
-        return cls(
-            trunk=trunk, pre=pre, head=head, head_raw=head_raw,
-            act=[np.empty((m, w)) for w in dims],
-            mask=[np.empty((m, w), dtype=bool) for w in dims],
-            da=[np.empty((m, w)) for w in dims],
-            da_head=np.empty((m, dims[-1])) if dims else None,
-            kernel={name: (np.empty(raw.shape), np.empty(raw.shape),
-                           np.empty(m, dtype=np.int64))
-                    for name, raw in head_raw.items()})
+    @cached_property
+    def mask(self) -> list:
+        """pre > 0 per trunk layer."""
+        return [np.empty(a.shape, dtype=bool) for a in self.act]
+
+    @cached_property
+    def da(self) -> list:
+        """d(loss)/d(act) per trunk layer, turned into dz in place."""
+        return [np.empty(a.shape) for a in self.act]
+
+    @cached_property
+    def da_head(self) -> np.ndarray:
+        """One head's share of the last trunk layer's da."""
+        return np.empty(self.act[-1].shape)
+
+    @cached_property
+    def kernel(self) -> dict:
+        """Head name -> the softmax kernel's (p, log p, row argmax)."""
+        return {name: (np.empty(raw.shape), np.empty(raw.shape),
+                       np.empty(raw.shape[0], dtype=np.int64))
+                for name, raw in self.head_raw.items()}
 
 
 class Workspace:
-    """Preallocated buffers for the batch steps of one training run, for
-    batches of up to ``rows`` rows.
+    """The buffers of ``network_forward``, ``objective_dispatch`` and
+    ``network_backward`` on one network, for batches of any row count.
 
-    ``network_forward``, ``objective_dispatch`` and ``network_backward``
-    write into it when given it, instead of allocating. It holds the flat
-    gradient ``grad`` with its per-layer ``grad_views``, the optimizer's
-    ``step`` vector, and per batch row count the forward's buffers, the
-    backward's ReLU mask and da/dz buffers and the softmax kernel's p,
-    log p and row argmax per head. The buffers for ``rows`` rows are made
-    with the workspace, those for a shorter (last) batch on first use.
+    It holds the flat gradient ``grad`` with its per-layer ``grad_views``,
+    the optimizer's ``step`` vector, and per batch row count the forward's
+    buffers, the backward's ReLU mask and da/dz buffers and the softmax
+    kernel's p, log p and row argmax per head. Each is made on first use,
+    so a forward-only workspace holds the forward's buffers alone.
     """
 
-    def __init__(self, net: Network, rows: int):
-        if rows < 1:
-            raise ConfigurationError("a workspace needs rows >= 1")
-        self.rows = rows
-        self.grad = np.zeros_like(net.params)
-        self.grad_views = _layer_views(self.grad, net.layer_shapes)
-        self.step = np.empty_like(net.params)
+    def __init__(self, net: Network):
         self._net = net
-        self._batches = {rows: _BatchBuffers.allocate(net, rows)}
+        self._batches = {}
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return np.zeros_like(self._net.params)
+
+    @cached_property
+    def grad_views(self) -> list:
+        return _layer_views(self.grad, self._net.layer_shapes)
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        return np.empty_like(self._net.params)
 
     def batch(self, m: int) -> _BatchBuffers:
         """The buffers of an m-row batch."""
         buffers = self._batches.get(m)
         if buffers is None:
-            if not 0 < m <= self.rows:
-                raise ConfigurationError(
-                    f"a batch of {m} rows does not fit a workspace of "
-                    f"{self.rows}")
-            buffers = self._batches[m] = _BatchBuffers.allocate(self._net, m)
+            buffers = self._batches[m] = _BatchBuffers(self._net, m)
         return buffers
 
 
@@ -260,39 +261,32 @@ def network_forward(net: Network, batch: np.ndarray,
 
     Trunk pre-activations fill one buffer and head outputs a second, so each
     takes one finite check; only a failed check scans the layers, in order,
-    to name the first non-finite one. With a workspace ``ws`` every array
-    of the trace except ``x`` is a view into it, overwritten by its next
-    forward; without one they are new.
+    to name the first non-finite one. Every array of the trace except ``x``
+    is a view into the workspace ``ws`` (a fresh one when omitted),
+    overwritten by its next forward on a batch of as many rows.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
     # layer shapes are fixed by build_network, so only the batch is checked
-    if ws is None:
-        trunk_buf, pre, head_buf, head_raw = _forward_buffers(net, x.shape[0])
-        act = [None] * len(pre)
-    else:
-        b = ws.batch(x.shape[0])
-        trunk_buf, pre, head_buf, head_raw, act = \
-            b.trunk, b.pre, b.head, b.head_raw, b.act
+    b = (ws or Workspace(net)).batch(x.shape[0])
     a = x
-    for i, layer in enumerate(net.trunk):
-        z = pre[i]
+    for layer, z, act in zip(net.trunk, b.pre, b.act):
         np.matmul(a, layer.W.T, out=z)
         z += layer.b
-        a = act[i] = np.maximum(z, 0.0, out=act[i])
-    if not np.isfinite(trunk_buf).all():
-        i = next(i for i, z in enumerate(pre) if not np.isfinite(z).all())
+        a = np.maximum(z, 0.0, out=act)
+    if not np.isfinite(b.trunk).all():
+        i = next(i for i, z in enumerate(b.pre) if not np.isfinite(z).all())
         raise NumericFault(f"non-finite pre-activation at trunk layer {i}")
-    for h, raw in zip(net.heads.values(), head_raw.values()):
+    for h, raw in zip(net.heads.values(), b.head_raw.values()):
         np.matmul(a, h.W.T, out=raw)
         raw += h.b
-    if not np.isfinite(head_buf).all():
-        name = next(name for name, raw in head_raw.items()
+    if not np.isfinite(b.head).all():
+        name = next(name for name, raw in b.head_raw.items()
                     if not np.isfinite(raw).all())
         raise NumericFault(f"non-finite output at head {name!r}")
-    return ForwardTrace(x=x, pre=pre, act=act, head_raw=head_raw)
+    return ForwardTrace(x=x, pre=b.pre, act=b.act, head_raw=b.head_raw)
 
 
 # Row block of a whole-split forward. Blocks start at multiples of it and
@@ -336,20 +330,15 @@ def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
 
     ``dhead_raw`` maps head name to an (m, out_dim) array; omitted heads
     contribute nothing. Returns the flat gradient, laid out like
-    ``net.params``: a new vector, or the workspace's ``ws.grad``,
-    overwritten, with every intermediate also written into ``ws``.
+    ``net.params``: the workspace's ``ws.grad`` (a fresh workspace's when
+    omitted), overwritten, with every intermediate also written into it.
     """
+    ws = ws or Workspace(net)
+    grad, views = ws.grad, ws.grad_views
+    if len(dhead_raw) < len(net.heads):
+        grad.fill(0.0)  # the omitted heads' entries may hold older values
+    b = ws.batch(trace.x.shape[0])
     n_trunk = len(net.trunk)
-    if ws is None:
-        grad = np.zeros_like(net.params)
-        views = _layer_views(grad, net.layer_shapes)
-        mask, da_bufs, da_head = [None] * n_trunk, [None] * n_trunk, None
-    else:
-        grad, views = ws.grad, ws.grad_views
-        if len(dhead_raw) < len(net.heads):
-            grad.fill(0.0)  # the omitted heads' entries may hold older values
-        b = ws.batch(trace.x.shape[0])
-        mask, da_bufs, da_head = b.mask, b.da, b.da_head
     head_views = dict(zip(net.heads, views[n_trunk:]))
     last_act = trace.act[-1] if trace.act else trace.x
     da = None
@@ -367,20 +356,21 @@ def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
         if not n_trunk:
             continue
         if da is None:
-            da = np.matmul(d, net.heads[name].W, out=da_bufs[-1])
+            da = np.matmul(d, net.heads[name].W, out=b.da[-1])
         else:
-            da += np.matmul(d, net.heads[name].W, out=da_head)
+            da += np.matmul(d, net.heads[name].W, out=b.da_head)
     if da is None:  # no trunk, or no head gradients and so a zero trunk's
         return grad
 
     for i in range(n_trunk - 1, -1, -1):
-        dz = np.multiply(da, np.greater(trace.pre[i], 0, out=mask[i]), out=da)
+        dz = np.multiply(da, np.greater(trace.pre[i], 0, out=b.mask[i]),
+                         out=da)
         below = trace.act[i - 1] if i > 0 else trace.x
         dW, db = views[i]
         np.matmul(dz.T, below, out=dW)
         dz.sum(axis=0, out=db)
         if i:  # the input gradient below layer 0 is never used
-            da = np.matmul(dz, net.trunk[i].W, out=da_bufs[i - 1])
+            da = np.matmul(dz, net.trunk[i].W, out=b.da[i - 1])
     return grad
 
 

@@ -256,7 +256,9 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     softmax kernel, ``_softmax_objective``; the +EM variants add
     ``beta * mean entropy`` of the prediction head. With a workspace
     ``ws`` the kernel writes into its buffers, so the returned gradients
-    are views into it, valid until its next batch.
+    are views into it, valid until its next batch of as many rows; bare
+    head arrays come with no network to make one from, so without ``ws``
+    the kernel's arrays are new.
     """
     kind = cfg.base_kind
     y = np.asarray(y, dtype=np.int64)

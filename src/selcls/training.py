@@ -94,11 +94,11 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def sgd_momentum_step(params, grads, velocity, lr, momentum,
-                      weight_decay: float = 0.0, step=None) -> None:
+def sgd_momentum_step(params, grads, velocity, lr, momentum, weight_decay,
+                      step) -> None:
     """v <- momentum*v + g (+ wd*theta); theta <- theta - lr*v, in place on
-    flat vectors, with lr*v written into ``step`` when given. A non-finite
-    gradient raises before anything changes."""
+    flat vectors, with lr*v written into ``step``. A non-finite gradient
+    raises before anything changes."""
     if not np.isfinite(grads).all():
         raise NumericFault("non-finite gradient in optimizer step")
     if weight_decay:
@@ -147,7 +147,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
         if obj.base_kind == "SAT" else None
 
     velocity = np.zeros_like(net.params)
-    ws = Workspace(net, min(cfg.batch_size, n))
+    ws = Workspace(net)
     # the shuffled split, and each batch's predicted classes from the
     # network as it was before that batch's update
     Xp, yp, pred = np.empty_like(X), np.empty_like(y), np.empty_like(y)

@@ -1,5 +1,7 @@
 import copy
+import errno
 import json
+import os
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from selcls.config import (
 from selcls.datasets import MixtureSpec, blobs8
 from selcls.errors import ConfigurationError
 from selcls.evaluation import RiskCoveragePoint
-from selcls.nn import load_checkpoint, network_forward
+from selcls.nn import load_checkpoint, network_forward, save_checkpoint
 from selcls.objectives import ObjectiveConfig, objective_dispatch
 from selcls.training import TrainConfig
 from selcls.util import derive_seed
@@ -598,6 +600,31 @@ class TestGridCommand:
         assert sorted(r.split(",")[:3] for r in rows[1:]) == [
             ["SelectiveNet", "selection_head", "0.5"],
             ["SelectiveNet", "softmax_response", "0.5"]]
+
+    def test_cell_failing_to_write_its_checkpoint_is_recorded(
+            self, tmp_path, monkeypatch):
+        saves = []
+
+        def full_on_fourth_save(*args, **kwargs):
+            saves.append(args[1])
+            if len(saves) == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return save_checkpoint(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_checkpoint", full_on_fourth_save)
+        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                         coverages=[0.5], seeds=[0, 1])
+        assert main(["grid", "-c", str(cfg_path)]) == 1
+        manifest, rows = self.read_outputs(doc)
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            ("CE_all_s0", "ok"), ("CE_all_s1", "ok"), ("DG_all_s0", "ok"),
+            ("DG_all_s1", "failed")]
+        assert manifest["cells"][3]["error"] == (
+            f"OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        assert manifest["cells"][3]["checkpoint"] == ""
+        # (method, n_seeds) per results row
+        assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] == [
+            ("CE", "2"), ("DG", "1")]
 
     @pytest.mark.parametrize("target", ["results.csv", "manifest.json"])
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch,

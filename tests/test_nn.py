@@ -285,8 +285,9 @@ class TestWorkspace:
     def test_bitwise_equal_to_fresh_buffers(self, rng, head, widths):
         net = build_network(5, widths, 8, head, seed=1)
         net.params += rng.normal(scale=0.3, size=net.params.size)
-        ws = Workspace(net, 64)
-        for rows in (64, 16, 64):  # a short last batch, then a full one
+        ws = Workspace(net)
+        # a short last batch, a full one, then one larger than any before
+        for rows in (64, 16, 64, 200):
             X = rng.normal(size=(rows, 5))
             want = network_forward(net, X)
             got = network_forward(net, X, ws)
@@ -301,7 +302,7 @@ class TestWorkspace:
 
     def test_trace_is_overwritten_by_the_next_forward(self, rng):
         net = random_net(rng, head="selectivenet")
-        ws = Workspace(net, 8)
+        ws = Workspace(net)
         X1, X2 = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
         first = network_forward(net, X1, ws)
         logits1 = first.head_raw["logits"].copy()
@@ -317,7 +318,7 @@ class TestWorkspace:
 
     def test_network_outputs_never_alias_a_workspace(self, rng):
         net = random_net(rng, head="selectivenet")
-        ws = Workspace(net, 8)
+        ws = Workspace(net)
         trace = network_forward(net, rng.normal(size=(8, 4)), ws)
         outputs = [network_outputs(net, rng.normal(size=(rows, 4)))
                    for rows in (8, 2000)]
@@ -329,12 +330,6 @@ class TestWorkspace:
             for name, raw in out.items():
                 assert np.array_equal(raw, before[name])
                 assert not any(np.shares_memory(raw, b) for b in buffers)
-
-    def test_batch_larger_than_the_workspace_rejected(self, rng):
-        net = random_net(rng)
-        ws = Workspace(net, 8)
-        with pytest.raises(ConfigurationError, match="9 rows"):
-            network_forward(net, rng.normal(size=(9, 4)), ws)
 
 
 class TestNetworkBackward:
@@ -365,7 +360,7 @@ class TestNetworkBackward:
         ones = {name: np.ones_like(raw) for name, raw in trace.head_raw.items()}
         # a reused workspace whose every gradient entry was written by an
         # earlier batch
-        ws = Workspace(net, len(X))
+        ws = Workspace(net)
         network_backward(net, trace, ones, ws)
         # the select and aux heads follow the trunk and the logits head
         n_before = sum(layer.W.size + layer.b.size

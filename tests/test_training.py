@@ -84,7 +84,8 @@ class TestSgdMomentumStep:
         theta = np.array([1.0, -1.0])
         v = np.array([0.0, 0.0])
         g = np.array([1.0, 2.0])
-        sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.9)
+        sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.9,
+                          weight_decay=0.0, step=np.empty_like(theta))
         assert v.tolist() == [1.0, 2.0]
         assert theta == pytest.approx([0.9, -1.2])
 
@@ -92,7 +93,8 @@ class TestSgdMomentumStep:
         theta = np.array([2.0])
         v = np.array([5.0])
         g = np.array([0.5])
-        sgd_momentum_step(theta, g, v, lr=0.2, momentum=0.0)
+        sgd_momentum_step(theta, g, v, lr=0.2, momentum=0.0,
+                          weight_decay=0.0, step=np.empty_like(theta))
         assert theta[0] == pytest.approx(2.0 - 0.2 * 0.5)
 
     def test_zero_gradient_velocity_decays_geometrically(self):
@@ -101,7 +103,8 @@ class TestSgdMomentumStep:
         g = np.array([0.0])
         drift = 0.0
         for step in range(1, 6):
-            sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.5)
+            sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.5,
+                              weight_decay=0.0, step=np.empty_like(theta))
             assert v[0] == pytest.approx(0.5 ** step)
             drift -= 0.1 * 0.5 ** step
             assert theta[0] == pytest.approx(drift)
@@ -109,7 +112,8 @@ class TestSgdMomentumStep:
     def test_nonfinite_gradient_faults(self):
         theta, v = np.array([1.0, 2.0]), np.array([0.5, 0.5])
         with pytest.raises(NumericFault):
-            sgd_momentum_step(theta, np.array([0.1, np.nan]), v, 0.1, 0.9)
+            sgd_momentum_step(theta, np.array([0.1, np.nan]), v, 0.1, 0.9,
+                              0.0, np.empty_like(theta))
         # nothing moves, not even the entries before the bad one
         assert theta.tolist() == [1.0, 2.0]
         assert v.tolist() == [0.5, 0.5]
@@ -298,7 +302,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
                                         epoch=epoch)
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
-                              cfg.weight_decay)
+                              cfg.weight_decay, np.empty_like(net.params))
             if adaptive:
                 sat_update_targets(store, ids, result.probs)
             loss_sum += result.loss * ids.size

@@ -182,7 +182,7 @@ def evaluate_saturated_abstain(checkpoint: str) -> None:
     net = nn.load_checkpoint(checkpoint)[0]
     _, _, test_ds, _ = cli.build_splits(config.load_run_config(BASE_CONFIG),
                                         seed=SEED)
-    logits = nn.network_forward(net, test_ds.features).head_raw["logits"]
+    logits = nn.network_outputs(net, test_ds.features)["logits"]
     # p(abstain) = 1 / (1 + t) with t = exp(lse) the summed class mass
     # relative to the abstain entry; it rounds to 1.0 once t < 2**-53, so
     # this raise saturates the rows whose lse lies below the median
