@@ -5,7 +5,6 @@ Commands:
     eval       score a checkpoint, write risk-coverage and histogram CSVs
     gradcheck  finite-difference verification of every objective family
     grid       train and evaluate the full method comparison
-    make-data  materialize the configured dataset splits as CSV files
 
 Exit codes: 0 success, 1 check/grid-cell failure, 2 configuration error
 or a file that cannot be read or written, 3 numeric fault.
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import GridConfig, RunConfig, load_run_config
-from .datasets import generate_mixture, save_csv_dataset
+from .datasets import generate_mixture
 from .errors import ConfigurationError, NumericFault, SelclsError
 from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram
 from .gradcheck import TOLERANCE, run_suite
@@ -88,11 +87,14 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     outdir = resolve_outdir(cfg.output_dir, args.output)
     h = cfg.hash()
+    splits = build_splits(cfg)
+    record = {"hash": h, "config": cfg.normalized(), "splits": {
+        name: {"n": len(ds), "fingerprint": ds.fingerprint}
+        for name, ds in zip(("train", "val", "test"), splits[:3])}}
     with atomic_write(outdir / "run_config.json") as f:
-        json.dump({"hash": h, "config": cfg.normalized()}, f, indent=2,
-                  sort_keys=True)
+        json.dump(record, f, indent=2, sort_keys=True)
     ckpt = outdir / "checkpoint.json"
-    run_cell(cfg, cfg.objective, cfg.training.seed, build_splits(cfg), ckpt,
+    run_cell(cfg, cfg.objective, cfg.training.seed, splits, ckpt,
              outdir / "train_report.csv", config_hash=h)
     write_manifest(outdir, {
         "config_hash": h, "status": "ok",
@@ -177,7 +179,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def grid_cell_name(method: str, coverage, seed: int) -> str:
-    cov = "all" if coverage is None else f"c{coverage:g}"
+    cov = "all" if coverage is None else f"c{fmt(float(coverage))}"
     return f"{method.replace('+', '_')}_{cov}_s{seed}"
 
 
@@ -253,17 +255,6 @@ def cmd_grid(args) -> int:
     return 1 if n_failed else 0
 
 
-def cmd_make_data(args) -> int:
-    cfg = load_run_config(args.config)
-    outdir = resolve_outdir(cfg.output_dir, args.output) / "data"
-    outdir.mkdir(parents=True, exist_ok=True)
-    train_ds, val_ds, test_ds, _ = build_splits(cfg)
-    for ds, name in ((train_ds, "train"), (val_ds, "val"), (test_ds, "test")):
-        save_csv_dataset(outdir / f"{name}.csv", ds)
-        print(f"{name}: n={len(ds)} fingerprint={ds.fingerprint}")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selcls",
@@ -297,10 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="run the method-comparison grid")
     add_common(p_grid)
     p_grid.set_defaults(fn=cmd_grid)
-
-    p_data = sub.add_parser("make-data", help="write dataset splits as CSV")
-    add_common(p_data)
-    p_data.set_defaults(fn=cmd_make_data)
     return parser
 
 

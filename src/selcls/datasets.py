@@ -1,5 +1,4 @@
-"""Synthetic Gaussian-mixture tasks with an exact posterior, and their
-splits written out as CSV.
+"""Synthetic Gaussian-mixture tasks with an exact posterior.
 
 The mixture generator is the stand-in for real image benchmarks: class-
 conditional isotropic Gaussians with optional uniform label noise, so the
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .util import rng_for, sha256_hex, write_csv
+from .util import rng_for, sha256_hex
 
 
 @dataclass
@@ -167,8 +166,3 @@ def bayes_posterior(spec: MixtureSpec, x) -> np.ndarray:
         q = (1 - eta) * q + eta * (1 - q) / (spec.n_classes - 1)
     return q[0] if squeeze else q
 
-
-def save_csv_dataset(path, ds: Dataset) -> None:
-    write_csv(path, [f"f{i}" for i in range(ds.dim)] + ["label"],
-              ([repr(float(v)) for v in row] + [int(label)]
-               for row, label in zip(ds.features, ds.labels)))

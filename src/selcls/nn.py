@@ -128,20 +128,27 @@ def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
     return net
 
 
-def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
-    """A network of the given architecture with every parameter 0."""
+def _layer_shapes(input_dim, hidden_dims, n_classes, head):
+    """(out, in) of every layer of an architecture, in the order of the
+    flat layout, and its parameter count; nothing is allocated."""
     if input_dim < 1 or n_classes < 2:
         raise ConfigurationError("need input_dim >= 1 and n_classes >= 2")
     dims = (input_dim, *hidden_dims)
-    head_dims = head_output_dims(head, n_classes)
     shapes = list(zip(dims[1:], dims[:-1])) + \
-        [(out, dims[-1]) for out in head_dims.values()]
-    params = np.zeros(sum(rows * cols + rows for rows, cols in shapes))
+        [(out, dims[-1]) for out in head_output_dims(head, n_classes).values()]
+    return shapes, sum(rows * cols + rows for rows, cols in shapes)
+
+
+def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
+    """A network of the given architecture with every parameter 0."""
+    shapes, n_params = _layer_shapes(input_dim, hidden_dims, n_classes, head)
+    params = np.zeros(n_params)
     layers = [Affine(W=W, b=b) for W, b in _layer_views(params, shapes)]
     return Network(input_dim=input_dim, hidden_dims=hidden_dims,
                    n_classes=n_classes, head=head, params=params,
                    trunk=layers[:len(hidden_dims)],
-                   heads=dict(zip(head_dims, layers[len(hidden_dims):])))
+                   heads=dict(zip(head_output_dims(head, n_classes),
+                                  layers[len(hidden_dims):])))
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -214,10 +221,12 @@ class _BatchBuffers:
 
     @cached_property
     def kernel(self) -> dict:
-        """Head name -> the softmax kernel's (p, log p, row argmax)."""
+        """Head name -> the softmax kernel's (p, log p, row argmax), for
+        every head but a one-wide one (SelectiveNet's select), which the
+        kernel never runs on."""
         return {name: (np.empty(raw.shape), np.empty(raw.shape),
                        np.empty(raw.shape[0], dtype=np.int64))
-                for name, raw in self.head_raw.items()}
+                for name, raw in self.head_raw.items() if raw.shape[1] > 1}
 
 
 class Workspace:
@@ -227,8 +236,9 @@ class Workspace:
     It holds the flat gradient ``grad`` with its per-layer ``grad_views``,
     the optimizer's ``step`` vector, and per batch row count the forward's
     buffers, the backward's ReLU mask and da/dz buffers and the softmax
-    kernel's p, log p and row argmax per head. Each is made on first use,
-    so a forward-only workspace holds the forward's buffers alone.
+    kernel's p, log p and row argmax per head wider than one. Each is made
+    on first use, so a forward-only workspace holds the forward's buffers
+    alone.
     """
 
     def __init__(self, net: Network):
@@ -487,17 +497,19 @@ def load_checkpoint(path):
             f"{doc.get('format_version')!r}, this build reads version "
             f"{CHECKPOINT_VERSION}; write it again with `selcls train` or "
             "`selcls grid`")
+    # exact types, since JSON true and false would pass as integers
     for key, kind in _CHECKPOINT_FIELDS.items():
-        if not isinstance(doc.get(key), kind):
+        if type(doc.get(key)) is not kind:
             raise ConfigurationError(
                 f"checkpoint {path}: {key!r} is missing or not a "
                 f"{kind.__name__}")
-    if not all(isinstance(w, int) and w >= 1 for w in doc["hidden_dims"]):
+    if not all(type(w) is int and w >= 1 for w in doc["hidden_dims"]):
         raise ConfigurationError(
             f"checkpoint {path}: 'hidden_dims' must hold positive integers")
+    arch = (doc["input_dim"], tuple(doc["hidden_dims"]), doc["n_classes"],
+            doc["head"])
     try:
-        net = _zero_network(doc["input_dim"], tuple(doc["hidden_dims"]),
-                            doc["n_classes"], doc["head"])
+        _, n_params = _layer_shapes(*arch)
     except ConfigurationError as exc:
         raise ConfigurationError(f"checkpoint {path}: {exc}") from exc
     try:
@@ -505,11 +517,13 @@ def load_checkpoint(path):
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise ConfigurationError(
             f"checkpoint {path}: 'params' is not valid base64") from exc
-    want = net.params.size * _PARAM_DTYPE.itemsize
+    # checked before _zero_network, so no stated architecture is allocated
+    want = n_params * _PARAM_DTYPE.itemsize
     if len(raw) != want:
         raise ConfigurationError(
             f"checkpoint {path} holds {len(raw)} parameter bytes, "
-            f"architecture wants {want} ({net.params.size} float64 values)")
+            f"architecture wants {want} ({n_params} float64 values)")
+    net = _zero_network(*arch)
     flat = np.frombuffer(raw, dtype=_PARAM_DTYPE)
     net.params[...] = flat
     if not np.all(np.isfinite(flat)):

@@ -1,3 +1,4 @@
+import base64
 import copy
 import errno
 import json
@@ -116,12 +117,12 @@ class TestTrainCommand:
         assert f"unknown key {key!r} in {section} section" in err
 
     @pytest.mark.parametrize("command, section, key, value", [
-        ("make-data", "model", "hidden_dims", 5),
-        ("make-data", "model", "hidden_dims", ["a"]),
-        ("make-data", "training", "epochs", "3"),
-        ("make-data", "objective", "beta", "x"),
-        ("make-data", "evaluation", "coverage_grid", ["a"]),
-        ("make-data", "dataset", "n_train", "5"),
+        ("train", "model", "hidden_dims", 5),
+        ("train", "model", "hidden_dims", ["a"]),
+        ("train", "training", "epochs", "3"),
+        ("train", "objective", "beta", "x"),
+        ("train", "evaluation", "coverage_grid", ["a"]),
+        ("train", "dataset", "n_train", "5"),
         ("grid", "grid", "seeds", 5),
         ("train", "training", "weight_decay", "0.1"),
         # json reads NaN, Infinity and integers beyond the float range; no
@@ -173,7 +174,7 @@ class TestTrainCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "-c", str(tmp_path / "nope.json")]) == 2
 
-    @pytest.mark.parametrize("command", ["train", "make-data"])
+    @pytest.mark.parametrize("command", ["train", "grid"])
     def test_non_utf8_config_exits_2_naming_byte(self, tmp_path, capsys,
                                                  command):
         path = tmp_path / "bad.json"
@@ -181,6 +182,58 @@ class TestTrainCommand:
         assert main([command, "-c", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: not UTF-8 text at byte 17\n")
+
+    @pytest.mark.parametrize("means", [[], [[0.0, 0.0], [1.0]]],
+                             ids=["empty", "ragged"])
+    def test_malformed_means_exits_2_naming_key(self, tmp_path, capsys,
+                                                means):
+        cfg_path, doc = base_config(tmp_path, dataset={"preset": None,
+                                                       "means": means})
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: dataset.means must be a non-empty list of "
+            "equal-length rows\n")
+        assert not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("variances", [1.0, 1.0]),
+        ("priors", [0.25, 0.25, 0.25, 0.25]),
+    ])
+    def test_wrong_length_exits_2_naming_key(self, tmp_path, capsys, key,
+                                             value):
+        cfg_path, doc = base_config(tmp_path, dataset={
+            "means": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], key: value})
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: dataset.{key} must list one value per "
+            f"class (3), got {len(value)}\n")
+        assert not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize("dataset, message", [
+        ({"preset": None, "means": [[0, 0], [1, 1]], "priors": [0.5, 0.6]},
+         "dataset.priors must be non-negative and sum to 1"),
+        ({"label_noise": 0.7}, "dataset.label_noise must lie in [0, 0.5)"),
+        ({"n_train": 0}, "dataset.n_train must be >= 1"),
+    ], ids=["priors", "label_noise", "n_train"])
+    def test_bad_mixture_exits_2_naming_key(self, tmp_path, capsys, dataset,
+                                            message):
+        cfg_path, doc = base_config(tmp_path, dataset=dataset)
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not Path(doc["output_dir"]).exists()
+
+    def test_checked_in_config_fingerprints_are_pinned(self, tmp_path):
+        doc = json.loads((CONFIGS / "blobs8.json").read_text())
+        doc["training"]["epochs"] = 0
+        cfg_path = tmp_path / "blobs8.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "-c", str(cfg_path), "-o", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "run_config.json").read_text())
+        assert record["splits"] == {
+            "train": {"n": 8000, "fingerprint": "85cb41477b4a9917"},
+            "val": {"n": 2000, "fingerprint": "1d1a65ca58ef74cb"},
+            "test": {"n": 4000, "fingerprint": "fbe082d3d327345b"},
+        }
 
 
 class TestEvalCommand:
@@ -236,7 +289,9 @@ class TestEvalCommand:
             "'plain' head\n")
 
     @pytest.mark.parametrize("damage", ["truncated", "no_head", "missing",
-                                        "version_1", "bad_base64"])
+                                        "version_1", "bad_base64",
+                                        "huge_architecture",
+                                        "boolean_input_dim"])
     def test_malformed_checkpoint_exits_2_naming_path(self, tmp_path, capsys,
                                                       damage):
         cfg_path, outdir = self.train_one(tmp_path)
@@ -256,6 +311,15 @@ class TestEvalCommand:
         elif damage == "bad_base64":
             doc["params"] = doc["params"][:-1] + "*"
             ckpt.write_text(json.dumps(doc))
+        elif damage == "boolean_input_dim":
+            doc["input_dim"] = True
+            ckpt.write_text(json.dumps(doc))
+        elif damage == "huge_architecture":
+            # 466 TiB of parameters stated, 8 bytes given: refused before
+            # the stated network is allocated
+            doc.update(input_dim=10 ** 12, hidden_dims=[64, 64], n_classes=8,
+                       params=base64.b64encode(bytes(8)).decode("ascii"))
+            ckpt.write_text(json.dumps(doc))
         else:
             ckpt.unlink()
         capsys.readouterr()
@@ -265,6 +329,14 @@ class TestEvalCommand:
         assert str(ckpt) in err
         if damage == "version_1":
             assert "unsupported format version 1" in err
+        if damage == "boolean_input_dim":
+            assert err == (f"error: checkpoint {ckpt}: 'input_dim' is missing "
+                           "or not a int\n")
+        if damage == "huge_architecture":
+            n = 64 * (10 ** 12 + 1) + 64 * 65 + 8 * 65
+            assert err == (f"error: checkpoint {ckpt} holds 8 parameter "
+                           f"bytes, architecture wants {8 * n} ({n} float64 "
+                           "values)\n")
 
     def test_hash_mismatch_refused_without_force(self, tmp_path):
         cfg_path, outdir = self.train_one(tmp_path)
@@ -312,75 +384,6 @@ class TestGradcheckCommand:
             capsys.readouterr().err
 
 
-class TestMakeDataCommand:
-    def test_writes_three_splits(self, tmp_path):
-        cfg_path, doc = base_config(tmp_path)
-        assert main(["make-data", "-c", str(cfg_path)]) == 0
-        data_dir = Path(doc["output_dir"]) / "data"
-        for name, n in (("train", 240), ("val", 120), ("test", 160)):
-            lines = (data_dir / f"{name}.csv").read_text().splitlines()
-            assert len(lines) == n + 1
-
-    def test_explicit_mixture_takes_its_shape_from_means(self, tmp_path):
-        cfg_path, doc = base_config(tmp_path, dataset={
-            "preset": None, "means": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]})
-        assert main(["make-data", "-c", str(cfg_path)]) == 0
-        data_dir = Path(doc["output_dir"]) / "data"
-        for name in ("train", "val", "test"):
-            path = data_dir / f"{name}.csv"
-            assert path.read_text().splitlines()[0] == "f0,f1,label"
-            labels = np.loadtxt(path, delimiter=",", skiprows=1)[:, -1]
-            assert set(labels.tolist()) == {0.0, 1.0, 2.0}
-
-    @pytest.mark.parametrize("means", [[], [[0.0, 0.0], [1.0]]],
-                             ids=["empty", "ragged"])
-    def test_malformed_means_exits_2_naming_key(self, tmp_path, capsys,
-                                                means):
-        cfg_path, _ = base_config(tmp_path, dataset={"preset": None,
-                                                     "means": means})
-        assert main(["make-data", "-c", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg_path}: dataset.means must be a non-empty list of "
-            "equal-length rows\n")
-
-    def test_checked_in_config_fingerprints_are_pinned(self, tmp_path,
-                                                       capsys):
-        assert main(["make-data", "-c", str(CONFIGS / "blobs8.json"),
-                     "-o", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "train: n=8000 fingerprint=85cb41477b4a9917",
-            "val: n=2000 fingerprint=1d1a65ca58ef74cb",
-            "test: n=4000 fingerprint=fbe082d3d327345b",
-        ]
-
-    @pytest.mark.parametrize("key, value", [
-        ("variances", [1.0, 1.0]),
-        ("priors", [0.25, 0.25, 0.25, 0.25]),
-    ])
-    def test_wrong_length_exits_2_naming_key(self, tmp_path, capsys, key,
-                                             value):
-        cfg_path, doc = base_config(tmp_path, dataset={
-            "means": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], key: value})
-        assert main(["make-data", "-c", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg_path}: dataset.{key} must list one value per "
-            f"class (3), got {len(value)}\n")
-        assert not Path(doc["output_dir"]).exists()
-
-    @pytest.mark.parametrize("dataset, message", [
-        ({"preset": None, "means": [[0, 0], [1, 1]], "priors": [0.5, 0.6]},
-         "dataset.priors must be non-negative and sum to 1"),
-        ({"label_noise": 0.7}, "dataset.label_noise must lie in [0, 0.5)"),
-        ({"n_train": 0}, "dataset.n_train must be >= 1"),
-    ], ids=["priors", "label_noise", "n_train"])
-    def test_bad_mixture_exits_2_naming_key(self, tmp_path, capsys, dataset,
-                                            message):
-        cfg_path, doc = base_config(tmp_path, dataset=dataset)
-        assert main(["make-data", "-c", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
-        assert not Path(doc["output_dir"]).exists()
-
-
 class TestMixtureSpec:
     """DatasetConfig.mixture_spec, field by field."""
 
@@ -413,6 +416,15 @@ class TestMixtureSpec:
                            seed=5)
         self.assert_same_spec(got, want)
         assert (got.n_classes, got.dim) == (3, 3)
+
+    def test_explicit_mixture_takes_its_shape_from_means(self, tmp_path):
+        cfg_path, _ = base_config(tmp_path, dataset={
+            "preset": None, "means": [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]})
+        *splits, n_classes = cli.build_splits(load_run_config(cfg_path))
+        assert n_classes == 3
+        for ds in splits:
+            assert ds.dim == 2
+            assert set(ds.labels.tolist()) == {0, 1, 2}
 
     def test_preset_means_default_variances_and_priors(self):
         # the preset's label noise and sizes stay; its 8 variances and
@@ -521,6 +533,18 @@ class TestGridCommand:
         manifest, rows = self.read_outputs(doc)
         assert [c["coverage"] for c in manifest["cells"]] == [0.9, 0.7, 0.5]
         assert any(r.startswith("SelectiveNet,selection_head") for r in rows)
+
+    def test_close_coverages_get_cells_of_their_own(self, tmp_path):
+        cfg_path, doc = base_config(
+            tmp_path, training={"epochs": 1},
+            grid={"methods": ["SelectiveNet"], "coverages": [0.5, 0.5000001],
+                  "seeds": [0]})
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        manifest, _ = self.read_outputs(doc)
+        assert [c["name"] for c in manifest["cells"]] == [
+            "SelectiveNet_c0.5_s0", "SelectiveNet_c0.5000001_s0"]
+        assert all(Path(c["checkpoint"]).exists() for c in manifest["cells"])
+        assert cli.grid_cell_name("CE", 1, 0) == "CE_c1.0_s0"
 
     def test_saturated_selection_unit_trains(self, tmp_path):
         # at c_target 0.9 the raw selection logit passes the point where

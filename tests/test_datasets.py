@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from selcls.datasets import (
-    Dataset,
     MixtureSpec,
     bayes_posterior,
     blobs8,
     circle_mixture,
     generate_mixture,
-    save_csv_dataset,
 )
 from selcls.errors import ConfigurationError
 
@@ -102,26 +100,6 @@ class TestBayesPosterior:
             sigma = np.sqrt(post[c] * (1 - post[c]) / n)
             # 3 sigma plus slack for the finite ball radius
             assert abs(freq - post[c]) < 3 * sigma + 0.03
-
-
-class TestCsvRoundTrip:
-    def test_roundtrip_preserves_fingerprint(self, tmp_path):
-        train, _, _ = generate_mixture(two_blob_spec(seed=11))
-        path = tmp_path / "round.csv"
-        save_csv_dataset(path, train)
-        assert path.read_text().splitlines()[0] == "f0,f1,label"
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        loaded = Dataset(features=table[:, :-1], labels=table[:, -1])
-        assert loaded.fingerprint == train.fingerprint
-
-    def test_exact_bytes(self, tmp_path):
-        # no comment line; shortest round-trip floats, \r\n row endings
-        ds = Dataset(features=[[0.1, -2.0], [3.0, 1 / 3]], labels=[1, 0])
-        save_csv_dataset(tmp_path / "data.csv", ds)
-        assert (tmp_path / "data.csv").read_bytes() == (
-            b"f0,f1,label\r\n"
-            b"0.1,-2.0,1\r\n"
-            b"3.0,0.3333333333333333,0\r\n")
 
 
 def test_blobs8_shape():

@@ -14,7 +14,8 @@ runs take about 20 s per checkout and write only to a temporary directory:
                          perfbench/configs/blobs8.json: its checkpoint
                          and report CSV
     train/cli/           selcls train on perfbench/configs/blobs8.json:
-                         run_config.json, checkpoint.json,
+                         run_config.json (with the split sizes and
+                         fingerprints), checkpoint.json,
                          train_report.csv and manifest.json
     eval/<head>-<split>/ selcls eval on the CE (plain), DG (abstain) and
                          SelectiveNet checkpoints from those runs, with
@@ -28,9 +29,6 @@ runs take about 20 s per checkout and write only to a temporary directory:
                          0.0 under abstention_logit, so calibration meets
                          heavy ties and coverages above the finite share
     grid/                selcls grid on perfbench/configs/grid_ref.json
-    make-data/           selcls make-data on perfbench/configs/blobs8.json:
-                         its stdout (split sizes and fingerprints) and
-                         the three split CSVs under data/
     gradcheck/stdout     selcls gradcheck with its default arguments
     config/<name>.hash   not a file: the RunConfig.hash() of each config
                          the runs above load (blobs8, grid_ref and the six
@@ -218,9 +216,6 @@ def digests():
     evaluate_checkpoints(checkpoints)
     evaluate_saturated_abstain(checkpoints["DG"])
     run_cli(["grid", "-c", GRID_CONFIG, "-o", "grid"])
-    stdout = run_cli(["make-data", "-c", BASE_CONFIG, "-o", "make-data"])
-    with open(os.path.join("make-data", "stdout"), "w") as f:
-        f.write(stdout)
     os.makedirs("gradcheck")
     with open(os.path.join("gradcheck", "stdout"), "w") as f:
         f.write(run_cli(["gradcheck"]))
@@ -228,8 +223,7 @@ def digests():
     names = {}
     for name, config_hash in hashes:
         names.setdefault(config_hash, name)
-    return [pair for root in ("train", "eval", "grid", "make-data",
-                              "gradcheck")
+    return [pair for root in ("train", "eval", "grid", "gradcheck")
             for pair in tree_digests(root, names)] + [
         (f"config/{name}.hash", config_hash) for name, config_hash in hashes]
 
