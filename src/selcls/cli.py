@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import GridConfig, RunConfig, load_run_config
-from .datasets import generate_mixture
+from .datasets import SPLITS, draw_split, generate_mixture
 from .errors import ConfigurationError, NumericFault, SelclsError
 from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram
 from .gradcheck import TOLERANCE, run_suite
@@ -90,7 +90,7 @@ def cmd_train(args) -> int:
     splits = build_splits(cfg)
     record = {"hash": h, "config": cfg.normalized(), "splits": {
         name: {"n": len(ds), "fingerprint": ds.fingerprint}
-        for name, ds in zip(("train", "val", "test"), splits[:3])}}
+        for name, ds in zip(SPLITS, splits)}}
     with atomic_write(outdir / "run_config.json") as f:
         json.dump(record, f, indent=2, sort_keys=True)
     ckpt = outdir / "checkpoint.json"
@@ -139,7 +139,9 @@ def cmd_eval(args) -> int:
             f"config hashes to {h}; pass --force to evaluate anyway")
     outdir = resolve_outdir(cfg.output_dir, args.output) / "eval"
     outdir.mkdir(parents=True, exist_ok=True)
-    _, val_ds, test_ds, _ = build_splits(cfg)
+    # eval reads no training rows, so the train split is not drawn
+    spec = cfg.dataset.mixture_spec(cfg.training.seed)
+    val_ds, test_ds = (draw_split(spec, name) for name in ("val", "test"))
     ev = cfg.evaluation
     predicted, results = evaluate_mechanisms(
         net, val_ds, test_ds, ev.mechanisms, ev.coverage_grid,
@@ -191,8 +193,11 @@ def cmd_grid(args) -> int:
     coverages. A cell that fails in training, evaluation or writing its
     checkpoint or report (a SelclsError or an OSError) is recorded in the
     manifest, adds no results rows, and makes the grid exit 1; the other
-    cells still run. A failed write of the grid's own results.csv or
-    manifest.json ends the command with exit 2.
+    cells still run. Any other exception stops the grid and propagates,
+    but results.csv and manifest.json are still written from the cells
+    that ended; the interrupted cell and the cells after it are absent. A
+    failed write of the grid's own results.csv or manifest.json ends the
+    command with exit 2.
     """
     cfg = load_run_config(args.config)
     if cfg.grid is None:
@@ -203,52 +208,55 @@ def cmd_grid(args) -> int:
     cells_dir.mkdir(exist_ok=True)
     h = cfg.hash()
 
-    splits = {}
-    cells = []
-    rows = {}
-    for method in grid.methods:
-        base = replace(cfg.objective, kind=method)
-        covs = grid.coverages if base.base_kind == "SelectiveNet" else [None]
-        for coverage, seed in product(covs, grid.seeds):
-            name = grid_cell_name(method, coverage, seed)
-            cell = {"method": method, "coverage": coverage, "seed": seed,
-                    "name": name, "status": "ok", "checkpoint": "",
-                    "error": ""}
-            cells.append(cell)
-            try:
-                if seed not in splits:
-                    splits[seed] = build_splits(cfg, seed=seed)
-                objective = base if coverage is None \
-                    else replace(base, c_target=float(coverage))
-                path = str(cells_dir / f"{name}.checkpoint.json")
-                net = run_cell(cfg, objective, seed, splits[seed], path,
-                               cells_dir / f"{name}.report.csv")
-                cell["checkpoint"] = path
-                _, val_ds, test_ds, _ = splits[seed]
-                eval_covs = grid.coverages if coverage is None else [coverage]
-                _, results = evaluate_mechanisms(
-                    net, val_ds, test_ds,
-                    [k for k in grid.mechanisms
-                     if mechanism_compatible(k, net.head)],
-                    eval_covs, cfg.evaluation.calibration_split)
-            except (SelclsError, OSError) as exc:
-                cell["status"] = "failed"
-                cell["error"] = f"{type(exc).__name__}: {exc}"
-                continue
-            for kind, (_, points) in results.items():
-                for c, point in zip(eval_covs, points):
-                    rows.setdefault((method, kind, float(c)), []).append(
-                        point.selective_risk)
-
+    splits, cells, rows = {}, [], {}
     results_path = outdir / "results.csv"
-    write_csv(results_path, ["method", "mechanism", "coverage", "mean_risk",
-                             "sd_risk", "n_seeds"],
-              ([method, kind, fmt(c), *map(fmt, mean_sd(risks)), len(risks)]
-               for (method, kind, c), risks in sorted(rows.items())),
-              f"config={h}")
-
-    write_manifest(outdir, {"config_hash": h, "cells": cells,
-                            "results": "results.csv"})
+    try:
+        for method in grid.methods:
+            base = replace(cfg.objective, kind=method)
+            covs = grid.coverages if base.base_kind == "SelectiveNet" \
+                else [None]
+            for coverage, seed in product(covs, grid.seeds):
+                name = grid_cell_name(method, coverage, seed)
+                cell = {"method": method, "coverage": coverage, "seed": seed,
+                        "name": name, "status": "ok", "checkpoint": "",
+                        "error": ""}
+                try:
+                    if seed not in splits:
+                        splits[seed] = build_splits(cfg, seed=seed)
+                    objective = base if coverage is None \
+                        else replace(base, c_target=float(coverage))
+                    path = str(cells_dir / f"{name}.checkpoint.json")
+                    net = run_cell(cfg, objective, seed, splits[seed], path,
+                                   cells_dir / f"{name}.report.csv")
+                    cell["checkpoint"] = path
+                    _, val_ds, test_ds, _ = splits[seed]
+                    eval_covs = grid.coverages if coverage is None \
+                        else [coverage]
+                    _, results = evaluate_mechanisms(
+                        net, val_ds, test_ds,
+                        [k for k in grid.mechanisms
+                         if mechanism_compatible(k, net.head)],
+                        eval_covs, cfg.evaluation.calibration_split)
+                except (SelclsError, OSError) as exc:
+                    cell["status"] = "failed"
+                    cell["error"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    for kind, (_, points) in results.items():
+                        for c, point in zip(eval_covs, points):
+                            rows.setdefault((method, kind, float(c)),
+                                            []).append(point.selective_risk)
+                cells.append(cell)
+    finally:
+        # written from the cells that ended, also when an unexpected
+        # exception stops the grid
+        write_csv(results_path, ["method", "mechanism", "coverage",
+                                 "mean_risk", "sd_risk", "n_seeds"],
+                  ([method, kind, fmt(c), *map(fmt, mean_sd(risks)),
+                    len(risks)]
+                   for (method, kind, c), risks in sorted(rows.items())),
+                  f"config={h}")
+        write_manifest(outdir, {"config_hash": h, "cells": cells,
+                                "results": "results.csv"})
     n_failed = sum(1 for c in cells if c["status"] != "ok")
     print(f"grid: {len(cells)} cells trained, {n_failed} failed; results "
           f"at {results_path}")

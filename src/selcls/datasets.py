@@ -117,8 +117,16 @@ class Dataset:
             + np.ascontiguousarray(self.labels, dtype=np.int64).tobytes())[:16]
 
 
-def _sample_split(spec: MixtureSpec, n: int, tag: str) -> Dataset:
-    rng = rng_for(spec.seed, f"mixture:{tag}")
+SPLITS = ("train", "val", "test")
+
+
+def draw_split(spec: MixtureSpec, name: str) -> Dataset:
+    """Draw one split, "train", "val" or "test", of ``spec.n_<name>`` rows.
+    Each split has a random stream of its own, derived from spec.seed, so
+    it comes out the same whether or not the others are drawn."""
+    spec.validate()
+    n = getattr(spec, f"n_{name}")
+    rng = rng_for(spec.seed, f"mixture:{name}")
     labels = rng.choice(spec.n_classes, size=n, p=spec.priors)
     x = spec.means[labels] + rng.standard_normal((n, spec.dim)) * \
         np.sqrt(spec.variances[labels])[:, None]
@@ -134,10 +142,7 @@ def _sample_split(spec: MixtureSpec, n: int, tag: str) -> Dataset:
 
 def generate_mixture(spec: MixtureSpec):
     """Draw the (train, val, test) splits, fully determined by spec.seed."""
-    spec.validate()
-    return (_sample_split(spec, spec.n_train, "train"),
-            _sample_split(spec, spec.n_val, "val"),
-            _sample_split(spec, spec.n_test, "test"))
+    return tuple(draw_split(spec, name) for name in SPLITS)
 
 
 def bayes_posterior(spec: MixtureSpec, x) -> np.ndarray:

@@ -16,19 +16,20 @@ out as trunk ``W, b`` per layer, then the heads ``logits``, ``select``,
 the finite-difference oracle use vectors of the same layout, and
 ``_layer_views`` cuts any of them into per-layer ``(W, b)`` views.
 
-Forward passes record a trace sufficient for the exact backward pass;
+A forward pass returns the trace that the exact backward pass needs;
 neither pass mutates the network. Parameter updates happen only in the
 training loop, on ``Network.params``.
 
 Both passes write into a ``Workspace``, the buffers of one network per
-batch row count: the forward pass its trunk pre-activations and
-activations and its head outputs, the objective kernel its p and log p,
-and the backward pass the ReLU mask, da (which becomes dz in place) and
-the flat gradient. A caller that passes none gets a fresh one, so every
+batch row count. A forward returns its row count's buffers, which are
+also the trace: its input, trunk pre-activations and activations and
+head outputs. The objective kernel writes its p and log p there, and
+the backward pass the ReLU mask, da (which becomes dz in place) and the
+flat gradient. A forward given no workspace makes a fresh one, so every
 pass runs the same buffer code. ``train()`` holds one workspace for all
 of its batch steps; each whole-split forward (``network_outputs``) makes
-its own. A trace is a set of views into its workspace, valid until the
-next forward on it.
+its own. A trace is overwritten by the next forward on its workspace of
+as many rows.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
@@ -80,16 +81,6 @@ class Network:
         """(out, in) of every layer in the order of the flat layout."""
         return [layer.W.shape
                 for layer in self.trunk + list(self.heads.values())]
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer intermediates of one batch, enough for an exact backward."""
-
-    x: np.ndarray
-    pre: list
-    act: list
-    head_raw: dict
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list:
@@ -190,11 +181,15 @@ def _blocks(buf: np.ndarray, rows: int, widths) -> list:
 
 
 class _BatchBuffers:
-    """A workspace's buffers for batches of one row count m. The forward's
-    are made with it; the backward's and the softmax kernel's, which a
-    forward-only caller never touches, on first use."""
+    """A workspace's buffers for batches of one row count m, which are also
+    the trace of its latest forward: the input ``x``, the trunk's ``pre``
+    and ``act`` and the heads' ``head_raw``. The forward's are made with
+    it; the backward's, the flat gradient's and the softmax kernel's,
+    which a forward-only caller never touches, on first use."""
 
     def __init__(self, net: Network, m: int):
+        self._net = net
+        self.x = None
         widths = [h.b.size for h in net.heads.values()]
         # pre-activations of every trunk layer in one buffer, the outputs
         # of every head in another, one (m, width) block per layer or head
@@ -203,6 +198,15 @@ class _BatchBuffers:
         self.head = np.empty(m * sum(widths))
         self.head_raw = dict(zip(net.heads, _blocks(self.head, m, widths)))
         self.act = [np.empty((m, w)) for w in net.hidden_dims]
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """The flat gradient, laid out like ``net.params``."""
+        return np.zeros_like(self._net.params)
+
+    @cached_property
+    def grad_views(self) -> list:
+        return _layer_views(self.grad, self._net.layer_shapes)
 
     @cached_property
     def mask(self) -> list:
@@ -231,31 +235,12 @@ class _BatchBuffers:
 
 class Workspace:
     """The buffers of ``network_forward``, ``objective_dispatch`` and
-    ``network_backward`` on one network, for batches of any row count.
-
-    It holds the flat gradient ``grad`` with its per-layer ``grad_views``,
-    the optimizer's ``step`` vector, and per batch row count the forward's
-    buffers, the backward's ReLU mask and da/dz buffers and the softmax
-    kernel's p, log p and row argmax per head wider than one. Each is made
-    on first use, so a forward-only workspace holds the forward's buffers
-    alone.
-    """
+    ``network_backward`` on one network, one ``_BatchBuffers`` per batch
+    row count, each made on first use."""
 
     def __init__(self, net: Network):
         self._net = net
         self._batches = {}
-
-    @cached_property
-    def grad(self) -> np.ndarray:
-        return np.zeros_like(self._net.params)
-
-    @cached_property
-    def grad_views(self) -> list:
-        return _layer_views(self.grad, self._net.layer_shapes)
-
-    @cached_property
-    def step(self) -> np.ndarray:
-        return np.empty_like(self._net.params)
 
     def batch(self, m: int) -> _BatchBuffers:
         """The buffers of an m-row batch."""
@@ -266,14 +251,15 @@ class Workspace:
 
 
 def network_forward(net: Network, batch: np.ndarray,
-                    ws: Workspace | None = None) -> ForwardTrace:
+                    ws: Workspace | None = None) -> _BatchBuffers:
     """Run the trunk and all configured heads on a batch of shape (m, d).
 
     Trunk pre-activations fill one buffer and head outputs a second, so each
     takes one finite check; only a failed check scans the layers, in order,
-    to name the first non-finite one. Every array of the trace except ``x``
-    is a view into the workspace ``ws`` (a fresh one when omitted),
-    overwritten by its next forward on a batch of as many rows.
+    to name the first non-finite one. Returns the batch buffers of the
+    workspace ``ws`` (a fresh one when omitted) for this row count, with
+    ``x`` set to the batch: the trace that ``network_backward`` reads,
+    overwritten by the next forward on ``ws`` of as many rows.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -281,6 +267,7 @@ def network_forward(net: Network, batch: np.ndarray,
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
     # layer shapes are fixed by build_network, so only the batch is checked
     b = (ws or Workspace(net)).batch(x.shape[0])
+    b.x = x
     a = x
     for layer, z, act in zip(net.trunk, b.pre, b.act):
         np.matmul(a, layer.W.T, out=z)
@@ -296,7 +283,7 @@ def network_forward(net: Network, batch: np.ndarray,
         name = next(name for name, raw in b.head_raw.items()
                     if not np.isfinite(raw).all())
         raise NumericFault(f"non-finite output at head {name!r}")
-    return ForwardTrace(x=x, pre=b.pre, act=b.act, head_raw=b.head_raw)
+    return b
 
 
 # Row block of a whole-split forward. Blocks start at multiples of it and
@@ -334,20 +321,19 @@ def network_outputs(net: Network, X) -> dict:
     return out
 
 
-def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
-                     ws: Workspace | None = None) -> np.ndarray:
+def network_backward(net: Network, trace: _BatchBuffers,
+                     dhead_raw: dict) -> np.ndarray:
     """Chain d(loss)/d(raw head outputs) back to every parameter.
 
-    ``dhead_raw`` maps head name to an (m, out_dim) array; omitted heads
-    contribute nothing. Returns the flat gradient, laid out like
-    ``net.params``: the workspace's ``ws.grad`` (a fresh workspace's when
-    omitted), overwritten, with every intermediate also written into it.
+    ``trace`` is what ``network_forward`` returned. ``dhead_raw`` maps head
+    name to an (m, out_dim) array; omitted heads contribute nothing.
+    Returns the flat gradient, laid out like ``net.params``: the trace's
+    ``grad``, overwritten, with every intermediate also written into the
+    trace's buffers.
     """
-    ws = ws or Workspace(net)
-    grad, views = ws.grad, ws.grad_views
+    grad, views = trace.grad, trace.grad_views
     if len(dhead_raw) < len(net.heads):
         grad.fill(0.0)  # the omitted heads' entries may hold older values
-    b = ws.batch(trace.x.shape[0])
     n_trunk = len(net.trunk)
     head_views = dict(zip(net.heads, views[n_trunk:]))
     last_act = trace.act[-1] if trace.act else trace.x
@@ -366,21 +352,21 @@ def network_backward(net: Network, trace: ForwardTrace, dhead_raw: dict,
         if not n_trunk:
             continue
         if da is None:
-            da = np.matmul(d, net.heads[name].W, out=b.da[-1])
+            da = np.matmul(d, net.heads[name].W, out=trace.da[-1])
         else:
-            da += np.matmul(d, net.heads[name].W, out=b.da_head)
+            da += np.matmul(d, net.heads[name].W, out=trace.da_head)
     if da is None:  # no trunk, or no head gradients and so a zero trunk's
         return grad
 
     for i in range(n_trunk - 1, -1, -1):
-        dz = np.multiply(da, np.greater(trace.pre[i], 0, out=b.mask[i]),
+        dz = np.multiply(da, np.greater(trace.pre[i], 0, out=trace.mask[i]),
                          out=da)
         below = trace.act[i - 1] if i > 0 else trace.x
         dW, db = views[i]
         np.matmul(dz.T, below, out=dW)
         dz.sum(axis=0, out=db)
         if i:  # the input gradient below layer 0 is never used
-            da = np.matmul(dz, net.trunk[i].W, out=b.da[i - 1])
+            da = np.matmul(dz, net.trunk[i].W, out=trace.da[i - 1])
     return grad
 
 

@@ -230,15 +230,13 @@ def sat_update_targets(store: SatTargetStore, sample_ids, p_batch) -> None:
 
 @dataclass
 class DispatchResult:
-    """Mean loss, d(mean loss)/d(raw outputs) per head, diagnostics and
-    the row argmax of the logits head (``argmax``, the predicted class
-    where that head has C logits); in the adaptive SAT phase also the
-    softmax of the logits (``probs``), which the per-batch target update
-    reuses."""
+    """Mean loss, d(mean loss)/d(raw outputs) per head and the row argmax
+    of the logits head (``argmax``, the predicted class where that head
+    has C logits); in the adaptive SAT phase also the softmax of the
+    logits (``probs``), which the per-batch target update reuses."""
 
     loss: float
     dlogits: dict
-    diagnostics: dict
     argmax: np.ndarray
     probs: np.ndarray | None = None
 
@@ -305,8 +303,8 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)
-    return DispatchResult(loss=loss, dlogits={"logits": d}, diagnostics={},
-                          argmax=argmax, probs=probs)
+    return DispatchResult(loss=loss, dlogits={"logits": d}, argmax=argmax,
+                          probs=probs)
 
 
 def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
@@ -327,8 +325,9 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
 
         d selective / d g_i = (l_i - selective) / (m * D)
 
-    D is floored at 1e-8; a floored batch is reported as coverage
-    collapse (the selection head has shut every sample off).
+    D is floored at 1e-8; a floored batch is treated as coverage collapse
+    (the selection head has shut every sample off), and only the coverage
+    term's gradient reaches g.
     """
     m, k = f.shape
     if k != n_classes or "select" not in outputs or "aux" not in outputs:
@@ -342,7 +341,6 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     # to 0 or 1 once the raw unit saturates (|g_raw| > ~37)
     g = sigmoid(g_raw[:, 0]).clip(_G_FLOOR, _G_CEIL)
     mean_g = float(g.sum()) / m
-    collapse = mean_g < COVERAGE_EPS
     denom = max(mean_g, COVERAGE_EPS)
     a = cfg.alpha_mix
     l_f, H, d_f, _, argmax = _softmax_objective(
@@ -360,7 +358,7 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     if H is not None:
         loss += beta * (float(H.sum()) / m)
 
-    if collapse:
+    if mean_g < COVERAGE_EPS:
         d_g = np.full(m, a * (cfg.lam * dcov_dg))
     else:
         d_g = a * ((l_f - selective) / (m * denom) + cfg.lam * dcov_dg)
@@ -368,7 +366,4 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     return DispatchResult(
         loss=float(loss),
         dlogits={"logits": d_f, "select": d_g_raw, "aux": d_h},
-        diagnostics=dict(mean_g=mean_g, coverage_collapse=collapse,
-                         selective_term=selective, coverage_term=coverage,
-                         aux_term=aux),
         argmax=argmax)

@@ -146,7 +146,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum) \
         if obj.base_kind == "SAT" else None
 
-    velocity = np.zeros_like(net.params)
+    velocity, step = np.zeros_like(net.params), np.empty_like(net.params)
     ws = Workspace(net)
     # the shuffled split, and each batch's predicted classes from the
     # network as it was before that batch's update
@@ -169,9 +169,9 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
                 raise NumericFault(
                     f"training diverged (loss={result.loss}) at epoch "
                     f"{epoch}, batch starting at {start}")
-            grads = network_backward(net, trace, result.dlogits, ws)
+            grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
-                              cfg.weight_decay, ws.step)
+                              cfg.weight_decay, step)
             if result.probs is not None:
                 sat_update_targets(store, ids, result.probs)
             loss_sum += result.loss * ids.size

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selcls import cli, gradcheck, training
+from selcls import cli, datasets, gradcheck, training
 from selcls.cli import main
 from selcls.config import (
     DatasetConfig,
@@ -25,7 +25,7 @@ from selcls.evaluation import RiskCoveragePoint
 from selcls.nn import load_checkpoint, network_forward, save_checkpoint
 from selcls.objectives import ObjectiveConfig, objective_dispatch
 from selcls.training import TrainConfig
-from selcls.util import derive_seed
+from selcls.util import derive_seed, rng_for
 
 from conftest import fail_writes
 
@@ -348,6 +348,19 @@ class TestEvalCommand:
         assert main(["eval", "-c", str(other_cfg), "--force",
                      "--checkpoint", ckpt]) == 0
 
+    def test_draws_only_the_val_and_test_splits(self, tmp_path, monkeypatch):
+        cfg_path, outdir = self.train_one(tmp_path)
+        labels = []
+
+        def recorded_rng_for(seed, label):
+            labels.append(label)
+            return rng_for(seed, label)
+
+        monkeypatch.setattr(datasets, "rng_for", recorded_rng_for)
+        assert main(["eval", "-c", str(cfg_path),
+                     "--checkpoint", str(outdir / "checkpoint.json")]) == 0
+        assert labels == ["mixture:val", "mixture:test"]
+
 
 class TestGradcheckCommand:
     def test_quick_suite_passes(self, capsys):
@@ -667,6 +680,33 @@ class TestGridCommand:
         assert err == [f"error: {outdir / target}: disk full"]
         assert (outdir / target).read_bytes() == before
         assert not list(outdir.rglob("*.tmp"))
+
+    def test_programming_error_keeps_the_cells_that_ended(self, tmp_path,
+                                                          monkeypatch):
+        trained = []
+
+        def train_then_break(*args, **kwargs):
+            trained.append(args[3].seed)
+            if len(trained) == 2:
+                raise TypeError("bug in training")
+            return training.train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train_then_break)
+        cfg_path, doc = base_config(
+            tmp_path, dataset={"n_train": 300}, training={"epochs": 1},
+            grid={"methods": ["CE"], "mechanisms": ["softmax_response"],
+                  "coverages": [0.9, 0.5], "seeds": [0, 1]})
+        with pytest.raises(TypeError, match="bug in training"):
+            main(["grid", "-c", str(cfg_path)])
+        assert trained == [0, 1]
+        manifest, rows = self.read_outputs(doc)
+        # the interrupted cell CE_all_s1 is absent
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            ("CE_all_s0", "ok")]
+        # (method, mechanism, coverage, n_seeds) per results row
+        assert [(*r.split(",")[:3], r.split(",")[-1]) for r in rows[1:]] == [
+            ("CE", "softmax_response", "0.5", "1"),
+            ("CE", "softmax_response", "0.9", "1")]
 
     def test_programming_error_is_not_recorded_as_failed_cell(
             self, tmp_path, monkeypatch):

@@ -297,7 +297,7 @@ class TestWorkspace:
                 assert np.array_equal(a, b)
             d = {name: rng.normal(size=raw.shape)
                  for name, raw in want.head_raw.items()}
-            assert np.array_equal(network_backward(net, got, d, ws),
+            assert np.array_equal(network_backward(net, got, d),
                                   network_backward(net, want, d))
 
     def test_trace_is_overwritten_by_the_next_forward(self, rng):
@@ -307,11 +307,9 @@ class TestWorkspace:
         first = network_forward(net, X1, ws)
         logits1 = first.head_raw["logits"].copy()
         second = network_forward(net, X2, ws)
-        # the first trace's arrays now hold the second batch's values
-        for name, raw in second.head_raw.items():
-            assert raw is first.head_raw[name]
-        for a, b in zip(first.pre + first.act, second.pre + second.act):
-            assert a is b
+        # the first trace is the second: it now holds the second batch
+        assert second is first
+        assert np.array_equal(first.x, X2)
         assert np.array_equal(first.head_raw["logits"],
                               network_forward(net, X2).head_raw["logits"])
         assert not np.array_equal(first.head_raw["logits"], logits1)
@@ -356,21 +354,37 @@ class TestNetworkBackward:
     def test_omitted_heads_get_zero_gradient(self, rng):
         net = random_net(rng, head="selectivenet", n_classes=3)
         X, _ = random_batch(rng, net)
-        trace = network_forward(net, X)
-        ones = {name: np.ones_like(raw) for name, raw in trace.head_raw.items()}
-        # a reused workspace whose every gradient entry was written by an
-        # earlier batch
-        ws = Workspace(net)
-        network_backward(net, trace, ones, ws)
         # the select and aux heads follow the trunk and the logits head
         n_before = sum(layer.W.size + layer.b.size
                        for layer in net.trunk + [net.heads["logits"]])
-        for workspace in (None, ws):
-            grads = network_backward(net, trace, {"logits": ones["logits"]},
-                                     workspace)
+        for stale in (False, True):
+            trace = network_forward(net, X)
+            ones = {name: np.ones_like(raw)
+                    for name, raw in trace.head_raw.items()}
+            if stale:  # a full backward writes every gradient entry first
+                network_backward(net, trace, ones)
+            grads = network_backward(net, trace, {"logits": ones["logits"]})
+            assert grads is trace.grad
             assert np.any(grads[:n_before] != 0.0)
             assert np.all(grads[n_before:] == 0.0)
-        assert grads is ws.grad
+
+    def test_builds_no_buffers_of_its_own(self, rng, monkeypatch):
+        # the backward writes into the trace, so a forward and backward
+        # without a workspace build one set of batch buffers
+        built = []
+        init = nn._BatchBuffers.__init__
+
+        def counted(self, net, m):
+            built.append(m)
+            init(self, net, m)
+
+        monkeypatch.setattr(nn._BatchBuffers, "__init__", counted)
+        net = random_net(rng, head="selectivenet")
+        X, _ = random_batch(rng, net)
+        trace = network_forward(net, X)
+        network_backward(net, trace, {name: np.ones_like(raw)
+                                      for name, raw in trace.head_raw.items()})
+        assert built == [len(X)]
 
     def test_shape_mismatch_rejected(self, rng):
         net = random_net(rng)

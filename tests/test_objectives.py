@@ -297,23 +297,30 @@ class TestSelectiveNetLoss:
         f = rng.normal(size=(m, C))
         h = rng.normal(size=(m, C))
         y = rng.integers(0, C, size=m)
-        res = sn_dispatch(f, np.full(m, 0.37), h, y, sn_cfg())
+        # alpha_mix 1 and lam 0 leave the selective term alone in the loss
+        res = sn_dispatch(f, np.full(m, 0.37), h, y,
+                          sn_cfg(alpha_mix=1.0, lam=0.0))
         ce = dispatch("CE", f, y, C)
-        assert abs(res.diagnostics["selective_term"] - ce.loss) < 1e-9
+        assert abs(res.loss - ce.loss) < 1e-9
 
     def test_coverage_penalty_undershoot(self):
         f = np.zeros((10, 2))
         h = np.zeros((10, 2))
         y = np.zeros(10, dtype=int)
-        res = sn_dispatch(f, np.full(10, 0.7), h, y, sn_cfg(c_target=0.8))
-        assert abs(res.diagnostics["coverage_term"] - 0.01) < 1e-12
+        # with alpha_mix 1, lam 1 adds the coverage term to lam 0's loss
+        res, base = (sn_dispatch(f, np.full(10, 0.7), h, y,
+                                 sn_cfg(c_target=0.8, alpha_mix=1.0, lam=lam))
+                     for lam in (1.0, 0.0))
+        assert abs(res.loss - base.loss - 0.01) < 1e-12
 
     def test_coverage_penalty_overshoot_hinged(self):
         f = np.zeros((10, 2))
         h = np.zeros((10, 2))
         y = np.zeros(10, dtype=int)
-        res = sn_dispatch(f, np.full(10, 0.9), h, y, sn_cfg(c_target=0.8))
-        assert res.diagnostics["coverage_term"] == 0.0
+        res, base = (sn_dispatch(f, np.full(10, 0.9), h, y,
+                                 sn_cfg(c_target=0.8, lam=lam))
+                     for lam in (32.0, 0.0))
+        assert res.loss == base.loss
 
     def test_gradient_through_g_matches_fd(self, rng):
         # the denominator coupling is the part that is easy to get wrong
