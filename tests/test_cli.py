@@ -2,7 +2,12 @@ import base64
 import copy
 import errno
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -30,6 +35,21 @@ from selcls.util import derive_seed, rng_for
 from conftest import fail_writes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that a grid of two or more cells runs its cells
+    in worker processes also on a one-CPU machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def attempted(attempts_dir) -> list:
+    """The names of the files that patched functions touched in
+    ``attempts_dir``: worker processes share no memory with the test, but
+    they share its files."""
+    return sorted(p.name for p in attempts_dir.iterdir())
 
 
 def base_config(tmp_path, _name="config.json", **overrides):
@@ -348,6 +368,27 @@ class TestEvalCommand:
         assert main(["eval", "-c", str(other_cfg), "--force",
                      "--checkpoint", ckpt]) == 0
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_checkpoint_of_another_mixture_exits_2_naming_both(
+            self, tmp_path, capsys, force):
+        small_cfg, _ = base_config(
+            tmp_path, "small.json", output_dir=str(tmp_path / "small"),
+            dataset={"preset": None, "means": [[0, 0], [3, 0], [0, 3]],
+                     "n_train": 300, "n_val": 200, "n_test": 200},
+            training={"epochs": 1},
+            grid={"methods": ["CE"], "mechanisms": ["softmax_response"],
+                  "coverages": [0.5], "seeds": [0]})
+        assert main(["grid", "-c", str(small_cfg)]) == 0
+        ckpt = tmp_path / "small" / "cells" / "CE_all_s0.checkpoint.json"
+        blobs8_cfg, blobs8 = base_config(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "-c", str(blobs8_cfg), "--checkpoint", str(ckpt),
+                     *force]) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ckpt} holds a network for 3 classes of 2-d "
+            "inputs, the config's mixture has 8 classes of 2-d inputs\n")
+        assert not Path(blobs8["output_dir"]).exists()
+
     def test_draws_only_the_val_and_test_splits(self, tmp_path, monkeypatch):
         cfg_path, outdir = self.train_one(tmp_path)
         labels = []
@@ -467,19 +508,25 @@ class TestGridCommand:
                 if r and not r.startswith("#")]
         return manifest, rows
 
-    def test_results_csv_bytes(self, tmp_path, monkeypatch):
-        # each cell's evaluation returns the next fixed risk, so the file's
-        # means and SDs over the two seeds are known in advance
-        risks = iter([0.25, 0.5, 0.125, 0.375])
+    def test_results_csv_bytes(self, tmp_path, monkeypatch, two_cpus):
+        # each cell's evaluation returns a fixed risk chosen by its head and
+        # seed, so the file's means and SDs over the two seeds are known in
+        # advance
+        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                         coverages=[0.5], seeds=[0, 1])
+        cfg = load_run_config(cfg_path)
+        seed_of = {cli.build_splits(cfg, seed=s)[2].fingerprint: s
+                   for s in (0, 1)}
+        risks = {("plain", 0): 0.25, ("plain", 1): 0.5,
+                 ("abstain", 0): 0.125, ("abstain", 1): 0.375}
 
         def fixed_risks(net, val_ds, test_ds, mechanisms, coverages, split):
-            return None, {k: (None, [RiskCoveragePoint(c, c, next(risks), 1)
+            risk = risks[net.head, seed_of[test_ds.fingerprint]]
+            return None, {k: (None, [RiskCoveragePoint(c, c, risk, 1)
                                      for c in coverages])
                           for k in mechanisms}
 
         monkeypatch.setattr(cli, "evaluate_mechanisms", fixed_risks)
-        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
-                                         coverages=[0.5], seeds=[0, 1])
         assert main(["grid", "-c", str(cfg_path)]) == 0
         h = load_run_config(cfg_path).hash()
         sd = b"0.1767766952966369"  # of either pair of risks
@@ -639,19 +686,24 @@ class TestGridCommand:
             ["SelectiveNet", "softmax_response", "0.5"]]
 
     def test_cell_failing_to_write_its_checkpoint_is_recorded(
-            self, tmp_path, monkeypatch):
-        saves = []
+            self, tmp_path, monkeypatch, two_cpus):
+        saves = tmp_path / "saves"
+        saves.mkdir()
 
-        def full_on_fourth_save(*args, **kwargs):
-            saves.append(args[1])
-            if len(saves) == 4:
+        def full_on_last_cell(*args, **kwargs):
+            name = Path(args[1]).name
+            (saves / name).touch()
+            if name == "DG_all_s1.checkpoint.json":
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return save_checkpoint(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "save_checkpoint", full_on_fourth_save)
+        monkeypatch.setattr(cli, "save_checkpoint", full_on_last_cell)
         cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
                                          coverages=[0.5], seeds=[0, 1])
         assert main(["grid", "-c", str(cfg_path)]) == 1
+        assert attempted(saves) == [
+            f"{name}.checkpoint.json"
+            for name in ("CE_all_s0", "CE_all_s1", "DG_all_s0", "DG_all_s1")]
         manifest, rows = self.read_outputs(doc)
         assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
             ("CE_all_s0", "ok"), ("CE_all_s1", "ok"), ("DG_all_s0", "ok"),
@@ -681,24 +733,27 @@ class TestGridCommand:
         assert (outdir / target).read_bytes() == before
         assert not list(outdir.rglob("*.tmp"))
 
-    def test_programming_error_keeps_the_cells_that_ended(self, tmp_path,
-                                                          monkeypatch):
-        trained = []
+    def test_programming_error_keeps_the_cells_that_ended(
+            self, tmp_path, monkeypatch, two_cpus):
+        trained = tmp_path / "trained"
+        trained.mkdir()
 
-        def train_then_break(*args, **kwargs):
-            trained.append(args[3].seed)
-            if len(trained) == 2:
+        def train_breaks_on_seed_1(*args, **kwargs):
+            seed = args[3].seed
+            (trained / str(seed)).touch()
+            if seed == 1:
                 raise TypeError("bug in training")
             return training.train(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "train", train_then_break)
+        monkeypatch.setattr(cli, "train", train_breaks_on_seed_1)
         cfg_path, doc = base_config(
             tmp_path, dataset={"n_train": 300}, training={"epochs": 1},
             grid={"methods": ["CE"], "mechanisms": ["softmax_response"],
                   "coverages": [0.9, 0.5], "seeds": [0, 1]})
         with pytest.raises(TypeError, match="bug in training"):
             main(["grid", "-c", str(cfg_path)])
-        assert trained == [0, 1]
+        assert attempted(trained) == ["0", "1"]
+        assert multiprocessing.active_children() == []
         manifest, rows = self.read_outputs(doc)
         # the interrupted cell CE_all_s1 is absent
         assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
@@ -717,6 +772,140 @@ class TestGridCommand:
         cfg_path, _ = self.grid_config(tmp_path)
         with pytest.raises(TypeError, match="bug in training"):
             main(["grid", "-c", str(cfg_path)])
+
+    def test_same_outputs_with_one_and_two_cpus(self, tmp_path, monkeypatch):
+        cfg_path, _ = base_config(
+            tmp_path, objective={"kind": "CE", "sat_pretrain_epochs": 1},
+            grid={"methods": ["CE", "SAT", "SelectiveNet"],
+                  "mechanisms": ["softmax_response", "abstention_logit",
+                                 "selection_head"],
+                  "coverages": [0.9, 0.5], "seeds": [0, 1]})
+        outputs = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            outdir = tmp_path / f"cpus{len(cpus)}"
+            assert main(["grid", "-c", str(cfg_path), "-o", str(outdir)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs[len(cpus)] = {
+                str(path.relative_to(outdir)):
+                    path.read_bytes().replace(str(outdir).encode(), b"OUT")
+                for path in outdir.rglob("*") if path.is_file()}
+        checkpoints = sorted((tmp_path / "cpus1").glob("cells/*.checkpoint.*"))
+        assert len(checkpoints) == 8
+        assert {load_checkpoint(c)[0].head for c in checkpoints} == {
+            "plain", "abstain", "selectivenet"}
+        assert outputs[1] == outputs[2]
+
+    def test_dead_worker_keeps_the_cells_before_it(self, tmp_path,
+                                                   monkeypatch, two_cpus):
+        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                         coverages=[0.5], seeds=[0, 1])
+        received = tmp_path / "received"
+        received.mkdir()
+        test_pid = os.getpid()
+        map_grid_cells = cli.map_grid_cells
+
+        def map_noting_receipt(tasks):
+            # runs in the test process, as cells come back in grid order
+            for cell, rows in map_grid_cells(tasks):
+                (received / cell["name"]).touch()
+                yield cell, rows
+
+        def train_dies_on_dg_s0(*args, **kwargs):
+            tcfg = args[3]
+            if (tcfg.objective.kind, tcfg.seed) == ("DG", 0):
+                assert os.getpid() != test_pid, "cell ran in the test process"
+                # die only once the test process holds both CE cells; the
+                # other worker runs the second of them meanwhile
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and not (
+                        received / "CE_all_s1").exists():
+                    time.sleep(0.01)
+                os._exit(1)
+            return training.train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "map_grid_cells", map_noting_receipt)
+        monkeypatch.setattr(cli, "train", train_dies_on_dg_s0)
+        with pytest.raises(BrokenProcessPool):
+            main(["grid", "-c", str(cfg_path)])
+        assert multiprocessing.active_children() == []
+        manifest, rows = self.read_outputs(doc)
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            ("CE_all_s0", "ok"), ("CE_all_s1", "ok")]
+        # (method, n_seeds) per results row
+        assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] == [
+            ("CE", "2")]
+
+    def test_runs_in_process_where_cpu_affinity_is_unknown(
+            self, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        pids = []
+
+        def train_noting_pid(*args, **kwargs):
+            pids.append(os.getpid())
+            return training.train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train_noting_pid)
+        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                         coverages=[0.5], seeds=[0, 1])
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        assert pids == [os.getpid()] * 4
+        manifest, rows = self.read_outputs(doc)
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            (name, "ok")
+            for name in ("CE_all_s0", "CE_all_s1", "DG_all_s0", "DG_all_s1")]
+        assert len(rows) == 3
+
+    def test_programming_error_in_the_first_cell_stops_the_rest(
+            self, tmp_path, monkeypatch, two_cpus):
+        trained = tmp_path / "trained"
+        trained.mkdir()
+
+        def train_breaks_on_first_cell(*args, **kwargs):
+            tcfg = args[3]
+            (trained / f"{tcfg.objective.kind}_{tcfg.seed}").write_text(
+                str(os.getpid()))
+            if (tcfg.objective.kind, tcfg.seed) == ("CE", 0):
+                raise TypeError("bug in training")
+            return training.train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train_breaks_on_first_cell)
+        cfg_path, doc = self.grid_config(
+            tmp_path, methods=["CE", "CE+EM", "DG", "SAT"], coverages=[0.5],
+            seeds=list(range(8)))
+        with pytest.raises(TypeError, match="bug in training"):
+            main(["grid", "-c", str(cfg_path)])
+        assert multiprocessing.active_children() == []
+        assert "CE_0" in attempted(trained)
+        assert len(attempted(trained)) < 32
+        # the cells ran in workers, not in this process
+        assert str(os.getpid()) not in {
+            p.read_text() for p in trained.iterdir()}
+        manifest, rows = self.read_outputs(doc)
+        assert manifest["cells"] == [] and rows == [
+            "method,mechanism,coverage,mean_risk,sd_risk,n_seeds"]
+
+
+class TestImports:
+    def run_python(self, code, **env):
+        base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        return json.loads(subprocess.run(
+            [sys.executable, "-c", code], env={**base, **env},
+            capture_output=True, text=True, check=True).stdout)
+
+    def test_import_sets_one_blas_thread_where_unset(self):
+        code = ("import json, os, selcls; "
+                f"print(json.dumps([os.environ.get(v) for v in {BLAS_VARS}]))")
+        assert self.run_python(code) == ["1", "1", "1"]
+        assert self.run_python(code, OMP_NUM_THREADS="3") == ["1", "3", "1"]
+
+    def test_cli_loads_no_process_pool(self):
+        code = ("import json, sys, selcls.cli; print(json.dumps(sorted("
+                "m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules)))")
+        assert self.run_python(code) == []
 
 
 class TestOutputRoot:

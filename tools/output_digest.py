@@ -9,8 +9,11 @@ change, is checked by comparing its digests with its parent's:
 
 ``--against`` exits 1 when any artifact differs and names each one, as
 ``differs: <name>``, or as ``only in <checkout>: <name>`` when one side
-has no such artifact. The runs take 6-9 s per checkout on a shared 2-core
-VM and write only to a temporary directory:
+has no such artifact. ``selcls grid`` runs its cells in one worker
+process per usable CPU, and under ``taskset -c 0`` in-process; the
+printout must be the same either way. The runs take 6-8 s per checkout
+on a shared 2-core VM (13 s for both sides of ``--against``) and write
+only to a temporary directory:
 
     train/<objective>.*  cli.run_cell for each of the 8 objectives on
                          perfbench/configs/blobs8.json: its checkpoint
