@@ -223,6 +223,49 @@ def grid_cell(cfg: RunConfig, objective, coverage, seed: int, splits,
                   for c, point in zip(eval_covs, points)]
 
 
+def keep_freed_memory() -> None:
+    """Make this process, and the workers it forks, keep freed heap memory
+    (glibc ``mallopt``): blocks below 32 MiB come from the heap and up to
+    64 MiB of free heap stays mapped. Without it, the buffers of every
+    whole-split forward and every ``train()`` workspace are unmapped when
+    freed and faulted in again by the next cell: the forked workers of one
+    grid-ref round took about 74k minor page faults at glibc's defaults,
+    and about 4.3k with this. Does nothing where the C library has no
+    ``mallopt``."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # not glibc, or no libc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD of glibc's malloc.h
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+# (task list, index of the first task that a bug stopped) of the pooled
+# grid that is running; its forked workers inherit it, so a task crosses
+# the pipe as its index alone
+_pooled_grid = None
+
+
+def _run_task(i: int):
+    """``grid_cell(*task)`` for task ``i`` of the running pooled grid, run in
+    a worker; None, without running it, once a bug in an earlier task has
+    stopped the grid."""
+    tasks, first_bug = _pooled_grid
+    if i > first_bug.value:
+        return None
+    try:
+        return grid_cell(*tasks[i])
+    except (SelclsError, OSError):
+        raise
+    except BaseException:
+        with first_bug.get_lock():
+            first_bug.value = min(first_bug.value, i)
+        raise
+
+
 def map_grid_cells(tasks):
     """Yield ``grid_cell(*task)`` for each task, in task order, computed in
     one forked worker per usable CPU and task, or in this process when
@@ -230,7 +273,14 @@ def map_grid_cells(tasks):
     Windows; Windows has no fork either) that is taken as one CPU. A
     one-worker pool would be slower: on one CPU of a 2-core VM its
     grid-ref rounds took 12-19% longer in the median than in-process ones,
-    and longer in 30 of 36 alternating pairs."""
+    and longer in 30 of 36 alternating pairs.
+
+    A worker receives only a task's index: it inherits the task list, and
+    with it the configs and the splits, through fork, so no dataset is
+    pickled. A cell that raises anything but a SelclsError or OSError
+    notes its index in a shared value that the workers also inherit, and
+    every later cell that has not started yet then returns at once; the
+    exception is raised here at that cell's place in task order."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else {0}
     workers = min(len(cpus), len(tasks))
@@ -240,16 +290,19 @@ def map_grid_cells(tasks):
     # imported here: `import selcls.cli` stays as cheap as it was
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    global _pooled_grid
     # fork: the workers inherit the loaded modules instead of importing
-    # numpy and selcls again
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    # numpy and selcls again, and they inherit _pooled_grid
+    context = multiprocessing.get_context("fork")
+    _pooled_grid = tasks, context.Value("i", len(tasks))
+    pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
-        yield from pool.map(grid_cell, *zip(*tasks))
+        yield from pool.map(_run_task, range(len(tasks)))
     finally:
         # no worker outlives the grid: after an exception the queued cells
         # are cancelled and the running ones awaited
         pool.shutdown(cancel_futures=True)
+        _pooled_grid = None
 
 
 def cmd_grid(args) -> int:
@@ -258,18 +311,23 @@ def cmd_grid(args) -> int:
     Three-head selective models get one cell per (method, coverage, seed);
     everything else trains once per (method, seed) and is evaluated at all
     coverages. The cells run in one worker process per usable CPU (see
-    ``map_grid_cells``), and their records and rows are collected in grid
-    order, so the output does not depend on the number of CPUs. A cell
-    that fails in training, evaluation or writing its checkpoint or report
-    (a SelclsError or an OSError) is recorded in the manifest, adds no
-    results rows, and makes the grid exit 1; the other cells still run.
-    Any other exception, a dead worker's BrokenProcessPool included, stops
-    the grid and propagates, but results.csv and manifest.json are still
-    written from the cells before the failed one in grid order. The failed
-    cell and the cells after it are absent from both, although cells that
-    were running beside it may have written their checkpoints and reports.
-    A failed write of the grid's own results.csv or manifest.json ends the
-    command with exit 2.
+    ``map_grid_cells``), which receives only each cell's index and
+    inherits the splits through fork, and their records and rows are
+    collected in grid order, so the output does not depend on the number
+    of CPUs. The grid first makes this process keep freed heap memory
+    (``keep_freed_memory``), and its workers inherit that, so a cell
+    reuses the pages of the cells before it instead of faulting in fresh
+    ones. A cell that fails in training, evaluation or writing its
+    checkpoint or report (a SelclsError or an OSError) is recorded in the
+    manifest, adds no results rows, and makes the grid exit 1; the other
+    cells still run. Any other exception, a dead worker's
+    BrokenProcessPool included, stops the grid and propagates; a bug in a
+    cell also stops every later cell that has not started yet. results.csv
+    and manifest.json are still written from the cells before the failed
+    one in grid order. The failed cell and the cells after it are absent
+    from both, although cells that were running beside it may have written
+    their checkpoints and reports. A failed write of the grid's own
+    results.csv or manifest.json ends the command with exit 2.
     """
     cfg = load_run_config(args.config)
     if cfg.grid is None:
@@ -280,6 +338,7 @@ def cmd_grid(args) -> int:
     cells_dir.mkdir(exist_ok=True)
     h = cfg.hash()
 
+    keep_freed_memory()
     splits = {seed: build_splits(cfg, seed=seed) for seed in grid.seeds}
     tasks = []
     for method in grid.methods:

@@ -1,12 +1,16 @@
 import base64
 import copy
+import ctypes
 import errno
+import functools
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
+import types
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -50,6 +54,24 @@ def attempted(attempts_dir) -> list:
     ``attempts_dir``: worker processes share no memory with the test, but
     they share its files."""
     return sorted(p.name for p in attempts_dir.iterdir())
+
+
+RUN_TASK = cli._run_task
+
+
+def run_task_0_after_task_1(task_1_ended, i):
+    """``cli._run_task`` in a worker, except that task 0 starts only once
+    task 1 has ended and touched the file ``task_1_ended``."""
+    if i == 0:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and not os.path.exists(
+                task_1_ended):
+            time.sleep(0.01)
+    try:
+        return RUN_TASK(i)
+    finally:
+        if i == 1:
+            Path(task_1_ended).touch()
 
 
 def base_config(tmp_path, _name="config.json", **overrides):
@@ -773,6 +795,14 @@ class TestGridCommand:
         with pytest.raises(TypeError, match="bug in training"):
             main(["grid", "-c", str(cfg_path)])
 
+    @staticmethod
+    def output_files(outdir) -> dict:
+        """Every file under ``outdir`` by relative path, with ``outdir``
+        written OUT in its bytes."""
+        return {str(path.relative_to(outdir)):
+                path.read_bytes().replace(str(outdir).encode(), b"OUT")
+                for path in outdir.rglob("*") if path.is_file()}
+
     def test_same_outputs_with_one_and_two_cpus(self, tmp_path, monkeypatch):
         cfg_path, _ = base_config(
             tmp_path, objective={"kind": "CE", "sat_pretrain_epochs": 1},
@@ -786,15 +816,37 @@ class TestGridCommand:
             outdir = tmp_path / f"cpus{len(cpus)}"
             assert main(["grid", "-c", str(cfg_path), "-o", str(outdir)]) == 0
             assert multiprocessing.active_children() == []
-            outputs[len(cpus)] = {
-                str(path.relative_to(outdir)):
-                    path.read_bytes().replace(str(outdir).encode(), b"OUT")
-                for path in outdir.rglob("*") if path.is_file()}
+            outputs[len(cpus)] = self.output_files(outdir)
         checkpoints = sorted((tmp_path / "cpus1").glob("cells/*.checkpoint.*"))
         assert len(checkpoints) == 8
         assert {load_checkpoint(c)[0].head for c in checkpoints} == {
             "plain", "abstain", "selectivenet"}
         assert outputs[1] == outputs[2]
+
+    def test_tasks_carry_no_datasets(self, tmp_path, monkeypatch, two_cpus):
+        # the workers inherit the splits at fork: none is pickled
+        class Unpicklable(datasets.Dataset):
+            def __reduce__(self):
+                raise pickle.PicklingError("a dataset was pickled")
+
+        build_splits = cli.build_splits
+
+        def unpicklable_splits(cfg, seed=None):
+            *sets, n_classes = build_splits(cfg, seed=seed)
+            return (*(Unpicklable(ds.features, ds.labels) for ds in sets),
+                    n_classes)
+
+        monkeypatch.setattr(cli, "build_splits", unpicklable_splits)
+        cfg_path, _ = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                       coverages=[0.5], seeds=[0, 1])
+        outputs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            outdir = tmp_path / f"cpus{len(cpus)}"
+            assert main(["grid", "-c", str(cfg_path), "-o", str(outdir)]) == 0
+            outputs.append(self.output_files(outdir))
+        assert len(outputs[0]) == 10
+        assert outputs[0] == outputs[1]
 
     def test_dead_worker_keeps_the_cells_before_it(self, tmp_path,
                                                    monkeypatch, two_cpus):
@@ -878,13 +930,76 @@ class TestGridCommand:
             main(["grid", "-c", str(cfg_path)])
         assert multiprocessing.active_children() == []
         assert "CE_0" in attempted(trained)
-        assert len(attempted(trained)) < 32
+        # the cells that had started beside it, no more
+        assert len(attempted(trained)) <= 3
         # the cells ran in workers, not in this process
         assert str(os.getpid()) not in {
             p.read_text() for p in trained.iterdir()}
         manifest, rows = self.read_outputs(doc)
         assert manifest["cells"] == [] and rows == [
             "method,mechanism,coverage,mean_risk,sd_risk,n_seeds"]
+
+    def test_a_bug_keeps_the_cells_before_it_that_had_not_started(
+            self, tmp_path, monkeypatch, two_cpus):
+        # the order a loaded machine can give: the bug in cell 1 stops the
+        # grid before the worker that took cell 0 starts it
+        def train_breaks_on_seed_1(*args, **kwargs):
+            if args[3].seed == 1:
+                raise TypeError("bug in training")
+            return training.train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train_breaks_on_seed_1)
+        monkeypatch.setattr(cli, "_run_task", functools.partial(
+            run_task_0_after_task_1, str(tmp_path / "task 1 ended")))
+        cfg_path, doc = self.grid_config(tmp_path, seeds=[0, 1])
+        with pytest.raises(TypeError, match="bug in training"):
+            main(["grid", "-c", str(cfg_path)])
+        assert multiprocessing.active_children() == []
+        manifest, rows = self.read_outputs(doc)
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            ("CE_all_s0", "ok")]
+        assert len(rows) == 3
+
+
+class TestKeepFreedMemory:
+    def test_sets_glibc_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli.keep_freed_memory()
+        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("lib", ["fails to load", "has no mallopt"])
+    def test_does_nothing_without_mallopt(self, monkeypatch, lib):
+        def cdll(name):
+            if lib == "fails to load":
+                raise OSError("no C library")
+            return types.SimpleNamespace()  # macOS: no mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli.keep_freed_memory() is None
+
+    def test_only_the_grid_calls_it(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))
+        cfg_path, doc = base_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        ckpt = Path(doc["output_dir"]) / "checkpoint.json"
+        assert main(["eval", "-c", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 0
+        assert calls == []
+        cfg_path, _ = base_config(
+            tmp_path, _name="grid.json",
+            grid={"methods": ["CE", "DG"], "mechanisms": ["softmax_response"],
+                  "coverages": [0.5], "seeds": [0]})
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        assert calls == [1]
 
 
 class TestImports:
