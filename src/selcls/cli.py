@@ -6,8 +6,8 @@ Commands:
     gradcheck  finite-difference verification of every objective family
     grid       train and evaluate the full method comparison
 
-Exit codes: 0 success, 1 check/grid-cell failure, 2 configuration error
-or a file that cannot be read or written, 3 numeric fault.
+Exit codes: 0 success, 1 check/grid-cell failure, 2 configuration error,
+unreadable or unwritable file or too large a network, 3 numeric fault.
 """
 
 import argparse
@@ -258,9 +258,7 @@ def _run_task(i: int):
         return None
     try:
         return grid_cell(*tasks[i])
-    except (SelclsError, OSError):
-        raise
-    except BaseException:
+    except BaseException:  # a bug: grid_cell records the expected errors
         with first_bug.get_lock():
             first_bug.value = min(first_bug.value, i)
         raise
@@ -416,7 +414,7 @@ def main(argv=None) -> int:
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return 3
-    except SelclsError as exc:
+    except (SelclsError, MemoryError) as exc:  # too large a network, say
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a file that cannot be read or written

@@ -267,6 +267,8 @@ def load_run_config(path) -> RunConfig:
             f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     try:
         return RunConfig.from_dict(doc)
     except ConfigurationError as exc:

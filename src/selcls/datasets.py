@@ -68,25 +68,15 @@ class MixtureSpec:
                 raise ConfigurationError(f"dataset.{name} must be >= 1")
 
 
-def circle_mixture(n_classes: int, radius: float, sigma: float = 1.0,
-                   label_noise: float = 0.0, n_train: int = 1000,
-                   n_val: int = 200, n_test: int = 500, seed: int = 0) -> MixtureSpec:
-    """Equal-prior classes with means spaced evenly on a 2-d circle."""
-    angles = 2 * np.pi * np.arange(n_classes) / n_classes
-    means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return MixtureSpec(
-        means=means,
-        variances=np.full(n_classes, sigma ** 2),
-        priors=np.full(n_classes, 1.0 / n_classes),
-        label_noise=label_noise, n_train=n_train, n_val=n_val,
-        n_test=n_test, seed=seed)
-
-
 def blobs8(seed: int = 0) -> MixtureSpec:
-    """The shipped benchmark: 8 overlapping classes on a circle of radius
-    2.2 with unit variance and 10% label noise, 8000/2000/4000 samples."""
-    return circle_mixture(n_classes=8, radius=2.2, sigma=1.0, label_noise=0.1,
-                          n_train=8000, n_val=2000, n_test=4000, seed=seed)
+    """The shipped benchmark: 8 overlapping equal-prior classes with means
+    spaced evenly on a 2-d circle of radius 2.2, unit variance and 10%
+    label noise, 8000/2000/4000 samples."""
+    angles = 2 * np.pi * np.arange(8) / 8
+    return MixtureSpec(
+        means=2.2 * np.stack([np.cos(angles), np.sin(angles)], axis=1),
+        variances=np.ones(8), priors=np.full(8, 1.0 / 8), label_noise=0.1,
+        n_train=8000, n_val=2000, n_test=4000, seed=seed)
 
 
 @dataclass

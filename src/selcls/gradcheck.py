@@ -7,8 +7,6 @@ finite-difference window of zero are redrawn: the central-difference
 oracle is only valid away from the kink, and the margin keeps it there.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import (
@@ -19,7 +17,7 @@ from .nn import (
     network_forward,
     sigmoid,
 )
-from .objectives import ObjectiveConfig, SatTargetStore, objective_dispatch
+from .objectives import ObjectiveConfig, objective_dispatch
 from .util import rng_for
 
 TOLERANCE = 1e-5
@@ -47,17 +45,8 @@ def suite_objectives() -> list:
     ]
 
 
-@dataclass
-class GradcheckCase:
-    net: object
-    X: np.ndarray
-    y: np.ndarray
-    store: SatTargetStore | None
-    cfg: ObjectiveConfig
-    n_classes: int
-
-
-def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int) -> GradcheckCase:
+def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int):
+    """(network, batch, labels, soft SAT targets or None) of one case."""
     for attempt in range(64):
         # the literal ":hinge:" keeps each case's random draws unchanged
         rng = rng_for(seed, f"gradcheck:{cfg.kind}:hinge:"
@@ -79,29 +68,28 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int) -> GradcheckCas
                 abs(float(sigmoid(trace.head_raw["select"][:, 0]).mean())
                     - cfg.c_target) < KINK_MARGIN:
             continue  # the hinge has its own kink at the target coverage
-        store = None
+        targets = None
         if cfg.base_kind == "SAT":
-            store = SatTargetStore.initialize(y, n_classes)
             raw = rng.random((m, n_classes + 1))
-            store.targets = raw / raw.sum(axis=1, keepdims=True)
-        return GradcheckCase(net=net, X=X, y=y, store=store, cfg=cfg,
-                             n_classes=n_classes)
+            targets = raw / raw.sum(axis=1, keepdims=True)
+        return net, X, y, targets
     raise RuntimeError("could not draw a kink-free gradcheck case")
 
 
-def check_case(case: GradcheckCase) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    net = case.net
+def check_case(cfg: ObjectiveConfig, net, X, y, targets) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of ``cfg``'s objective on ``net`` and the batch ``X``, ``y``; ``targets``
+    holds one soft SAT target row per sample, or is None."""
 
     def dispatch(trace):
-        return objective_dispatch(case.cfg, trace.head_raw, case.y,
-                                  n_classes=case.n_classes, store=case.store,
-                                  sample_ids=np.arange(len(case.y)), epoch=0)
+        return objective_dispatch(cfg, trace.head_raw, y,
+                                  n_classes=net.n_classes, targets=targets,
+                                  sample_ids=np.arange(len(y)), epoch=0)
 
-    trace = network_forward(net, case.X)
+    trace = network_forward(net, X)
     analytic = network_backward(net, trace, dispatch(trace).dlogits)
     fd = finite_difference_gradient(
-        lambda n: dispatch(network_forward(n, case.X)).loss, net)
+        lambda n: dispatch(network_forward(n, X)).loss, net)
     return max_relative_error(net, analytic, fd)
 
 
@@ -109,7 +97,7 @@ def check_objective(cfg: ObjectiveConfig, n_cases: int = 20,
                     seed: int = 0) -> float:
     worst = 0.0
     for i in range(n_cases):
-        worst = max(worst, check_case(_draw_case(cfg, seed, i)))
+        worst = max(worst, check_case(cfg, *_draw_case(cfg, seed, i)))
     return worst
 
 

@@ -23,11 +23,12 @@ training loop, on ``Network.params``.
 Both passes write into a ``Workspace``, the buffers of one network per
 batch row count. A forward returns its row count's buffers, which are
 also the trace: its input, trunk pre-activations and activations and
-head outputs. The objective kernel writes its p and log p there, and
-the backward pass the ReLU mask, da (which becomes dz in place) and the
-flat gradient. A forward given no workspace makes a fresh one, so every
-pass runs the same buffer code. ``train()`` holds one workspace for all
-of its batch steps; each whole-split forward (``network_outputs``) makes
+head outputs. The objective, given the trace's ``kernel`` buffers,
+writes its p and log p and then its gradient there, and the backward
+pass writes the ReLU mask, da (which becomes dz in place) and the flat
+gradient. A forward given no workspace makes a fresh one, so every pass
+runs the same buffer code. ``train()`` holds one workspace for all of
+its batch steps; each whole-split forward (``network_outputs``) makes
 its own. A trace is overwritten by the next forward on its workspace of
 as many rows.
 
@@ -325,22 +326,22 @@ def network_backward(net: Network, trace: _BatchBuffers,
                      dhead_raw: dict) -> np.ndarray:
     """Chain d(loss)/d(raw head outputs) back to every parameter.
 
-    ``trace`` is what ``network_forward`` returned. ``dhead_raw`` maps head
-    name to an (m, out_dim) array; omitted heads contribute nothing.
-    Returns the flat gradient, laid out like ``net.params``: the trace's
-    ``grad``, overwritten, with every intermediate also written into the
-    trace's buffers.
+    ``trace`` is what ``network_forward`` returned. ``dhead_raw`` maps
+    each of the network's heads, and no other name, to an (m, out_dim)
+    array. Returns the flat gradient, laid out like ``net.params``: the
+    trace's ``grad``, overwritten, with every intermediate also written
+    into the trace's buffers.
     """
+    if dhead_raw.keys() != net.heads.keys():
+        raise ConfigurationError(
+            f"need one gradient per head {sorted(net.heads)}, got "
+            f"{sorted(dhead_raw)}")
     grad, views = trace.grad, trace.grad_views
-    if len(dhead_raw) < len(net.heads):
-        grad.fill(0.0)  # the omitted heads' entries may hold older values
     n_trunk = len(net.trunk)
     head_views = dict(zip(net.heads, views[n_trunk:]))
     last_act = trace.act[-1] if trace.act else trace.x
     da = None
     for name, d in dhead_raw.items():
-        if name not in net.heads:
-            raise ConfigurationError(f"gradient for unknown head {name!r}")
         d = np.asarray(d, dtype=np.float64)
         if d.shape != trace.head_raw[name].shape:
             raise ConfigurationError(
@@ -355,8 +356,6 @@ def network_backward(net: Network, trace: _BatchBuffers,
             da = np.matmul(d, net.heads[name].W, out=trace.da[-1])
         else:
             da += np.matmul(d, net.heads[name].W, out=trace.da_head)
-    if da is None:  # no trunk, or no head gradients and so a zero trunk's
-        return grad
 
     for i in range(n_trunk - 1, -1, -1):
         dz = np.multiply(da, np.greater(trace.pre[i], 0, out=trace.mask[i]),
@@ -473,7 +472,7 @@ def load_checkpoint(path):
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read checkpoint {path}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # too deeply nested
         raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"checkpoint {path} is not a JSON object")

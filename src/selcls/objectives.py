@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import Workspace, log_softmax, sigmoid
+from .nn import log_softmax, sigmoid
 
 OBJECTIVE_KINDS = (
     "CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
@@ -130,8 +130,7 @@ def predictive_entropy(logits) -> np.ndarray:
 
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
-                       o: float = 0.0, t_y=None, keep_p: bool = False,
-                       out=None):
+                       o: float = 0.0, t_y=None, out=None):
     """Per-sample loss, per-sample entropy, logit gradient, softmax and row
     argmax of one softmax head, from one log-softmax.
 
@@ -141,10 +140,11 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     with true-class target mass ``t_y`` (w = t_y onehot(y) + (1 - t_y)
     onehot(A)). The gradient is ``scale * (p - w) + beta * dH/dz``, with
     ``scale`` a number or one weight per row; the entropy H is returned
-    only when ``beta`` is nonzero, and a copy of p only when ``keep_p``,
-    otherwise None. ``out``, a (p, log p, argmax) triple of buffers (two
-    float64 ones shaped like z, one int64 one per row), takes those three
-    instead of new arrays, and the gradient is then written over its p.
+    only when ``beta`` is nonzero, and a copy of p, for the target update,
+    only with ``t_y``, otherwise None. ``out``, a (p, log p, argmax)
+    triple of buffers (two float64 ones shaped like z, one int64 one per
+    row), takes those three instead of new arrays, and the gradient is
+    then written over its p.
     """
     m, k = z.shape
     p_out, lp_out, argmax_out = (None, None, None) if out is None else out
@@ -172,7 +172,7 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     else:
         w_y, w_a = t_y, 1.0 - t_y
         loss = -(w_y * lp_y + w_a * lp[:, -1])
-    probs = p.copy() if keep_p else None
+    probs = None if t_y is None else p.copy()
     # from here on p turns into the gradient, in place
     col = scale[:, None] if isinstance(scale, np.ndarray) else scale
     H = None
@@ -192,40 +192,27 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     return loss, H, p, probs, argmax
 
 
-@dataclass
-class SatTargetStore:
-    """Per-training-sample soft targets for the moving-target objective.
-
-    Targets start as one-hot rows over C+1 entries (abstain mass 0) and,
-    after each adaptive-phase batch, relax toward the model's own
-    predictions: t <- momentum * t + (1 - momentum) * p.
-    """
-
-    targets: np.ndarray
-    momentum: float
-
-    @classmethod
-    def initialize(cls, labels, n_classes, momentum=0.9):
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise ConfigurationError("labels out of range for target store")
-        if not 0 < momentum <= 1:
-            raise ConfigurationError("momentum must lie in (0, 1]")
-        t = np.zeros((labels.size, n_classes + 1), dtype=np.float64)
-        t[np.arange(labels.size), labels] = 1.0
-        return cls(targets=t, momentum=momentum)
+def sat_initial_targets(labels, n_classes: int) -> np.ndarray:
+    """The moving-target objective's per-training-sample soft targets at
+    the start: one-hot rows over C+1 entries, abstain mass 0."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ConfigurationError("labels out of range for the SAT targets")
+    t = np.zeros((labels.size, n_classes + 1), dtype=np.float64)
+    t[np.arange(labels.size), labels] = 1.0
+    return t
 
 
-def sat_update_targets(store: SatTargetStore, sample_ids, p_batch) -> None:
-    """Convex-combination update of the touched target rows, in place."""
+def sat_update_targets(targets, sample_ids, p_batch, momentum: float) -> None:
+    """Relax the touched target rows toward the model's own predictions,
+    in place: t <- momentum * t + (1 - momentum) * p."""
     ids = np.asarray(sample_ids, dtype=np.int64)
     p = np.asarray(p_batch, dtype=np.float64)
-    if p.shape != (ids.size, store.targets.shape[1]):
+    if p.shape != (ids.size, targets.shape[1]):
         raise ConfigurationError(
             f"prediction batch shape {p.shape} does not match "
-            f"({ids.size}, {store.targets.shape[1]})")
-    a = store.momentum
-    store.targets[ids] = a * store.targets[ids] + (1.0 - a) * p
+            f"({ids.size}, {targets.shape[1]})")
+    targets[ids] = momentum * targets[ids] + (1.0 - momentum) * p
 
 
 @dataclass
@@ -242,9 +229,8 @@ class DispatchResult:
 
 
 def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
-                       store: SatTargetStore | None = None,
-                       sample_ids=None, epoch: int = 0,
-                       ws: Workspace | None = None) -> DispatchResult:
+                       targets=None, sample_ids=None, epoch: int = 0,
+                       out: dict | None = None) -> DispatchResult:
     """Route a batch of head outputs through the configured objective.
 
     ``outputs`` maps head names to raw arrays as produced by the network
@@ -252,11 +238,12 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     "aux" for the three-head objective. Returns the mean loss and
     d(mean loss)/d(raw outputs) per head. Every head goes through the one
     softmax kernel, ``_softmax_objective``; the +EM variants add
-    ``beta * mean entropy`` of the prediction head. With a workspace
-    ``ws`` the kernel writes into its buffers, so the returned gradients
-    are views into it, valid until its next batch of as many rows; bare
-    head arrays come with no network to make one from, so without ``ws``
-    the kernel's arrays are new.
+    ``beta * mean entropy`` of the prediction head. In the adaptive SAT
+    phase, ``targets`` (from ``sat_initial_targets``) holds the soft
+    target rows and ``sample_ids`` the batch's rows in it. ``out``, a
+    trace's ``kernel`` buffers (head name -> (p, log p, argmax)), takes
+    the kernel's arrays, so the returned gradients are those buffers,
+    valid until the trace's next forward; without ``out`` they are new.
     """
     kind = cfg.base_kind
     y = np.asarray(y, dtype=np.int64)
@@ -268,7 +255,7 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             f"need a non-empty batch with labels in [0, {n_classes}) of "
             f"shape ({m},)")
     beta = cfg.beta if cfg.uses_em else 0.0
-    kernel = {} if ws is None else ws.batch(m).kernel
+    kernel = {} if out is None else out
     if kind == "SelectiveNet":
         return _selectivenet(cfg, logits, outputs, y, n_classes, beta, kernel)
 
@@ -288,18 +275,17 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
         # labels; identical to the target loss with untouched targets
         kind = "CE"
     else:
-        if store is None or sample_ids is None:
+        if targets is None or sample_ids is None:
             raise ConfigurationError(
-                "moving-target objective needs a target store and sample "
-                "ids into it")
-        if store.targets.shape[1] != k:
+                "moving-target objective needs the SAT targets and sample "
+                "ids into them")
+        if targets.shape[1] != k:
             raise ConfigurationError(
-                f"target width {store.targets.shape[1]} does not match "
-                f"{k} logits")
-        t_y = store.targets[np.asarray(sample_ids, dtype=np.int64), y]
+                f"target width {targets.shape[1]} does not match {k} logits")
+        t_y = targets[np.asarray(sample_ids, dtype=np.int64), y]
     loss_i, H, d, probs, argmax = _softmax_objective(
         kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y,
-        keep_p=t_y is not None, out=kernel.get("logits"))
+        out=kernel.get("logits"))
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)

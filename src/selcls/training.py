@@ -7,7 +7,8 @@ Protocol notes baked in here:
   * moving-target objective: the objective decides the phase. In
     pre-training it runs plain (C+1)-way cross entropy and returns no
     softmax; in the adaptive phase it returns the batch softmax, from which
-    the touched targets are refreshed right after each parameter update
+    the touched rows of the targets array are refreshed, with the config's
+    sat_momentum, right after each parameter update
 """
 
 from dataclasses import dataclass, field
@@ -24,9 +25,9 @@ from .nn import (
 )
 from .objectives import (
     ObjectiveConfig,
-    SatTargetStore,
     objective_dispatch,
     predictive_entropy,
+    sat_initial_targets,
     sat_update_targets,
 )
 from .util import fmt, rng_for, write_csv
@@ -122,7 +123,9 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     Deterministic given (net, data, cfg): every shuffle draws from a
     sub-seed derived from cfg.seed and the epoch index. The network is
     mutated in place; nothing else is. Each epoch gathers the shuffled
-    split once, and every batch step computes in one ``Workspace``.
+    split once, and every batch step computes in one ``Workspace``: the
+    forward returns the batch's buffers, and the objective and the
+    backward pass write into those same buffers.
     """
     cfg.validate()
     obj = cfg.objective
@@ -143,8 +146,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     n = X.shape[0]
     C = net.n_classes
 
-    store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum) \
-        if obj.base_kind == "SAT" else None
+    targets = sat_initial_targets(y, C) if obj.base_kind == "SAT" else None
 
     velocity, step = np.zeros_like(net.params), np.empty_like(net.params)
     ws = Workspace(net)
@@ -163,8 +165,8 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             ids = perm[rows]
             trace = network_forward(net, Xp[rows], ws)
             result = objective_dispatch(
-                obj, trace.head_raw, yp[rows], n_classes=C, store=store,
-                sample_ids=ids, epoch=epoch, ws=ws)
+                obj, trace.head_raw, yp[rows], n_classes=C, targets=targets,
+                sample_ids=ids, epoch=epoch, out=trace.kernel)
             if not np.isfinite(result.loss) or result.loss > DIVERGENCE_LIMIT:
                 raise NumericFault(
                     f"training diverged (loss={result.loss}) at epoch "
@@ -173,7 +175,8 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, step)
             if result.probs is not None:
-                sat_update_targets(store, ids, result.probs)
+                sat_update_targets(targets, ids, result.probs,
+                                   obj.sat_momentum)
             loss_sum += result.loss * ids.size
             # the kernel's argmax is the prediction unless the head has an
             # abstain column

@@ -216,6 +216,30 @@ class TestTrainCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "-c", str(tmp_path / "nope.json")]) == 2
 
+    def test_deeply_nested_config_exits_2_naming_file(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["train", "-c", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: JSON nested too deeply\n")
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_network_too_large_to_allocate_exits_2(self, tmp_path, capsys,
+                                                   two_cpus, command):
+        # 10**16 parameters, 71 PiB: more than the address space holds, so
+        # the allocation fails at once. The grid has two cells, so under
+        # two_cpus each fails in a worker process.
+        cfg_path, _ = base_config(
+            tmp_path, model={"hidden_dims": [10 ** 8, 10 ** 8]},
+            grid={"methods": ["CE"], "mechanisms": ["softmax_response"],
+                  "coverages": [0.5], "seeds": [0, 1]})
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_non_utf8_config_exits_2_naming_byte(self, tmp_path, capsys,
                                                  command):
@@ -379,6 +403,17 @@ class TestEvalCommand:
             assert err == (f"error: checkpoint {ckpt} holds 8 parameter "
                            f"bytes, architecture wants {8 * n} ({n} float64 "
                            "values)\n")
+
+    def test_deeply_nested_checkpoint_exits_2_naming_path(self, tmp_path,
+                                                          capsys):
+        cfg_path, _ = base_config(tmp_path)
+        ckpt = tmp_path / "nested.checkpoint.json"
+        ckpt.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["eval", "-c", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt} is not valid JSON")
+        assert err.count("\n") == 1
 
     def test_hash_mismatch_refused_without_force(self, tmp_path):
         cfg_path, outdir = self.train_one(tmp_path)

@@ -5,7 +5,6 @@ from selcls.datasets import (
     MixtureSpec,
     bayes_posterior,
     blobs8,
-    circle_mixture,
     generate_mixture,
 )
 from selcls.errors import ConfigurationError
@@ -86,9 +85,12 @@ class TestBayesPosterior:
 
     def test_matches_monte_carlo_label_frequencies(self):
         # sampling oracle: empirical P(y | x in a small ball) vs posterior
-        spec = circle_mixture(n_classes=3, radius=1.5, sigma=1.0,
-                              label_noise=0.1, n_train=100_000, n_val=1,
-                              n_test=1, seed=5)
+        # three equal-prior unit-variance classes on a circle of radius 1.5
+        angles = 2 * np.pi * np.arange(3) / 3
+        spec = MixtureSpec(
+            means=1.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1),
+            variances=np.full(3, 1.0), priors=np.full(3, 1.0 / 3),
+            label_noise=0.1, n_train=100_000, n_val=1, n_test=1, seed=5)
         train, _, _ = generate_mixture(spec)
         x0 = np.array([0.9, 0.4])
         ball = np.linalg.norm(train.features - x0, axis=1) < 0.25

@@ -337,6 +337,7 @@ class TestNetworkBackward:
         trace = network_forward(net, X)
         grads = network_backward(
             net, trace, {"logits": np.zeros_like(trace.head_raw["logits"])})
+        assert grads is trace.grad
         assert grads.shape == net.params.shape
         assert np.all(grads == 0.0)
 
@@ -351,22 +352,19 @@ class TestNetworkBackward:
         assert np.allclose(grads[:6].reshape(2, 3), np.outer(np.ones(2), x[0]))
         assert np.allclose(grads[6:], np.ones(2))
 
-    def test_omitted_heads_get_zero_gradient(self, rng):
+    def test_missing_or_extra_head_raises(self, rng):
         net = random_net(rng, head="selectivenet", n_classes=3)
         X, _ = random_batch(rng, net)
-        # the select and aux heads follow the trunk and the logits head
-        n_before = sum(layer.W.size + layer.b.size
-                       for layer in net.trunk + [net.heads["logits"]])
-        for stale in (False, True):
-            trace = network_forward(net, X)
-            ones = {name: np.ones_like(raw)
-                    for name, raw in trace.head_raw.items()}
-            if stale:  # a full backward writes every gradient entry first
-                network_backward(net, trace, ones)
-            grads = network_backward(net, trace, {"logits": ones["logits"]})
-            assert grads is trace.grad
-            assert np.any(grads[:n_before] != 0.0)
-            assert np.all(grads[n_before:] == 0.0)
+        trace = network_forward(net, X)
+        ones = {name: np.ones_like(raw)
+                for name, raw in trace.head_raw.items()}
+        missing = {"logits": ones["logits"]}
+        extra = {**ones, "other": ones["logits"]}
+        for dhead_raw in (missing, extra):
+            # the message names both key sets
+            names = re.escape(f"{sorted(ones)}, got {sorted(dhead_raw)}")
+            with pytest.raises(ConfigurationError, match=names):
+                network_backward(net, trace, dhead_raw)
 
     def test_builds_no_buffers_of_its_own(self, rng, monkeypatch):
         # the backward writes into the trace, so a forward and backward

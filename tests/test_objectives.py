@@ -4,14 +4,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from selcls.errors import ConfigurationError
-from selcls.nn import stable_softmax
+from selcls.nn import build_network, network_forward, stable_softmax
 from selcls.objectives import (
     OBJECTIVE_KINDS,
     ObjectiveConfig,
-    SatTargetStore,
     _softmax_objective,
     objective_dispatch,
     predictive_entropy,
+    sat_initial_targets,
     sat_update_targets,
 )
 
@@ -40,11 +40,10 @@ def sat_dispatch(z, targets, y, kind="SAT", **cfg):
     """The adaptive-phase target loss with the given soft target rows."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(y)
-    store = SatTargetStore.initialize(y, z.shape[1] - 1)
-    store.targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     return objective_dispatch(
         ObjectiveConfig(kind=kind, sat_pretrain_epochs=0, **cfg),
-        {"logits": z}, y, n_classes=z.shape[1] - 1, store=store,
+        {"logits": z}, y, n_classes=z.shape[1] - 1,
+        targets=np.atleast_2d(np.asarray(targets, dtype=np.float64)),
         sample_ids=np.arange(len(y)), epoch=0)
 
 
@@ -226,54 +225,62 @@ class TestSatLoss:
 
 
 class TestSatTargetStore:
+    """The SAT targets: one (n, C+1) array from sat_initial_targets,
+    updated in place by sat_update_targets."""
+
     def test_initial_one_hot(self):
-        store = SatTargetStore.initialize([0, 2, 1], n_classes=3)
+        targets = sat_initial_targets([0, 2, 1], n_classes=3)
         expected = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]],
                             dtype=float)
-        assert np.array_equal(store.targets, expected)
+        assert np.array_equal(targets, expected)
+
+    def test_labels_out_of_range(self):
+        for labels in ([0, 2], [-1, 0]):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                sat_initial_targets(labels, n_classes=2)
 
     def test_stated_update_rule(self):
-        store = SatTargetStore.initialize([0], n_classes=2, momentum=0.9)
-        sat_update_targets(store, [0], [[0.8, 0.1, 0.1]])
-        assert np.allclose(store.targets[0], [0.98, 0.01, 0.01])
+        targets = sat_initial_targets([0], n_classes=2)
+        sat_update_targets(targets, [0], [[0.8, 0.1, 0.1]], momentum=0.9)
+        assert np.allclose(targets[0], [0.98, 0.01, 0.01])
 
     def test_momentum_one_freezes_targets(self):
-        store = SatTargetStore.initialize([0], n_classes=2, momentum=1.0)
-        before = store.targets.copy()
-        sat_update_targets(store, [0], [[0.2, 0.3, 0.5]])
-        assert np.array_equal(store.targets, before)
+        targets = sat_initial_targets([0], n_classes=2)
+        before = targets.copy()
+        sat_update_targets(targets, [0], [[0.2, 0.3, 0.5]], momentum=1.0)
+        assert np.array_equal(targets, before)
 
     def test_momentum_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            SatTargetStore.initialize([0], n_classes=2, momentum=0.0)
-        with pytest.raises(ConfigurationError):
-            SatTargetStore.initialize([0], n_classes=2, momentum=1.1)
+        # the config's validation is the one momentum check
+        for momentum in (0.0, 1.1):
+            with pytest.raises(ConfigurationError, match="sat_momentum"):
+                ObjectiveConfig(kind="SAT", sat_momentum=momentum).validate(2)
 
     def test_geometric_convergence(self):
-        store = SatTargetStore.initialize([0], n_classes=2, momentum=0.9)
+        targets = sat_initial_targets([0], n_classes=2)
         p = np.array([[0.5, 0.3, 0.2]])
-        gap0 = np.max(np.abs(store.targets[0] - p[0]))
+        gap0 = np.max(np.abs(targets[0] - p[0]))
         for step in range(1, 25):
-            sat_update_targets(store, [0], p)
-            gap = np.max(np.abs(store.targets[0] - p[0]))
+            sat_update_targets(targets, [0], p, momentum=0.9)
+            gap = np.max(np.abs(targets[0] - p[0]))
             assert abs(gap - 0.9 ** step * gap0) < 1e-12
 
     def test_simplex_preserved(self, rng):
-        store = SatTargetStore.initialize(rng.integers(0, 4, size=20),
-                                          n_classes=4, momentum=0.7)
+        targets = sat_initial_targets(rng.integers(0, 4, size=20),
+                                      n_classes=4)
         for _ in range(60):
             ids = rng.integers(0, 20, size=8)
             raw = rng.random((8, 5))
             p = raw / raw.sum(axis=1, keepdims=True)
-            sat_update_targets(store, ids, p)
-        assert np.all(store.targets >= 0)
-        assert np.max(np.abs(store.targets.sum(axis=1) - 1.0)) < 1e-9
+            sat_update_targets(targets, ids, p, momentum=0.7)
+        assert np.all(targets >= 0)
+        assert np.max(np.abs(targets.sum(axis=1) - 1.0)) < 1e-9
 
     def test_untouched_rows_unchanged(self):
-        store = SatTargetStore.initialize([0, 1], n_classes=2)
-        before = store.targets[1].copy()
-        sat_update_targets(store, [0], [[0.5, 0.25, 0.25]])
-        assert np.array_equal(store.targets[1], before)
+        targets = sat_initial_targets([0, 1], n_classes=2)
+        before = targets[1].copy()
+        sat_update_targets(targets, [0], [[0.5, 0.25, 0.25]], momentum=0.9)
+        assert np.array_equal(targets[1], before)
 
 
 def sn_cfg(**kw):
@@ -366,20 +373,39 @@ class TestDispatch:
     def test_sat_pretrain_equals_ce(self, rng):
         z = rng.normal(size=(4, 4))  # C=3 plus abstain
         y = rng.integers(0, 3, size=4)
-        store = SatTargetStore.initialize(y, 3)
         cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=5)
         res = objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
-                                 store=store, sample_ids=np.arange(4), epoch=2)
+                                 targets=sat_initial_targets(y, 3),
+                                 sample_ids=np.arange(4), epoch=2)
         loss, _ = ce_reference(z, y)
         assert abs(res.loss - loss) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["CE", "DG+EM", "SAT", "SelectiveNet"])
+    def test_out_makes_the_trace_buffers_the_gradients(self, rng, kind):
+        cfg = ObjectiveConfig(kind=kind, beta=0.05, sat_pretrain_epochs=0)
+        net = build_network(3, (5,), n_classes=3, head=cfg.required_head(),
+                            seed=0)
+        trace = network_forward(net, rng.normal(size=(6, 3)))
+        y = rng.integers(0, 3, size=6)
+        kw = dict(n_classes=3, targets=sat_initial_targets(y, 3),
+                  sample_ids=np.arange(6))
+        new = objective_dispatch(cfg, trace.head_raw, y, **kw)
+        res = objective_dispatch(cfg, trace.head_raw, y, out=trace.kernel,
+                                 **kw)
+        assert res.loss == new.loss
+        assert res.argmax is trace.kernel["logits"][2]
+        for name, d in res.dlogits.items():
+            if name in trace.kernel:  # every head but the one-wide select
+                assert d is trace.kernel[name][0]
+            assert np.array_equal(d, new.dlogits[name])
 
     def test_sat_adaptive_phase_needs_store_and_ids(self, rng):
         z = rng.normal(size=(4, 4))
         y = rng.integers(0, 3, size=4)
         cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=2)
-        store = SatTargetStore.initialize(y, 3)
-        for kw in ({"sample_ids": np.arange(4)}, {"store": store}):
-            with pytest.raises(ConfigurationError, match="target store"):
+        targets = sat_initial_targets(y, 3)
+        for kw in ({"sample_ids": np.arange(4)}, {"targets": targets}):
+            with pytest.raises(ConfigurationError, match="SAT targets"):
                 objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
                                    epoch=2, **kw)
 
@@ -433,10 +459,9 @@ def random_case(kind, seed, m, n_classes, scale):
         outputs["select"] = rng.normal(scale=2.0, size=(m, 1))
         outputs["aux"] = rng.normal(scale=scale, size=(m, n_classes))
     if base == "SAT":
-        store = SatTargetStore.initialize(y, n_classes)
         raw = rng.random((m, width))
-        store.targets = raw / raw.sum(axis=1, keepdims=True)
-        kw.update(store=store, sample_ids=np.arange(m), epoch=0)
+        kw.update(targets=raw / raw.sum(axis=1, keepdims=True),
+                  sample_ids=np.arange(m), epoch=0)
     return cfg, outputs, kw
 
 

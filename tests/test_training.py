@@ -8,6 +8,7 @@ import pytest
 from selcls.config import DatasetConfig
 from selcls.datasets import MixtureSpec, generate_mixture
 from selcls.errors import ConfigurationError, NumericFault
+from selcls import nn
 from selcls.nn import (
     build_network,
     network_backward,
@@ -17,8 +18,8 @@ from selcls.nn import (
 from selcls.objectives import (
     OBJECTIVE_KINDS,
     ObjectiveConfig,
-    SatTargetStore,
     objective_dispatch,
+    sat_initial_targets,
     sat_update_targets,
 )
 from selcls.cli import grid_cell_name, main
@@ -34,20 +35,19 @@ from selcls.training import (
 from selcls.util import rng_for
 
 
-def train_keeping_store(monkeypatch, net, train_ds, val_ds, cfg):
-    """train()'s report and the SAT target store it made (None for any
-    other objective), caught where SatTargetStore.initialize returns it."""
-    stores = []
-    initialize = SatTargetStore.initialize
+def train_keeping_targets(monkeypatch, net, train_ds, val_ds, cfg):
+    """train()'s report and the SAT targets array it made (None for any
+    other objective), caught where sat_initial_targets returns it."""
+    made = []
 
     def kept(*args, **kwargs):
-        stores.append(initialize(*args, **kwargs))
-        return stores[-1]
+        made.append(sat_initial_targets(*args, **kwargs))
+        return made[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(SatTargetStore, "initialize", kept)
+        m.setattr(training, "sat_initial_targets", kept)
         report = train(net, train_ds, val_ds, cfg)
-    return report, (stores[0] if stores else None)
+    return report, (made[0] if made else None)
 
 
 def small_spec(seed=0, separation=6.0, noise=0.0):
@@ -220,20 +220,20 @@ class TestTrain:
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
         net = build_network(2, (8,), 2, "abstain", seed=2)
         cfg = quick_cfg(kind="SAT", epochs=3, seed=2, sat_pretrain_epochs=3)
-        _, store = train_keeping_store(monkeypatch, net, train_ds, val_ds,
-                                       cfg)
+        _, targets = train_keeping_targets(monkeypatch, net, train_ds,
+                                           val_ds, cfg)
         onehot = np.zeros((len(train_ds), 3))
         onehot[np.arange(len(train_ds)), train_ds.labels] = 1.0
-        assert np.array_equal(store.targets, onehot)
+        assert np.array_equal(targets, onehot)
 
     def test_sat_targets_move_after_pretrain(self, monkeypatch):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
         net = build_network(2, (8,), 2, "abstain", seed=2)
         cfg = quick_cfg(kind="SAT", epochs=4, seed=2, sat_pretrain_epochs=2)
-        _, store = train_keeping_store(monkeypatch, net, train_ds, val_ds,
-                                       cfg)
-        assert np.any(store.targets[:, -1] > 0)
-        assert np.max(np.abs(store.targets.sum(axis=1) - 1.0)) < 1e-9
+        _, targets = train_keeping_targets(monkeypatch, net, train_ds,
+                                           val_ds, cfg)
+        assert np.any(targets[:, -1] > 0)
+        assert np.max(np.abs(targets.sum(axis=1) - 1.0)) < 1e-9
 
     def test_sat_momentum_one_identical_to_ce_trajectory(self):
         # target freezing makes the moving-target loss literally the
@@ -279,14 +279,14 @@ def test_report_csv_bytes(tmp_path, comment, first_line):
 def per_batch_reference_train(net, train_ds, val_ds, cfg):
     """The training loop as it ran before the workspace: every batch
     gathered by its shuffled ids and computed in new arrays, its accuracy
-    counted per batch. Returns (epoch stats, target store)."""
+    counted per batch. Returns (epoch stats, SAT targets or None)."""
     obj = cfg.objective
     X = train_ds.features
     y = train_ds.labels
     n, C = len(y), net.n_classes
-    store = None
+    targets = None
     if obj.base_kind == "SAT":
-        store = SatTargetStore.initialize(y, C, momentum=obj.sat_momentum)
+        targets = sat_initial_targets(y, C)
     velocity = np.zeros_like(net.params)
     epochs = []
     for epoch in range(cfg.epochs):
@@ -298,13 +298,14 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
             ids = perm[start:start + cfg.batch_size]
             trace = network_forward(net, X[ids])
             result = objective_dispatch(obj, trace.head_raw, y[ids], C,
-                                        store=store, sample_ids=ids,
+                                        targets=targets, sample_ids=ids,
                                         epoch=epoch)
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, np.empty_like(net.params))
             if adaptive:
-                sat_update_targets(store, ids, result.probs)
+                sat_update_targets(targets, ids, result.probs,
+                                   obj.sat_momentum)
             loss_sum += result.loss * ids.size
             pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
             n_correct += np.count_nonzero(pred == y[ids])
@@ -312,7 +313,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
                                               val_ds.labels)
         epochs.append(EpochStats(epoch, lr, loss_sum / n, n_correct / n,
                                  val_acc, entropy))
-    return epochs, store
+    return epochs, targets
 
 
 class TestWorkspaceTraining:
@@ -341,15 +342,34 @@ class TestWorkspaceTraining:
         nets = [build_network(train_ds.dim, (64, 64), 8,
                               objective.required_head(), seed=11)
                 for _ in range(2)]
-        report, store = train_keeping_store(monkeypatch, nets[0], train_ds,
-                                            val_ds, cfg)
-        want, want_store = per_batch_reference_train(nets[1], train_ds,
-                                                     val_ds, cfg)
+        report, targets = train_keeping_targets(monkeypatch, nets[0],
+                                                train_ds, val_ds, cfg)
+        want, want_targets = per_batch_reference_train(nets[1], train_ds,
+                                                       val_ds, cfg)
         assert report.epochs == want
         assert nets[0].params.tobytes() == nets[1].params.tobytes()
-        assert (store is None) == (objective.base_kind != "SAT")
-        if store is not None:
-            assert store.targets.tobytes() == want_store.targets.tobytes()
+        assert (targets is None) == (objective.base_kind != "SAT")
+        if targets is not None:
+            assert targets.tobytes() == want_targets.tobytes()
+
+    @pytest.mark.parametrize("kind", ["CE", "DG", "SAT", "SelectiveNet"])
+    def test_one_workspace_lookup_per_batch(self, monkeypatch, kind):
+        # the objective writes into the trace that the forward returned,
+        # so a step looks up its batch buffers once, in the forward
+        looked_up = []
+
+        class CountedWorkspace(nn.Workspace):
+            def batch(self, m):
+                looked_up.append(m)
+                return super().batch(m)
+
+        monkeypatch.setattr(training, "Workspace", CountedWorkspace)
+        train_ds, val_ds, _ = generate_mixture(small_spec())
+        cfg = quick_cfg(kind=kind, epochs=2, sat_pretrain_epochs=0)
+        net = build_network(2, (8,), 2, cfg.objective.required_head(), seed=0)
+        train(net, train_ds, val_ds, cfg)
+        # 300 rows in batches of 32: nine full ones and one of 12
+        assert looked_up == ([32] * 9 + [12]) * 2
 
     def test_inadmissible_payoff_fails_before_any_forward(self, monkeypatch):
         # C = 2, so the payoff 3 lies above C; a TrainConfig built in code
