@@ -2,7 +2,7 @@
 
 Commands:
     train      fit one model from a config, write checkpoint + report
-    eval       score a checkpoint, write risk-coverage and histogram CSVs
+    eval       score a checkpoint, write curve, histogram and scores CSVs
     gradcheck  finite-difference verification of every objective family
     grid       train and evaluate the full method comparison
 
@@ -70,16 +70,16 @@ def write_manifest(outdir: Path, payload: dict) -> None:
 
 
 def run_cell(cfg: RunConfig, objective, seed: int, splits, checkpoint,
-             report, config_hash: str = ""):
+             report, config_hash: str):
     """Train a new ``objective`` network on ``splits`` from init and shuffle
-    seed ``seed``; save it and its report, tagged with any ``config_hash``."""
+    seed ``seed``; save it and its report, tagged with ``config_hash``."""
     train_ds, val_ds, _, n_classes = splits
     net = build_network(train_ds.dim, tuple(cfg.model.hidden_dims), n_classes,
                         objective.required_head(), seed=seed)
     result = train(net, train_ds, val_ds,
                    replace(cfg.training, seed=seed, objective=objective))
     save_checkpoint(net, checkpoint, config_hash=config_hash)
-    result.to_csv(report, config_hash and f"config={config_hash}")
+    result.to_csv(report, f"config={config_hash}")
     return net
 
 
@@ -95,7 +95,7 @@ def cmd_train(args) -> int:
         json.dump(record, f, indent=2, sort_keys=True)
     ckpt = outdir / "checkpoint.json"
     run_cell(cfg, cfg.objective, cfg.training.seed, splits, ckpt,
-             outdir / "train_report.csv", config_hash=h)
+             outdir / "train_report.csv", h)
     write_manifest(outdir, {
         "config_hash": h, "status": "ok",
         "artifacts": ["run_config.json", "checkpoint.json",
@@ -132,11 +132,6 @@ def evaluate_mechanisms(net, val_ds, test_ds, mechanisms, coverages,
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     net, stored_hash = load_checkpoint(args.checkpoint)
-    h = cfg.hash()
-    if stored_hash and stored_hash != h and not args.force:
-        raise ConfigurationError(
-            f"checkpoint was produced by config {stored_hash}, supplied "
-            f"config hashes to {h}; pass --force to evaluate anyway")
     spec = cfg.dataset.mixture_spec(cfg.training.seed)
     if (net.n_classes, net.input_dim) != (spec.n_classes, spec.dim):
         raise ConfigurationError(
@@ -144,6 +139,11 @@ def cmd_eval(args) -> int:
             f"{net.n_classes} classes of {net.input_dim}-d inputs, the "
             f"config's mixture has {spec.n_classes} classes of {spec.dim}-d "
             "inputs")
+    h = cfg.hash()
+    if stored_hash and stored_hash != h and not args.force:
+        raise ConfigurationError(
+            f"checkpoint was produced by config {stored_hash}, supplied "
+            f"config hashes to {h}; pass --force to evaluate anyway")
     outdir = resolve_outdir(cfg.output_dir, args.output) / "eval"
     outdir.mkdir(parents=True, exist_ok=True)
     # eval reads no training rows, so the train split is not drawn
@@ -192,12 +192,13 @@ def grid_cell_name(method: str, coverage, seed: int) -> str:
 
 
 def grid_cell(cfg: RunConfig, objective, coverage, seed: int, splits,
-              cells_dir: Path):
+              cells_dir: Path, config_hash: str):
     """Train, save and evaluate one grid cell: ``objective`` on ``seed`` and
     that seed's ``splits``, evaluated at ``coverage``, or at every grid
-    coverage when it is None. Returns the cell's manifest record and its
-    results rows, ((method, mechanism, coverage), selective risk) pairs;
-    a SelclsError or OSError gives a failed record and no rows."""
+    coverage when it is None; its checkpoint and report carry
+    ``config_hash``. Returns the cell's manifest record and its results
+    rows, ((method, mechanism, coverage), selective risk) pairs; a
+    SelclsError or OSError gives a failed record and no rows."""
     method = objective.kind
     name = grid_cell_name(method, coverage, seed)
     cell = {"method": method, "coverage": coverage, "seed": seed,
@@ -206,7 +207,7 @@ def grid_cell(cfg: RunConfig, objective, coverage, seed: int, splits,
     try:
         path = str(cells_dir / f"{name}.checkpoint.json")
         net = run_cell(cfg, objective, seed, splits, path,
-                       cells_dir / f"{name}.report.csv")
+                       cells_dir / f"{name}.report.csv", config_hash)
         cell["checkpoint"] = path
         _, val_ds, test_ds, _ = splits
         _, results = evaluate_mechanisms(
@@ -346,7 +347,7 @@ def cmd_grid(args) -> int:
             objective = base if coverage is None \
                 else replace(base, c_target=float(coverage))
             tasks.append((cfg, objective, coverage, seed, splits[seed],
-                          cells_dir))
+                          cells_dir, h))
     cells, rows = [], {}
     results_path = outdir / "results.csv"
     try:

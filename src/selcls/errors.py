@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto its exit-code contract: configuration problems
-exit 2, numeric faults exit 3, failed checks exit 1.
+The CLI maps these onto its exit-code contract: a NumericFault exits 3 and
+every other SelclsError exits 2. Exit 1 is no exception's: it means a
+failed gradient check or a failed grid cell, whose error the grid records.
 """
 
 

@@ -66,7 +66,8 @@ def score_histogram(scores, predicted, truth, n_bins: int) -> ScoreHistogram:
     """Counts of correctly vs incorrectly predicted samples per score bin.
 
     Bins are equal width over [min, max] of the scores. Constant scores
-    collapse to a single unit-width bin centred on their value.
+    collapse to a single unit-width bin centred on their value, and no
+    scores give no bins.
     """
     if n_bins < 2:
         raise ConfigurationError("need n_bins >= 2")
@@ -76,8 +77,12 @@ def score_histogram(scores, predicted, truth, n_bins: int) -> ScoreHistogram:
     if not np.all(np.isfinite(scores)):
         raise ConfigurationError(
             "histogram scores must be finite; filter degenerate samples first")
-    lo, hi = float(scores.min()), float(scores.max())
     correct = predicted == truth
+    if scores.size == 0:  # every score was -inf and filtered out, say
+        none = np.zeros(0, dtype=np.int64)
+        return ScoreHistogram(bin_edges=np.zeros(0), counts_correct=none,
+                              counts_incorrect=none)
+    lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
         n_ok = np.count_nonzero(correct)
         return ScoreHistogram(bin_edges=np.array([lo - 0.5, lo + 0.5]),

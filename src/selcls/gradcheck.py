@@ -46,7 +46,7 @@ def suite_objectives() -> list:
 
 
 def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int):
-    """(network, batch, labels, soft SAT targets or None) of one case."""
+    """(network, batch, labels, SAT target masses or None) of one case."""
     for attempt in range(64):
         # the literal ":hinge:" keeps each case's random draws unchanged
         rng = rng_for(seed, f"gradcheck:{cfg.kind}:hinge:"
@@ -70,8 +70,9 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int):
             continue  # the hinge has its own kink at the target coverage
         targets = None
         if cfg.base_kind == "SAT":
+            # label entries of whole soft rows, so the draws stay the same
             raw = rng.random((m, n_classes + 1))
-            targets = raw / raw.sum(axis=1, keepdims=True)
+            targets = (raw / raw.sum(axis=1, keepdims=True))[np.arange(m), y]
         return net, X, y, targets
     raise RuntimeError("could not draw a kink-free gradcheck case")
 
@@ -79,7 +80,7 @@ def _draw_case(cfg: ObjectiveConfig, seed: int, case_index: int):
 def check_case(cfg: ObjectiveConfig, net, X, y, targets) -> float:
     """Max relative error between analytic and central-difference gradients
     of ``cfg``'s objective on ``net`` and the batch ``X``, ``y``; ``targets``
-    holds one soft SAT target row per sample, or is None."""
+    holds one SAT target mass per sample, or is None."""
 
     def dispatch(trace):
         return objective_dispatch(cfg, trace.head_raw, y,

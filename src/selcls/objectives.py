@@ -131,8 +131,8 @@ def predictive_entropy(logits) -> np.ndarray:
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
                        o: float = 0.0, t_y=None, out=None):
-    """Per-sample loss, per-sample entropy, logit gradient, softmax and row
-    argmax of one softmax head, from one log-softmax.
+    """Per-sample loss, per-sample entropy, logit gradient, label
+    probability and row argmax of one softmax head, from one log-softmax.
 
     ``kind`` picks the loss and its target weights w (rows sum to 1):
     "CE" is cross entropy (w = onehot(y)), "DG" the gambler loss with
@@ -140,11 +140,11 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     with true-class target mass ``t_y`` (w = t_y onehot(y) + (1 - t_y)
     onehot(A)). The gradient is ``scale * (p - w) + beta * dH/dz``, with
     ``scale`` a number or one weight per row; the entropy H is returned
-    only when ``beta`` is nonzero, and a copy of p, for the target update,
-    only with ``t_y``, otherwise None. ``out``, a (p, log p, argmax)
-    triple of buffers (two float64 ones shaped like z, one int64 one per
-    row), takes those three instead of new arrays, and the gradient is
-    then written over its p.
+    only when ``beta`` is nonzero, and p at each row's label, for the
+    target update, only with ``t_y``, otherwise None. ``out``, a
+    (p, log p, argmax) triple of buffers (two float64 ones shaped like z,
+    one int64 one per row), takes those three instead of new arrays, and
+    the gradient is then written over its p.
     """
     m, k = z.shape
     p_out, lp_out, argmax_out = (None, None, None) if out is None else out
@@ -172,7 +172,7 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     else:
         w_y, w_a = t_y, 1.0 - t_y
         loss = -(w_y * lp_y + w_a * lp[:, -1])
-    probs = None if t_y is None else p.copy()
+    p_label = None if t_y is None else p.ravel()[at_y]
     # from here on p turns into the gradient, in place
     col = scale[:, None] if isinstance(scale, np.ndarray) else scale
     H = None
@@ -189,43 +189,27 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     p.ravel()[at_y] -= scale * w_y
     if w_a is not None:
         p[:, -1] -= scale * w_a
-    return loss, H, p, probs, argmax
+    return loss, H, p, p_label, argmax
 
 
-def sat_initial_targets(labels, n_classes: int) -> np.ndarray:
-    """The moving-target objective's per-training-sample soft targets at
-    the start: one-hot rows over C+1 entries, abstain mass 0."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ConfigurationError("labels out of range for the SAT targets")
-    t = np.zeros((labels.size, n_classes + 1), dtype=np.float64)
-    t[np.arange(labels.size), labels] = 1.0
-    return t
-
-
-def sat_update_targets(targets, sample_ids, p_batch, momentum: float) -> None:
-    """Relax the touched target rows toward the model's own predictions,
-    in place: t <- momentum * t + (1 - momentum) * p."""
-    ids = np.asarray(sample_ids, dtype=np.int64)
-    p = np.asarray(p_batch, dtype=np.float64)
-    if p.shape != (ids.size, targets.shape[1]):
-        raise ConfigurationError(
-            f"prediction batch shape {p.shape} does not match "
-            f"({ids.size}, {targets.shape[1]})")
-    targets[ids] = momentum * targets[ids] + (1.0 - momentum) * p
+def sat_update_targets(targets, sample_ids, p_label, momentum: float) -> None:
+    """Relax the touched samples' target masses toward their label
+    probabilities, in place: t <- momentum * t + (1 - momentum) * p_y."""
+    targets[sample_ids] = (momentum * targets[sample_ids]
+                           + (1.0 - momentum) * p_label)
 
 
 @dataclass
 class DispatchResult:
     """Mean loss, d(mean loss)/d(raw outputs) per head and the row argmax
     of the logits head (``argmax``, the predicted class where that head
-    has C logits); in the adaptive SAT phase also the softmax of the
-    logits (``probs``), which the per-batch target update reuses."""
+    has C logits); in the adaptive SAT phase also each row's probability
+    of its label (``p_label``), which the per-batch target update reuses."""
 
     loss: float
     dlogits: dict
     argmax: np.ndarray
-    probs: np.ndarray | None = None
+    p_label: np.ndarray | None = None
 
 
 def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
@@ -239,8 +223,8 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     d(mean loss)/d(raw outputs) per head. Every head goes through the one
     softmax kernel, ``_softmax_objective``; the +EM variants add
     ``beta * mean entropy`` of the prediction head. In the adaptive SAT
-    phase, ``targets`` (from ``sat_initial_targets``) holds the soft
-    target rows and ``sample_ids`` the batch's rows in it. ``out``, a
+    phase, ``targets`` holds one target mass per training sample, on
+    its label, and ``sample_ids`` the batch's entries in it. ``out``, a
     trace's ``kernel`` buffers (head name -> (p, log p, argmax)), takes
     the kernel's arrays, so the returned gradients are those buffers,
     valid until the trace's next forward; without ``out`` they are new.
@@ -279,18 +263,18 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             raise ConfigurationError(
                 "moving-target objective needs the SAT targets and sample "
                 "ids into them")
-        if targets.shape[1] != k:
+        if targets.ndim != 1:  # an (n, C+1) table would broadcast
             raise ConfigurationError(
-                f"target width {targets.shape[1]} does not match {k} logits")
-        t_y = targets[np.asarray(sample_ids, dtype=np.int64), y]
-    loss_i, H, d, probs, argmax = _softmax_objective(
+                f"SAT targets need one mass per sample, not {targets.shape}")
+        t_y = targets[sample_ids]
+    loss_i, H, d, p_label, argmax = _softmax_objective(
         kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y,
         out=kernel.get("logits"))
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)
     return DispatchResult(loss=loss, dlogits={"logits": d}, argmax=argmax,
-                          probs=probs)
+                          p_label=p_label)
 
 
 def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,

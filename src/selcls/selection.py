@@ -18,6 +18,7 @@ target coverage needs (see ``calibration``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,20 @@ class ProbOutput:
     def has_abstain(self) -> bool:
         return self.head == "abstain"
 
+    @cached_property
+    def class_probabilities(self):
+        """C-way class distribution for scoring, plus the degenerate mask,
+        computed once per output.
+
+        Abstain heads renormalize by re-softmaxing the first C raw logits,
+        which equals dividing the probabilities by (1 - p_abstain) but
+        cannot lose precision when the abstain mass dominates.
+        """
+        if not self.has_abstain:
+            return self.probs, np.zeros(len(self.probs), dtype=bool)
+        return (stable_softmax(self.logits[:, :self.n_classes]),
+                self.probs[:, -1] >= 1.0)
+
     @classmethod
     def from_heads(cls, net, head_raw: dict):
         """From raw head outputs, such as ``nn.network_outputs`` returns."""
@@ -73,20 +88,6 @@ def predict_classes(output: ProbOutput) -> np.ndarray:
     return np.argmax(output.probs[:, :output.n_classes], axis=1)
 
 
-def class_probabilities(output: ProbOutput):
-    """C-way class distribution for scoring, plus the degenerate mask.
-
-    Abstain heads renormalize by re-softmaxing the first C raw logits,
-    which equals dividing the probabilities by (1 - p_abstain) but cannot
-    lose precision when the abstain mass dominates.
-    """
-    m = output.probs.shape[0]
-    if not output.has_abstain:
-        return output.probs[:, :output.n_classes], np.zeros(m, dtype=bool)
-    degenerate = output.probs[:, -1] >= 1.0
-    return stable_softmax(output.logits[:, :output.n_classes]), degenerate
-
-
 def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray:
     """One selectability score per sample; sample order preserved."""
     kind = mechanism.kind
@@ -94,22 +95,19 @@ def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray
         raise ConfigurationError(
             f"mechanism {kind!r} is incompatible with a {output.head!r} head")
     if kind == "softmax_response":
-        q, degenerate = class_probabilities(output)
+        q, degenerate = output.class_probabilities
         scores = q.max(axis=1)
-        scores[degenerate] = -np.inf
-        return scores
-    if kind == "negative_entropy":
-        q, degenerate = class_probabilities(output)
-        p = np.where(degenerate[:, None], 1.0 / output.n_classes, q)
-        p = p.astype(np.float64, copy=False)
-        # sum of p log p, taken as 0 where p is 0
-        scores = np.where(p > 0, p * np.log(np.clip(p, 1e-300, None)),
+    elif kind == "negative_entropy":
+        q, degenerate = output.class_probabilities
+        # sum of q log q, taken as 0 where q is 0
+        scores = np.where(q > 0, q * np.log(np.clip(q, 1e-300, None)),
                           0.0).sum(axis=1)
-        scores[degenerate] = -np.inf
-        return scores
-    if kind == "abstention_logit":
-        return 1.0 - output.probs[:, -1].astype(np.float64)
-    return np.asarray(output.g_sel, dtype=np.float64)  # selection_head
+    elif kind == "abstention_logit":
+        return 1.0 - output.probs[:, -1]
+    else:  # selection_head
+        return output.g_sel
+    scores[degenerate] = -np.inf
+    return scores
 
 
 def mechanism_compatible(kind: str, head: str) -> bool:

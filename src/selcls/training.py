@@ -4,11 +4,11 @@ Protocol notes baked in here:
 
   * learning rate: lr0 * decay_factor ** floor(epoch / decay_every)
   * momentum update is the classical form v <- mu v + g, theta <- theta - lr v
-  * moving-target objective: the objective decides the phase. In
-    pre-training it runs plain (C+1)-way cross entropy and returns no
-    softmax; in the adaptive phase it returns the batch softmax, from which
-    the touched rows of the targets array are refreshed, with the config's
-    sat_momentum, right after each parameter update
+  * moving-target objective: one target mass per training sample, on its
+    label, starting at 1. The objective decides the phase: pre-training is
+    plain (C+1)-way cross entropy; in the adaptive phase it returns the
+    batch's label probabilities, toward which their targets are relaxed,
+    with the config's sat_momentum, right after each parameter update
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ from .objectives import (
     ObjectiveConfig,
     objective_dispatch,
     predictive_entropy,
-    sat_initial_targets,
     sat_update_targets,
 )
 from .util import fmt, rng_for, write_csv
@@ -146,7 +145,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     n = X.shape[0]
     C = net.n_classes
 
-    targets = sat_initial_targets(y, C) if obj.base_kind == "SAT" else None
+    targets = np.ones(n) if obj.base_kind == "SAT" else None
 
     velocity, step = np.zeros_like(net.params), np.empty_like(net.params)
     ws = Workspace(net)
@@ -174,8 +173,8 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, step)
-            if result.probs is not None:
-                sat_update_targets(targets, ids, result.probs,
+            if result.p_label is not None:
+                sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)
             loss_sum += result.loss * ids.size
             # the kernel's argmax is the prediction unless the head has an

@@ -31,7 +31,13 @@ from selcls.config import (
 from selcls.datasets import MixtureSpec, blobs8
 from selcls.errors import ConfigurationError
 from selcls.evaluation import RiskCoveragePoint
-from selcls.nn import load_checkpoint, network_forward, save_checkpoint
+from selcls.nn import (
+    load_checkpoint,
+    network_forward,
+    network_outputs,
+    save_checkpoint,
+    stable_softmax,
+)
 from selcls.objectives import ObjectiveConfig, objective_dispatch
 from selcls.training import TrainConfig
 from selcls.util import derive_seed, rng_for
@@ -446,6 +452,47 @@ class TestEvalCommand:
             "inputs, the config's mixture has 8 classes of 2-d inputs\n")
         assert not Path(blobs8["output_dir"]).exists()
 
+    def test_every_test_score_degenerate_writes_an_empty_histogram(
+            self, tmp_path):
+        # the abstain bias is raised until every test row, but not every
+        # val row, has p(abstain) = 1.0: softmax_response scores every test
+        # row -inf, the val calibration fits tau = -inf and the histogram
+        # has nothing left to bin
+        cfg_path, outdir = self.train_one(
+            tmp_path, dataset={"n_val": 400, "n_test": 40},
+            objective={"kind": "DG"}, training={"epochs": 1, "seed": 1})
+        net, _ = load_checkpoint(outdir / "checkpoint.json")
+        _, val_ds, test_ds, _ = cli.build_splits(load_run_config(cfg_path))
+
+        def p_abstain(ds):
+            return stable_softmax(
+                network_outputs(net, ds.features)["logits"])[:, -1]
+
+        # p(abstain) = 1 / (1 + t) rounds to 1.0 once t < 2**-53, with t
+        # the summed class mass relative to the abstain entry; the raise
+        # keeps one more factor of 2 as a margin. The head is sharpened
+        # first, so that some val rows keep a larger t than any test row
+        head = net.heads["logits"]
+        head.W *= 30.0
+        head.b *= 30.0
+        z = network_outputs(net, test_ds.features)["logits"]
+        head.b[-1] += np.log(
+            np.exp(z[:, :-1] - z[:, -1:]).sum(axis=1)).max() + 54 * np.log(2)
+        assert np.all(p_abstain(test_ds) == 1.0)
+        assert np.any(p_abstain(val_ds) < 1.0)
+        ckpt = tmp_path / "saturated.checkpoint.json"
+        save_checkpoint(net, ckpt)
+        assert main(["eval", "-c", str(cfg_path), "--checkpoint",
+                     str(ckpt)]) == 0
+        h = load_run_config(cfg_path).hash()
+        assert (outdir / "eval" / "histogram_softmax_response.csv") \
+            .read_bytes() == (
+                f"# config={h} mechanism=softmax_response dropped=40\n"
+                "bin_lo,bin_hi,count_correct,count_incorrect\r\n").encode()
+        scores = (outdir / "eval" / "scores_softmax_response.csv") \
+            .read_text().splitlines()[2:]
+        assert [row.split(",")[1] for row in scores] == ["-inf"] * 40
+
     def test_draws_only_the_val_and_test_splits(self, tmp_path, monkeypatch):
         cfg_path, outdir = self.train_one(tmp_path)
         labels = []
@@ -593,6 +640,26 @@ class TestGridCommand:
             + b"CE,softmax_response,0.5,0.375," + sd + b",2\r\n"
             + b"DG,softmax_response,0.5,0.25," + sd + b",2\r\n")
 
+    def test_cell_checkpoint_carries_the_config_hash(self, tmp_path, capsys):
+        cfg_path, doc = self.grid_config(tmp_path)
+        assert main(["grid", "-c", str(cfg_path)]) == 0
+        cells = Path(doc["output_dir"]) / "cells"
+        ckpt = str(cells / "CE_all_s0.checkpoint.json")
+        h = load_run_config(cfg_path).hash()
+        assert load_checkpoint(ckpt)[1] == h
+        assert (cells / "CE_all_s0.report.csv").read_text().startswith(
+            f"# config={h}\n")
+        assert main(["eval", "-c", str(cfg_path), "--checkpoint", ckpt]) == 0
+        # another blobs8 config: the same mixture, trained for longer
+        other_cfg, _ = base_config(tmp_path, "other.json",
+                                   training={"epochs": 3})
+        capsys.readouterr()
+        assert main(["eval", "-c", str(other_cfg), "--checkpoint", ckpt]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: checkpoint was produced by config {h}, ")
+        assert main(["eval", "-c", str(other_cfg), "--force",
+                     "--checkpoint", ckpt]) == 0
+
     def test_single_cell_single_row_per_coverage(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path)
         assert main(["grid", "-c", str(cfg_path)]) == 0
@@ -618,12 +685,10 @@ class TestGridCommand:
         train_net, train_hash = load_checkpoint(train_dir / "checkpoint.json")
         cell_net, cell_hash = load_checkpoint(f"{cell}.checkpoint.json")
         assert train_net.params.tobytes() == cell_net.params.tobytes()
-        assert train_hash == load_run_config(cfg_path).hash()
-        assert cell_hash == ""
-        comment, rest = (train_dir / "train_report.csv").read_bytes().split(
-            b"\n", 1)
-        assert comment == f"# config={train_hash}".encode()
-        assert rest == Path(f"{cell}.report.csv").read_bytes()
+        assert train_hash == cell_hash == load_run_config(cfg_path).hash()
+        report = (train_dir / "train_report.csv").read_bytes()
+        assert report.startswith(f"# config={train_hash}\n".encode())
+        assert report == Path(f"{cell}.report.csv").read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path, doc = self.grid_config(tmp_path, seeds=[0, 1])

@@ -221,6 +221,18 @@ class TestScoreHistogram:
         assert hist.counts_correct[0] == 3
         assert hist.counts_incorrect[0] == 2
 
+    def test_no_scores_no_bins(self, tmp_path):
+        # all of a split's scores were -inf and filtered out before binning
+        hist = score_histogram(np.zeros(0), np.zeros(0, dtype=int),
+                               np.zeros(0, dtype=int), n_bins=4)
+        assert hist.bin_edges.size == 0
+        assert hist.counts_correct.size == hist.counts_incorrect.size == 0
+        histogram_to_csv(tmp_path / "hist.csv", hist,
+                         header_comment="config=abc dropped=5")
+        assert (tmp_path / "hist.csv").read_bytes() == (
+            b"# config=abc dropped=5\n"
+            b"bin_lo,bin_hi,count_correct,count_incorrect\r\n")
+
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ConfigurationError):
             score_histogram([0.1, -np.inf], [0, 0], [0, 0], n_bins=2)

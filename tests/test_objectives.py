@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from selcls.datasets import Dataset
 from selcls.errors import ConfigurationError
 from selcls.nn import build_network, network_forward, stable_softmax
 from selcls.objectives import (
@@ -11,9 +12,9 @@ from selcls.objectives import (
     _softmax_objective,
     objective_dispatch,
     predictive_entropy,
-    sat_initial_targets,
     sat_update_targets,
 )
+from selcls.training import TrainConfig, train
 
 LN2 = 0.69314718055994531
 
@@ -36,14 +37,15 @@ def per_sample(kind, z, y, n_classes, **cfg):
                      for row, label in zip(np.atleast_2d(z), np.atleast_1d(y))])
 
 
-def sat_dispatch(z, targets, y, kind="SAT", **cfg):
-    """The adaptive-phase target loss with the given soft target rows."""
+def sat_dispatch(z, t_y, y, kind="SAT", **cfg):
+    """The adaptive-phase target loss with target masses ``t_y`` on the
+    labels, one per sample."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(y)
     return objective_dispatch(
         ObjectiveConfig(kind=kind, sat_pretrain_epochs=0, **cfg),
         {"logits": z}, y, n_classes=z.shape[1] - 1,
-        targets=np.atleast_2d(np.asarray(targets, dtype=np.float64)),
+        targets=np.atleast_1d(np.asarray(t_y, dtype=np.float64)),
         sample_ids=np.arange(len(y)), epoch=0)
 
 
@@ -191,9 +193,7 @@ class TestDeepGamblers:
 class TestSatLoss:
     def test_one_hot_target_reduces_to_ce(self, rng):
         z = rng.normal(size=5)
-        t = np.zeros(5)
-        t[2] = 1.0
-        res = sat_dispatch(z, t, 2)
+        res = sat_dispatch(z, 1.0, 2)
         ce = dispatch("CE", z, 2, 5)
         assert abs(res.loss - ce.loss) < 1e-12
         assert np.max(np.abs(res.dlogits["logits"] - ce.dlogits["logits"])) \
@@ -202,14 +202,12 @@ class TestSatLoss:
     def test_frozen_value(self):
         # -(0.9 ln 0.6 + 0.1 ln 0.1)
         p = [0.6, 0.3, 0.1]
-        t = np.array([0.9, 0.05, 0.05])
-        res = sat_dispatch(logits_for(p), t, 0)
+        res = sat_dispatch(logits_for(p), 0.9, 0)
         assert abs(res.loss - 0.69000157068879618) < 1e-12
 
     def test_zero_target_pure_abstention(self):
         p = [0.6, 0.3, 0.1]
-        t = np.array([0.0, 0.5, 0.5])
-        res = sat_dispatch(logits_for(p), t, 0)
+        res = sat_dispatch(logits_for(p), 0.0, 0)
         assert abs(res.loss - (-np.log(0.1))) < 1e-12
 
     @pytest.mark.parametrize("kind", ["SAT", "SAT+EM"])
@@ -217,38 +215,52 @@ class TestSatLoss:
         # the target update reuses these in place of its own softmax
         z = rng.normal(scale=20.0, size=(64, 9))
         y = rng.integers(0, 8, size=64)
-        raw = rng.random((64, 9))
-        res = sat_dispatch(z, raw / raw.sum(axis=1, keepdims=True), y,
-                           kind=kind)
-        assert np.array_equal(res.probs, stable_softmax(z))
-        assert dispatch(kind, z, y, 8).probs is None  # pre-training phase
+        res = sat_dispatch(z, rng.random(64), y, kind=kind)
+        assert res.p_label.tobytes() == \
+            stable_softmax(z)[np.arange(64), y].tobytes()
+        assert dispatch(kind, z, y, 8).p_label is None  # pre-training phase
+
+    def test_two_d_targets_refused(self, rng):
+        # a (n, C+1) soft-label table would broadcast against a batch of
+        # C+1 rows instead of failing
+        z = rng.normal(size=(4, 4))
+        y = rng.integers(0, 3, size=4)
+        table = np.full((4, 4), 0.25)
+        with pytest.raises(ConfigurationError,
+                           match=r"one mass per sample, not \(4, 4\)"):
+            sat_dispatch(z, table, y)
 
 
 class TestSatTargetStore:
-    """The SAT targets: one (n, C+1) array from sat_initial_targets,
-    updated in place by sat_update_targets."""
+    """The SAT targets: one mass per training sample, on its label,
+    relaxed in place by sat_update_targets."""
 
-    def test_initial_one_hot(self):
-        targets = sat_initial_targets([0, 2, 1], n_classes=3)
-        expected = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]],
-                            dtype=float)
-        assert np.array_equal(targets, expected)
-
-    def test_labels_out_of_range(self):
-        for labels in ([0, 2], [-1, 0]):
-            with pytest.raises(ConfigurationError, match="out of range"):
-                sat_initial_targets(labels, n_classes=2)
+    def test_labels_out_of_range(self, rng):
+        # the targets are indexed by sample, not label: the dispatch's
+        # label check refuses these at the first SAT step
+        val_ds = Dataset(rng.normal(size=(10, 2)), np.zeros(10, dtype=int))
+        cfg = TrainConfig(epochs=1, batch_size=8, objective=ObjectiveConfig(
+            kind="SAT", sat_pretrain_epochs=0))
+        for bad in (2, -1):
+            labels = rng.integers(0, 2, size=40)
+            labels[5] = bad
+            net = build_network(2, (4,), 2, "abstain", seed=0)
+            with pytest.raises(ConfigurationError,
+                               match=r"labels in \[0, 2\)"):
+                train(net, Dataset(rng.normal(size=(40, 2)), labels), val_ds,
+                      cfg)
 
     def test_stated_update_rule(self):
-        targets = sat_initial_targets([0], n_classes=2)
-        sat_update_targets(targets, [0], [[0.8, 0.1, 0.1]], momentum=0.9)
-        assert np.allclose(targets[0], [0.98, 0.01, 0.01])
+        targets = np.ones(3)
+        sat_update_targets(targets, np.array([2, 0]), np.array([0.8, 0.5]),
+                           momentum=0.9)
+        assert np.allclose(targets, [0.95, 1.0, 0.98], rtol=0, atol=1e-15)
 
     def test_momentum_one_freezes_targets(self):
-        targets = sat_initial_targets([0], n_classes=2)
-        before = targets.copy()
-        sat_update_targets(targets, [0], [[0.2, 0.3, 0.5]], momentum=1.0)
-        assert np.array_equal(targets, before)
+        targets = np.array([1.0, 0.7])
+        sat_update_targets(targets, np.array([0, 1]), np.array([0.2, 0.3]),
+                           momentum=1.0)
+        assert targets.tolist() == [1.0, 0.7]
 
     def test_momentum_out_of_range(self):
         # the config's validation is the one momentum check
@@ -257,30 +269,29 @@ class TestSatTargetStore:
                 ObjectiveConfig(kind="SAT", sat_momentum=momentum).validate(2)
 
     def test_geometric_convergence(self):
-        targets = sat_initial_targets([0], n_classes=2)
-        p = np.array([[0.5, 0.3, 0.2]])
-        gap0 = np.max(np.abs(targets[0] - p[0]))
+        targets = np.ones(1)
+        p_y = np.array([0.3])
+        gap0 = abs(targets[0] - p_y[0])
         for step in range(1, 25):
-            sat_update_targets(targets, [0], p, momentum=0.9)
-            gap = np.max(np.abs(targets[0] - p[0]))
+            sat_update_targets(targets, np.array([0]), p_y, momentum=0.9)
+            gap = abs(targets[0] - p_y[0])
             assert abs(gap - 0.9 ** step * gap0) < 1e-12
 
-    def test_simplex_preserved(self, rng):
-        targets = sat_initial_targets(rng.integers(0, 4, size=20),
-                                      n_classes=4)
+    def test_values_stay_in_unit_interval(self, rng):
+        targets = np.ones(20)
         for _ in range(60):
-            ids = rng.integers(0, 20, size=8)
-            raw = rng.random((8, 5))
-            p = raw / raw.sum(axis=1, keepdims=True)
-            sat_update_targets(targets, ids, p, momentum=0.7)
-        assert np.all(targets >= 0)
-        assert np.max(np.abs(targets.sum(axis=1) - 1.0)) < 1e-9
+            ids = rng.permutation(20)[:8]
+            p_y = rng.random(8)
+            p_y[0] = 0.0
+            sat_update_targets(targets, ids, p_y, momentum=0.7)
+        assert np.all((targets >= 0) & (targets <= 1))
+        assert targets.min() < 0.5
 
     def test_untouched_rows_unchanged(self):
-        targets = sat_initial_targets([0, 1], n_classes=2)
-        before = targets[1].copy()
-        sat_update_targets(targets, [0], [[0.5, 0.25, 0.25]], momentum=0.9)
-        assert np.array_equal(targets[1], before)
+        targets = np.array([1.0, 0.6])
+        sat_update_targets(targets, np.array([0]), np.array([0.5]),
+                           momentum=0.9)
+        assert targets[1] == 0.6
 
 
 def sn_cfg(**kw):
@@ -375,8 +386,8 @@ class TestDispatch:
         y = rng.integers(0, 3, size=4)
         cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=5)
         res = objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
-                                 targets=sat_initial_targets(y, 3),
-                                 sample_ids=np.arange(4), epoch=2)
+                                 targets=np.ones(4), sample_ids=np.arange(4),
+                                 epoch=2)
         loss, _ = ce_reference(z, y)
         assert abs(res.loss - loss) < 1e-12
 
@@ -387,8 +398,7 @@ class TestDispatch:
                             seed=0)
         trace = network_forward(net, rng.normal(size=(6, 3)))
         y = rng.integers(0, 3, size=6)
-        kw = dict(n_classes=3, targets=sat_initial_targets(y, 3),
-                  sample_ids=np.arange(6))
+        kw = dict(n_classes=3, targets=np.ones(6), sample_ids=np.arange(6))
         new = objective_dispatch(cfg, trace.head_raw, y, **kw)
         res = objective_dispatch(cfg, trace.head_raw, y, out=trace.kernel,
                                  **kw)
@@ -403,8 +413,7 @@ class TestDispatch:
         z = rng.normal(size=(4, 4))
         y = rng.integers(0, 3, size=4)
         cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=2)
-        targets = sat_initial_targets(y, 3)
-        for kw in ({"sample_ids": np.arange(4)}, {"targets": targets}):
+        for kw in ({"sample_ids": np.arange(4)}, {"targets": np.ones(4)}):
             with pytest.raises(ConfigurationError, match="SAT targets"):
                 objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
                                    epoch=2, **kw)
@@ -460,8 +469,8 @@ def random_case(kind, seed, m, n_classes, scale):
         outputs["aux"] = rng.normal(scale=scale, size=(m, n_classes))
     if base == "SAT":
         raw = rng.random((m, width))
-        kw.update(targets=raw / raw.sum(axis=1, keepdims=True),
-                  sample_ids=np.arange(m), epoch=0)
+        kw.update(targets=(raw / raw.sum(axis=1, keepdims=True))[
+            np.arange(m), y], sample_ids=np.arange(m), epoch=0)
     return cfg, outputs, kw
 
 

@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from selcls import selection
 from selcls.errors import ConfigurationError
 from selcls.nn import network_forward, network_outputs, sigmoid, stable_softmax
 from selcls.selection import (
     MECHANISM_KINDS,
     ProbOutput,
     SelectionMechanism,
-    class_probabilities,
     mechanism_compatible,
     predict_classes,
     score_batch,
@@ -211,10 +211,31 @@ def test_class_probabilities_renormalize_identity(rng):
     net = random_net(rng, head="abstain", n_classes=4)
     X, _ = random_batch(rng, net, m=8)
     out = output_from(net, X)
-    q, degenerate = class_probabilities(out)
+    q, degenerate = out.class_probabilities
     assert not degenerate.any()
     manual = out.probs[:, :4] / (1.0 - out.probs[:, 4:5])
     assert np.max(np.abs(q - manual)) < 1e-12
+
+
+def test_class_distribution_computed_once_per_output(rng, monkeypatch):
+    # an abstain head's C-way softmax serves every mechanism that reads it
+    net = random_net(rng, head="abstain", n_classes=4)
+    X, _ = random_batch(rng, net, m=8)
+    out = output_from(net, X)
+    calls = []
+
+    def counted_softmax(z):
+        calls.append(z.shape)
+        return stable_softmax(z)
+
+    monkeypatch.setattr(selection, "stable_softmax", counted_softmax)
+    first = {kind: score_batch(SelectionMechanism(kind), out)
+             for kind in ("softmax_response", "negative_entropy")}
+    again = {kind: score_batch(SelectionMechanism(kind), out)
+             for kind in ("softmax_response", "negative_entropy")}
+    assert calls == [(8, 4)]
+    for kind in first:
+        assert np.array_equal(first[kind], again[kind])
 
 
 def test_scores_csv_bytes_match_csv_writer(rng, tmp_path):

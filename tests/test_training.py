@@ -19,7 +19,6 @@ from selcls.objectives import (
     OBJECTIVE_KINDS,
     ObjectiveConfig,
     objective_dispatch,
-    sat_initial_targets,
     sat_update_targets,
 )
 from selcls.cli import grid_cell_name, main
@@ -36,18 +35,20 @@ from selcls.util import rng_for
 
 
 def train_keeping_targets(monkeypatch, net, train_ds, val_ds, cfg):
-    """train()'s report and the SAT targets array it made (None for any
-    other objective), caught where sat_initial_targets returns it."""
-    made = []
+    """train()'s report, the SAT targets array it updated and a copy of that
+    array from before its first update; both None when no update ran.
+    Caught through a wrapped training.sat_update_targets."""
+    seen = []
 
-    def kept(*args, **kwargs):
-        made.append(sat_initial_targets(*args, **kwargs))
-        return made[-1]
+    def kept(targets, *args):
+        if not seen:
+            seen.extend([targets, targets.copy()])
+        sat_update_targets(targets, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(training, "sat_initial_targets", kept)
+        m.setattr(training, "sat_update_targets", kept)
         report = train(net, train_ds, val_ds, cfg)
-    return report, (made[0] if made else None)
+    return report, *(seen or [None, None])
 
 
 def small_spec(seed=0, separation=6.0, noise=0.0):
@@ -219,21 +220,30 @@ class TestTrain:
     def test_sat_targets_untouched_during_pretrain(self, monkeypatch):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
         net = build_network(2, (8,), 2, "abstain", seed=2)
-        cfg = quick_cfg(kind="SAT", epochs=3, seed=2, sat_pretrain_epochs=3)
-        _, targets = train_keeping_targets(monkeypatch, net, train_ds,
-                                           val_ds, cfg)
-        onehot = np.zeros((len(train_ds), 3))
-        onehot[np.arange(len(train_ds)), train_ds.labels] = 1.0
-        assert np.array_equal(targets, onehot)
+        cfg = quick_cfg(kind="SAT", epochs=4, seed=2, sat_pretrain_epochs=3)
+        _, _, first = train_keeping_targets(monkeypatch, net, train_ds,
+                                            val_ds, cfg)
+        assert np.array_equal(first, np.ones(len(train_ds)))
+
+    def test_sat_targets_one_mass_per_sample(self, monkeypatch):
+        train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
+        net = build_network(2, (8,), 2, "abstain", seed=2)
+        cfg = quick_cfg(kind="SAT", epochs=2, seed=2, sat_pretrain_epochs=1)
+        _, targets, _ = train_keeping_targets(monkeypatch, net, train_ds,
+                                              val_ds, cfg)
+        assert targets.shape == (len(train_ds),)
+        assert targets.dtype == np.float64
 
     def test_sat_targets_move_after_pretrain(self, monkeypatch):
         train_ds, val_ds, _ = generate_mixture(small_spec(noise=0.2))
         net = build_network(2, (8,), 2, "abstain", seed=2)
         cfg = quick_cfg(kind="SAT", epochs=4, seed=2, sat_pretrain_epochs=2)
-        _, targets = train_keeping_targets(monkeypatch, net, train_ds,
-                                           val_ds, cfg)
-        assert np.any(targets[:, -1] > 0)
-        assert np.max(np.abs(targets.sum(axis=1) - 1.0)) < 1e-9
+        _, targets, _ = train_keeping_targets(monkeypatch, net, train_ds,
+                                              val_ds, cfg)
+        # every sample sat in two adaptive batches, so its mass on its
+        # label fell below 1, and a mass never leaves [0, 1]
+        assert np.all(targets < 1.0)
+        assert np.all(targets >= 0.0)
 
     def test_sat_momentum_one_identical_to_ce_trajectory(self):
         # target freezing makes the moving-target loss literally the
@@ -284,9 +294,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
     X = train_ds.features
     y = train_ds.labels
     n, C = len(y), net.n_classes
-    targets = None
-    if obj.base_kind == "SAT":
-        targets = sat_initial_targets(y, C)
+    targets = np.ones(n) if obj.base_kind == "SAT" else None
     velocity = np.zeros_like(net.params)
     epochs = []
     for epoch in range(cfg.epochs):
@@ -304,7 +312,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, np.empty_like(net.params))
             if adaptive:
-                sat_update_targets(targets, ids, result.probs,
+                sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)
             loss_sum += result.loss * ids.size
             pred = trace.head_raw["logits"][:, :C].argmax(axis=1)
@@ -342,8 +350,8 @@ class TestWorkspaceTraining:
         nets = [build_network(train_ds.dim, (64, 64), 8,
                               objective.required_head(), seed=11)
                 for _ in range(2)]
-        report, targets = train_keeping_targets(monkeypatch, nets[0],
-                                                train_ds, val_ds, cfg)
+        report, targets, _ = train_keeping_targets(monkeypatch, nets[0],
+                                                   train_ds, val_ds, cfg)
         want, want_targets = per_batch_reference_train(nets[1], train_ds,
                                                        val_ds, cfg)
         assert report.epochs == want

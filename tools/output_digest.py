@@ -17,15 +17,16 @@ only to a temporary directory:
 
     train/<objective>.*  cli.run_cell for each of the 8 objectives on
                          perfbench/configs/blobs8.json: its checkpoint
-                         and report CSV
+                         and report CSV, both tagged with that config's
+                         hash
     train/cli/           selcls train on perfbench/configs/blobs8.json:
                          run_config.json (with the split sizes and
                          fingerprints), checkpoint.json,
                          train_report.csv and manifest.json
-    eval/<head>-<split>/ selcls eval on the CE (plain), DG (abstain) and
-                         SelectiveNet checkpoints from those runs, with
-                         val and test calibration and every mechanism
-                         the head supports
+    eval/<head>-<split>/ selcls eval --force on the CE (plain), DG
+                         (abstain) and SelectiveNet checkpoints from
+                         those runs, with val and test calibration and
+                         every mechanism the head supports
     eval/abstain-saturated-<split>/
                          the same on the DG checkpoint with its abstain
                          bias raised until about half the test rows reach
@@ -146,7 +147,7 @@ def train_objectives() -> dict:
         stem = os.path.join("train", kind.replace("+", "_"))
         checkpoints[kind] = f"{stem}.checkpoint.json"
         cli.run_cell(cfg, replace(cfg.objective, kind=kind), SEED, splits,
-                     checkpoints[kind], f"{stem}.report.csv")
+                     checkpoints[kind], f"{stem}.report.csv", cfg.hash())
     return checkpoints
 
 
@@ -170,8 +171,10 @@ def evaluate_checkpoints(checkpoints: dict) -> None:
             path = os.path.join("eval-configs", f"{head}-{split}.json")
             with open(path, "w") as f:
                 json.dump(doc, f)
+            # --force: the checkpoint carries the hash of blobs8.json, not
+            # of this eval config
             run_cli(["eval", "-c", path, "--checkpoint", checkpoints[kind],
-                     "-o", os.path.join("eval", f"{head}-{split}")])
+                     "--force", "-o", os.path.join("eval", f"{head}-{split}")])
 
 
 def evaluate_saturated_abstain(checkpoint: str) -> None:
