@@ -6,9 +6,10 @@ JSON type is its field's annotation; and the config hash is taken over a
 document read off the same fields. Validation is strict and happens
 before any work: every section rejects unknown keys by name, every value
 must have its annotated type, and every section range-checks itself in
-``validate``. All randomness flows from training.seed; the dataset seed,
-unless pinned explicitly, is derived from it by labeled hashing so that
-one seed row reproduces the entire run.
+``validate``. Each error names the one key at fault as ``section.key``.
+All randomness flows from training.seed; the dataset seed, unless pinned
+explicitly, is derived from it by labeled hashing so that one seed row
+reproduces the entire run.
 """
 
 import json
@@ -168,7 +169,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         if any(w < 1 for w in self.hidden_dims):
-            raise ConfigurationError("hidden widths must be >= 1")
+            raise ConfigurationError("model.hidden_dims must hold widths >= 1")
 
 
 @dataclass
@@ -186,9 +187,10 @@ class EvalConfig:
                 "evaluation.calibration_split must be 'val' or 'test'")
         _check_list("evaluation.coverage_grid", self.coverage_grid)
         if any(not 0 < c <= 1 for c in self.coverage_grid):
-            raise ConfigurationError("coverage grid values must lie in (0, 1]")
+            raise ConfigurationError(
+                "evaluation.coverage_grid must lie in (0, 1]")
         if self.histogram_bins < 2:
-            raise ConfigurationError("histogram_bins must be >= 2")
+            raise ConfigurationError("evaluation.histogram_bins must be >= 2")
 
 
 @dataclass
@@ -204,7 +206,7 @@ class GridConfig:
         _check_list("grid.mechanisms", self.mechanisms, MECHANISM_KINDS)
         _check_list("grid.coverages", self.coverages)
         if any(not 0 < c <= 1 for c in self.coverages):
-            raise ConfigurationError("grid coverages must lie in (0, 1]")
+            raise ConfigurationError("grid.coverages must lie in (0, 1]")
         _check_list("grid.seeds", self.seeds)
 
 

@@ -28,7 +28,7 @@ class ScoreHistogram:
 
 def risk_coverage_curve(scores, predicted, truth, grid,
                         calibration_scores=None) -> list:
-    """One RiskCoveragePoint per target coverage in ``grid``.
+    """One RiskCoveragePoint per target coverage in ``grid``, each in (0, 1].
 
     With ``calibration_scores`` given, tau is fitted there and applied to
     the evaluation scores as a pure threshold (the held-out protocol).
@@ -38,8 +38,6 @@ def risk_coverage_curve(scores, predicted, truth, grid,
     bitwise equal to 1 - accuracy.
     """
     grid = [float(c) for c in grid]
-    if any(not 0 < c <= 1 for c in grid):
-        raise ConfigurationError("coverage grid values must lie in (0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)

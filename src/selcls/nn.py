@@ -74,10 +74,6 @@ class Network:
     heads: dict
 
     @property
-    def has_abstain(self) -> bool:
-        return self.head == HEAD_ABSTAIN
-
-    @property
     def layer_shapes(self) -> list:
         """(out, in) of every layer in the order of the flat layout."""
         return [layer.W.shape

@@ -89,38 +89,42 @@ class ObjectiveConfig:
     def validate(self, n_classes: int) -> None:
         if self.kind not in OBJECTIVE_KINDS:
             raise ConfigurationError(
-                f"unknown objective kind {self.kind!r}; expected one of "
-                f"{OBJECTIVE_KINDS}")
+                f"objective.kind must be one of {OBJECTIVE_KINDS}, got "
+                f"{self.kind!r}")
         if self.uses_em and not self.beta > 0:
-            raise ConfigurationError("+EM objectives require beta > 0")
+            raise ConfigurationError(
+                "objective.beta must be > 0 for +EM objectives")
         if self.beta < 0:
-            raise ConfigurationError("beta must be >= 0")
+            raise ConfigurationError("objective.beta must be >= 0")
         if self.base_kind == "DG":
-            check_gambler_payoff(self.resolved_o(n_classes), n_classes)
+            o = self.resolved_o(n_classes)
+            if o <= 1:
+                raise ConfigurationError(
+                    f"objective.o: payoff o={o} violates 1 < o <= C: o <= 1 "
+                    "is the always-abstain regime")
+            if o > n_classes:
+                raise ConfigurationError(
+                    f"objective.o: payoff o={o} violates 1 < o <= C "
+                    f"(C={n_classes})")
         if self.base_kind == "SelectiveNet":
             if not 0 < self.c_target <= 1:
-                raise ConfigurationError("c_target must lie in (0, 1]")
-            if self.lam < 0 or not 0 <= self.alpha_mix <= 1:
                 raise ConfigurationError(
-                    "need lam >= 0 and alpha_mix in [0, 1]")
+                    "objective.c_target must lie in (0, 1]")
+            if self.lam < 0:
+                raise ConfigurationError("objective.lambda must be >= 0")
+            if not 0 <= self.alpha_mix <= 1:
+                raise ConfigurationError(
+                    "objective.alpha_mix must lie in [0, 1]")
         if self.base_kind == "SAT":
             # the admissible range is (0, 1); the boundary 1.0 is accepted
             # as the explicit target-freezing limit, where the objective
             # reduces to (C+1)-way cross entropy
             if not 0 < self.sat_momentum <= 1:
-                raise ConfigurationError("sat_momentum must lie in (0, 1]")
+                raise ConfigurationError(
+                    "objective.sat_momentum must lie in (0, 1]")
             if self.sat_pretrain_epochs < 0:
-                raise ConfigurationError("sat_pretrain_epochs must be >= 0")
-
-
-def check_gambler_payoff(o: float, n_classes: int) -> None:
-    if o <= 1:
-        raise ConfigurationError(
-            f"objective.o: payoff o={o} violates 1 < o <= C: o <= 1 is the "
-            "always-abstain regime")
-    if o > n_classes:
-        raise ConfigurationError(
-            f"objective.o: payoff o={o} violates 1 < o <= C (C={n_classes})")
+                raise ConfigurationError(
+                    "objective.sat_pretrain_epochs must be >= 0")
 
 
 def predictive_entropy(logits) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import sigmoid, stable_softmax
+from .nn import HEAD_ABSTAIN, sigmoid, stable_softmax
 from .util import atomic_write
 
 # the head each mechanism needs, or None where any head will do
@@ -56,10 +56,6 @@ class ProbOutput:
     head: str                     # the network's head layout
     g_sel: np.ndarray | None = None
 
-    @property
-    def has_abstain(self) -> bool:
-        return self.head == "abstain"
-
     @cached_property
     def class_probabilities(self):
         """C-way class distribution for scoring, plus the degenerate mask,
@@ -69,7 +65,7 @@ class ProbOutput:
         which equals dividing the probabilities by (1 - p_abstain) but
         cannot lose precision when the abstain mass dominates.
         """
-        if not self.has_abstain:
+        if self.head != HEAD_ABSTAIN:
             return self.probs, np.zeros(len(self.probs), dtype=bool)
         return (stable_softmax(self.logits[:, :self.n_classes]),
                 self.probs[:, -1] >= 1.0)
@@ -84,8 +80,8 @@ class ProbOutput:
 
 
 def predict_classes(output: ProbOutput) -> np.ndarray:
-    """Argmax over the C real classes (abstain entry never predicted)."""
-    return np.argmax(output.probs[:, :output.n_classes], axis=1)
+    """Argmax of the C class logits, as in training; never the abstain."""
+    return np.argmax(output.logits[:, :output.n_classes], axis=1)
 
 
 def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray:

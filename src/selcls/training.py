@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericFault
 from .nn import (
+    HEAD_ABSTAIN,
     Network,
     Workspace,
     network_backward,
@@ -47,17 +48,28 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigurationError("need epochs >= 0 and batch_size >= 1")
+        if self.epochs < 0:
+            raise ConfigurationError("training.epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigurationError("training.batch_size must be >= 1")
         if self.lr0 <= 0:
-            raise ConfigurationError("lr0 must be positive")
+            raise ConfigurationError("training.lr0 must be positive")
         if not 0 <= self.momentum < 1:
-            raise ConfigurationError("momentum must lie in [0, 1)")
-        if self.decay_every < 1 or self.decay_factor <= 0:
+            raise ConfigurationError("training.momentum must lie in [0, 1)")
+        if self.decay_every < 1:
+            raise ConfigurationError("training.decay_every must be >= 1")
+        if self.decay_factor <= 0:
+            raise ConfigurationError("training.decay_factor must be > 0")
+        try:  # the rate is monotone: lr0 or the last epoch's is the largest
+            last = lr_at_epoch(self, max(self.epochs - 1, 0))
+        except OverflowError:
+            last = np.inf
+        if not np.isfinite(last):
             raise ConfigurationError(
-                "need decay_every >= 1 and decay_factor > 0")
+                f"training.decay_factor {self.decay_factor!r} makes the "
+                "learning rate overflow within the training epochs")
         if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+            raise ConfigurationError("training.weight_decay must be >= 0")
 
 
 @dataclass
@@ -89,8 +101,6 @@ class TrainReport:
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
-    if epoch < 0:
-        raise ConfigurationError("epoch must be >= 0")
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
@@ -135,17 +145,15 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             f"objective {obj.kind!r} needs a {obj.required_head()!r} head, "
             f"network has {net.head!r}")
     report = TrainReport()
-    if cfg.epochs == 0:
-        return report
-
     X = np.asarray(train_data.features, dtype=np.float64)
     y = np.asarray(train_data.labels, dtype=np.int64)
-    Xv = np.asarray(val_data.features, dtype=np.float64)
-    yv = np.asarray(val_data.labels, dtype=np.int64)
     n = X.shape[0]
     C = net.n_classes
 
     targets = np.ones(n) if obj.base_kind == "SAT" else None
+    # the kernel's argmax is each batch's prediction unless the head has an
+    # abstain column
+    abstain = net.head == HEAD_ABSTAIN
 
     velocity, step = np.zeros_like(net.params), np.empty_like(net.params)
     ws = Workspace(net)
@@ -177,15 +185,13 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
                 sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)
             loss_sum += result.loss * ids.size
-            # the kernel's argmax is the prediction unless the head has an
-            # abstain column
             pred[rows] = (trace.head_raw["logits"][:, :C].argmax(axis=1)
-                          if net.has_abstain else result.argmax)
+                          if abstain else result.argmax)
         n_correct = np.count_nonzero(pred == yp)
-        val_acc, val_entropy = _evaluate(net, Xv, yv)
+        val_acc, entropy = _evaluate(net, val_data.features, val_data.labels)
         report.epochs.append(EpochStats(
             epoch=epoch, lr=lr, train_loss=loss_sum / n,
             train_accuracy=n_correct / n, val_accuracy=val_acc,
-            mean_entropy=val_entropy))
+            mean_entropy=entropy))
     return report
 

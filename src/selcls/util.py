@@ -26,18 +26,15 @@ def rng_for(root_seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(root_seed, label)))
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON encoding (sorted keys, compact separators)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def config_hash(obj) -> str:
-    """Stable hash of a JSON-serializable config document."""
-    return sha256_hex(canonical_json(obj).encode())
+    """Stable hash of a JSON-serializable config document, over its JSON
+    with sorted keys and compact separators."""
+    return sha256_hex(
+        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
 
 
 def fmt(x) -> str:

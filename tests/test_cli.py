@@ -38,7 +38,11 @@ from selcls.nn import (
     save_checkpoint,
     stable_softmax,
 )
-from selcls.objectives import ObjectiveConfig, objective_dispatch
+from selcls.objectives import (
+    OBJECTIVE_KINDS,
+    ObjectiveConfig,
+    objective_dispatch,
+)
 from selcls.training import TrainConfig
 from selcls.util import derive_seed, rng_for
 
@@ -99,6 +103,44 @@ def base_config(tmp_path, _name="config.json", **overrides):
     path = tmp_path / _name
     path.write_text(json.dumps(doc))
     return path, doc
+
+
+# one config range error per key: (sections to override, the error)
+RANGE_ERRORS = [
+    ({"objective": {"kind": "CE+XX"}},
+     f"objective.kind must be one of {OBJECTIVE_KINDS}, got 'CE+XX'"),
+    ({"objective": {"kind": "SelectiveNet", "lambda": -1}},
+     "objective.lambda must be >= 0"),
+    ({"objective": {"kind": "SelectiveNet", "alpha_mix": 1.5}},
+     "objective.alpha_mix must lie in [0, 1]"),
+    ({"objective": {"kind": "SelectiveNet", "c_target": 0}},
+     "objective.c_target must lie in (0, 1]"),
+    ({"objective": {"kind": "SAT", "sat_momentum": 0}},
+     "objective.sat_momentum must lie in (0, 1]"),
+    ({"objective": {"kind": "SAT", "sat_pretrain_epochs": -1}},
+     "objective.sat_pretrain_epochs must be >= 0"),
+    ({"objective": {"kind": "CE+EM", "beta": 0}},
+     "objective.beta must be > 0 for +EM objectives"),
+    ({"objective": {"beta": -1}}, "objective.beta must be >= 0"),
+    ({"training": {"epochs": -1}}, "training.epochs must be >= 0"),
+    ({"training": {"batch_size": 0}}, "training.batch_size must be >= 1"),
+    ({"training": {"lr0": 0}}, "training.lr0 must be positive"),
+    ({"training": {"momentum": 1}},
+     "training.momentum must lie in [0, 1)"),
+    ({"training": {"decay_every": 0}},
+     "training.decay_every must be >= 1"),
+    ({"training": {"decay_factor": 0}},
+     "training.decay_factor must be > 0"),
+    ({"training": {"weight_decay": -1}},
+     "training.weight_decay must be >= 0"),
+    ({"model": {"hidden_dims": [8, 0]}},
+     "model.hidden_dims must hold widths >= 1"),
+    ({"evaluation": {"coverage_grid": [1.5]}},
+     "evaluation.coverage_grid must lie in (0, 1]"),
+    ({"evaluation": {"histogram_bins": 1}},
+     "evaluation.histogram_bins must be >= 2"),
+    ({"grid": {"coverages": [0]}}, "grid.coverages must lie in (0, 1]"),
+]
 
 
 class TestTrainCommand:
@@ -293,6 +335,67 @@ class TestTrainCommand:
         assert main(["train", "-c", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
         assert not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message", RANGE_ERRORS,
+        ids=[message.split(" ")[0] for _, message in RANGE_ERRORS])
+    def test_range_error_exits_2_naming_one_key(self, tmp_path, capsys,
+                                                overrides, message):
+        cfg_path, doc = base_config(tmp_path, **overrides)
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_overflowing_schedule_exits_2_naming_decay_factor(
+            self, tmp_path, capsys, command):
+        # the rate at epoch 2 is 1e-300 * 1e300 ** 2, and the power
+        # overflows
+        cfg_path, doc = base_config(
+            tmp_path, training={"lr0": 1e-300, "decay_factor": 1e300,
+                                "decay_every": 1, "epochs": 3},
+            grid={"methods": ["CE", "DG"], "coverages": [0.5],
+                  "seeds": [0, 1]})
+        assert main([command, "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: training.decay_factor 1e+300 makes the "
+            "learning rate overflow within the training epochs\n")
+        assert not Path(doc["output_dir"]).exists()
+
+    # an extreme value may overflow in numpy before the fault is raised
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_numeric_keys_swept_to_extremes_never_trace_back(self, tmp_path,
+                                                             capsys):
+        # every numeric key that sizes no allocation or loop, under an
+        # objective that reads it; each run exits by the contract
+        kinds = {"beta": "CE+EM", "o": "DG", "lambda": "SelectiveNet",
+                 "alpha_mix": "SelectiveNet", "c_target": "SelectiveNet",
+                 "sat_momentum": "SAT", "sat_pretrain_epochs": "SAT"}
+        runs = [{"training": {"lr0": 1e-300, "decay_factor": 1e300,
+                              "decay_every": 1, "epochs": 3}}]
+        for value in (0, -1, 1e308, 5e-324):
+            runs += [{"training": {key: value}} for key in (
+                "lr0", "momentum", "decay_factor", "decay_every", "seed",
+                "weight_decay")]
+            runs += [{"objective": {"kind": kind, key: value}}
+                     for key, kind in kinds.items()]
+            runs += [{"dataset": {"variances": [value] * 8}},
+                     {"dataset": {"label_noise": value}}]
+        outcomes = []
+        for i, overrides in enumerate(runs):
+            cfg_path, doc = base_config(
+                tmp_path, f"config{i}.json",
+                dataset={"n_train": 64, "n_val": 32, "n_test": 32},
+                model={"hidden_dims": [4]},
+                output_dir=str(tmp_path / f"run{i}"))
+            for section, values in overrides.items():
+                doc[section].update(values)
+            cfg_path.write_text(json.dumps(doc))
+            code = main(["train", "-c", str(cfg_path)])
+            err = capsys.readouterr().err
+            outcomes.append((overrides, code, "Traceback" in err))
+        assert [o for o in outcomes if o[1] not in (0, 2, 3) or o[2]] == []
+        assert {code for _, code, _ in outcomes} == {0, 2, 3}
 
     def test_checked_in_config_fingerprints_are_pinned(self, tmp_path):
         doc = json.loads((CONFIGS / "blobs8.json").read_text())
@@ -492,6 +595,29 @@ class TestEvalCommand:
         scores = (outdir / "eval" / "scores_softmax_response.csv") \
             .read_text().splitlines()[2:]
         assert [row.split(",")[1] for row in scores] == ["-inf"] * 40
+
+    def test_saturated_abstain_predicts_the_class_logit_argmax(self,
+                                                               tmp_path):
+        # with the abstain bias raised by 1e4 every class probability
+        # rounds to 0.0, yet the class logits still rank the classes, and
+        # training predicts from them
+        cfg_path, outdir = self.train_one(
+            tmp_path, objective={"kind": "DG"}, training={"seed": 1},
+            evaluation={"mechanisms": ["abstention_logit"]})
+        net, _ = load_checkpoint(outdir / "checkpoint.json")
+        _, _, test_ds, _ = cli.build_splits(load_run_config(cfg_path))
+        net.heads["logits"].b[-1] += 1e4
+        z = network_outputs(net, test_ds.features)["logits"]
+        assert np.all(stable_softmax(z)[:, :-1] == 0.0)
+        ckpt = tmp_path / "saturated.checkpoint.json"
+        save_checkpoint(net, ckpt)
+        assert main(["eval", "-c", str(cfg_path), "--checkpoint",
+                     str(ckpt)]) == 0
+        rows = (outdir / "eval" / "scores_abstention_logit.csv") \
+            .read_text().splitlines()[2:]
+        predicted = [int(row.split(",")[2]) for row in rows]
+        assert predicted == z[:, :-1].argmax(axis=1).tolist()
+        assert len(set(predicted)) > 1
 
     def test_draws_only_the_val_and_test_splits(self, tmp_path, monkeypatch):
         cfg_path, outdir = self.train_one(tmp_path)
@@ -727,6 +853,8 @@ class TestGridCommand:
             "SelectiveNet_c0.5_s0", "SelectiveNet_c0.5000001_s0"]
         assert all(Path(c["checkpoint"]).exists() for c in manifest["cells"])
         assert cli.grid_cell_name("CE", 1, 0) == "CE_c1.0_s0"
+        assert cli.grid_cell_name("SAT+EM", 0.7, 3) == "SAT_EM_c0.7_s3"
+        assert cli.grid_cell_name("CE", None, 0) == "CE_all_s0"
 
     def test_saturated_selection_unit_trains(self, tmp_path):
         # at c_target 0.9 the raw selection logit passes the point where

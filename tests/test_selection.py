@@ -117,8 +117,8 @@ class TestScoreBatch:
                 for z in (logits, logits + shifts)]
         # a row whose abstain mass rounds to 1.0 scores -inf, and a shift
         # may move it across that edge
-        assume(not any(out.has_abstain and np.any(out.probs[:, -1] >= 1.0)
-                       for out in outs))
+        assume(not any(out.head == "abstain"
+                       and np.any(out.probs[:, -1] >= 1.0) for out in outs))
         for kind in MECHANISM_KINDS:
             if mechanism_compatible(kind, head):
                 a, b = (score_batch(SelectionMechanism(kind), out)
@@ -180,6 +180,16 @@ def test_predict_classes_ignores_abstain_entry(rng):
     pred = predict_classes(out)
     assert np.all(pred < 3)
     assert np.array_equal(pred, np.argmax(out.probs[:, :3], axis=1))
+
+
+def test_predict_classes_reads_the_class_logits():
+    # both class probabilities round to 0.0 next to the abstain entry; the
+    # class logits still rank class 1 first, as training's argmax does
+    z = np.array([[-900.0, -800.0, 0.0]])
+    out = ProbOutput(logits=z, probs=stable_softmax(z), n_classes=2,
+                     head="abstain")
+    assert out.probs[0, :2].tolist() == [0.0, 0.0]
+    assert predict_classes(out).tolist() == [1]
 
 
 @pytest.mark.parametrize("head", ["plain", "abstain", "selectivenet"])
