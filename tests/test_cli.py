@@ -853,8 +853,6 @@ class TestGridCommand:
             "SelectiveNet_c0.5_s0", "SelectiveNet_c0.5000001_s0"]
         assert all(Path(c["checkpoint"]).exists() for c in manifest["cells"])
         assert cli.grid_cell_name("CE", 1, 0) == "CE_c1.0_s0"
-        assert cli.grid_cell_name("SAT+EM", 0.7, 3) == "SAT_EM_c0.7_s3"
-        assert cli.grid_cell_name("CE", None, 0) == "CE_all_s0"
 
     def test_saturated_selection_unit_trains(self, tmp_path):
         # at c_target 0.9 the raw selection logit passes the point where

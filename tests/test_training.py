@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from selcls.objectives import (
     objective_dispatch,
     sat_update_targets,
 )
+from selcls.cli import grid_cell_name, main
 from selcls import training
 from selcls.training import (
     EpochStats,
@@ -408,3 +411,61 @@ class TestWorkspaceTraining:
         with pytest.raises(ConfigurationError, match="1 < o <= C"):
             train(net, train_ds, val_ds, quick_cfg(kind="DG", o=3.0))
         assert forwards == []
+
+
+class TestMethodGrid:
+    """Which (method, coverage, seed) cells `selcls grid` trains."""
+
+    def run_grid(self, tmp_path, methods, coverages, objective=None):
+        out = tmp_path / "run"
+        doc = {
+            "dataset": {"kind": "mixture", "preset": "blobs8",
+                        "n_train": 240, "n_val": 120, "n_test": 160},
+            "model": {"hidden_dims": [8]},
+            "objective": objective or {"kind": "CE"},
+            "training": {"epochs": 2, "batch_size": 32, "seed": 0},
+            "grid": {"methods": methods, "mechanisms": ["softmax_response"],
+                     "coverages": coverages, "seeds": [0]},
+            "output_dir": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["grid", "-c", str(path)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        return code, manifest["cells"]
+
+    def test_single_cell(self, tmp_path):
+        code, cells = self.run_grid(tmp_path, ["CE"], [0.9])
+        assert code == 0
+        assert len(cells) == 1
+        assert cells[0]["status"] == "ok"
+        assert cells[0]["checkpoint"].endswith(
+            f"{cells[0]['name']}.checkpoint.json")
+        assert Path(cells[0]["checkpoint"]).exists()
+
+    def test_sat_trains_once_for_all_coverages(self, tmp_path):
+        code, cells = self.run_grid(tmp_path, ["SAT"], [0.9, 0.7, 0.5])
+        assert code == 0
+        assert len(cells) == 1
+        assert cells[0]["coverage"] is None
+
+    def test_selectivenet_trains_per_coverage(self, tmp_path):
+        code, cells = self.run_grid(tmp_path, ["SelectiveNet"],
+                                    [0.9, 0.7, 0.5])
+        assert code == 0
+        assert [c["coverage"] for c in cells] == [0.9, 0.7, 0.5]
+        assert all(c["status"] == "ok" for c in cells)
+
+    def test_partial_failure_recorded_grid_continues(self, tmp_path):
+        # blobs8 has C=8, so the payoff o=44 is inadmissible for DG;
+        # CE ignores it
+        code, cells = self.run_grid(tmp_path, ["DG", "CE"], [0.9],
+                                    objective={"kind": "CE", "o": 44.0})
+        assert code == 1
+        assert [c["status"] for c in cells] == ["failed", "ok"]
+        assert "o=44" in cells[0]["error"]
+
+
+def test_grid_cell_names_are_filesystem_safe():
+    assert grid_cell_name("SAT+EM", 0.7, 3) == "SAT_EM_c0.7_s3"
+    assert grid_cell_name("CE", None, 0) == "CE_all_s0"
