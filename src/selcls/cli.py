@@ -227,12 +227,14 @@ def grid_cell(cfg: RunConfig, objective, coverage, seed: int, splits,
 def keep_freed_memory() -> None:
     """Make this process, and the workers it forks, keep freed heap memory
     (glibc ``mallopt``): blocks below 32 MiB come from the heap and up to
-    64 MiB of free heap stays mapped. Without it, the buffers of every
-    whole-split forward and every ``train()`` workspace are unmapped when
-    freed and faulted in again by the next cell: the forked workers of one
-    grid-ref round took about 74k minor page faults at glibc's defaults,
-    and about 4.3k with this. Does nothing where the C library has no
-    ``mallopt``."""
+    64 MiB of free heap stays mapped. ``main`` calls it before it runs any
+    command. Without it, the buffers of every whole-split forward and
+    every ``train()`` workspace are unmapped when freed and faulted in
+    again by the next cell or file: the forked workers of one grid-ref
+    round took about 74k minor page faults at glibc's defaults and about
+    4.3k with this, and one eval-sweep round (six ``selcls eval`` calls in
+    one process) about 4,550 and under 10. Does nothing where the C
+    library has no ``mallopt``."""
     import ctypes
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -313,10 +315,10 @@ def cmd_grid(args) -> int:
     ``map_grid_cells``), which receives only each cell's index and
     inherits the splits through fork, and their records and rows are
     collected in grid order, so the output does not depend on the number
-    of CPUs. The grid first makes this process keep freed heap memory
-    (``keep_freed_memory``), and its workers inherit that, so a cell
-    reuses the pages of the cells before it instead of faulting in fresh
-    ones. A cell that fails in training, evaluation or writing its
+    of CPUs. The workers inherit the freed-heap setting that ``main``
+    makes before any command (``keep_freed_memory``), so a cell reuses
+    the pages of the cells before it instead of faulting in fresh ones. A
+    cell that fails in training, evaluation or writing its
     checkpoint or report (a SelclsError or an OSError) is recorded in the
     manifest, adds no results rows, and makes the grid exit 1; the other
     cells still run. Any other exception, a dead worker's
@@ -337,7 +339,6 @@ def cmd_grid(args) -> int:
     cells_dir.mkdir(exist_ok=True)
     h = cfg.hash()
 
-    keep_freed_memory()
     splits = {seed: build_splits(cfg, seed=seed) for seed in grid.seeds}
     tasks = []
     for method in grid.methods:
@@ -409,9 +410,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its errors become the exit codes of the module
+    docstring, each with one line on stderr. Every command keeps freed heap
+    memory (``keep_freed_memory``), and runs with numpy's overflow and
+    invalid-value warnings off: an overflow becomes inf, and inf times 0
+    nan, which the finite checks turn into the one ``numeric fault:``
+    line (or a failed grid cell) with no warning before it."""
     args = make_parser().parse_args(argv)
+    keep_freed_memory()
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return 3

@@ -362,8 +362,9 @@ class TestTrainCommand:
             "learning rate overflow within the training epochs\n")
         assert not Path(doc["output_dir"]).exists()
 
-    # an extreme value may overflow in numpy before the fault is raised
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # main turns numpy's overflow and invalid-value warnings off, so any
+    # RuntimeWarning here is one the contract does not allow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_keys_swept_to_extremes_never_trace_back(self, tmp_path,
                                                              capsys):
         # every numeric key that sizes no allocation or loop, under an
@@ -396,6 +397,27 @@ class TestTrainCommand:
             outcomes.append((overrides, code, "Traceback" in err))
         assert [o for o in outcomes if o[1] not in (0, 2, 3) or o[2]] == []
         assert {code for _, code, _ in outcomes} == {0, 2, 3}
+
+    @pytest.mark.parametrize("command, code, stderr", [
+        ("train", 3, "numeric fault: non-finite output at head 'logits'\n"),
+        ("grid", 1, ""),
+    ], ids=["train", "grid"])
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, command, code,
+                                              stderr):
+        # a fresh process, where numpy prints its first warning from each
+        # line; grid cells fail in forked workers, which print to the same
+        # stderr
+        cfg_path, _ = base_config(
+            tmp_path, dataset={"n_train": 64}, model={"hidden_dims": [4]},
+            training={"lr0": 1e308},
+            grid={"methods": ["CE", "DG", "SAT", "SelectiveNet"],
+                  "coverages": [0.5], "seeds": [0, 1]})
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "selcls.cli", command, "-c", str(cfg_path)],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (code, stderr)
 
     def test_checked_in_config_fingerprints_are_pinned(self, tmp_path):
         doc = json.loads((CONFIGS / "blobs8.json").read_text())
@@ -1211,21 +1233,36 @@ class TestKeepFreedMemory:
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         assert cli.keep_freed_memory() is None
 
-    def test_only_the_grid_calls_it(self, tmp_path, monkeypatch):
+    def test_every_command_calls_it_once_first(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "keep_freed_memory", lambda: calls.append(1))
-        cfg_path, doc = base_config(tmp_path)
-        assert main(["train", "-c", str(cfg_path)]) == 0
+        monkeypatch.setattr(cli, "keep_freed_memory",
+                            lambda: calls.append("keep_freed_memory"))
+
+        def noting_first_work(fn):
+            def noted(*args, **kwargs):
+                calls.append((fn.__name__, np.geterr()["over"],
+                              np.geterr()["invalid"]))
+                return fn(*args, **kwargs)
+            return noted
+
+        monkeypatch.setattr(cli, "load_run_config",
+                            noting_first_work(load_run_config))
+        monkeypatch.setattr(cli, "run_suite",
+                            noting_first_work(gradcheck.run_suite))
+        cfg_path, doc = base_config(
+            tmp_path, grid={"methods": ["CE", "DG"],
+                            "mechanisms": ["softmax_response"],
+                            "coverages": [0.5], "seeds": [0]})
         ckpt = Path(doc["output_dir"]) / "checkpoint.json"
-        assert main(["eval", "-c", str(cfg_path),
-                     "--checkpoint", str(ckpt)]) == 0
-        assert calls == []
-        cfg_path, _ = base_config(
-            tmp_path, _name="grid.json",
-            grid={"methods": ["CE", "DG"], "mechanisms": ["softmax_response"],
-                  "coverages": [0.5], "seeds": [0]})
-        assert main(["grid", "-c", str(cfg_path)]) == 0
-        assert calls == [1]
+        for argv, work in [
+                (["train", "-c", str(cfg_path)], "load_run_config"),
+                (["eval", "-c", str(cfg_path), "--checkpoint", str(ckpt)],
+                 "load_run_config"),
+                (["grid", "-c", str(cfg_path)], "load_run_config"),
+                (["gradcheck", "--cases", "1"], "run_suite")]:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == ["keep_freed_memory", (work, "ignore", "ignore")]
 
 
 class TestImports:

@@ -248,19 +248,48 @@ def test_class_distribution_computed_once_per_output(rng, monkeypatch):
         assert np.array_equal(first[kind], again[kind])
 
 
-def test_scores_csv_bytes_match_csv_writer(rng, tmp_path):
-    scores = rng.normal(size=4000)
-    scores[[3, 17]] = -np.inf
-    scores[5] = 1e-300
-    predicted = rng.integers(0, 8, size=4000)
-    truth = rng.integers(0, 8, size=4000)
-    path = tmp_path / "scores.csv"
-    scores_to_csv(path, scores, predicted, truth, header_comment="config=abc")
-
+def csv_writer_reference(scores, predicted, truth, header_comment):
     reference = io.StringIO(newline="")
-    reference.write("# config=abc\n")
+    if header_comment:
+        reference.write(f"# {header_comment}\n")
     w = csv.writer(reference)
     w.writerow(["sample_id", "score", "predicted_class", "true_class"])
     for i, (s, p, t) in enumerate(zip(scores, predicted, truth)):
         w.writerow([i, repr(float(s)), int(p), int(t)])
-    assert path.read_bytes() == reference.getvalue().encode()
+    return reference.getvalue().encode()
+
+
+def test_scores_csv_bytes_match_csv_writer(rng, tmp_path):
+    scores = rng.normal(size=4000)
+    scores[[3, 17]] = -np.inf
+    scores[[5, 6, 7, 8]] = [1e-300, -0.0, np.nan, 5e-324]
+    cases = [
+        (scores, rng.integers(0, 8, size=4000), rng.integers(0, 8, size=4000)),
+        # successive calls with other row counts and other classes, so that
+        # an id column or class string kept from an earlier call shows
+        (scores[:1], np.array([3]), np.array([7])),
+        (scores[:0], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+        (scores, rng.integers(5, 13, size=4000), rng.integers(0, 100, size=4000)),
+        (scores[:3], np.array([10, 0, 99]), np.array([2**62, 11, 10])),
+        (-scores[:3], np.array([1, 1, 1]), np.array([0, 0, 0])),
+    ]
+    for i, (s, predicted, truth) in enumerate(cases):
+        path = tmp_path / f"scores{i}.csv"
+        comment = "config=abc" if i % 2 == 0 else ""
+        scores_to_csv(path, s, predicted, truth, header_comment=comment)
+        assert path.read_bytes() == csv_writer_reference(
+            s, predicted, truth, comment), i
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n),
+    arrays(np.int64, n, elements=st.integers(0, 2**63 - 1)),
+    arrays(np.int64, n, elements=st.integers(0, 2**63 - 1)))))
+def test_scores_csv_matches_csv_writer_for_any_class_ids(tmp_path_factory,
+                                                         columns):
+    scores, predicted, truth = columns
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    scores_to_csv(path, scores, predicted, truth)
+    assert path.read_bytes() == csv_writer_reference(
+        scores, predicted, truth, "")
