@@ -96,8 +96,14 @@ def test_flagged_runs_leave_the_summary(bad, problems):
     assert summaries["children_cpu_s"]["change_better_in"] == 9
     assert summaries["largest_single_descendant_rss_mb"]["within_bound"] \
         is None
+    # nine of the ten pairs run count, and the change is better in all
+    # nine: the flagged pair still fails the claim, in the summary that
+    # --out records as in the printed report
+    assert summaries["wall_s"]["pairs_run"] == 10
+    assert summaries["wall_s"]["change_better_in"] == 9
+    assert summaries["wall_s"]["claim_holds"] is False
     report = pairs.report(summaries, flagged, {"wall_s"})
-    assert "claim fails" in report
+    assert "better in 9/10" in report and "claim fails" in report
     assert report.splitlines()[-1] == \
         f"FLAGGED seed 3 change: {'; '.join(problems)}"
 
@@ -135,11 +141,41 @@ def test_sides_alternate_which_runs_first(monkeypatch, capsys):
         lambda directory, workload, seed, seconds: started.append(
             (seed, directory.name.split("-")[1])) or run(0.25))
     args = type("Args", (), {"base": "HEAD", "change": None,
-                             "workload": "eval-sweep", "seconds": 1.0})
-    runs = pairs.run_pairs(args, [5, 6, 7])
+                             "workload": "eval-sweep"})
+    runs = pairs.run_pairs(args, [5, 6, 7], 1.0)
     assert started == [(5, "base"), (5, "change"), (6, "change"),
                        (6, "base"), (7, "base"), (7, "change")]
     assert [runs[s]["order"] for s in ("5", "6", "7")] == [
         ["base", "change"], ["change", "base"], ["base", "change"]]
     assert capsys.readouterr().out.splitlines()[1] == (
         "pair 2/3 seed 6 (change first): wall_s base 0.2500, change 0.2500")
+
+
+def test_a_pair_run_but_not_counted_fails_the_claim():
+    nine = [(b, b - 0.1) for b in BASE[:9]]
+    assert pairs.summarize(nine)["claim_holds"] is True
+    s = pairs.summarize(nine, pairs_run=10)
+    assert (s["pairs"], s["pairs_run"], s["claim_holds"]) == (9, 10, False)
+
+
+def test_main_runs_one_pair_per_seed_for_the_benchmark_length(
+        monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(pairs, "describe", lambda rev: {"rev": rev})
+    monkeypatch.setattr(
+        pairs, "run_pairs", lambda args, seeds, seconds: calls.append(
+            (seeds, seconds)) or {str(s): {"order": ["base", "change"],
+                                            "base": run(0.3),
+                                            "change": run(0.2)}
+                                  for s in seeds})
+    out = tmp_path / "bench.json"
+    assert pairs.main(["--base", "HEAD", "--workload", "eval-sweep",
+                       "--seeds", "81-83", "--out", str(out)]) == 0
+    seconds = pairs.benchmark()["run_seconds"]
+    assert calls == [([81, 82, 83], seconds)]
+    assert '"seconds": %s' % seconds in out.read_text()
+    assert "better in 3/3" in capsys.readouterr().out
+    for flag in ("--pairs", "--seconds"):
+        with pytest.raises(SystemExit):
+            pairs.main(["--base", "HEAD", "--workload", "eval-sweep",
+                        "--seeds", "81-83", "--out", str(out), flag, "10"])

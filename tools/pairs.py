@@ -1,24 +1,25 @@
 """Run perfbench on two revisions in interleaved pairs and test a claimed gain.
 
-    python tools/pairs.py --base HEAD --workload eval-sweep --pairs 10 \\
-        --seconds 30 --seeds 101-110 --out BENCH_12.json
+    python tools/pairs.py --base HEAD --workload eval-sweep \\
+        --seeds 101-110 --out BENCH_12.json
 
 ``--base REV`` is the side a change is measured against; ``--change REV``
 is the other side, and without it the working tree's tracked files (as
 ``git ls-files`` lists them, with their uncommitted edits; ``git add`` a
-new file first). For each pair, with one seed of ``--seeds`` each, both
-sides are unpacked into fresh directories (``git archive REV | tar -x``,
-or a copy of the tracked files), ``python3 perfbench/run.py --workload W
---seed N --seconds S`` runs in each, and the directories are removed. The
-side that runs first alternates from pair to pair. The repository's
-``.git`` is only read.
+new file first). Each seed of ``--seeds`` makes one pair: both sides
+are unpacked into fresh directories (``git archive REV | tar -x``, or a
+copy of the tracked files), ``python3 perfbench/run.py --workload W
+--seed N --seconds S`` runs in each, with S the ``run_seconds`` of
+``BENCHMARK.json``, and the directories are removed. The side that runs
+first alternates from pair to pair. The repository's ``.git`` is only
+read. Runs of another length go through ``perfbench/run.py`` directly.
 
 Per end-to-end metric of ``BENCHMARK.json`` it prints each side's median,
 Q1 and Q3 (``statistics.quantiles``, inclusive method), the number of
 pairs in which the change was better, the relative change of the medians
 against the metric's bound, and whether the claim rule holds: the change
-better in at least 9 of every 10 pairs, by a median gap larger than the
-base's interquartile range, with no flagged run. A run is flagged when
+better in at least 9 of every 10 pairs run, by a median gap larger than
+the base's interquartile range, with no flagged run. A run is flagged when
 it exits non-zero, prints no JSON last line, is not ``correct`` or has
 failed operations.
 
@@ -27,8 +28,8 @@ Each run also gets two figures that perfbench does not report, from the
 process it waited for (what ``RUSAGE_CHILDREN`` adds for it): the CPU
 time of the whole run, set-up and every round, which counts grid-ref's
 forked workers and perfbench's own import-timing interpreters, and the
-largest resident set of any single one of those processes (not a sum). Both are summarized like the
-end-to-end metrics, with no claim.
+largest resident set of any single one of those processes (not a sum).
+Both are summarized like the end-to-end metrics, with no claim.
 
 ``--out`` gets every run's last JSON line with those two figures, and the
 summaries, under ``workloads.<W>``; other workloads and keys already in
@@ -79,16 +80,22 @@ def quartiles(values) -> dict:
             "min": min(values), "max": max(values)}
 
 
-def summarize(pairs, better: str = "lower", bound=None) -> dict:
+def summarize(pairs, better: str = "lower", bound=None,
+              pairs_run=None) -> dict:
     """Summary of one metric over (base, change) value pairs.
 
     ``gap`` is how far the change's median is better than the base's
     (positive when better) and ``relative`` the change of the medians
     against the base's; ``within_bound`` says whether the change is no
     worse than the base by more than ``bound`` (a share of the base's
-    median), and is None without a bound. The claim holds when the change
-    is better in at least ``CLAIM_SHARE`` of the pairs and ``gap`` exceeds
-    the base's interquartile range."""
+    median), and is None without a bound. ``pairs_run`` is the number of
+    pairs that were run, ``len(pairs)`` when None; a pair that was run but
+    is not in ``pairs`` (a flagged run) fails the claim. The claim holds
+    when every pair run counts, the change is better in at least
+    ``CLAIM_SHARE`` of them and ``gap`` exceeds the base's interquartile
+    range."""
+    if pairs_run is None:
+        pairs_run = len(pairs)
     sign = 1.0 if better == "lower" else -1.0
     base = quartiles(b for b, _ in pairs)
     change = quartiles(c for _, c in pairs)
@@ -97,10 +104,12 @@ def summarize(pairs, better: str = "lower", bound=None) -> dict:
     relative = (change["median"] / base["median"] - 1.0) if base["median"] \
         else math.nan
     return {
-        "pairs": len(pairs), "better": better, "base": base, "change": change,
+        "pairs": len(pairs), "pairs_run": pairs_run, "better": better,
+        "base": base, "change": change,
         "change_better_in": better_in, "gap": gap, "relative": relative,
         "within_bound": None if bound is None else sign * relative <= bound,
-        "claim_holds": better_in >= math.ceil(CLAIM_SHARE * len(pairs))
+        "claim_holds": len(pairs) == pairs_run
+        and better_in >= math.ceil(CLAIM_SHARE * pairs_run)
         and gap > base["iqr"],
     }
 
@@ -127,9 +136,9 @@ def metric_values(run: dict) -> dict:
     return values
 
 
-def end_to_end_metrics() -> list:
-    """The end-to-end metrics of ``BENCHMARK.json``."""
-    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def benchmark() -> dict:
+    """``BENCHMARK.json``: its end-to-end metrics and run length."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def summarize_runs(runs: dict, metrics: list) -> tuple:
@@ -148,7 +157,7 @@ def summarize_runs(runs: dict, metrics: list) -> tuple:
             if m["name"] in base and m["name"] in change:
                 pairs[m["name"]].append((base[m["name"]], change[m["name"]]))
     summaries = {m["name"]: summarize(pairs[m["name"]], m["better"],
-                                      m.get("bound"))
+                                      m.get("bound"), len(runs))
                  for m in metrics if pairs[m["name"]]}
     return summaries, flagged
 
@@ -161,14 +170,13 @@ def report(summaries: dict, flagged: list, claimable: set) -> str:
             ("  within bound" if s["within_bound"] else "  OUTSIDE BOUND")
         claim = ""
         if name in claimable:
-            claim = "  claim holds" if s["claim_holds"] and not flagged \
-                else "  claim fails"
+            claim = "  claim holds" if s["claim_holds"] else "  claim fails"
         lines.append(
             f"{name:34s} base {b['median']:.4f} [{b['q1']:.4f}, "
             f"{b['q3']:.4f}]  change {c['median']:.4f} [{c['q1']:.4f}, "
             f"{c['q3']:.4f}]  {s['relative']:+.1%}, better in "
-            f"{s['change_better_in']}/{s['pairs']}, gap {s['gap']:.4f} vs "
-            f"base IQR {b['iqr']:.4f}{bound}{claim}")
+            f"{s['change_better_in']}/{s['pairs_run']}, gap {s['gap']:.4f} "
+            f"vs base IQR {b['iqr']:.4f}{bound}{claim}")
     for seed, side, problems in flagged:
         lines.append(f"FLAGGED seed {seed} {side}: {'; '.join(problems)}")
     return "\n".join(lines)
@@ -219,7 +227,7 @@ def run_perfbench(directory: Path, workload: str, seed: int,
     return run
 
 
-def run_pairs(args, seeds) -> dict:
+def run_pairs(args, seeds, seconds: float) -> dict:
     runs = {}
     for i, seed in enumerate(seeds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -228,7 +236,7 @@ def run_pairs(args, seeds) -> dict:
             with tempfile.TemporaryDirectory(prefix=f"pairs-{side}-") as d:
                 fill(Path(d), args.base if side == "base" else args.change)
                 pair[side] = run_perfbench(Path(d), args.workload, seed,
-                                           args.seconds)
+                                           seconds)
         runs[str(seed)] = pair
         shown = {side: "; ".join(run_problems(pair[side])) or
                  f"{pair[side]['result']['metrics']['wall_s']['value']:.4f}"
@@ -254,8 +262,6 @@ def main(argv=None) -> int:
                    help="revision of the change (default: the working "
                         "tree's tracked files)")
     p.add_argument("--workload", required=True, choices=WORKLOADS)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seeds", required=True, help="A-B, one seed per pair")
     p.add_argument("--out", required=True, help="JSON file to write or update")
     args = p.parse_args(argv)
@@ -263,13 +269,12 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         p.error(str(exc))
-    if len(seeds) != args.pairs:
-        p.error(f"--seeds {args.seeds} gives {len(seeds)} seeds for "
-                f"{args.pairs} pairs")
     base, change = describe(args.base), describe(args.change)
+    bench = benchmark()
+    seconds = bench["run_seconds"]
 
-    runs = run_pairs(args, seeds)
-    metrics = end_to_end_metrics()
+    runs = run_pairs(args, seeds, seconds)
+    metrics = bench["end_to_end"]
     summaries, flagged = summarize_runs(runs, metrics + list(EXTRA_METRICS))
     print(report(summaries, flagged, {m["name"] for m in metrics}))
 
@@ -283,7 +288,7 @@ def main(argv=None) -> int:
                       "usable_cpus": len(os.sched_getaffinity(0))}
     doc.setdefault("workloads", {})[args.workload] = {
         "base": base, "change": change, "seeds": args.seeds,
-        "seconds": args.seconds, "summary": summaries,
+        "seconds": seconds, "summary": summaries,
         "flagged": [{"seed": s, "side": side, "problems": problems}
                     for s, side, problems in flagged],
         "runs": runs}
