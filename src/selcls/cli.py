@@ -164,7 +164,7 @@ def cmd_eval(args) -> int:
                                         f"dropped={int((~finite).sum())}")
         scores_to_csv(outdir / f"scores_{kind}.csv", scores, predicted,
                       test_ds.labels, header_comment=comment)
-    print(f"wrote {len(ev.mechanisms)} curve/histogram pairs to {outdir}")
+    print(f"wrote a curve, histogram and scores CSV per mechanism to {outdir}")
     return 0
 
 

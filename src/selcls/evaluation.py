@@ -1,11 +1,25 @@
-"""Selective metrics, risk-coverage curves, and score histograms."""
+"""Selective metrics, risk-coverage curves, and score histograms.
 
+One rule selects the samples of a coverage target c. tau is the k-th
+largest fitting score, k = ceil(c * n_fit). A point takes every
+evaluation score above tau, then those equal to tau (+0.0 and -0.0 alike)
+in ascending index order: all of them after a held-out fit (the pure
+rule score >= tau; coverage on fresh data may drift by O(1/sqrt(n))), and
+k minus the count above tau after a self-fit (exact top-k). Each split
+is sorted once per curve, values only, and counts come by binary search.
+
+-inf scores (degenerate samples) rank last. When fewer fitting scores are
+finite than k, tau is therefore -inf, and a held-out fit takes every
+sample of the evaluation split, degenerate ones included: the achieved
+coverage is 1.0 whatever the target. Nothing flags this yet.
+"""
+
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import apply_selector, exact_k_mask, fit_threshold
-from .errors import ConfigurationError, UndefinedRiskError
+from .errors import CalibrationError, ConfigurationError, UndefinedRiskError
 from .util import fmt, write_csv
 
 
@@ -26,6 +40,24 @@ class ScoreHistogram:
     counts_incorrect: np.ndarray
 
 
+def required_count(n: int, target_coverage: float) -> int:
+    """ceil(coverage * n), guarded against float fuzz like 0.07 * 100."""
+    if not 0 < target_coverage <= 1:
+        raise ConfigurationError("target coverage must lie in (0, 1]")
+    return max(1, math.ceil(target_coverage * n - 1e-9))
+
+
+def _check_scores(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ConfigurationError("scores must be a non-empty 1-d array")
+    # one comparison rejects both: NaN < inf and inf < inf are False
+    if not (scores < np.inf).all():
+        raise ConfigurationError(
+            "scores must be finite (-inf allowed for degenerate samples)")
+    return scores
+
+
 def risk_coverage_curve(scores, predicted, truth, grid,
                         calibration_scores=None) -> list:
     """One RiskCoveragePoint per target coverage in ``grid``, each in (0, 1].
@@ -35,28 +67,37 @@ def risk_coverage_curve(scores, predicted, truth, grid,
     Without it, the evaluation scores calibrate themselves with exact-k
     tie handling, which makes every point identical to top-k selection.
     Risk is 1 - (correct selected / selected), so at full coverage it is
-    bitwise equal to 1 - accuracy.
+    bitwise equal to 1 - accuracy. Raises CalibrationError when every
+    fitting score is -inf.
     """
     grid = [float(c) for c in grid]
     scores = np.asarray(scores, dtype=np.float64)
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
+    predicted, truth = np.asarray(predicted), np.asarray(truth)
     if not (predicted.shape == truth.shape == scores.shape):
         raise ConfigurationError("predictions, labels, and scores must align")
+    held_out = calibration_scores is not None
+    fit = np.sort(_check_scores(calibration_scores if held_out else scores))
+    if fit[-1] == -np.inf:
+        raise CalibrationError("all scores are -inf; nothing can be selected")
+    ranked = np.sort(_check_scores(scores)) if held_out else fit
     correct = predicted == truth
+    ranked_ok = np.sort(scores[correct])
     points = []
     for c in grid:
-        if calibration_scores is None:
-            mask = exact_k_mask(scores, c)
-        else:
-            mask = apply_selector(fit_threshold(calibration_scores, c), scores)
-        n_sel = np.count_nonzero(mask)
+        k = required_count(fit.size, c)
+        tau = fit[-k]
+        n_above = scores.size - int(np.searchsorted(ranked, tau, "right"))
+        ties = np.flatnonzero(scores == tau)
+        if not held_out:  # at least k lie at or above tau: ties fill the rest
+            ties = ties[:k - n_above]
+        n_sel = n_above + ties.size
         if n_sel == 0:
             raise UndefinedRiskError("no samples selected; risk is undefined")
+        n_ok = (ranked_ok.size - int(np.searchsorted(ranked_ok, tau, "right"))
+                + int(np.count_nonzero(correct[ties])))
         points.append(RiskCoveragePoint(
             target_coverage=c, achieved_coverage=n_sel / scores.size,
-            selective_risk=1.0 - np.count_nonzero(correct & mask) / n_sel,
-            n_selected=n_sel))
+            selective_risk=1.0 - n_ok / n_sel, n_selected=n_sel))
     return points
 
 

@@ -14,7 +14,7 @@ numerically safer, form). Samples whose abstain probability is exactly 1
 in floating point are flagged degenerate and scored -inf, so a finite
 threshold never selects them. A threshold of -inf selects them all the
 same; calibration fits one when fewer held-out scores are finite than the
-target coverage needs (see ``calibration``).
+target coverage needs (see ``evaluation``).
 """
 
 from dataclasses import dataclass

@@ -1,16 +1,15 @@
+"""The selection rule of ``risk_coverage_curve``: tau fitted on held-out
+scores and thresholded purely, or fitted on the evaluation scores
+themselves with exact-k tie handling. A point reports counts, not its
+accept mask, so the tests read tau and the masks back through counts."""
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selcls.calibration import (
-    apply_selector,
-    exact_k_mask,
-    fit_threshold,
-    required_count,
-)
 from selcls.errors import CalibrationError, ConfigurationError, UndefinedRiskError
-from selcls.evaluation import RiskCoveragePoint, risk_coverage_curve
+from selcls.evaluation import RiskCoveragePoint, required_count, risk_coverage_curve
 
 from conftest import selective_risk
 
@@ -20,6 +19,31 @@ def brute_force_tau(scores, k):
     with #{score >= t} >= k."""
     feasible = [t for t in scores if np.sum(scores >= t) >= k]
     return max(feasible)
+
+
+def n_selected(scores, grid, calibration_scores=None):
+    """n_selected of every grid point. With the scores themselves as the
+    calibration scores, this is #{score >= tau}, which tells apart any two
+    score values as tau: the lower one also counts itself."""
+    zeros = np.zeros(np.shape(scores), dtype=int)
+    return [p.n_selected for p in risk_coverage_curve(
+        scores, zeros, zeros, grid, calibration_scores=calibration_scores)]
+
+
+def selected(scores, grid, calibration_scores=None):
+    """The accept mask of every grid point, one row each. With sample i
+    alone predicted correctly, a point's risk is below 1 exactly when it
+    selects i."""
+    scores = np.asarray(scores, dtype=np.float64)
+    masks = np.zeros((len(grid), scores.size), dtype=bool)
+    truth = np.zeros(scores.size, dtype=int)
+    for i in range(scores.size):
+        predicted = np.ones(scores.size, dtype=int)
+        predicted[i] = 0
+        points = risk_coverage_curve(scores, predicted, truth, grid,
+                                     calibration_scores=calibration_scores)
+        masks[:, i] = [p.selective_risk < 1.0 for p in points]
+    return masks
 
 
 def random_multiset(rng, allow_minus_inf=True):
@@ -49,66 +73,79 @@ class TestRequiredCount:
         assert required_count(7, 0.01) == 1
 
     def test_float_fuzz(self):
-        # 0.1 * 30 is 3.0000000000000004 in floating point
+        # 0.07 * 100 is 7.000000000000001 in floating point
+        assert required_count(100, 0.07) == 7
+        assert required_count(100, 0.28) == 28
         assert required_count(30, 0.1) == 3
         assert required_count(10, 0.3) == 3
         assert required_count(10, 0.7) == 7
 
 
+# one tenth to one, exactly the decimals 0.1 ... 1.0
+TENTHS = np.arange(1, 11) / 10
+
+
 class TestFitThreshold:
+    """tau is the k-th largest fitting score."""
+
     def test_distinct_scores_example(self):
-        scores = np.arange(0.1, 1.05, 0.1)
-        tau = fit_threshold(scores, 0.5)
-        assert abs(tau - 0.6) < 1e-12
-        mask = exact_k_mask(scores, 0.5)
-        assert mask.sum() == 5
+        # fitted on TENTHS, tau is 0.6: of fresh scores it takes 0.6 and
+        # above
+        assert n_selected([0.59, 0.6, 0.61], [0.5],
+                          calibration_scores=TENTHS) == [2]
+        assert n_selected(TENTHS, [0.5]) == [5]
 
     def test_full_coverage_selects_all(self):
         scores = np.array([3.0, -1.0, 2.0])
-        tau = fit_threshold(scores, 1.0)
-        assert tau == -1.0
-        assert apply_selector(tau, scores).all()
+        # tau is the smallest score, -1.0
+        assert selected(scores, [1.0], calibration_scores=scores).all()
+        assert n_selected([-1.0, -1.5], [1.0],
+                          calibration_scores=scores) == [1]
 
     def test_all_ties_lowest_ids_win(self):
         scores = np.full(10, 0.5)
-        tau = fit_threshold(scores, 0.4)
-        assert tau == 0.5
-        mask = exact_k_mask(scores, 0.4)
-        assert mask.sum() == 4
+        # tau is 0.5, so a held-out fit takes every tie ...
+        assert n_selected(scores, [0.4], calibration_scores=scores) == [10]
+        # ... and a self-fit the four lowest indices
+        [mask] = selected(scores, [0.4])
         assert np.array_equal(np.flatnonzero(mask), [0, 1, 2, 3])
 
     def test_all_minus_inf_fails(self):
         with pytest.raises(CalibrationError):
-            fit_threshold(np.full(5, -np.inf), 0.5)
+            n_selected(np.full(5, -np.inf), [0.5])
         with pytest.raises(CalibrationError):
-            exact_k_mask(np.full(5, -np.inf), 0.5)
+            n_selected(np.ones(5), [0.5], calibration_scores=np.full(5, -np.inf))
 
     def test_nan_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_threshold(np.array([1.0, np.nan]), 0.5)
+        bad = np.array([1.0, np.nan])
+        for scores, cal in ((bad, None), (bad, np.ones(2)), (np.ones(2), bad)):
+            with pytest.raises(ConfigurationError):
+                n_selected(scores, [0.5], calibration_scores=cal)
 
     def test_plus_inf_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_threshold(np.array([1.0, np.inf]), 0.5)
-        with pytest.raises(ConfigurationError):
-            apply_selector(0.0, np.array([np.inf, -np.inf]))
-        with pytest.raises(ConfigurationError):
-            exact_k_mask(np.array([np.inf, -np.inf]), 0.5)
+        bad = np.array([np.inf, -np.inf])
+        for scores, cal in ((bad, None), (bad, np.ones(2)), (np.ones(2), bad)):
+            with pytest.raises(ConfigurationError):
+                n_selected(scores, [0.5], calibration_scores=cal)
 
     def test_coverage_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            fit_threshold(np.array([1.0]), 0.0)
-        with pytest.raises(ConfigurationError):
-            fit_threshold(np.array([1.0]), 1.5)
+        for c in (0.0, 1.5):
+            for cal in (None, np.array([1.0])):
+                with pytest.raises(ConfigurationError):
+                    n_selected(np.array([1.0]), [c], calibration_scores=cal)
 
 
 class TestApplySelector:
+    """A held-out tau thresholds the evaluation scores: score >= tau."""
+
     def test_boundary_inclusive(self):
-        mask = apply_selector(0.6, np.array([0.59, 0.60, 0.61]))
+        [mask] = selected([0.59, 0.60, 0.61], [1.0], calibration_scores=[0.6])
         assert np.array_equal(mask, [False, True, True])
 
     def test_minus_inf_tau_selects_all(self):
-        mask = apply_selector(-np.inf, np.array([-np.inf, 0.0, 5.0]))
+        # 1 finite calibration score of 3 needed: tau is -inf
+        cal = np.array([1.0, -np.inf, -np.inf])
+        [mask] = selected([-np.inf, 0.0, 5.0], [1.0], calibration_scores=cal)
         assert mask.all()
 
     def test_fresh_data_coverage_near_target(self):
@@ -116,27 +153,29 @@ class TestApplySelector:
         rng = np.random.default_rng(99)
         cal = rng.normal(size=10_000)
         test = rng.normal(size=10_000)
-        tau = fit_threshold(cal, 0.5)
-        cov = apply_selector(tau, test).mean()
-        assert abs(cov - 0.5) < 0.02
+        [cov] = n_selected(test, [0.5], calibration_scores=cal)
+        assert abs(cov / 10_000 - 0.5) < 0.02
 
 
 class TestAchievedCoverage:
     def test_all_ones(self):
         scores = np.array([0.3, -np.inf, 0.3, 2.0, 0.0, -0.0, 1.0])
-        mask = apply_selector(fit_threshold(scores, 1.0), scores)
-        assert mask.mean() == 1.0
+        for cal in (None, scores):
+            [point] = risk_coverage_curve(scores, np.zeros(7), np.zeros(7),
+                                          [1.0], calibration_scores=cal)
+            assert point.achieved_coverage == 1.0
 
     def test_half(self):
         scores = np.array([0.9, 0.1, 0.9, 0.1])
-        mask = apply_selector(fit_threshold(scores, 0.5), scores)
-        assert mask.sum() == 2
-        assert mask.mean() == 0.5
+        [point] = risk_coverage_curve(scores, np.zeros(4), np.zeros(4), [0.5],
+                                      calibration_scores=scores)
+        assert point.n_selected == 2
+        assert point.achieved_coverage == 0.5
 
     def test_fit_then_coverage_exact(self):
-        scores = np.arange(0.1, 1.05, 0.1)
-        mask = exact_k_mask(scores, 0.5)
-        assert mask.mean() == 0.5
+        [point] = risk_coverage_curve(TENTHS, np.zeros(10), np.zeros(10),
+                                      [0.5])
+        assert point.achieved_coverage == 0.5
 
 
 COVERAGE_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -149,20 +188,19 @@ class TestExactnessProperty:
             scores = random_multiset(rng)
             if not np.any(np.isfinite(scores)):
                 continue
-            for c in COVERAGE_GRID:
-                mask = exact_k_mask(scores, c)
-                assert mask.sum() == required_count(len(scores), c)
+            assert n_selected(scores, COVERAGE_GRID) == [
+                required_count(len(scores), c) for c in COVERAGE_GRID]
 
     def test_tau_matches_brute_force(self):
         rng = np.random.default_rng(77)
+        grid = [0.2, 0.5, 0.9, 1.0]
         for _ in range(100):
             scores = random_multiset(rng)
             if not np.any(np.isfinite(scores)):
                 continue
-            for c in (0.2, 0.5, 0.9, 1.0):
-                tau = fit_threshold(scores, c)
-                k = required_count(len(scores), c)
-                assert tau == brute_force_tau(scores, k)
+            want = [np.sum(scores >= brute_force_tau(
+                scores, required_count(len(scores), c))) for c in grid]
+            assert n_selected(scores, grid, calibration_scores=scores) == want
 
     def test_nested_selection_and_monotone_tau(self):
         rng = np.random.default_rng(4242)
@@ -170,15 +208,13 @@ class TestExactnessProperty:
             scores = random_multiset(rng)
             if not np.any(np.isfinite(scores)):
                 continue
-            prev_mask = None
-            prev_tau = None
-            for c in COVERAGE_GRID:  # ascending coverage
-                tau = fit_threshold(scores, c)
-                mask = exact_k_mask(scores, c)
-                if prev_mask is not None:
-                    assert np.all(mask[prev_mask])  # previous set contained
-                    assert tau <= prev_tau
-                prev_mask, prev_tau = mask, tau
+            # rows in ascending coverage: each set contains the one before
+            for cal in (None, scores):
+                masks = selected(scores, COVERAGE_GRID, calibration_scores=cal)
+                assert np.all(masks[1:] >= masks[:-1])
+            # a lower tau counts more scores at or above it
+            counts = n_selected(scores, COVERAGE_GRID, calibration_scores=scores)
+            assert counts == sorted(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +301,10 @@ class TestTieRuleProperty:
         c = k / scores.size
         if np.all(scores == -np.inf):
             with pytest.raises(CalibrationError):
-                fit_threshold(scores, c)
+                n_selected(scores, [c], calibration_scores=scores)
             return
-        assert fit_threshold(scores, c) == reference_tau(scores, k)
+        assert n_selected(scores, [c], calibration_scores=scores) == [
+            np.sum(scores >= reference_tau(scores, k))]
 
     @TIE_SETTINGS
     @with_examples
@@ -277,10 +314,10 @@ class TestTieRuleProperty:
         c = k / scores.size
         if np.all(scores == -np.inf):
             with pytest.raises(CalibrationError):
-                exact_k_mask(scores, c)
+                selected(scores, [c])
             return
-        assert np.array_equal(exact_k_mask(scores, c),
-                              reference_top_k(scores, k))
+        [mask] = selected(scores, [c])
+        assert np.array_equal(mask, reference_top_k(scores, k))
 
     @TIE_SETTINGS
     @given(scores=tied_scores, calibration=tied_scores,
@@ -292,8 +329,11 @@ class TestTieRuleProperty:
         predicted = rng.integers(0, 3, size=scores.size)
         truth = rng.integers(0, 3, size=scores.size)
         for cal in (None, calibration):
-            got = outcome(lambda: risk_coverage_curve(
-                scores, predicted, truth, grid, calibration_scores=cal))
-            want = outcome(lambda: reference_curve(
-                scores, predicted, truth, grid, calibration_scores=cal))
-            assert got == want
+            # and every count k of the fitting split, as k / n
+            n_fit = (scores if cal is None else cal).size
+            for g in (grid, [k / n_fit for k in range(1, n_fit + 1)]):
+                got = outcome(lambda: risk_coverage_curve(
+                    scores, predicted, truth, g, calibration_scores=cal))
+                want = outcome(lambda: reference_curve(
+                    scores, predicted, truth, g, calibration_scores=cal))
+                assert got == want

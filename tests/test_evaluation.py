@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from selcls.calibration import fit_threshold, required_count
 from selcls.errors import ConfigurationError, UndefinedRiskError
 from selcls.evaluation import (
     RiskCoveragePoint,
@@ -11,6 +10,7 @@ from selcls.evaluation import (
     curve_to_csv,
     histogram_to_csv,
     mean_sd,
+    required_count,
     risk_coverage_curve,
     score_histogram,
 )
@@ -174,7 +174,6 @@ class TestRiskCoverageCurve:
         pred, truth = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0])
         points = risk_coverage_curve(scores, pred, truth, [0.5, 0.3],
                                      calibration_scores=cal)
-        assert fit_threshold(cal, 0.5) == -np.inf
         assert points[0].achieved_coverage == 1.0
         assert points[0].n_selected == 4
         assert points[0].selective_risk == 0.25
