@@ -26,14 +26,7 @@ from .errors import ConfigurationError, NumericFault, SelclsError
 from .evaluation import curve_to_csv, histogram_to_csv, mean_sd, risk_coverage_curve, score_histogram
 from .gradcheck import TOLERANCE, run_suite
 from .nn import build_network, load_checkpoint, network_outputs, save_checkpoint
-from .selection import (
-    ProbOutput,
-    SelectionMechanism,
-    mechanism_compatible,
-    predict_classes,
-    score_batch,
-    scores_to_csv,
-)
+from .selection import mechanism_compatible, predict_classes, score_outputs, scores_to_csv
 from .training import train
 from .util import atomic_write, fmt, write_csv
 
@@ -60,12 +53,9 @@ def build_splits(cfg: RunConfig, seed: int | None = None):
     return train_ds, val_ds, test_ds, spec.n_classes
 
 
-def model_outputs(net, dataset) -> ProbOutput:
-    return ProbOutput.from_heads(net, network_outputs(net, dataset.features))
-
-
-def write_manifest(outdir: Path, payload: dict) -> None:
-    with atomic_write(outdir / "manifest.json") as f:
+def write_json(path: Path, payload: dict) -> None:
+    """Write a JSON artifact atomically, indented, with sorted keys."""
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
@@ -91,12 +81,11 @@ def cmd_train(args) -> int:
     record = {"hash": h, "config": cfg.normalized(), "splits": {
         name: {"n": len(ds), "fingerprint": ds.fingerprint}
         for name, ds in zip(SPLITS, splits)}}
-    with atomic_write(outdir / "run_config.json") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
+    write_json(outdir / "run_config.json", record)
     ckpt = outdir / "checkpoint.json"
     run_cell(cfg, cfg.objective, cfg.training.seed, splits, ckpt,
              outdir / "train_report.csv", h)
-    write_manifest(outdir, {
+    write_json(outdir / "manifest.json", {
         "config_hash": h, "status": "ok",
         "artifacts": ["run_config.json", "checkpoint.json",
                       "train_report.csv"]})
@@ -114,18 +103,15 @@ def evaluate_mechanisms(net, val_ds, test_ds, mechanisms, coverages,
     With ``calibration_split`` "val" each threshold is fitted on the val
     scores; with "test" the test scores calibrate themselves.
     """
-    test_out = model_outputs(net, test_ds)
-    val_out = model_outputs(net, val_ds) if calibration_split == "val" else None
-    predicted = predict_classes(test_out)
-    results = {}
-    for kind in mechanisms:
-        mech = SelectionMechanism(kind)
-        scores = score_batch(mech, test_out)
-        calibration_scores = None if val_out is None \
-            else score_batch(mech, val_out)
-        results[kind] = (scores, risk_coverage_curve(
-            scores, predicted, test_ds.labels, coverages,
-            calibration_scores=calibration_scores))
+    test_raw = network_outputs(net, test_ds.features)
+    predicted = predict_classes(test_raw["logits"], net.n_classes)
+    test_scores = score_outputs(net, test_raw, mechanisms)
+    val_scores = {} if calibration_split != "val" else score_outputs(
+        net, network_outputs(net, val_ds.features), mechanisms)
+    results = {kind: (scores, risk_coverage_curve(
+        scores, predicted, test_ds.labels, coverages,
+        calibration_scores=val_scores.get(kind)))
+        for kind, scores in test_scores.items()}
     return predicted, results
 
 
@@ -365,8 +351,8 @@ def cmd_grid(args) -> int:
                     len(risks)]
                    for (method, kind, c), risks in sorted(rows.items())),
                   f"config={h}")
-        write_manifest(outdir, {"config_hash": h, "cells": cells,
-                                "results": "results.csv"})
+        write_json(outdir / "manifest.json",
+                   {"config_hash": h, "cells": cells, "results": "results.csv"})
     n_failed = sum(1 for c in cells if c["status"] != "ok")
     print(f"grid: {len(cells)} cells trained, {n_failed} failed; results "
           f"at {results_path}")

@@ -21,10 +21,11 @@ import numpy as np
 
 from .datasets import MixtureSpec, blobs8
 from .errors import ConfigurationError, ParseError
+from .nn import parameter_count
 from .objectives import OBJECTIVE_KINDS, ObjectiveConfig
-from .selection import MECHANISM_KINDS
+from .selection import MECHANISM_KINDS, mechanism_compatible
 from .training import TrainConfig
-from .util import config_hash, derive_seed
+from .util import MAX_ARRAY_BYTES, config_hash, derive_seed
 
 DEFAULT_COVERAGE_GRID = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
 
@@ -208,6 +209,12 @@ class GridConfig:
         if any(not 0 < c <= 1 for c in self.coverages):
             raise ConfigurationError("grid.coverages must lie in (0, 1]")
         _check_list("grid.seeds", self.seeds)
+        for method in self.methods:
+            head = ObjectiveConfig(kind=method).required_head()
+            if not any(mechanism_compatible(k, head) for k in self.mechanisms):
+                raise ConfigurationError(
+                    f"grid.mechanisms lists no mechanism that method "
+                    f"{method!r} supports; its head is {head!r}")
 
 
 @dataclass
@@ -246,8 +253,18 @@ class RunConfig:
                         cfg.grid):
             if section is not None:
                 section.validate()
-        cfg.objective.validate(
-            cfg.dataset.mixture_spec(cfg.training.seed).n_classes)
+        spec = cfg.dataset.mixture_spec(cfg.training.seed)
+        cfg.objective.validate(spec.n_classes)
+        methods = cfg.grid.methods if cfg.grid is not None else []
+        n_params = max(parameter_count(
+            spec.dim, cfg.model.hidden_dims, spec.n_classes,
+            ObjectiveConfig(kind=kind).required_head())
+            for kind in (cfg.objective.kind, *methods))
+        if 8 * n_params > MAX_ARRAY_BYTES:
+            raise ConfigurationError(
+                f"model.hidden_dims {json.dumps(cfg.model.hidden_dims)} make "
+                f"a network of {n_params} float64 parameters, more than one "
+                "numpy array holds")
         return cfg
 
     def normalized(self) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .util import rng_for, sha256_hex
+from .util import MAX_ARRAY_BYTES, rng_for, sha256_hex
 
 
 @dataclass
@@ -63,9 +63,14 @@ class MixtureSpec:
         if not 0 <= self.label_noise < 0.5:
             raise ConfigurationError(
                 "dataset.label_noise must lie in [0, 0.5)")
+        most = MAX_ARRAY_BYTES // (8 * self.dim)
         for name in ("n_train", "n_val", "n_test"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"dataset.{name} must be >= 1")
+            if getattr(self, name) > most:
+                raise ConfigurationError(
+                    f"dataset.{name} must be at most {most}, the most rows "
+                    f"of {self.dim} float64 features one numpy array holds")
 
 
 def blobs8(seed: int = 0) -> MixtureSpec:

@@ -127,6 +127,11 @@ def _layer_shapes(input_dim, hidden_dims, n_classes, head):
     return shapes, sum(rows * cols + rows for rows, cols in shapes)
 
 
+def parameter_count(input_dim, hidden_dims, n_classes, head) -> int:
+    """The parameters of an architecture; nothing is allocated."""
+    return _layer_shapes(input_dim, hidden_dims, n_classes, head)[1]
+
+
 def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
     """A network of the given architecture with every parameter 0."""
     shapes, n_params = _layer_shapes(input_dim, hidden_dims, n_classes, head)
@@ -490,7 +495,7 @@ def load_checkpoint(path):
     arch = (doc["input_dim"], tuple(doc["hidden_dims"]), doc["n_classes"],
             doc["head"])
     try:
-        _, n_params = _layer_shapes(*arch)
+        n_params = parameter_count(*arch)
     except ConfigurationError as exc:
         raise ConfigurationError(f"checkpoint {path}: {exc}") from exc
     try:

@@ -17,8 +17,7 @@ same; calibration fits one when fewer held-out scores are finite than the
 target coverage needs (see ``evaluation``).
 """
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,75 +33,47 @@ MECHANISM_HEADS = {
 MECHANISM_KINDS = tuple(MECHANISM_HEADS)
 
 
-@dataclass(frozen=True)
-class SelectionMechanism:
-    """One of the scoring rules in ``MECHANISM_KINDS``."""
+def predict_classes(logits, n_classes: int) -> np.ndarray:
+    """The prediction rule of every command: the argmax of the C class
+    logits, never the abstain entry."""
+    return logits[:, :n_classes].argmax(axis=1)
 
-    kind: str
 
-    def __post_init__(self):
-        if self.kind not in MECHANISM_KINDS:
+def score_outputs(net, head_raw: dict, kinds) -> dict:
+    """{kind: one selectability score per sample} for each mechanism in
+    ``kinds``, from the raw head outputs of ``net`` that
+    ``nn.network_outputs`` returns; sample order preserved.
+
+    The softmax is taken once. The C-way class distribution and the
+    degenerate mask are computed only for softmax response or negative
+    entropy, and then once for both. Abstain heads renormalize by
+    re-softmaxing the first C raw logits, which equals dividing the
+    probabilities by (1 - p_abstain) but cannot lose precision when the
+    abstain mass dominates.
+    """
+    logits = head_raw["logits"]
+    probs = stable_softmax(logits)
+    if {"softmax_response", "negative_entropy"}.intersection(kinds):
+        if net.head == HEAD_ABSTAIN:
+            q = stable_softmax(logits[:, :net.n_classes])
+            degenerate = probs[:, -1] >= 1.0
+        else:
+            q, degenerate = probs, np.zeros(len(probs), dtype=bool)
+    scores = {}
+    for kind in kinds:
+        if not mechanism_compatible(kind, net.head):
             raise ConfigurationError(
-                f"unknown selection mechanism {self.kind!r}")
-
-
-@dataclass
-class ProbOutput:
-    """Prediction-head softmax plus retained raw logits for one batch."""
-
-    logits: np.ndarray            # (m, C) or (m, C+1)
-    probs: np.ndarray             # softmax(logits), same shape
-    n_classes: int
-    head: str                     # the network's head layout
-    g_sel: np.ndarray | None = None
-
-    @cached_property
-    def class_probabilities(self):
-        """C-way class distribution for scoring, plus the degenerate mask,
-        computed once per output.
-
-        Abstain heads renormalize by re-softmaxing the first C raw logits,
-        which equals dividing the probabilities by (1 - p_abstain) but
-        cannot lose precision when the abstain mass dominates.
-        """
-        if self.head != HEAD_ABSTAIN:
-            return self.probs, np.zeros(len(self.probs), dtype=bool)
-        return (stable_softmax(self.logits[:, :self.n_classes]),
-                self.probs[:, -1] >= 1.0)
-
-    @classmethod
-    def from_heads(cls, net, head_raw: dict):
-        """From raw head outputs, such as ``nn.network_outputs`` returns."""
-        logits, select = head_raw["logits"], head_raw.get("select")
-        return cls(logits=logits, probs=stable_softmax(logits),
-                   n_classes=net.n_classes, head=net.head,
-                   g_sel=None if select is None else sigmoid(select[:, 0]))
-
-
-def predict_classes(output: ProbOutput) -> np.ndarray:
-    """Argmax of the C class logits, as in training; never the abstain."""
-    return np.argmax(output.logits[:, :output.n_classes], axis=1)
-
-
-def score_batch(mechanism: SelectionMechanism, output: ProbOutput) -> np.ndarray:
-    """One selectability score per sample; sample order preserved."""
-    kind = mechanism.kind
-    if not mechanism_compatible(kind, output.head):
-        raise ConfigurationError(
-            f"mechanism {kind!r} is incompatible with a {output.head!r} head")
-    if kind == "softmax_response":
-        q, degenerate = output.class_probabilities
-        scores = q.max(axis=1)
-    elif kind == "negative_entropy":
-        q, degenerate = output.class_probabilities
-        # sum of q log q, taken as 0 where q is 0
-        scores = np.where(q > 0, q * np.log(np.clip(q, 1e-300, None)),
-                          0.0).sum(axis=1)
-    elif kind == "abstention_logit":
-        return 1.0 - output.probs[:, -1]
-    else:  # selection_head
-        return output.g_sel
-    scores[degenerate] = -np.inf
+                f"mechanism {kind!r} is incompatible with a {net.head!r} head")
+        if kind == "abstention_logit":
+            scores[kind] = 1.0 - probs[:, -1]
+        elif kind == "selection_head":
+            scores[kind] = sigmoid(head_raw["select"][:, 0])
+        else:
+            # negative entropy: the sum of q log q, taken as 0 where q is 0
+            s = q.max(axis=1) if kind == "softmax_response" else np.where(
+                q > 0, q * np.log(np.clip(q, 1e-300, None)), 0.0).sum(axis=1)
+            s[degenerate] = -np.inf
+            scores[kind] = s
     return scores
 
 

@@ -30,6 +30,7 @@ from .objectives import (
     predictive_entropy,
     sat_update_targets,
 )
+from .selection import predict_classes
 from .util import fmt, rng_for, write_csv
 
 DIVERGENCE_LIMIT = 1e6
@@ -121,8 +122,7 @@ def sgd_momentum_step(params, grads, velocity, lr, momentum, weight_decay,
 def _evaluate(net: Network, X, y):
     """Accuracy over the C real classes and mean full-softmax entropy."""
     logits = network_outputs(net, X)["logits"]
-    pred = np.argmax(logits[:, :net.n_classes], axis=1)
-    acc = float(np.mean(pred == y))
+    acc = float(np.mean(predict_classes(logits, net.n_classes) == y))
     return acc, float(predictive_entropy(logits).mean())
 
 
@@ -185,7 +185,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
                 sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)
             loss_sum += result.loss * ids.size
-            pred[rows] = (trace.head_raw["logits"][:, :C].argmax(axis=1)
+            pred[rows] = (predict_classes(trace.head_raw["logits"], C)
                           if abstain else result.argmax)
         n_correct = np.count_nonzero(pred == yp)
         val_acc, entropy = _evaluate(net, val_data.features, val_data.labels)

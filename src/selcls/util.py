@@ -9,6 +9,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+# the most bytes one numpy array can hold
+MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 def derive_seed(root_seed: int, label: str) -> int:
     """Derive a labeled 63-bit sub-seed from a root seed.

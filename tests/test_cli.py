@@ -272,21 +272,45 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: JSON nested too deeply\n")
 
-    @pytest.mark.parametrize("command", ["train", "grid"])
-    def test_network_too_large_to_allocate_exits_2(self, tmp_path, capsys,
-                                                   two_cpus, command):
-        # 10**16 parameters, 71 PiB: more than the address space holds, so
-        # the allocation fails at once. The grid has two cells, so under
-        # two_cpus each fails in a worker process.
-        cfg_path, _ = base_config(
-            tmp_path, model={"hidden_dims": [10 ** 8, 10 ** 8]},
-            grid={"methods": ["CE"], "mechanisms": ["softmax_response"],
-                  "coverages": [0.5], "seeds": [0, 1]})
+    # sizes that no numpy array can hold, which numpy would refuse with a
+    # ValueError or an OverflowError, not a MemoryError
+    TOO_LARGE_FOR_NUMPY = [
+        ("dataset", "n_train", 2 ** 60), ("dataset", "n_train", 2 ** 63),
+        ("dataset", "n_val", 2 ** 64), ("dataset", "n_test", 10 ** 19),
+        ("model", "hidden_dims", [2 ** 31, 2 ** 31]),
+        ("model", "hidden_dims", [2 ** 62]),
+    ]
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train", "model", "hidden_dims", [10 ** 8, 10 ** 8]),
+        ("grid", "model", "hidden_dims", [10 ** 8, 10 ** 8]),
+        *[(command, *case) for case in TOO_LARGE_FOR_NUMPY
+          for command in ("train", "grid")],
+    ], ids=["train", "grid", *[f"{command}-{key}={value}".replace(" ", "")
+                               for _, key, value in TOO_LARGE_FOR_NUMPY
+                               for command in ("train", "grid")]])
+    def test_network_too_large_to_allocate_exits_2(
+            self, tmp_path, capsys, two_cpus, command, section, key, value):
+        # [10**8, 10**8] makes 10**16 parameters, 71 PiB: more than the
+        # address space holds, so the allocation fails at once. The grid
+        # has two cells, so under two_cpus each fails in a worker process.
+        # Larger sizes are refused at config load, naming the key, before
+        # the grid starts a cell or makes its output directory.
+        cfg_path, doc = base_config(
+            tmp_path, grid={"methods": ["CE"],
+                            "mechanisms": ["softmax_response"],
+                            "coverages": [0.5], "seeds": [0, 1]})
+        doc[section][key] = value
+        cfg_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main([command, "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "allocate" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        if value == [10 ** 8, 10 ** 8]:
+            assert err.startswith("error: ") and "allocate" in err
+        else:
+            assert err.startswith(f"error: {cfg_path}: {section}.{key} ")
+            assert not Path(doc["output_dir"]).exists()
 
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_non_utf8_config_exits_2_naming_byte(self, tmp_path, capsys,
@@ -920,6 +944,23 @@ class TestGridCommand:
         cfg_path.write_text(json.dumps(doc))
         assert main(["grid", "-c", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+        assert not Path(doc["output_dir"]).exists()
+
+    @pytest.mark.parametrize("methods, mechanisms, method, head", [
+        (["CE", "DG"], ["selection_head"], "CE", "plain"),
+        (["SelectiveNet", "SAT+EM"], ["selection_head"], "SAT+EM", "abstain"),
+        (["DG"], ["selection_head"], "DG", "abstain"),
+        (["CE+EM"], ["abstention_logit"], "CE+EM", "plain"),
+    ])
+    def test_method_without_a_grid_mechanism_exits_2(
+            self, tmp_path, capsys, methods, mechanisms, method, head):
+        # such a method's cells would train and add no results row
+        cfg_path, doc = self.grid_config(tmp_path, methods=methods,
+                                         mechanisms=mechanisms)
+        assert main(["grid", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: grid.mechanisms lists no mechanism that "
+            f"method {method!r} supports; its head is {head!r}\n")
         assert not Path(doc["output_dir"]).exists()
 
     def test_failed_cell_nonzero_exit(self, tmp_path):

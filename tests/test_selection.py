@@ -1,5 +1,6 @@
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,19 +13,23 @@ from selcls.errors import ConfigurationError
 from selcls.nn import network_forward, network_outputs, sigmoid, stable_softmax
 from selcls.selection import (
     MECHANISM_KINDS,
-    ProbOutput,
-    SelectionMechanism,
     mechanism_compatible,
     predict_classes,
-    score_batch,
+    score_outputs,
     scores_to_csv,
 )
 
 from conftest import random_batch, random_net
 
 
-def output_from(net, X):
-    return ProbOutput.from_heads(net, network_outputs(net, X))
+def scores_from(net, X, kind):
+    """One mechanism's scores of the rows ``X`` under ``net``."""
+    return score_outputs(net, network_outputs(net, X), [kind])[kind]
+
+
+def head_of(head, n_classes):
+    """What ``score_outputs`` reads of a network: its head and class count."""
+    return SimpleNamespace(head=head, n_classes=n_classes)
 
 
 @st.composite
@@ -40,23 +45,21 @@ def logits_and_row_shifts(draw):
     return logits, shifts, n_classes, has_abstain
 
 
-def scores_of(kind, probs, head="plain", g_sel=None):
-    """score_batch of one mechanism on rows of given probabilities; the
-    logits are their logs, so the two agree."""
+def scores_of(kind, probs, head="plain"):
+    """One mechanism's scores of rows of given probabilities; the logits
+    are their logs, so that their softmax gives the probabilities back."""
     probs = np.asarray(probs, dtype=np.float64)
     logits = np.log(np.clip(probs, 1e-300, None))
     n_classes = probs.shape[1] - (head == "abstain")
-    out = ProbOutput(logits=logits, probs=probs, n_classes=n_classes,
-                     head=head, g_sel=g_sel)
-    return score_batch(SelectionMechanism(kind), out)
+    return score_outputs(head_of(head, n_classes), {"logits": logits},
+                         [kind])[kind]
 
 
 class TestScoreFunctions:
     def test_softmax_response(self):
         logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        out = ProbOutput(logits=logits, probs=stable_softmax(logits),
-                         n_classes=3, head="plain")
-        sr = score_batch(SelectionMechanism("softmax_response"), out)
+        sr = score_outputs(head_of("plain", 3), {"logits": logits},
+                           ["softmax_response"])["softmax_response"]
         assert abs(sr[0] - 0.66524095577482189) < 1e-15
         assert abs(sr[1] - 1 / 3) < 1e-15
 
@@ -78,20 +81,25 @@ class TestScoreFunctions:
         assert abs(scores[2] - 0.9) < 1e-15
 
     def test_selection_head_identity(self):
-        # 0.93 is a realistic fitted threshold for a selection head
+        # 0.93 is a realistic fitted threshold for a selection head; the
+        # select logits are the logits of these selection values
         eps = 1e-9
-        g_sel = np.array([0.93, 0.5, 1 - eps])
-        scores = scores_of("selection_head", [[0.5, 0.5]] * 3,
-                           head="selectivenet", g_sel=g_sel)
-        assert scores.tolist() == [0.93, 0.5, 1 - eps]
+        g = np.array([0.93, 0.5, 1 - eps])
+        select = np.log(g / (1 - g))[:, None]
+        scores = score_outputs(
+            head_of("selectivenet", 2),
+            {"logits": np.zeros((3, 2)), "select": select},
+            ["selection_head"])["selection_head"]
+        assert np.array_equal(scores, sigmoid(select[:, 0]))
+        assert scores[:2].tolist() == [0.93, 0.5]
+        assert abs(scores[2] - (1 - eps)) < 1e-15
 
 
 class TestScoreBatch:
     def test_identical_samples_identical_scores(self, rng):
         net = random_net(rng, head="plain", n_classes=3)
         x = rng.normal(size=(1, net.input_dim))
-        out = output_from(net, np.repeat(x, 5, axis=0))
-        scores = score_batch(SelectionMechanism("softmax_response"), out)
+        scores = scores_from(net, np.repeat(x, 5, axis=0), "softmax_response")
         assert np.all(scores == scores[0])
 
     def test_binary_sr_and_entropy_rank_identically(self, rng):
@@ -100,11 +108,11 @@ class TestScoreBatch:
             net = random_net(rng, head="plain", n_classes=2,
                              seed=int(rng.integers(0, 1 << 30)))
             X, _ = random_batch(rng, net, m=16)
-            out = output_from(net, X)
-            sr = score_batch(SelectionMechanism("softmax_response"), out)
-            ne = score_batch(SelectionMechanism("negative_entropy"), out)
-            assert np.array_equal(np.argsort(sr, kind="stable"),
-                                  np.argsort(ne, kind="stable"))
+            scores = score_outputs(net, network_outputs(net, X),
+                                   ["softmax_response", "negative_entropy"])
+            assert np.array_equal(
+                np.argsort(scores["softmax_response"], kind="stable"),
+                np.argsort(scores["negative_entropy"], kind="stable"))
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -112,84 +120,73 @@ class TestScoreBatch:
     def test_scores_invariant_under_per_row_logit_shift(self, case):
         logits, shifts, n_classes, has_abstain = case
         head = "abstain" if has_abstain else "plain"
-        outs = [ProbOutput(logits=z, probs=stable_softmax(z),
-                           n_classes=n_classes, head=head)
-                for z in (logits, logits + shifts)]
+        shifted = (logits, logits + shifts)
         # a row whose abstain mass rounds to 1.0 scores -inf, and a shift
         # may move it across that edge
-        assume(not any(out.head == "abstain"
-                       and np.any(out.probs[:, -1] >= 1.0) for out in outs))
-        for kind in MECHANISM_KINDS:
-            if mechanism_compatible(kind, head):
-                a, b = (score_batch(SelectionMechanism(kind), out)
-                        for out in outs)
-                assert np.max(np.abs(a - b)) < 1e-9, kind
+        assume(not has_abstain or not any(
+            np.any(stable_softmax(z)[:, -1] >= 1.0) for z in shifted))
+        kinds = [k for k in MECHANISM_KINDS if mechanism_compatible(k, head)]
+        a, b = (score_outputs(head_of(head, n_classes), {"logits": z}, kinds)
+                for z in shifted)
+        for kind in kinds:
+            assert np.max(np.abs(a[kind] - b[kind])) < 1e-9, kind
 
     def test_abstain_sr_equals_softmax_of_real_class_logits(self, rng):
         net = random_net(rng, head="abstain", n_classes=3)
         X, _ = random_batch(rng, net, m=12)
-        out = output_from(net, X)
-        sr = score_batch(SelectionMechanism("softmax_response"), out)
-        q = stable_softmax(out.logits[:, :3])
+        logits = network_outputs(net, X)["logits"]
+        sr = scores_from(net, X, "softmax_response")
+        q = stable_softmax(logits[:, :3])
         assert np.max(np.abs(sr - q.max(axis=1))) < 1e-12
         # within each sample the top class is the top raw logit
         assert np.array_equal(np.argmax(q, axis=1),
-                              np.argmax(out.logits[:, :3], axis=1))
+                              np.argmax(logits[:, :3], axis=1))
 
     def test_abstention_logit_requires_abstain_head(self, rng):
         net = random_net(rng, head="plain", n_classes=3)
         X, _ = random_batch(rng, net, m=4)
         with pytest.raises(ConfigurationError):
-            score_batch(SelectionMechanism("abstention_logit"),
-                        output_from(net, X))
+            scores_from(net, X, "abstention_logit")
 
     def test_selection_head_requires_three_heads(self, rng):
         net = random_net(rng, head="abstain", n_classes=3)
         X, _ = random_batch(rng, net, m=4)
         with pytest.raises(ConfigurationError):
-            score_batch(SelectionMechanism("selection_head"),
-                        output_from(net, X))
+            scores_from(net, X, "selection_head")
 
     def test_selection_head_passthrough(self, rng):
         net = random_net(rng, head="selectivenet", n_classes=3)
         X, _ = random_batch(rng, net, m=4)
-        scores = score_batch(SelectionMechanism("selection_head"),
-                             output_from(net, X))
+        scores = scores_from(net, X, "selection_head")
         select = network_forward(net, X).head_raw["select"]
         assert np.array_equal(scores, sigmoid(select[:, 0]))
 
     def test_degenerate_abstain_scores_minus_inf(self):
-        probs = np.array([[0.0, 0.0, 1.0], [0.5, 0.4, 0.1]])
+        # the first row's abstain probability rounds to 1.0
         logits = np.array([[-800.0, -800.0, 0.0], [0.5, 0.3, -1.0]])
-        out = ProbOutput(logits=logits, probs=probs, n_classes=2,
-                         head="abstain")
-        sr = score_batch(SelectionMechanism("softmax_response"), out)
-        ne = score_batch(SelectionMechanism("negative_entropy"), out)
-        assert sr[0] == -np.inf and np.isfinite(sr[1])
-        assert ne[0] == -np.inf and np.isfinite(ne[1])
-
-    def test_unknown_mechanism_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SelectionMechanism("magic")
+        scores = score_outputs(head_of("abstain", 2), {"logits": logits},
+                               ["softmax_response", "negative_entropy"])
+        for kind in ("softmax_response", "negative_entropy"):
+            assert scores[kind][0] == -np.inf, kind
+            assert np.isfinite(scores[kind][1]), kind
 
 
 def test_predict_classes_ignores_abstain_entry(rng):
     net = random_net(rng, head="abstain", n_classes=3)
     X, _ = random_batch(rng, net, m=6)
-    out = output_from(net, X)
-    pred = predict_classes(out)
+    logits = network_outputs(net, X)["logits"]
+    pred = predict_classes(logits, 3)
     assert np.all(pred < 3)
-    assert np.array_equal(pred, np.argmax(out.probs[:, :3], axis=1))
+    assert np.array_equal(pred,
+                          np.argmax(stable_softmax(logits)[:, :3], axis=1))
 
 
 def test_predict_classes_reads_the_class_logits():
     # both class probabilities round to 0.0 next to the abstain entry; the
     # class logits still rank class 1 first, as training's argmax does
     z = np.array([[-900.0, -800.0, 0.0]])
-    out = ProbOutput(logits=z, probs=stable_softmax(z), n_classes=2,
-                     head="abstain")
-    assert out.probs[0, :2].tolist() == [0.0, 0.0]
-    assert predict_classes(out).tolist() == [1]
+    assert stable_softmax(z)[0, :2].tolist() == [0.0, 0.0]
+    assert predict_classes(z, 2).tolist() == [1]
 
 
 @pytest.mark.parametrize("head", ["plain", "abstain", "selectivenet"])
@@ -197,13 +194,11 @@ def test_predict_classes_reads_the_class_logits():
 def test_score_batch_scores_exactly_the_compatible_pairs(rng, kind, head):
     net = random_net(rng, head=head, n_classes=3)
     X, _ = random_batch(rng, net, m=5)
-    out = output_from(net, X)
-    mechanism = SelectionMechanism(kind)
     if mechanism_compatible(kind, head):
-        assert np.isfinite(score_batch(mechanism, out)).all()
+        assert np.isfinite(scores_from(net, X, kind)).all()
     else:
         with pytest.raises(ConfigurationError) as err:
-            score_batch(mechanism, out)
+            scores_from(net, X, kind)
         assert str(err.value) == \
             f"mechanism {kind!r} is incompatible with a {head!r} head"
 
@@ -220,18 +215,26 @@ def test_mechanism_compatibility_table():
 def test_class_probabilities_renormalize_identity(rng):
     net = random_net(rng, head="abstain", n_classes=4)
     X, _ = random_batch(rng, net, m=8)
-    out = output_from(net, X)
-    q, degenerate = out.class_probabilities
-    assert not degenerate.any()
-    manual = out.probs[:, :4] / (1.0 - out.probs[:, 4:5])
-    assert np.max(np.abs(q - manual)) < 1e-12
+    raw = network_outputs(net, X)
+    scores = score_outputs(net, raw, ["softmax_response", "negative_entropy"])
+    probs = stable_softmax(raw["logits"])
+    manual = probs[:, :4] / (1.0 - probs[:, 4:5])
+    assert np.isfinite(scores["softmax_response"]).all()
+    assert np.max(np.abs(scores["softmax_response"]
+                         - manual.max(axis=1))) < 1e-12
+    assert np.max(np.abs(scores["negative_entropy"]
+                         - (manual * np.log(manual)).sum(axis=1))) < 1e-12
 
 
 def test_class_distribution_computed_once_per_output(rng, monkeypatch):
-    # an abstain head's C-way softmax serves every mechanism that reads it
+    # one call takes the full softmax once and, only for the mechanisms
+    # that read it, an abstain head's C-way softmax once
     net = random_net(rng, head="abstain", n_classes=4)
     X, _ = random_batch(rng, net, m=8)
-    out = output_from(net, X)
+    raw = network_outputs(net, X)
+    alone = {kind: score_outputs(net, raw, [kind])[kind]
+             for kind in ("softmax_response", "negative_entropy",
+                          "abstention_logit")}
     calls = []
 
     def counted_softmax(z):
@@ -239,13 +242,14 @@ def test_class_distribution_computed_once_per_output(rng, monkeypatch):
         return stable_softmax(z)
 
     monkeypatch.setattr(selection, "stable_softmax", counted_softmax)
-    first = {kind: score_batch(SelectionMechanism(kind), out)
-             for kind in ("softmax_response", "negative_entropy")}
-    again = {kind: score_batch(SelectionMechanism(kind), out)
-             for kind in ("softmax_response", "negative_entropy")}
-    assert calls == [(8, 4)]
-    for kind in first:
-        assert np.array_equal(first[kind], again[kind])
+    together = score_outputs(net, raw, list(alone))
+    assert calls == [(8, 5), (8, 4)]
+    assert list(together) == list(alone)
+    for kind in alone:
+        assert np.array_equal(together[kind], alone[kind])
+    calls.clear()
+    score_outputs(net, raw, ["abstention_logit"])
+    assert calls == [(8, 5)]
 
 
 def csv_writer_reference(scores, predicted, truth, header_comment):
