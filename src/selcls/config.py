@@ -192,6 +192,9 @@ class EvalConfig:
                 "evaluation.coverage_grid must lie in (0, 1]")
         if self.histogram_bins < 2:
             raise ConfigurationError("evaluation.histogram_bins must be >= 2")
+        if self.histogram_bins >= 2 ** 53:  # np.linspace rounds its count
+            raise ConfigurationError("evaluation.histogram_bins must be "
+                                     f"<= 2**53 - 1, got {self.histogram_bins}")
 
 
 @dataclass

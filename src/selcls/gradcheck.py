@@ -33,9 +33,8 @@ def suite_objectives() -> list:
         ("CE+EM", ObjectiveConfig(kind="CE+EM", beta=0.01)),
         ("DG", ObjectiveConfig(kind="DG")),
         ("DG+EM", ObjectiveConfig(kind="DG+EM", beta=0.05)),
-        ("SAT", ObjectiveConfig(kind="SAT", sat_pretrain_epochs=0)),
-        ("SAT+EM", ObjectiveConfig(kind="SAT+EM", sat_pretrain_epochs=0,
-                                   beta=0.05)),
+        ("SAT", ObjectiveConfig(kind="SAT")),
+        ("SAT+EM", ObjectiveConfig(kind="SAT+EM", beta=0.05)),
         ("SelectiveNet",
          ObjectiveConfig(kind="SelectiveNet", c_target=0.9, lam=4.0,
                          alpha_mix=0.6)),
@@ -84,8 +83,7 @@ def check_case(cfg: ObjectiveConfig, net, X, y, targets) -> float:
 
     def dispatch(trace):
         return objective_dispatch(cfg, trace.head_raw, y,
-                                  n_classes=net.n_classes, targets=targets,
-                                  sample_ids=np.arange(len(y)), epoch=0)
+                                  n_classes=net.n_classes, t_y=targets)
 
     trace = network_forward(net, X)
     analytic = network_backward(net, trace, dispatch(trace).dlogits)
@@ -94,15 +92,14 @@ def check_case(cfg: ObjectiveConfig, net, X, y, targets) -> float:
     return max_relative_error(net, analytic, fd)
 
 
-def check_objective(cfg: ObjectiveConfig, n_cases: int = 20,
-                    seed: int = 0) -> float:
+def check_objective(cfg: ObjectiveConfig, n_cases: int, seed: int) -> float:
     worst = 0.0
     for i in range(n_cases):
         worst = max(worst, check_case(cfg, *_draw_case(cfg, seed, i)))
     return worst
 
 
-def run_suite(n_cases: int = 20, seed: int = 0) -> dict:
+def run_suite(n_cases: int, seed: int) -> dict:
     """Per-objective max relative error."""
     return {name: check_objective(cfg, n_cases=n_cases, seed=seed)
             for name, cfg in suite_objectives()}

@@ -55,7 +55,8 @@ class ObjectiveConfig:
     (1, C], and any other value is refused; None picks the default C-1 (or
     the interval midpoint when C = 2). ``lam`` (JSON key ``lambda``),
     ``alpha_mix`` and ``c_target`` parameterize the three-head selective
-    loss. The sat_* fields drive the moving-target objective.
+    loss. The sat_* fields set SAT's moving-target schedule, which the
+    training loop runs.
     """
 
     kind: str = "CE"
@@ -135,8 +136,8 @@ def predictive_entropy(logits) -> np.ndarray:
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
                        o: float = 0.0, t_y=None, out=None):
-    """Per-sample loss, per-sample entropy, logit gradient, label
-    probability and row argmax of one softmax head, from one log-softmax.
+    """Per-sample loss, per-sample entropy, logit gradient and label
+    probability of one softmax head, from one log-softmax.
 
     ``kind`` picks the loss and its target weights w (rows sum to 1):
     "CE" is cross entropy (w = onehot(y)), "DG" the gambler loss with
@@ -147,8 +148,9 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     only when ``beta`` is nonzero, and p at each row's label, for the
     target update, only with ``t_y``, otherwise None. ``out``, a
     (p, log p, argmax) triple of buffers (two float64 ones shaped like z,
-    one int64 one per row), takes those three instead of new arrays, and
-    the gradient is then written over its p.
+    one int64 one per row, the row argmax that shifts each row), takes
+    those three instead of new arrays, and the gradient is then written
+    over its p.
     """
     m, k = z.shape
     p_out, lp_out, argmax_out = (None, None, None) if out is None else out
@@ -193,7 +195,7 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     p.ravel()[at_y] -= scale * w_y
     if w_a is not None:
         p[:, -1] -= scale * w_a
-    return loss, H, p, p_label, argmax
+    return loss, H, p, p_label
 
 
 def sat_update_targets(targets, sample_ids, p_label, momentum: float) -> None:
@@ -205,20 +207,17 @@ def sat_update_targets(targets, sample_ids, p_label, momentum: float) -> None:
 
 @dataclass
 class DispatchResult:
-    """Mean loss, d(mean loss)/d(raw outputs) per head and the row argmax
-    of the logits head (``argmax``, the predicted class where that head
-    has C logits); in the adaptive SAT phase also each row's probability
-    of its label (``p_label``), which the per-batch target update reuses."""
+    """Mean loss and d(mean loss)/d(raw outputs) per head; with SAT target
+    masses also each row's probability of its label (``p_label``), which
+    the per-batch target update reuses."""
 
     loss: float
     dlogits: dict
-    argmax: np.ndarray
     p_label: np.ndarray | None = None
 
 
 def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
-                       targets=None, sample_ids=None, epoch: int = 0,
-                       out: dict | None = None) -> DispatchResult:
+                       t_y=None, out: dict | None = None) -> DispatchResult:
     """Route a batch of head outputs through the configured objective.
 
     ``outputs`` maps head names to raw arrays as produced by the network
@@ -226,9 +225,9 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     "aux" for the three-head objective. Returns the mean loss and
     d(mean loss)/d(raw outputs) per head. Every head goes through the one
     softmax kernel, ``_softmax_objective``; the +EM variants add
-    ``beta * mean entropy`` of the prediction head. In the adaptive SAT
-    phase, ``targets`` holds one target mass per training sample, on
-    its label, and ``sample_ids`` the batch's entries in it. ``out``, a
+    ``beta * mean entropy`` of the prediction head. For SAT, ``t_y``
+    holds each row's target mass on its label; without it the objective
+    is SAT's pre-training loss, plain (C+1)-way cross entropy. ``out``, a
     trace's ``kernel`` buffers (head name -> (p, log p, argmax)), takes
     the kernel's arrays, so the returned gradients are those buffers,
     valid until the trace's next forward; without ``out`` they are new.
@@ -247,7 +246,7 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     if kind == "SelectiveNet":
         return _selectivenet(cfg, logits, outputs, y, n_classes, beta, kernel)
 
-    o, t_y = 0.0, None
+    o = 0.0
     if kind == "CE":
         if k != n_classes:
             raise ConfigurationError(
@@ -258,27 +257,20 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             f"needs an abstain head ({n_classes + 1} logits, head has {k})")
     elif kind == "DG":
         o = cfg.resolved_o(n_classes)
-    elif epoch < cfg.sat_pretrain_epochs:
+    elif t_y is None:
         # pre-training phase: plain (C+1)-way cross entropy on one-hot
         # labels; identical to the target loss with untouched targets
         kind = "CE"
-    else:
-        if targets is None or sample_ids is None:
-            raise ConfigurationError(
-                "moving-target objective needs the SAT targets and sample "
-                "ids into them")
-        if targets.ndim != 1:  # an (n, C+1) table would broadcast
-            raise ConfigurationError(
-                f"SAT targets need one mass per sample, not {targets.shape}")
-        t_y = targets[sample_ids]
-    loss_i, H, d, p_label, argmax = _softmax_objective(
+    elif t_y.shape != (m,):  # an (m, C+1) table would broadcast
+        raise ConfigurationError(
+            f"SAT targets need one mass per sample, not {t_y.shape}")
+    loss_i, H, d, p_label = _softmax_objective(
         kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y,
         out=kernel.get("logits"))
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)
-    return DispatchResult(loss=loss, dlogits={"logits": d}, argmax=argmax,
-                          p_label=p_label)
+    return DispatchResult(loss=loss, dlogits={"logits": d}, p_label=p_label)
 
 
 def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
@@ -317,11 +309,11 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     mean_g = float(g.sum()) / m
     denom = max(mean_g, COVERAGE_EPS)
     a = cfg.alpha_mix
-    l_f, H, d_f, _, argmax = _softmax_objective(
+    l_f, H, d_f, _ = _softmax_objective(
         "CE", f, y, scale=(a / (m * denom)) * g, beta=beta / m,
         out=kernel.get("logits"))
-    l_h, _, d_h, _, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m,
-                                           out=kernel.get("aux"))
+    l_h, _, d_h, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m,
+                                        out=kernel.get("aux"))
     selective = float((l_f * g).sum()) / m / denom
 
     shortfall = cfg.c_target - mean_g
@@ -339,5 +331,4 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     d_g_raw = (d_g * g * (1.0 - g))[:, None]
     return DispatchResult(
         loss=float(loss),
-        dlogits={"logits": d_f, "select": d_g_raw, "aux": d_h},
-        argmax=argmax)
+        dlogits={"logits": d_f, "select": d_g_raw, "aux": d_h})

@@ -5,10 +5,13 @@ Protocol notes baked in here:
   * learning rate: lr0 * decay_factor ** floor(epoch / decay_every)
   * momentum update is the classical form v <- mu v + g, theta <- theta - lr v
   * moving-target objective: one target mass per training sample, on its
-    label, starting at 1. The objective decides the phase: pre-training is
-    plain (C+1)-way cross entropy; in the adaptive phase it returns the
-    batch's label probabilities, toward which their targets are relaxed,
-    with the config's sat_momentum, right after each parameter update
+    label, starting at 1. The loop owns the schedule: the first
+    sat_pretrain_epochs pass the objective no targets, so it is plain
+    (C+1)-way cross entropy; later batches pass theirs, which right after
+    each update relax toward the returned label probabilities with the
+    config's sat_momentum
+  * the train accuracy counts selection.predict_classes of each batch,
+    taken before that batch's update
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericFault
 from .nn import (
-    HEAD_ABSTAIN,
     Network,
     Workspace,
     network_backward,
@@ -151,9 +153,6 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     C = net.n_classes
 
     targets = np.ones(n) if obj.base_kind == "SAT" else None
-    # the kernel's argmax is each batch's prediction unless the head has an
-    # abstain column
-    abstain = net.head == HEAD_ABSTAIN
 
     velocity, step = np.zeros_like(net.params), np.empty_like(net.params)
     ws = Workspace(net)
@@ -167,13 +166,14 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
         np.take(X, perm, axis=0, out=Xp)
         np.take(y, perm, out=yp)
         loss_sum = 0.0
+        adaptive = targets is not None and epoch >= obj.sat_pretrain_epochs
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             ids = perm[rows]
             trace = network_forward(net, Xp[rows], ws)
             result = objective_dispatch(
-                obj, trace.head_raw, yp[rows], n_classes=C, targets=targets,
-                sample_ids=ids, epoch=epoch, out=trace.kernel)
+                obj, trace.head_raw, yp[rows], n_classes=C,
+                t_y=targets[ids] if adaptive else None, out=trace.kernel)
             if not np.isfinite(result.loss) or result.loss > DIVERGENCE_LIMIT:
                 raise NumericFault(
                     f"training diverged (loss={result.loss}) at epoch "
@@ -181,12 +181,11 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, step)
-            if result.p_label is not None:
+            if adaptive:
                 sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)
             loss_sum += result.loss * ids.size
-            pred[rows] = (predict_classes(trace.head_raw["logits"], C)
-                          if abstain else result.argmax)
+            pred[rows] = predict_classes(trace.head_raw["logits"], C)
         n_correct = np.count_nonzero(pred == yp)
         val_acc, entropy = _evaluate(net, val_data.features, val_data.labels)
         report.epochs.append(EpochStats(

@@ -279,6 +279,9 @@ class TestTrainCommand:
         ("dataset", "n_val", 2 ** 64), ("dataset", "n_test", 10 ** 19),
         ("model", "hidden_dims", [2 ** 31, 2 ** 31]),
         ("model", "hidden_dims", [2 ** 62]),
+        # 2**60 - 2: np.linspace rounds its float count to 2**60
+        ("evaluation", "histogram_bins", 2 ** 62),
+        ("evaluation", "histogram_bins", 1152921504606846974),
     ]
 
     @pytest.mark.parametrize("command, section, key, value", [
@@ -294,8 +297,9 @@ class TestTrainCommand:
         # [10**8, 10**8] makes 10**16 parameters, 71 PiB: more than the
         # address space holds, so the allocation fails at once. The grid
         # has two cells, so under two_cpus each fails in a worker process.
-        # Larger sizes are refused at config load, naming the key, before
-        # the grid starts a cell or makes its output directory.
+        # Larger sizes, and histogram bin counts that np.linspace cannot
+        # lay out, are refused at config load, naming the key, before the
+        # grid starts a cell or makes its output directory.
         cfg_path, doc = base_config(
             tmp_path, grid={"methods": ["CE"],
                             "mechanisms": ["softmax_response"],

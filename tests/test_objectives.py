@@ -43,10 +43,9 @@ def sat_dispatch(z, t_y, y, kind="SAT", **cfg):
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(y)
     return objective_dispatch(
-        ObjectiveConfig(kind=kind, sat_pretrain_epochs=0, **cfg),
-        {"logits": z}, y, n_classes=z.shape[1] - 1,
-        targets=np.atleast_1d(np.asarray(t_y, dtype=np.float64)),
-        sample_ids=np.arange(len(y)), epoch=0)
+        ObjectiveConfig(kind=kind, **cfg), {"logits": z}, y,
+        n_classes=z.shape[1] - 1,
+        t_y=np.atleast_1d(np.asarray(t_y, dtype=np.float64)))
 
 
 def ce_reference(z, y):
@@ -221,14 +220,15 @@ class TestSatLoss:
         assert dispatch(kind, z, y, 8).p_label is None  # pre-training phase
 
     def test_two_d_targets_refused(self, rng):
-        # a (n, C+1) soft-label table would broadcast against a batch of
-        # C+1 rows instead of failing
+        # a (m, C+1) soft-label table would broadcast against a batch of
+        # C+1 rows instead of failing; t_y must hold one mass per row
         z = rng.normal(size=(4, 4))
         y = rng.integers(0, 3, size=4)
-        table = np.full((4, 4), 0.25)
-        with pytest.raises(ConfigurationError,
-                           match=r"one mass per sample, not \(4, 4\)"):
-            sat_dispatch(z, table, y)
+        for t_y, shape in ((np.full((4, 4), 0.25), r"\(4, 4\)"),
+                           (np.ones(5), r"\(5,\)")):
+            with pytest.raises(ConfigurationError,
+                               match=f"one mass per sample, not {shape}"):
+                sat_dispatch(z, t_y, y)
 
 
 class TestSatTargetStore:
@@ -381,42 +381,32 @@ class TestDispatch:
         assert abs(res.loss - loss) < 1e-12
         assert np.allclose(res.dlogits["logits"], d)
 
-    def test_sat_pretrain_equals_ce(self, rng):
+    def test_sat_without_t_y_equals_ce(self, rng):
+        # the pre-training phase: (C+1)-way cross entropy
         z = rng.normal(size=(4, 4))  # C=3 plus abstain
         y = rng.integers(0, 3, size=4)
-        cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=5)
-        res = objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
-                                 targets=np.ones(4), sample_ids=np.arange(4),
-                                 epoch=2)
-        loss, _ = ce_reference(z, y)
+        res = objective_dispatch(ObjectiveConfig(kind="SAT"), {"logits": z},
+                                 y, n_classes=3)
+        loss, d = ce_reference(z, y)
         assert abs(res.loss - loss) < 1e-12
+        assert np.allclose(res.dlogits["logits"], d)
 
     @pytest.mark.parametrize("kind", ["CE", "DG+EM", "SAT", "SelectiveNet"])
     def test_out_makes_the_trace_buffers_the_gradients(self, rng, kind):
-        cfg = ObjectiveConfig(kind=kind, beta=0.05, sat_pretrain_epochs=0)
+        cfg = ObjectiveConfig(kind=kind, beta=0.05)
         net = build_network(3, (5,), n_classes=3, head=cfg.required_head(),
                             seed=0)
         trace = network_forward(net, rng.normal(size=(6, 3)))
         y = rng.integers(0, 3, size=6)
-        kw = dict(n_classes=3, targets=np.ones(6), sample_ids=np.arange(6))
+        kw = dict(n_classes=3, t_y=np.ones(6) if kind == "SAT" else None)
         new = objective_dispatch(cfg, trace.head_raw, y, **kw)
         res = objective_dispatch(cfg, trace.head_raw, y, out=trace.kernel,
                                  **kw)
         assert res.loss == new.loss
-        assert res.argmax is trace.kernel["logits"][2]
         for name, d in res.dlogits.items():
             if name in trace.kernel:  # every head but the one-wide select
                 assert d is trace.kernel[name][0]
             assert np.array_equal(d, new.dlogits[name])
-
-    def test_sat_adaptive_phase_needs_store_and_ids(self, rng):
-        z = rng.normal(size=(4, 4))
-        y = rng.integers(0, 3, size=4)
-        cfg = ObjectiveConfig(kind="SAT", sat_pretrain_epochs=2)
-        for kw in ({"sample_ids": np.arange(4)}, {"targets": np.ones(4)}):
-            with pytest.raises(ConfigurationError, match="SAT targets"):
-                objective_dispatch(cfg, {"logits": z}, y, n_classes=3,
-                                   epoch=2, **kw)
 
     def test_dg_em_beta_zero_equals_dg(self, rng):
         z = rng.normal(size=(5, 4))
@@ -457,8 +447,7 @@ PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
 def random_case(kind, seed, m, n_classes, scale):
     """(config, outputs, call keywords) for one random batch of ``kind``."""
     rng = np.random.default_rng(seed)
-    cfg = ObjectiveConfig(kind=kind, beta=0.05, sat_pretrain_epochs=0,
-                          c_target=0.6, lam=4.0)
+    cfg = ObjectiveConfig(kind=kind, beta=0.05, c_target=0.6, lam=4.0)
     base = cfg.base_kind
     width = n_classes + 1 if base in ("DG", "SAT") else n_classes
     outputs = {"logits": rng.normal(scale=scale, size=(m, width))}
@@ -469,8 +458,7 @@ def random_case(kind, seed, m, n_classes, scale):
         outputs["aux"] = rng.normal(scale=scale, size=(m, n_classes))
     if base == "SAT":
         raw = rng.random((m, width))
-        kw.update(targets=(raw / raw.sum(axis=1, keepdims=True))[
-            np.arange(m), y], sample_ids=np.arange(m), epoch=0)
+        kw["t_y"] = (raw / raw.sum(axis=1, keepdims=True))[np.arange(m), y]
     return cfg, outputs, kw
 
 

@@ -323,8 +323,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
             ids = perm[start:start + cfg.batch_size]
             trace = network_forward(net, X[ids])
             result = objective_dispatch(obj, trace.head_raw, y[ids], C,
-                                        targets=targets, sample_ids=ids,
-                                        epoch=epoch)
+                                        t_y=targets[ids] if adaptive else None)
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
                               cfg.weight_decay, np.empty_like(net.params))
