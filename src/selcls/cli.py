@@ -266,8 +266,11 @@ def map_grid_cells(tasks):
     with it the configs and the splits, through fork, so no dataset is
     pickled. A cell that raises anything but a SelclsError or OSError
     notes its index in a shared value that the workers also inherit, and
-    every later cell that has not started yet then returns at once; the
-    exception is raised here at that cell's place in task order."""
+    every later cell that has not started yet then returns at once. At the
+    first cell in task order that raised, a bug or a dead worker's
+    BrokenProcessPool, the running cells are awaited, every later cell
+    that ended without an exception is yielded, in task order, and then
+    that cell's exception is raised."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else {0}
     workers = min(len(cpus), len(tasks))
@@ -284,7 +287,16 @@ def map_grid_cells(tasks):
     _pooled_grid = tasks, context.Value("i", len(tasks))
     pool = ProcessPoolExecutor(workers, mp_context=context)
     try:
-        yield from pool.map(_run_task, range(len(tasks)))
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        for i, future in enumerate(futures):
+            try:
+                yield future.result()
+            except Exception:  # a bug, or a dead worker's BrokenProcessPool
+                pool.shutdown(cancel_futures=True)  # awaits the running cells
+                yield from (f.result() for f in futures[i + 1:]
+                            if not f.cancelled() and f.exception() is None
+                            and f.result() is not None)
+                raise
     finally:
         # no worker outlives the grid: after an exception the queued cells
         # are cancelled and the running ones awaited
@@ -310,10 +322,8 @@ def cmd_grid(args) -> int:
     cells still run. Any other exception, a dead worker's
     BrokenProcessPool included, stops the grid and propagates; a bug in a
     cell also stops every later cell that has not started yet. results.csv
-    and manifest.json are still written from the cells before the failed
-    one in grid order. The failed cell and the cells after it are absent
-    from both, although cells that were running beside it may have written
-    their checkpoints and reports. A failed write of the grid's own
+    and manifest.json are still written from every cell that ended,
+    before or beside the failed one. A failed write of the grid's own
     results.csv or manifest.json ends the command with exit 2.
     """
     cfg = load_run_config(args.config)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .nn import softmax
 from .util import MAX_ARRAY_BYTES, rng_for, sha256_hex
 
 
@@ -157,10 +158,7 @@ def bayes_posterior(spec: MixtureSpec, x) -> np.ndarray:
     sq = (diff ** 2).sum(axis=2)                           # (m, C)
     log_lik = -0.5 * sq / spec.variances[None, :] \
         - 0.5 * d * np.log(2 * np.pi * spec.variances)[None, :]
-    log_post = np.log(spec.priors)[None, :] + log_lik
-    log_post -= log_post.max(axis=1, keepdims=True)
-    q = np.exp(log_post)
-    q /= q.sum(axis=1, keepdims=True)
+    q = softmax(np.log(spec.priors)[None, :] + log_lik)[0]
     eta = spec.label_noise
     if eta > 0:
         q = (1 - eta) * q + eta * (1 - q) / (spec.n_classes - 1)

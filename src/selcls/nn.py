@@ -23,14 +23,14 @@ training loop, on ``Network.params``.
 Both passes write into a ``Workspace``, the buffers of one network per
 batch row count. A forward returns its row count's buffers, which are
 also the trace: its input, trunk pre-activations and activations and
-head outputs. The objective, given the trace's ``kernel`` buffers,
-writes its p and log p and then its gradient there, and the backward
-pass writes the ReLU mask, da (which becomes dz in place) and the flat
-gradient. A forward given no workspace makes a fresh one, so every pass
-runs the same buffer code. ``train()`` holds one workspace for all of
-its batch steps; each whole-split forward (``network_outputs``) makes
-its own. A trace is overwritten by the next forward on its workspace of
-as many rows.
+head outputs. The objective, given the trace's ``kernel`` buffers, has
+``softmax`` write p and log p there and writes its gradient over p; the
+backward pass writes the ReLU mask, da (which becomes dz in place) and
+the flat gradient. A forward given no workspace makes a fresh one, so
+every pass runs the same buffer code. ``train()`` holds one workspace
+for all of its batch steps; each whole-split forward
+(``network_outputs``) makes its own. A trace is overwritten by the next
+forward on its workspace of as many rows.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
@@ -144,25 +144,30 @@ def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
                                   layers[len(hidden_dims):])))
 
 
-def stable_softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis via max subtraction.
+def softmax(z: np.ndarray, out=None):
+    """(p, log p) of each row of a 2-d ``z``, the one softmax of the package.
 
-    Shift invariant and overflow safe; rows sum to 1 within 1e-12.
+    Each row is shifted by its entry at the row argmax (an argmax and a 1-d
+    gather cost less than a row max), so exp never overflows, and the only
+    log taken is of a row sum >= 1. Both results are C-contiguous whatever
+    z's layout, so callers can scatter into them through ``ravel()``.
+    ``out``, a (p, log p, argmax) triple of buffers (two float64 ones
+    shaped like z, one int64 one per row), takes the three instead of new
+    arrays. A zero-width row is refused; zero rows give empty results.
     """
-    z = np.asarray(z)
-    if z.size == 0 or z.shape[-1] == 0:
+    m, k = z.shape
+    if not k:
         raise ConfigurationError("softmax of an empty vector")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z)
-    if z.size == 0 or z.shape[-1] == 0:
-        raise ConfigurationError("log-softmax of an empty vector")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    p_out, lp_out, argmax_out = (None, None, None) if out is None else out
+    argmax = z.argmax(axis=1, out=argmax_out)
+    at_max = np.arange(0, m * k, k) + argmax
+    shifted = np.subtract(z, z.ravel()[at_max][:, None], out=lp_out,
+                          order="C")
+    p = np.exp(shifted, out=p_out)
+    total = p.sum(axis=1, keepdims=True)
+    p /= total
+    shifted -= np.log(total)
+    return p, shifted
 
 
 def sigmoid(z):

@@ -3,12 +3,10 @@
 Every objective is a softmax-family loss: with p = softmax(z) its logit
 gradient is p - w for target weights w whose rows sum to 1, plus
 beta * dH/dz for the entropy term of the +EM variants. One kernel,
-``_softmax_objective``, computes log p and p once per head (one row max,
-one exp, one row sum), builds w for the kind and returns per-sample losses
-and the gradient; ``objective_dispatch`` routes every kind and head
-through it and takes the batch mean. Logits are exponentiated only after
-their row max is subtracted, and the only log taken is of a row sum >= 1,
-so no log ever sees a hard zero.
+``_softmax_objective``, takes p and log p once per head from
+``nn.softmax``, builds w for the kind and returns per-sample losses and
+the gradient; ``objective_dispatch`` routes every kind and head through
+it and takes the batch mean.
 
 Gradient cheat sheet, with p = softmax(z) and lp = log p:
 
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import log_softmax, sigmoid
+from .nn import sigmoid, softmax
 
 OBJECTIVE_KINDS = (
     "CE", "CE+EM", "DG", "DG+EM", "SAT", "SAT+EM",
@@ -130,14 +128,14 @@ class ObjectiveConfig:
 
 def predictive_entropy(logits) -> np.ndarray:
     """Shannon entropy of softmax(logits), one value per row of a batch."""
-    lp = log_softmax(np.asarray(logits, dtype=np.float64))
+    lp = softmax(np.asarray(logits, dtype=np.float64))[1]
     return -(np.exp(lp) * lp).sum(axis=1)
 
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
                        o: float = 0.0, t_y=None, out=None):
     """Per-sample loss, per-sample entropy, logit gradient and label
-    probability of one softmax head, from one log-softmax.
+    probability of one softmax head, from one ``nn.softmax``.
 
     ``kind`` picks the loss and its target weights w (rows sum to 1):
     "CE" is cross entropy (w = onehot(y)), "DG" the gambler loss with
@@ -147,26 +145,14 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     ``scale`` a number or one weight per row; the entropy H is returned
     only when ``beta`` is nonzero, and p at each row's label, for the
     target update, only with ``t_y``, otherwise None. ``out``, a
-    (p, log p, argmax) triple of buffers (two float64 ones shaped like z,
-    one int64 one per row, the row argmax that shifts each row), takes
-    those three instead of new arrays, and the gradient is then written
-    over its p.
+    (p, log p, argmax) triple of buffers, is handed to ``nn.softmax``, and
+    the gradient is then written over its p.
     """
+    p, lp = softmax(z, out)
     m, k = z.shape
-    p_out, lp_out, argmax_out = (None, None, None) if out is None else out
-    # flat indices of each row's start and of its label entry: 1-d
-    # gathers and scatters cost less than (rows, cols) pairs, and an
-    # argmax plus a gather less than a row max
-    row_start = np.arange(0, m * k, k)
-    at_y = row_start + y
-    argmax = z.argmax(axis=1, out=argmax_out)
-    shifted = np.subtract(z, z.ravel()[row_start + argmax][:, None],
-                          out=lp_out)
-    p = np.exp(shifted, out=p_out)
-    total = p.sum(axis=1, keepdims=True)
-    p /= total
-    lp = shifted
-    lp -= np.log(total)
+    # flat indices of each row's label entry: 1-d gathers and scatters
+    # cost less than (rows, cols) pairs
+    at_y = np.arange(0, m * k, k) + y
     lp_y = lp.ravel()[at_y]
     if kind == "CE":
         loss, w_y, w_a = -lp_y, 1.0, None

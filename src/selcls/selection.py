@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import HEAD_ABSTAIN, sigmoid, stable_softmax
+from .nn import HEAD_ABSTAIN, sigmoid, softmax
 from .util import atomic_write
 
 # the head each mechanism needs, or None where any head will do
@@ -52,10 +52,10 @@ def score_outputs(net, head_raw: dict, kinds) -> dict:
     abstain mass dominates.
     """
     logits = head_raw["logits"]
-    probs = stable_softmax(logits)
+    probs = softmax(logits)[0]
     if {"softmax_response", "negative_entropy"}.intersection(kinds):
         if net.head == HEAD_ABSTAIN:
-            q = stable_softmax(logits[:, :net.n_classes])
+            q = softmax(logits[:, :net.n_classes])[0]
             degenerate = probs[:, -1] >= 1.0
         else:
             q, degenerate = probs, np.zeros(len(probs), dtype=bool)

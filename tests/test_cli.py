@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import types
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -36,7 +37,7 @@ from selcls.nn import (
     network_forward,
     network_outputs,
     save_checkpoint,
-    stable_softmax,
+    softmax,
 )
 from selcls.objectives import (
     OBJECTIVE_KINDS,
@@ -618,8 +619,8 @@ class TestEvalCommand:
         _, val_ds, test_ds, _ = cli.build_splits(load_run_config(cfg_path))
 
         def p_abstain(ds):
-            return stable_softmax(
-                network_outputs(net, ds.features)["logits"])[:, -1]
+            return softmax(
+                network_outputs(net, ds.features)["logits"])[0][:, -1]
 
         # p(abstain) = 1 / (1 + t) rounds to 1.0 once t < 2**-53, with t
         # the summed class mass relative to the abstain entry; the raise
@@ -658,7 +659,7 @@ class TestEvalCommand:
         _, _, test_ds, _ = cli.build_splits(load_run_config(cfg_path))
         net.heads["logits"].b[-1] += 1e4
         z = network_outputs(net, test_ds.features)["logits"]
-        assert np.all(stable_softmax(z)[:, :-1] == 0.0)
+        assert np.all(softmax(z)[0][:, :-1] == 0.0)
         ckpt = tmp_path / "saturated.checkpoint.json"
         save_checkpoint(net, ckpt)
         assert main(["eval", "-c", str(cfg_path), "--checkpoint",
@@ -1158,15 +1159,20 @@ class TestGridCommand:
 
         def train_dies_on_dg_s0(*args, **kwargs):
             tcfg = args[3]
-            if (tcfg.objective.kind, tcfg.seed) == ("DG", 0):
+            if tcfg.objective.kind == "DG":
                 assert os.getpid() != test_pid, "cell ran in the test process"
-                # die only once the test process holds both CE cells; the
-                # other worker runs the second of them meanwhile
+                # DG_s0 dies only once the test process holds both CE
+                # cells; the other worker runs the second of them
+                # meanwhile. DG_s1 waits for a cell that never comes back,
+                # so it is still running when the pool breaks, which
+                # terminates its worker
                 deadline = time.monotonic() + 60
                 while time.monotonic() < deadline and not (
-                        received / "CE_all_s1").exists():
+                        received / ("CE_all_s1" if tcfg.seed == 0
+                                    else "DG_all_s0")).exists():
                     time.sleep(0.01)
-                os._exit(1)
+                if tcfg.seed == 0:
+                    os._exit(1)
             return training.train(*args, **kwargs)
 
         monkeypatch.setattr(cli, "map_grid_cells", map_noting_receipt)
@@ -1228,9 +1234,19 @@ class TestGridCommand:
         # the cells ran in workers, not in this process
         assert str(os.getpid()) not in {
             p.read_text() for p in trained.iterdir()}
+        # every cell that started beside it ended, and is kept in grid order
+        beside = [tuple(name.split("_")) for name in attempted(trained)
+                  if name != "CE_0"]
+        order = {"CE": 0, "CE+EM": 1, "DG": 2, "SAT": 3}
+        beside.sort(key=lambda cell: (order[cell[0]], int(cell[1])))
         manifest, rows = self.read_outputs(doc)
-        assert manifest["cells"] == [] and rows == [
-            "method,mechanism,coverage,mean_risk,sd_risk,n_seeds"]
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            (cli.grid_cell_name(method, None, int(seed)), "ok")
+            for method, seed in beside]
+        # (method, n_seeds) per results row
+        assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] == \
+            sorted((method, str(n)) for method, n in
+                   Counter(method for method, _ in beside).items())
 
     def test_a_bug_keeps_the_cells_before_it_that_had_not_started(
             self, tmp_path, monkeypatch, two_cpus):
@@ -1252,6 +1268,37 @@ class TestGridCommand:
         assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
             ("CE_all_s0", "ok")]
         assert len(rows) == 3
+
+    def test_a_bug_keeps_the_cells_that_ended_beside_it(
+            self, tmp_path, monkeypatch, two_cpus):
+        # the first cell raises only once every other cell has left its
+        # checkpoint; the other worker runs all three meanwhile
+        cfg_path, doc = self.grid_config(tmp_path, methods=["CE", "DG"],
+                                         coverages=[0.5], seeds=[0, 1])
+        cells_dir = Path(doc["output_dir"]) / "cells"
+        others = ("CE_all_s1", "DG_all_s0", "DG_all_s1")
+        grid_cell = cli.grid_cell
+
+        def grid_cell_breaks_on_ce_s0(cfg, objective, coverage, seed, *rest):
+            if (objective.kind, seed) == ("CE", 0):
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline and not all(
+                        (cells_dir / f"{name}.checkpoint.json").exists()
+                        for name in others):
+                    time.sleep(0.01)
+                raise RuntimeError("bug in a cell")
+            return grid_cell(cfg, objective, coverage, seed, *rest)
+
+        monkeypatch.setattr(cli, "grid_cell", grid_cell_breaks_on_ce_s0)
+        with pytest.raises(RuntimeError, match="bug in a cell"):
+            main(["grid", "-c", str(cfg_path)])
+        assert multiprocessing.active_children() == []
+        manifest, rows = self.read_outputs(doc)
+        assert [(c["name"], c["status"]) for c in manifest["cells"]] == [
+            (name, "ok") for name in others]
+        # (method, n_seeds) per results row
+        assert [(r.split(",")[0], r.split(",")[-1]) for r in rows[1:]] == [
+            ("CE", "1"), ("DG", "2")]
 
 
 class TestKeepFreedMemory:

@@ -83,6 +83,30 @@ class TestBayesPosterior:
         post = bayes_posterior(spec, rng.normal(size=(50, 2), scale=3))
         assert np.max(np.abs(post.sum(axis=1) - 1.0)) < 1e-12
 
+    def test_bytes_equal_max_shift_exp_normalise_formula(self):
+        # the closed form written out: max shift, exp, normalise, mix
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            C, d = rng.integers(2, 9), rng.integers(1, 9)
+            priors = rng.random(C)
+            spec = MixtureSpec(
+                means=2 * rng.normal(size=(C, d)),
+                variances=rng.uniform(0.3, 3.0, size=C),
+                priors=priors / priors.sum(),
+                label_noise=rng.uniform(0.0, 0.4))
+            x = 3 * rng.normal(size=(100, d))
+            sq = ((x[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
+            log_lik = -0.5 * sq / spec.variances[None, :] \
+                - 0.5 * d * np.log(2 * np.pi * spec.variances)[None, :]
+            log_post = np.log(spec.priors)[None, :] + log_lik
+            log_post -= log_post.max(axis=1, keepdims=True)
+            q = np.exp(log_post)
+            q /= q.sum(axis=1, keepdims=True)
+            eta = spec.label_noise
+            q = (1 - eta) * q + eta * (1 - q) / (C - 1)
+            assert bayes_posterior(spec, x).tobytes() == q.tobytes()
+            assert bayes_posterior(spec, x[0]).tobytes() == q[0].tobytes()
+
     def test_matches_monte_carlo_label_frequencies(self):
         # sampling oracle: empirical P(y | x in a small ball) vs posterior
         # three equal-prior unit-variance classes on a circle of radius 1.5

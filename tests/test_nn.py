@@ -15,14 +15,13 @@ from selcls.nn import (
     build_network,
     finite_difference_gradient,
     load_checkpoint,
-    log_softmax,
     max_relative_error,
     network_backward,
     network_forward,
     network_outputs,
     save_checkpoint,
     sigmoid,
-    stable_softmax,
+    softmax,
 )
 from selcls.objectives import ObjectiveConfig, objective_dispatch
 from selcls.training import TrainConfig, train
@@ -84,37 +83,50 @@ class TestAffineForward:
 
 class TestStableSoftmax:
     def test_symmetry(self):
-        assert np.allclose(stable_softmax([0.0, 0.0]), [0.5, 0.5])
+        assert np.allclose(softmax(np.array([[0.0, 0.0]]))[0], [[0.5, 0.5]])
 
     def test_large_inputs_no_overflow(self):
-        p = stable_softmax([1000.0, 1000.0, 1000.0])
+        p = softmax(np.array([[1000.0, 1000.0, 1000.0]]))[0]
         assert np.all(np.isfinite(p))
-        assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(p, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_high_precision_values(self):
         # independent evaluation at 30 decimal digits
-        p = stable_softmax([1.0, 2.0, 3.0])
+        p = softmax(np.array([[1.0, 2.0, 3.0]]))[0]
         expected = [0.090030573170380458, 0.24472847105479765,
                     0.66524095577482189]
         assert np.max(np.abs(p - expected)) < 1e-15
 
     def test_sums_to_one(self, rng):
         z = rng.normal(scale=5, size=(50, 7))
-        assert np.max(np.abs(stable_softmax(z).sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(softmax(z)[0].sum(axis=1) - 1.0)) < 1e-12
 
     def test_shift_invariance(self, rng):
         for _ in range(20):
-            z = rng.normal(scale=3, size=9)
+            z = rng.normal(scale=3, size=(1, 9))
             c = rng.normal(scale=100)
-            assert np.max(np.abs(stable_softmax(z + c) - stable_softmax(z))) < 1e-12
+            assert np.max(np.abs(softmax(z + c)[0] - softmax(z)[0])) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            stable_softmax(np.zeros((3, 0)))
+            softmax(np.zeros((3, 0)))
+
+    def test_zero_rows_give_empty_results(self):
+        for out in softmax(np.zeros((0, 3))):
+            assert out.shape == (0, 3)
 
     def test_log_softmax_consistent(self, rng):
         z = rng.normal(scale=4, size=(6, 5))
-        assert np.allclose(np.exp(log_softmax(z)), stable_softmax(z))
+        p, log_p = softmax(z)
+        assert np.allclose(np.exp(log_p), p)
+
+    def test_column_slice_equals_its_contiguous_copy(self, rng):
+        # selection scores take the C-way softmax of an abstain head's
+        # first C columns, a strided view
+        logits = rng.normal(scale=20.0, size=(300, 9))
+        for got, want in zip(softmax(logits[:, :8]),
+                             softmax(logits[:, :8].copy())):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sigmoid_bit_identical_to_two_branch_form(rng):
@@ -144,7 +156,7 @@ class TestNetworkForward:
         net.params[...] = 0.0
         trace = network_forward(net, rng.normal(size=(6, 3)))
         assert np.allclose(trace.head_raw["logits"], 0.0)
-        assert np.allclose(stable_softmax(trace.head_raw["logits"]), 0.2)
+        assert np.allclose(softmax(trace.head_raw["logits"])[0], 0.2)
 
     def test_single_affine_equals_rowwise_affine(self, rng):
         net = build_network(4, (), n_classes=3, head="plain", seed=3)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from selcls import selection
 from selcls.errors import ConfigurationError
-from selcls.nn import network_forward, network_outputs, sigmoid, stable_softmax
+from selcls.nn import network_forward, network_outputs, sigmoid, softmax
 from selcls.selection import (
     MECHANISM_KINDS,
     mechanism_compatible,
@@ -124,7 +124,7 @@ class TestScoreBatch:
         # a row whose abstain mass rounds to 1.0 scores -inf, and a shift
         # may move it across that edge
         assume(not has_abstain or not any(
-            np.any(stable_softmax(z)[:, -1] >= 1.0) for z in shifted))
+            np.any(softmax(z)[0][:, -1] >= 1.0) for z in shifted))
         kinds = [k for k in MECHANISM_KINDS if mechanism_compatible(k, head)]
         a, b = (score_outputs(head_of(head, n_classes), {"logits": z}, kinds)
                 for z in shifted)
@@ -136,7 +136,7 @@ class TestScoreBatch:
         X, _ = random_batch(rng, net, m=12)
         logits = network_outputs(net, X)["logits"]
         sr = scores_from(net, X, "softmax_response")
-        q = stable_softmax(logits[:, :3])
+        q = softmax(logits[:, :3])[0]
         assert np.max(np.abs(sr - q.max(axis=1))) < 1e-12
         # within each sample the top class is the top raw logit
         assert np.array_equal(np.argmax(q, axis=1),
@@ -178,14 +178,14 @@ def test_predict_classes_ignores_abstain_entry(rng):
     pred = predict_classes(logits, 3)
     assert np.all(pred < 3)
     assert np.array_equal(pred,
-                          np.argmax(stable_softmax(logits)[:, :3], axis=1))
+                          np.argmax(softmax(logits)[0][:, :3], axis=1))
 
 
 def test_predict_classes_reads_the_class_logits():
     # both class probabilities round to 0.0 next to the abstain entry; the
     # class logits still rank class 1 first, as training's argmax does
     z = np.array([[-900.0, -800.0, 0.0]])
-    assert stable_softmax(z)[0, :2].tolist() == [0.0, 0.0]
+    assert softmax(z)[0][0, :2].tolist() == [0.0, 0.0]
     assert predict_classes(z, 2).tolist() == [1]
 
 
@@ -217,7 +217,7 @@ def test_class_probabilities_renormalize_identity(rng):
     X, _ = random_batch(rng, net, m=8)
     raw = network_outputs(net, X)
     scores = score_outputs(net, raw, ["softmax_response", "negative_entropy"])
-    probs = stable_softmax(raw["logits"])
+    probs = softmax(raw["logits"])[0]
     manual = probs[:, :4] / (1.0 - probs[:, 4:5])
     assert np.isfinite(scores["softmax_response"]).all()
     assert np.max(np.abs(scores["softmax_response"]
@@ -237,11 +237,11 @@ def test_class_distribution_computed_once_per_output(rng, monkeypatch):
                           "abstention_logit")}
     calls = []
 
-    def counted_softmax(z):
+    def counted_softmax(z, out=None):
         calls.append(z.shape)
-        return stable_softmax(z)
+        return softmax(z, out)
 
-    monkeypatch.setattr(selection, "stable_softmax", counted_softmax)
+    monkeypatch.setattr(selection, "softmax", counted_softmax)
     together = score_outputs(net, raw, list(alone))
     assert calls == [(8, 5), (8, 4)]
     assert list(together) == list(alone)
