@@ -132,9 +132,10 @@ def cmd_eval(args) -> int:
             f"config hashes to {h}; pass --force to evaluate anyway")
     outdir = resolve_outdir(cfg.output_dir, args.output) / "eval"
     outdir.mkdir(parents=True, exist_ok=True)
-    # eval reads no training rows, so the train split is not drawn
-    val_ds, test_ds = (draw_split(spec, name) for name in ("val", "test"))
+    # eval reads no training rows, and val rows only to calibrate on them
     ev = cfg.evaluation
+    val_ds = draw_split(spec, "val") if ev.calibration_split == "val" else None
+    test_ds = draw_split(spec, "test")
     predicted, results = evaluate_mechanisms(
         net, val_ds, test_ds, ev.mechanisms, ev.coverage_grid,
         ev.calibration_split)

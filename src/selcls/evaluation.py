@@ -1,12 +1,13 @@
 """Selective metrics, risk-coverage curves, and score histograms.
 
-One rule selects the samples of a coverage target c. tau is the k-th
-largest fitting score, k = ceil(c * n_fit). A point takes every
-evaluation score above tau, then those equal to tau (+0.0 and -0.0 alike)
-in ascending index order: all of them after a held-out fit (the pure
-rule score >= tau; coverage on fresh data may drift by O(1/sqrt(n))), and
-k minus the count above tau after a self-fit (exact top-k). Each split
-is sorted once per curve, values only, and counts come by binary search.
+One rule selects the samples of a coverage target c: a point is a prefix
+of one order of the evaluation split, its scores in descending order with
+equal scores (+0.0 and -0.0 alike) in ascending index order. tau is the
+k-th largest fitting score, k = ceil(c * n_fit). After a self-fit the
+point takes the first k samples (exact top-k); after a held-out fit it
+takes every sample with score >= tau (coverage on fresh data may drift
+by O(1/sqrt(n))). The order is one stable argsort per curve, and each
+risk is a prefix count of it.
 
 -inf scores (degenerate samples) rank last. When fewer fitting scores are
 finite than k, tau is therefore -inf, and a held-out fit takes every
@@ -60,15 +61,14 @@ def _check_scores(scores) -> np.ndarray:
 
 def risk_coverage_curve(scores, predicted, truth, grid,
                         calibration_scores=None) -> list:
-    """One RiskCoveragePoint per target coverage in ``grid``, each in (0, 1].
+    """One RiskCoveragePoint per target coverage in ``grid``, each in (0, 1],
+    by the module's rule.
 
-    With ``calibration_scores`` given, tau is fitted there and applied to
-    the evaluation scores as a pure threshold (the held-out protocol).
-    Without it, the evaluation scores calibrate themselves with exact-k
-    tie handling, which makes every point identical to top-k selection.
-    Risk is 1 - (correct selected / selected), so at full coverage it is
-    bitwise equal to 1 - accuracy. Raises CalibrationError when every
-    fitting score is -inf.
+    With ``calibration_scores`` given, tau is fitted there (the held-out
+    protocol); without them the evaluation scores fit themselves, and each
+    point is their exact top k. Risk is 1 - (correct selected / selected)
+    from two integer counts, so at full coverage it is bitwise equal to
+    1 - accuracy. Raises CalibrationError when every fitting score is -inf.
     """
     grid = [float(c) for c in grid]
     scores = np.asarray(scores, dtype=np.float64)
@@ -79,25 +79,22 @@ def risk_coverage_curve(scores, predicted, truth, grid,
     fit = np.sort(_check_scores(calibration_scores if held_out else scores))
     if fit[-1] == -np.inf:
         raise CalibrationError("all scores are -inf; nothing can be selected")
-    ranked = np.sort(_check_scores(scores)) if held_out else fit
-    correct = predicted == truth
-    ranked_ok = np.sort(scores[correct])
+    # the one order: scores descending, equal ones by ascending index
+    negated = -_check_scores(scores)
+    order = np.argsort(negated, kind="stable")
+    negated = negated[order]
+    n_ok = np.cumsum((predicted == truth)[order])
     points = []
     for c in grid:
         k = required_count(fit.size, c)
-        tau = fit[-k]
-        n_above = scores.size - int(np.searchsorted(ranked, tau, "right"))
-        ties = np.flatnonzero(scores == tau)
-        if not held_out:  # at least k lie at or above tau: ties fill the rest
-            ties = ties[:k - n_above]
-        n_sel = n_above + ties.size
+        n_sel = (int(np.searchsorted(negated, -fit[-k], "right"))
+                 if held_out else k)
         if n_sel == 0:
             raise UndefinedRiskError("no samples selected; risk is undefined")
-        n_ok = (ranked_ok.size - int(np.searchsorted(ranked_ok, tau, "right"))
-                + int(np.count_nonzero(correct[ties])))
         points.append(RiskCoveragePoint(
             target_coverage=c, achieved_coverage=n_sel / scores.size,
-            selective_risk=1.0 - n_ok / n_sel, n_selected=n_sel))
+            selective_risk=1.0 - int(n_ok[n_sel - 1]) / n_sel,
+            n_selected=n_sel))
     return points
 
 

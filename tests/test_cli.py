@@ -683,6 +683,23 @@ class TestEvalCommand:
                      "--checkpoint", str(outdir / "checkpoint.json")]) == 0
         assert labels == ["mixture:val", "mixture:test"]
 
+    @pytest.mark.parametrize("split, drawn", [("val", ["val", "test"]),
+                                              ("test", ["test"])])
+    def test_draws_val_only_to_calibrate_on_it(self, tmp_path, monkeypatch,
+                                               split, drawn):
+        cfg_path, outdir = self.train_one(
+            tmp_path, evaluation={"calibration_split": split})
+        names = []
+
+        def recorded_draw_split(spec, name):
+            names.append(name)
+            return datasets.draw_split(spec, name)
+
+        monkeypatch.setattr(cli, "draw_split", recorded_draw_split)
+        assert main(["eval", "-c", str(cfg_path),
+                     "--checkpoint", str(outdir / "checkpoint.json")]) == 0
+        assert names == drawn
+
 
 class TestGradcheckCommand:
     def test_quick_suite_passes(self, capsys):
