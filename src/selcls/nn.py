@@ -20,17 +20,16 @@ A forward pass returns the trace that the exact backward pass needs;
 neither pass mutates the network. Parameter updates happen only in the
 training loop, on ``Network.params``.
 
-Both passes write into a ``Workspace``, the buffers of one network per
-batch row count. A forward returns its row count's buffers, which are
-also the trace: its input, trunk pre-activations and activations and
-head outputs. The objective, given the trace's ``kernel`` buffers, has
-``softmax`` write p and log p there and writes its gradient over p; the
-backward pass writes the ReLU mask, da (which becomes dz in place) and
-the flat gradient. A forward given no workspace makes a fresh one, so
-every pass runs the same buffer code. ``train()`` holds one workspace
-for all of its batch steps; each whole-split forward
-(``network_outputs``) makes its own. A trace is overwritten by the next
-forward on its workspace of as many rows.
+A forward pass writes into a ``Workspace``, the buffers of one network
+per batch row count, and returns its row count's buffers, which are also
+the trace: its input, trunk pre-activations and activations and head
+outputs. The backward pass writes the flat gradient there too; the
+objective's gradients and the backward's intermediates are new arrays.
+A forward given no workspace makes a fresh one, so every pass runs the
+same buffer code. ``train()`` holds one workspace for all of its batch
+steps; each whole-split forward (``network_outputs``) makes its own. A
+trace is overwritten by the next forward on its workspace of as many
+rows.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
@@ -144,26 +143,21 @@ def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
                                   layers[len(hidden_dims):])))
 
 
-def softmax(z: np.ndarray, out=None):
+def softmax(z: np.ndarray):
     """(p, log p) of each row of a 2-d ``z``, the one softmax of the package.
 
     Each row is shifted by its entry at the row argmax (an argmax and a 1-d
     gather cost less than a row max), so exp never overflows, and the only
     log taken is of a row sum >= 1. Both results are C-contiguous whatever
-    z's layout, so callers can scatter into them through ``ravel()``.
-    ``out``, a (p, log p, argmax) triple of buffers (two float64 ones
-    shaped like z, one int64 one per row), takes the three instead of new
-    arrays. A zero-width row is refused; zero rows give empty results.
+    z's layout, so callers can scatter into them through ``ravel()``. A
+    zero-width row is refused; zero rows give empty results.
     """
     m, k = z.shape
     if not k:
         raise ConfigurationError("softmax of an empty vector")
-    p_out, lp_out, argmax_out = (None, None, None) if out is None else out
-    argmax = z.argmax(axis=1, out=argmax_out)
-    at_max = np.arange(0, m * k, k) + argmax
-    shifted = np.subtract(z, z.ravel()[at_max][:, None], out=lp_out,
-                          order="C")
-    p = np.exp(shifted, out=p_out)
+    at_max = np.arange(0, m * k, k) + z.argmax(axis=1)
+    shifted = np.subtract(z, z.ravel()[at_max][:, None], order="C")
+    p = np.exp(shifted)
     total = p.sum(axis=1, keepdims=True)
     p /= total
     shifted -= np.log(total)
@@ -191,8 +185,8 @@ class _BatchBuffers:
     """A workspace's buffers for batches of one row count m, which are also
     the trace of its latest forward: the input ``x``, the trunk's ``pre``
     and ``act`` and the heads' ``head_raw``. The forward's are made with
-    it; the backward's, the flat gradient's and the softmax kernel's,
-    which a forward-only caller never touches, on first use."""
+    it; the flat gradient, which a forward-only caller never touches, on
+    first use."""
 
     def __init__(self, net: Network, m: int):
         self._net = net
@@ -215,35 +209,11 @@ class _BatchBuffers:
     def grad_views(self) -> list:
         return _layer_views(self.grad, self._net.layer_shapes)
 
-    @cached_property
-    def mask(self) -> list:
-        """pre > 0 per trunk layer."""
-        return [np.empty(a.shape, dtype=bool) for a in self.act]
-
-    @cached_property
-    def da(self) -> list:
-        """d(loss)/d(act) per trunk layer, turned into dz in place."""
-        return [np.empty(a.shape) for a in self.act]
-
-    @cached_property
-    def da_head(self) -> np.ndarray:
-        """One head's share of the last trunk layer's da."""
-        return np.empty(self.act[-1].shape)
-
-    @cached_property
-    def kernel(self) -> dict:
-        """Head name -> the softmax kernel's (p, log p, row argmax), for
-        every head but a one-wide one (SelectiveNet's select), which the
-        kernel never runs on."""
-        return {name: (np.empty(raw.shape), np.empty(raw.shape),
-                       np.empty(raw.shape[0], dtype=np.int64))
-                for name, raw in self.head_raw.items() if raw.shape[1] > 1}
-
 
 class Workspace:
-    """The buffers of ``network_forward``, ``objective_dispatch`` and
-    ``network_backward`` on one network, one ``_BatchBuffers`` per batch
-    row count, each made on first use."""
+    """The buffers of ``network_forward`` and ``network_backward`` on one
+    network, one ``_BatchBuffers`` per batch row count, each made on first
+    use."""
 
     def __init__(self, net: Network):
         self._net = net
@@ -335,8 +305,7 @@ def network_backward(net: Network, trace: _BatchBuffers,
     ``trace`` is what ``network_forward`` returned. ``dhead_raw`` maps
     each of the network's heads, and no other name, to an (m, out_dim)
     array. Returns the flat gradient, laid out like ``net.params``: the
-    trace's ``grad``, overwritten, with every intermediate also written
-    into the trace's buffers.
+    trace's ``grad``, overwritten.
     """
     if dhead_raw.keys() != net.heads.keys():
         raise ConfigurationError(
@@ -359,19 +328,19 @@ def network_backward(net: Network, trace: _BatchBuffers,
         if not n_trunk:
             continue
         if da is None:
-            da = np.matmul(d, net.heads[name].W, out=trace.da[-1])
+            da = np.matmul(d, net.heads[name].W)
         else:
-            da += np.matmul(d, net.heads[name].W, out=trace.da_head)
+            da += np.matmul(d, net.heads[name].W)
 
     for i in range(n_trunk - 1, -1, -1):
-        dz = np.multiply(da, np.greater(trace.pre[i], 0, out=trace.mask[i]),
-                         out=da)
+        # da is a new array here, so it turns into dz in place
+        dz = np.multiply(da, trace.pre[i] > 0, out=da)
         below = trace.act[i - 1] if i > 0 else trace.x
         dW, db = views[i]
         np.matmul(dz.T, below, out=dW)
         dz.sum(axis=0, out=db)
         if i:  # the input gradient below layer 0 is never used
-            da = np.matmul(dz, net.trunk[i].W, out=trace.da[i - 1])
+            da = np.matmul(dz, net.trunk[i].W)
     return grad
 
 

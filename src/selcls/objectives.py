@@ -133,7 +133,7 @@ def predictive_entropy(logits) -> np.ndarray:
 
 
 def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
-                       o: float = 0.0, t_y=None, out=None):
+                       o: float = 0.0, t_y=None):
     """Per-sample loss, per-sample entropy, logit gradient and label
     probability of one softmax head, from one ``nn.softmax``.
 
@@ -144,11 +144,10 @@ def _softmax_objective(kind: str, z, y, scale=1.0, beta: float = 0.0,
     onehot(A)). The gradient is ``scale * (p - w) + beta * dH/dz``, with
     ``scale`` a number or one weight per row; the entropy H is returned
     only when ``beta`` is nonzero, and p at each row's label, for the
-    target update, only with ``t_y``, otherwise None. ``out``, a
-    (p, log p, argmax) triple of buffers, is handed to ``nn.softmax``, and
-    the gradient is then written over its p.
+    target update, only with ``t_y``, otherwise None. The gradient is
+    written over softmax's p, a new array.
     """
-    p, lp = softmax(z, out)
+    p, lp = softmax(z)
     m, k = z.shape
     # flat indices of each row's label entry: 1-d gathers and scatters
     # cost less than (rows, cols) pairs
@@ -203,7 +202,7 @@ class DispatchResult:
 
 
 def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
-                       t_y=None, out: dict | None = None) -> DispatchResult:
+                       t_y=None) -> DispatchResult:
     """Route a batch of head outputs through the configured objective.
 
     ``outputs`` maps head names to raw arrays as produced by the network
@@ -213,10 +212,8 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
     softmax kernel, ``_softmax_objective``; the +EM variants add
     ``beta * mean entropy`` of the prediction head. For SAT, ``t_y``
     holds each row's target mass on its label; without it the objective
-    is SAT's pre-training loss, plain (C+1)-way cross entropy. ``out``, a
-    trace's ``kernel`` buffers (head name -> (p, log p, argmax)), takes
-    the kernel's arrays, so the returned gradients are those buffers,
-    valid until the trace's next forward; without ``out`` they are new.
+    is SAT's pre-training loss, plain (C+1)-way cross entropy. The
+    returned gradients are new arrays, shared with no input or other call.
     """
     kind = cfg.base_kind
     y = np.asarray(y, dtype=np.int64)
@@ -228,9 +225,8 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
             f"need a non-empty batch with labels in [0, {n_classes}) of "
             f"shape ({m},)")
     beta = cfg.beta if cfg.uses_em else 0.0
-    kernel = {} if out is None else out
     if kind == "SelectiveNet":
-        return _selectivenet(cfg, logits, outputs, y, n_classes, beta, kernel)
+        return _selectivenet(cfg, logits, outputs, y, n_classes, beta)
 
     o = 0.0
     if kind == "CE":
@@ -251,8 +247,7 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
         raise ConfigurationError(
             f"SAT targets need one mass per sample, not {t_y.shape}")
     loss_i, H, d, p_label = _softmax_objective(
-        kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y,
-        out=kernel.get("logits"))
+        kind, logits, y, scale=1.0 / m, beta=beta / m, o=o, t_y=t_y)
     loss = float(loss_i.sum()) / m
     if H is not None:
         loss += beta * (float(H.sum()) / m)
@@ -260,7 +255,7 @@ def objective_dispatch(cfg: ObjectiveConfig, outputs: dict, y, n_classes: int,
 
 
 def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
-                  beta: float, kernel: dict) -> DispatchResult:
+                  beta: float) -> DispatchResult:
     """Three-head selective loss with exact gradients.
 
     With per-sample cross-entropies l_i on the prediction head f, the
@@ -296,10 +291,8 @@ def _selectivenet(cfg: ObjectiveConfig, f, outputs: dict, y, n_classes: int,
     denom = max(mean_g, COVERAGE_EPS)
     a = cfg.alpha_mix
     l_f, H, d_f, _ = _softmax_objective(
-        "CE", f, y, scale=(a / (m * denom)) * g, beta=beta / m,
-        out=kernel.get("logits"))
-    l_h, _, d_h, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m,
-                                        out=kernel.get("aux"))
+        "CE", f, y, scale=(a / (m * denom)) * g, beta=beta / m)
+    l_h, _, d_h, _ = _softmax_objective("CE", h, y, scale=(1 - a) / m)
     selective = float((l_f * g).sum()) / m / denom
 
     shortfall = cfg.c_target - mean_g

@@ -107,18 +107,17 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def sgd_momentum_step(params, grads, velocity, lr, momentum, weight_decay,
-                      step) -> None:
+def sgd_momentum_step(params, grads, velocity, lr, momentum,
+                      weight_decay) -> None:
     """v <- momentum*v + g (+ wd*theta); theta <- theta - lr*v, in place on
-    flat vectors, with lr*v written into ``step``. A non-finite gradient
-    raises before anything changes."""
+    flat vectors. A non-finite gradient raises before anything changes."""
     if not np.isfinite(grads).all():
         raise NumericFault("non-finite gradient in optimizer step")
     if weight_decay:
         grads = grads + weight_decay * params
     velocity *= momentum
     velocity += grads
-    params -= np.multiply(velocity, lr, out=step)
+    params -= lr * velocity
 
 
 def _evaluate(net: Network, X, y):
@@ -134,9 +133,9 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     Deterministic given (net, data, cfg): every shuffle draws from a
     sub-seed derived from cfg.seed and the epoch index. The network is
     mutated in place; nothing else is. Each epoch gathers the shuffled
-    split once, and every batch step computes in one ``Workspace``: the
-    forward returns the batch's buffers, and the objective and the
-    backward pass write into those same buffers.
+    split once, and every batch step's forward and backward pass share one
+    ``Workspace``: the forward returns the batch's buffers, and the
+    backward pass writes the flat gradient into them.
     """
     cfg.validate()
     obj = cfg.objective
@@ -154,7 +153,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
 
     targets = np.ones(n) if obj.base_kind == "SAT" else None
 
-    velocity, step = np.zeros_like(net.params), np.empty_like(net.params)
+    velocity = np.zeros_like(net.params)
     ws = Workspace(net)
     # the shuffled split, and each batch's predicted classes from the
     # network as it was before that batch's update
@@ -173,14 +172,14 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             trace = network_forward(net, Xp[rows], ws)
             result = objective_dispatch(
                 obj, trace.head_raw, yp[rows], n_classes=C,
-                t_y=targets[ids] if adaptive else None, out=trace.kernel)
+                t_y=targets[ids] if adaptive else None)
             if not np.isfinite(result.loss) or result.loss > DIVERGENCE_LIMIT:
                 raise NumericFault(
                     f"training diverged (loss={result.loss}) at epoch "
                     f"{epoch}, batch starting at {start}")
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
-                              cfg.weight_decay, step)
+                              cfg.weight_decay)
             if adaptive:
                 sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)

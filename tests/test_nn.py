@@ -364,6 +364,19 @@ class TestNetworkBackward:
         assert np.allclose(grads[:6].reshape(2, 3), np.outer(np.ones(2), x[0]))
         assert np.allclose(grads[6:], np.ones(2))
 
+    def test_relu_subgradient_at_exactly_zero_is_zero(self, rng):
+        net = build_network(2, (3,), 2, "plain")
+        net.trunk[0].W[0] = 0.0
+        net.trunk[0].b[0] = 0.0
+        trace = network_forward(net, rng.normal(size=(4, 2)))
+        assert np.all(trace.pre[0][:, 0] == 0.0)
+        grads = network_backward(
+            net, trace, {"logits": rng.normal(size=(4, 2))})
+        dW, db = nn._layer_views(grads, net.layer_shapes)[0]
+        assert np.all(dW[0] == 0.0) and db[0] == 0.0
+        # the other units are live, so their rows are not trivially 0
+        assert np.any(dW[1:] != 0.0)
+
     def test_missing_or_extra_head_raises(self, rng):
         net = random_net(rng, head="selectivenet", n_classes=3)
         X, _ = random_batch(rng, net)

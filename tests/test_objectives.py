@@ -392,21 +392,23 @@ class TestDispatch:
         assert np.allclose(res.dlogits["logits"], d)
 
     @pytest.mark.parametrize("kind", ["CE", "DG+EM", "SAT", "SelectiveNet"])
-    def test_out_makes_the_trace_buffers_the_gradients(self, rng, kind):
+    def test_gradients_share_no_memory_with_the_trace_or_another_call(
+            self, rng, kind):
         cfg = ObjectiveConfig(kind=kind, beta=0.05)
         net = build_network(3, (5,), n_classes=3, head=cfg.required_head(),
                             seed=0)
         trace = network_forward(net, rng.normal(size=(6, 3)))
         y = rng.integers(0, 3, size=6)
         kw = dict(n_classes=3, t_y=np.ones(6) if kind == "SAT" else None)
-        new = objective_dispatch(cfg, trace.head_raw, y, **kw)
-        res = objective_dispatch(cfg, trace.head_raw, y, out=trace.kernel,
-                                 **kw)
-        assert res.loss == new.loss
+        res = objective_dispatch(cfg, trace.head_raw, y, **kw)
+        again = objective_dispatch(cfg, trace.head_raw, y, **kw)
+        assert res.loss == again.loss
+        assert res.dlogits.keys() == trace.head_raw.keys()
         for name, d in res.dlogits.items():
-            if name in trace.kernel:  # every head but the one-wide select
-                assert d is trace.kernel[name][0]
-            assert np.array_equal(d, new.dlogits[name])
+            assert np.array_equal(d, again.dlogits[name])
+            for other in [*trace.pre, *trace.act, *trace.head_raw.values(),
+                          *again.dlogits.values()]:
+                assert not np.shares_memory(d, other)
 
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_fortran_ordered_outputs_give_the_same_bytes(self, kind):

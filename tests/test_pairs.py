@@ -1,8 +1,10 @@
-"""tools/pairs.py: its statistics, claim rule and run flags, on fixed
-inputs; no perfbench run is started."""
+"""tools/pairs.py: its statistics, claim rule, run flags and checkouts, on
+fixed inputs; no perfbench run is started."""
 
 import importlib.util
 import math
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -161,7 +163,8 @@ def test_a_pair_run_but_not_counted_fails_the_claim():
 def test_main_runs_one_pair_per_seed_for_the_benchmark_length(
         monkeypatch, tmp_path, capsys):
     calls = []
-    monkeypatch.setattr(pairs, "describe", lambda rev: {"rev": rev})
+    monkeypatch.setattr(pairs, "describe",
+                        lambda rev: {"rev": rev, "commit": rev})
     monkeypatch.setattr(
         pairs, "run_pairs", lambda args, seeds, seconds: calls.append(
             (seeds, seconds)) or {str(s): {"order": ["base", "change"],
@@ -179,3 +182,41 @@ def test_main_runs_one_pair_per_seed_for_the_benchmark_length(
         with pytest.raises(SystemExit):
             pairs.main(["--base", "HEAD", "--workload", "eval-sweep",
                         "--seeds", "81-83", "--out", str(out), flag, "10"])
+
+
+def test_the_change_side_is_a_snapshot_of_the_working_tree(
+        monkeypatch, tmp_path):
+    # an identity and no user or system config, so that the commits below
+    # and git stash create run the same anywhere
+    for name, value in {"GIT_CONFIG_GLOBAL": os.devnull,
+                        "GIT_CONFIG_NOSYSTEM": "1",
+                        "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+                        "GIT_COMMITTER_NAME": "t",
+                        "GIT_COMMITTER_EMAIL": "t@t"}.items():
+        monkeypatch.setenv(name, value)
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                              capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("committed\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setattr(pairs, "ROOT", repo)
+    head = git("rev-parse", "HEAD").strip()
+    assert pairs.describe(None) == {"rev": None, "commit": head}
+
+    (repo / "a.txt").write_text("edited\n")
+    status, stashes = git("status", "--porcelain"), git("stash", "list")
+    change = pairs.describe(None)
+    assert change["rev"] is None and change["commit"] != head
+    unpacked = tmp_path / "unpacked"
+    unpacked.mkdir()
+    pairs.fill(unpacked, change["commit"])
+    assert (unpacked / "a.txt").read_text() == "edited\n"
+    assert git("status", "--porcelain") == status == " M a.txt\n"
+    assert git("stash", "list") == stashes == ""
+    assert git("rev-parse", "HEAD").strip() == head

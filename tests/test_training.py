@@ -103,7 +103,7 @@ class TestSgdMomentumStep:
         v = np.array([0.0, 0.0])
         g = np.array([1.0, 2.0])
         sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.9,
-                          weight_decay=0.0, step=np.empty_like(theta))
+                          weight_decay=0.0)
         assert v.tolist() == [1.0, 2.0]
         assert theta == pytest.approx([0.9, -1.2])
 
@@ -112,7 +112,7 @@ class TestSgdMomentumStep:
         v = np.array([5.0])
         g = np.array([0.5])
         sgd_momentum_step(theta, g, v, lr=0.2, momentum=0.0,
-                          weight_decay=0.0, step=np.empty_like(theta))
+                          weight_decay=0.0)
         assert theta[0] == pytest.approx(2.0 - 0.2 * 0.5)
 
     def test_zero_gradient_velocity_decays_geometrically(self):
@@ -122,7 +122,7 @@ class TestSgdMomentumStep:
         drift = 0.0
         for step in range(1, 6):
             sgd_momentum_step(theta, g, v, lr=0.1, momentum=0.5,
-                              weight_decay=0.0, step=np.empty_like(theta))
+                              weight_decay=0.0)
             assert v[0] == pytest.approx(0.5 ** step)
             drift -= 0.1 * 0.5 ** step
             assert theta[0] == pytest.approx(drift)
@@ -131,7 +131,7 @@ class TestSgdMomentumStep:
         theta, v = np.array([1.0, 2.0]), np.array([0.5, 0.5])
         with pytest.raises(NumericFault):
             sgd_momentum_step(theta, np.array([0.1, np.nan]), v, 0.1, 0.9,
-                              0.0, np.empty_like(theta))
+                              0.0)
         # nothing moves, not even the entries before the bad one
         assert theta.tolist() == [1.0, 2.0]
         assert v.tolist() == [0.5, 0.5]
@@ -326,7 +326,7 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
                                         t_y=targets[ids] if adaptive else None)
             grads = network_backward(net, trace, result.dlogits)
             sgd_momentum_step(net.params, grads, velocity, lr, cfg.momentum,
-                              cfg.weight_decay, np.empty_like(net.params))
+                              cfg.weight_decay)
             if adaptive:
                 sat_update_targets(targets, ids, result.p_label,
                                    obj.sat_momentum)

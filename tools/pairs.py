@@ -4,15 +4,18 @@
         --seeds 101-110 --out BENCH_12.json
 
 ``--base REV`` is the side a change is measured against; ``--change REV``
-is the other side, and without it the working tree's tracked files (as
-``git ls-files`` lists them, with their uncommitted edits; ``git add`` a
-new file first). Each seed of ``--seeds`` makes one pair: both sides
-are unpacked into fresh directories (``git archive REV | tar -x``, or a
-copy of the tracked files), ``python3 perfbench/run.py --workload W
---seed N --seconds S`` runs in each, with S the ``run_seconds`` of
-``BENCHMARK.json``, and the directories are removed. The side that runs
-first alternates from pair to pair. The repository's ``.git`` is only
-read. Runs of another length go through ``perfbench/run.py`` directly.
+is the other side, and without it a snapshot of the working tree's
+tracked files (as ``git ls-files`` lists them, with their uncommitted
+edits; ``git add`` a new file first): the commit ``git stash create``
+makes, or HEAD when nothing is uncommitted. Each seed of ``--seeds``
+makes one pair: both sides are unpacked the same way into fresh
+directories (``git archive COMMIT | tar -x``), ``python3
+perfbench/run.py --workload W --seed N --seconds S`` runs in each, with
+S the ``run_seconds`` of ``BENCHMARK.json``, and the directories are
+removed. The side that runs first alternates from pair to pair. The
+repository's ``.git`` gains only the snapshot's objects; refs, index and
+working tree stay as they were. Runs of another length go through
+``perfbench/run.py`` directly.
 
 Per end-to-end metric of ``BENCHMARK.json`` it prints each side's median,
 Q1 and Q3 (``statistics.quantiles``, inclusive method), the number of
@@ -42,7 +45,6 @@ import json
 import math
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -187,19 +189,11 @@ def git(*args, **kwargs):
                           capture_output=True, **kwargs).stdout
 
 
-def fill(directory: Path, rev) -> None:
-    """Unpack ``rev``, or the working tree's tracked files when it is None,
-    into the empty ``directory``."""
-    if rev is not None:
-        archive = git("archive", "--format=tar", rev)
-        subprocess.run(["tar", "-x", "-C", str(directory)], input=archive,
-                       check=True)
-        return
-    for name in git("ls-files", "-z").decode().split("\0"):
-        source = ROOT / name
-        if name and source.is_file():
-            (directory / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, directory / name)
+def fill(directory: Path, rev: str) -> None:
+    """Unpack the revision ``rev`` into the empty ``directory``."""
+    archive = git("archive", "--format=tar", rev)
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive,
+                   check=True)
 
 
 def run_perfbench(directory: Path, workload: str, seed: int,
@@ -248,19 +242,22 @@ def run_pairs(args, seeds, seconds: float) -> dict:
 
 
 def describe(rev) -> dict:
+    """``rev`` and the commit it names; None names the snapshot of the
+    working tree's tracked files, or HEAD when nothing is uncommitted."""
     if rev is None:
-        head = git("rev-parse", "HEAD", text=True).strip()
-        return {"rev": None, "commit": f"{head} + working tree's tracked files"}
-    return {"rev": rev,
-            "commit": git("rev-parse", f"{rev}^{{commit}}", text=True).strip()}
+        commit = git("stash", "create", text=True).strip() or \
+            git("rev-parse", "HEAD", text=True).strip()
+    else:
+        commit = git("rev-parse", f"{rev}^{{commit}}", text=True).strip()
+    return {"rev": rev, "commit": commit}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="revision measured against")
     p.add_argument("--change", default=None,
-                   help="revision of the change (default: the working "
-                        "tree's tracked files)")
+                   help="revision of the change (default: a snapshot of "
+                        "the working tree's tracked files)")
     p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seeds", required=True, help="A-B, one seed per pair")
     p.add_argument("--out", required=True, help="JSON file to write or update")
@@ -270,6 +267,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         p.error(str(exc))
     base, change = describe(args.base), describe(args.change)
+    # both sides unpack the commits that --out records
+    args.base, args.change = base["commit"], change["commit"]
     bench = benchmark()
     seconds = bench["run_seconds"]
 
