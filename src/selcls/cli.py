@@ -94,19 +94,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def evaluate_mechanisms(net, val_ds, test_ds, mechanisms, coverages,
-                        calibration_split: str):
+def evaluate_mechanisms(net, val_ds, test_ds, mechanisms, coverages):
     """Score the test split with each mechanism and trace its risk-coverage
     curve at ``coverages``.
 
     Returns (test predictions, {mechanism: (test scores, curve points)}).
-    With ``calibration_split`` "val" each threshold is fitted on the val
-    scores; with "test" the test scores calibrate themselves.
+    Given a ``val_ds``, each threshold is fitted on its scores; given
+    None, the test scores calibrate themselves.
     """
     test_raw = network_outputs(net, test_ds.features)
     predicted = predict_classes(test_raw["logits"], net.n_classes)
     test_scores = score_outputs(net, test_raw, mechanisms)
-    val_scores = {} if calibration_split != "val" else score_outputs(
+    val_scores = {} if val_ds is None else score_outputs(
         net, network_outputs(net, val_ds.features), mechanisms)
     results = {kind: (scores, risk_coverage_curve(
         scores, predicted, test_ds.labels, coverages,
@@ -137,8 +136,7 @@ def cmd_eval(args) -> int:
     val_ds = draw_split(spec, "val") if ev.calibration_split == "val" else None
     test_ds = draw_split(spec, "test")
     predicted, results = evaluate_mechanisms(
-        net, val_ds, test_ds, ev.mechanisms, ev.coverage_grid,
-        ev.calibration_split)
+        net, val_ds, test_ds, ev.mechanisms, ev.coverage_grid)
     for kind, (scores, points) in results.items():
         comment = f"config={h} mechanism={kind}"
         curve_to_csv(outdir / f"curve_{kind}.csv", points,
@@ -174,7 +172,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def grid_cell_name(method: str, coverage, seed: int) -> str:
-    cov = "all" if coverage is None else f"c{fmt(float(coverage))}"
+    cov = "all" if coverage is None else f"c{fmt(coverage)}"
     return f"{method.replace('+', '_')}_{cov}_s{seed}"
 
 
@@ -197,11 +195,11 @@ def grid_cell(cfg: RunConfig, objective, coverage, seed: int, splits,
                        cells_dir / f"{name}.report.csv", config_hash)
         cell["checkpoint"] = path
         _, val_ds, test_ds, _ = splits
+        on_val = cfg.evaluation.calibration_split == "val"
         _, results = evaluate_mechanisms(
-            net, val_ds, test_ds,
+            net, val_ds if on_val else None, test_ds,
             [k for k in cfg.grid.mechanisms
-             if mechanism_compatible(k, net.head)],
-            eval_covs, cfg.evaluation.calibration_split)
+             if mechanism_compatible(k, net.head)], eval_covs)
     except (SelclsError, OSError) as exc:
         cell["status"] = "failed"
         cell["error"] = f"{type(exc).__name__}: {exc}"

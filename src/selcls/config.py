@@ -50,10 +50,13 @@ def _field_names(cls, d, where: str, given=()) -> dict:
 def _section(cls, d, where: str, **given):
     """The dataclass ``cls`` built from the JSON object ``d`` of section
     ``where`` and type-checked; ``given`` fills fields that are not JSON
-    keys."""
+    keys. Each value is then kept in its hash-document form, so a float
+    key given as ``1`` runs as ``1.0``, as it hashes."""
     names = _field_names(cls, d, where, given)
     cfg = cls(**{names[key]: value for key, value in d.items()}, **given)
     _check_types(cfg, where)
+    for key, value in _normalized(cfg, cls).items():
+        setattr(cfg, names[key], value)
     return cfg
 
 

@@ -12,9 +12,9 @@ three head layouts:
 Every parameter lives in one contiguous float64 vector,
 ``Network.params``. Each layer's ``W`` and ``b`` are views into it, laid
 out as trunk ``W, b`` per layer, then the heads ``logits``, ``select``,
-``aux``; checkpoints store the vector in that order. The backward pass, the optimizer velocity and
-the finite-difference oracle use vectors of the same layout, and
-``_layer_views`` cuts any of them into per-layer ``(W, b)`` views.
+``aux``; checkpoints store the vector in that order. The gradient, the
+optimizer velocity and the finite-difference oracle use vectors of the
+same layout; ``_network_over`` wraps any of them in a ``Network``.
 
 A forward pass returns the trace that the exact backward pass needs;
 neither pass mutates the network. Parameter updates happen only in the
@@ -23,13 +23,13 @@ training loop, on ``Network.params``.
 A forward pass writes into a ``Workspace``, the buffers of one network
 per batch row count, and returns its row count's buffers, which are also
 the trace: its input, trunk pre-activations and activations and head
-outputs. The backward pass writes the flat gradient there too; the
-objective's gradients and the backward's intermediates are new arrays.
-A forward given no workspace makes a fresh one, so every pass runs the
-same buffer code. ``train()`` holds one workspace for all of its batch
-steps; each whole-split forward (``network_outputs``) makes its own. A
-trace is overwritten by the next forward on its workspace of as many
-rows.
+outputs. The backward pass writes its gradient, a ``Network``, there
+too; the objective's gradients and the backward's intermediates are
+new arrays. A forward given no workspace makes a fresh one, so every
+pass runs the same buffer code. ``train()`` holds one workspace for all
+of its batch steps; each whole-split forward (``network_outputs``)
+makes its own. A trace is overwritten by the next forward on its
+workspace of as many rows.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
@@ -73,21 +73,9 @@ class Network:
     heads: dict
 
     @property
-    def layer_shapes(self) -> list:
-        """(out, in) of every layer in the order of the flat layout."""
-        return [layer.W.shape
-                for layer in self.trunk + list(self.heads.values())]
-
-
-def _layer_views(flat: np.ndarray, shapes) -> list:
-    """Cut a flat vector into one (W, b) pair of views per (out, in) shape."""
-    views, end = [], 0
-    for rows, cols in shapes:
-        start, end = end, end + rows * cols
-        W = flat[start:end].reshape(rows, cols)
-        start, end = end, end + rows
-        views.append((W, flat[start:end]))
-    return views
+    def layers(self) -> list:
+        """Every layer in the order of the flat layout."""
+        return self.trunk + list(self.heads.values())
 
 
 def head_output_dims(head: str, n_classes: int) -> dict:
@@ -107,9 +95,10 @@ def build_network(input_dim, hidden_dims=(64, 64), n_classes=2, head=HEAD_PLAIN,
 
     Weights are uniform in +-sqrt(6/(fan_in+fan_out)) per layer, biases 0.
     """
-    net = _zero_network(input_dim, tuple(hidden_dims), n_classes, head)
+    arch = (input_dim, tuple(hidden_dims), n_classes, head)
+    net = _network_over(np.zeros(parameter_count(*arch)), *arch)
     rng = rng_for(seed, "init")
-    for layer in net.trunk + list(net.heads.values()):
+    for layer in net.layers:
         bound = np.sqrt(6.0 / sum(layer.W.shape))
         layer.W[...] = rng.uniform(-bound, bound, size=layer.W.shape)
     return net
@@ -131,11 +120,16 @@ def parameter_count(input_dim, hidden_dims, n_classes, head) -> int:
     return _layer_shapes(input_dim, hidden_dims, n_classes, head)[1]
 
 
-def _zero_network(input_dim, hidden_dims, n_classes, head) -> Network:
-    """A network of the given architecture with every parameter 0."""
-    shapes, n_params = _layer_shapes(input_dim, hidden_dims, n_classes, head)
-    params = np.zeros(n_params)
-    layers = [Affine(W=W, b=b) for W, b in _layer_views(params, shapes)]
+def _network_over(params, input_dim, hidden_dims, n_classes, head) -> Network:
+    """A network of the given architecture whose layers are views into the
+    flat vector ``params``, cut in the order of the flat layout."""
+    shapes = _layer_shapes(input_dim, hidden_dims, n_classes, head)[0]
+    layers, end = [], 0
+    for rows, cols in shapes:
+        start, end = end, end + rows * cols
+        W = params[start:end].reshape(rows, cols)
+        start, end = end, end + rows
+        layers.append(Affine(W=W, b=params[start:end]))
     return Network(input_dim=input_dim, hidden_dims=hidden_dims,
                    n_classes=n_classes, head=head, params=params,
                    trunk=layers[:len(hidden_dims)],
@@ -185,8 +179,8 @@ class _BatchBuffers:
     """A workspace's buffers for batches of one row count m, which are also
     the trace of its latest forward: the input ``x``, the trunk's ``pre``
     and ``act`` and the heads' ``head_raw``. The forward's are made with
-    it; the flat gradient, which a forward-only caller never touches, on
-    first use."""
+    it; the gradient, which a forward-only caller never touches, on first
+    use."""
 
     def __init__(self, net: Network, m: int):
         self._net = net
@@ -201,13 +195,11 @@ class _BatchBuffers:
         self.act = [np.empty((m, w)) for w in net.hidden_dims]
 
     @cached_property
-    def grad(self) -> np.ndarray:
-        """The flat gradient, laid out like ``net.params``."""
-        return np.zeros_like(self._net.params)
-
-    @cached_property
-    def grad_views(self) -> list:
-        return _layer_views(self.grad, self._net.layer_shapes)
+    def grad(self) -> Network:
+        """The gradient, a network of the trace's architecture."""
+        net = self._net
+        return _network_over(np.zeros_like(net.params), net.input_dim,
+                             net.hidden_dims, net.n_classes, net.head)
 
 
 class Workspace:
@@ -304,16 +296,14 @@ def network_backward(net: Network, trace: _BatchBuffers,
 
     ``trace`` is what ``network_forward`` returned. ``dhead_raw`` maps
     each of the network's heads, and no other name, to an (m, out_dim)
-    array. Returns the flat gradient, laid out like ``net.params``: the
-    trace's ``grad``, overwritten.
+    array. Writes each layer's gradient into that layer of the trace's
+    ``grad`` network and returns ``grad.params``, the flat gradient.
     """
     if dhead_raw.keys() != net.heads.keys():
         raise ConfigurationError(
             f"need one gradient per head {sorted(net.heads)}, got "
             f"{sorted(dhead_raw)}")
-    grad, views = trace.grad, trace.grad_views
-    n_trunk = len(net.trunk)
-    head_views = dict(zip(net.heads, views[n_trunk:]))
+    grad = trace.grad
     last_act = trace.act[-1] if trace.act else trace.x
     da = None
     for name, d in dhead_raw.items():
@@ -322,26 +312,26 @@ def network_backward(net: Network, trace: _BatchBuffers,
             raise ConfigurationError(
                 f"dlogits shape {d.shape} does not match head {name!r} "
                 f"output {trace.head_raw[name].shape}")
-        dW, db = head_views[name]
-        np.matmul(d.T, last_act, out=dW)
-        d.sum(axis=0, out=db)
-        if not n_trunk:
+        g = grad.heads[name]
+        np.matmul(d.T, last_act, out=g.W)
+        d.sum(axis=0, out=g.b)
+        if not net.trunk:
             continue
         if da is None:
             da = np.matmul(d, net.heads[name].W)
         else:
             da += np.matmul(d, net.heads[name].W)
 
-    for i in range(n_trunk - 1, -1, -1):
+    for i in reversed(range(len(net.trunk))):
         # da is a new array here, so it turns into dz in place
         dz = np.multiply(da, trace.pre[i] > 0, out=da)
         below = trace.act[i - 1] if i > 0 else trace.x
-        dW, db = views[i]
-        np.matmul(dz.T, below, out=dW)
-        dz.sum(axis=0, out=db)
+        g = grad.trunk[i]
+        np.matmul(dz.T, below, out=g.W)
+        dz.sum(axis=0, out=g.b)
         if i:  # the input gradient below layer 0 is never used
             da = np.matmul(dz, net.trunk[i].W)
-    return grad
+    return grad.params
 
 
 FD_EPS = 1e-6
@@ -375,7 +365,8 @@ RELATIVE_ERROR_GUARD = 1e-8
 
 def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray) -> float:
     """Infinity-norm relative disagreement of two flat gradients of ``net``,
-    maximized over its parameter arrays.
+    maximized over its parameter arrays: the ``W`` and ``b`` of each layer
+    of the two networks that ``_network_over`` builds over them.
 
     Per array: max|a - b| / max(RELATIVE_ERROR_GUARD, max|a|, max|b|). The
     difference is scaled by the array's own gradient magnitude because
@@ -384,9 +375,10 @@ def max_relative_error(net: Network, g1: np.ndarray, g2: np.ndarray) -> float:
     entry happens to be tiny.
     """
     worst = 0.0
-    shapes = net.layer_shapes
-    for pair1, pair2 in zip(_layer_views(g1, shapes), _layer_views(g2, shapes)):
-        for a, b in zip(pair1, pair2):
+    arch = (net.input_dim, net.hidden_dims, net.n_classes, net.head)
+    layers1, layers2 = (_network_over(g, *arch).layers for g in (g1, g2))
+    for l1, l2 in zip(layers1, layers2):
+        for a, b in ((l1.W, l2.W), (l1.b, l2.b)):
             if not a.size:
                 continue
             denom = max(RELATIVE_ERROR_GUARD, np.abs(a).max(), np.abs(b).max())
@@ -477,15 +469,14 @@ def load_checkpoint(path):
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise ConfigurationError(
             f"checkpoint {path}: 'params' is not valid base64") from exc
-    # checked before _zero_network, so no stated architecture is allocated
+    # checked before a vector is made, so no stated architecture is allocated
     want = n_params * _PARAM_DTYPE.itemsize
     if len(raw) != want:
         raise ConfigurationError(
             f"checkpoint {path} holds {len(raw)} parameter bytes, "
             f"architecture wants {want} ({n_params} float64 values)")
-    net = _zero_network(*arch)
-    flat = np.frombuffer(raw, dtype=_PARAM_DTYPE)
-    net.params[...] = flat
-    if not np.all(np.isfinite(flat)):
+    # a writable native copy of the read-only buffer
+    params = np.frombuffer(raw, dtype=_PARAM_DTYPE).astype(np.float64)
+    if not np.all(np.isfinite(params)):
         raise NumericFault(f"checkpoint {path} contains non-finite parameters")
-    return net, doc.get("config_hash", "")
+    return _network_over(params, *arch), doc.get("config_hash", "")

@@ -104,7 +104,9 @@ class TrainReport:
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
-    return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
+    # in float, so a rate past the float range raises OverflowError
+    steps = epoch // cfg.decay_every
+    return float(cfg.lr0) * float(cfg.decay_factor) ** steps
 
 
 def sgd_momentum_step(params, grads, velocity, lr, momentum,

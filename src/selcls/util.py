@@ -41,14 +41,12 @@ def config_hash(obj) -> str:
 
 
 def fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise.
+    """Shortest round-trip decimal of ``x`` as a float.
 
-    Used for every CSV cell so that reruns of a deterministic pipeline
+    Used for every float CSV cell so that reruns of a deterministic pipeline
     produce byte-identical files.
     """
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+    return repr(float(x))
 
 
 @contextmanager

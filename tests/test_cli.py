@@ -391,6 +391,31 @@ class TestTrainCommand:
             "learning rate overflow within the training epochs\n")
         assert not Path(doc["output_dir"]).exists()
 
+    def test_integer_decay_factor_overflow_exits_2_naming_it(self, tmp_path,
+                                                            capsys):
+        # read as 10.0, so the rate overflows in float as it does for 10.0
+        cfg_path, doc = base_config(
+            tmp_path, training={"lr0": 1, "decay_factor": 10,
+                                "decay_every": 1, "epochs": 400})
+        assert main(["train", "-c", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: training.decay_factor 10.0 makes the "
+            "learning rate overflow within the training epochs\n")
+        assert not Path(doc["output_dir"]).exists()
+
+    def test_integer_spelling_of_a_float_writes_the_same_report(
+            self, tmp_path):
+        reports = []
+        for spelling in (1, 1.0):
+            cfg_path, doc = base_config(
+                tmp_path, training={"lr0": spelling, "decay_factor": spelling,
+                                    "epochs": 1})
+            assert main(["train", "-c", str(cfg_path), "-o",
+                         str(tmp_path / "out")]) == 0
+            reports.append((tmp_path / "out" / "train_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert b"\r\n0,1.0," in reports[0]
+
     # main turns numpy's overflow and invalid-value warnings off, so any
     # RuntimeWarning here is one the contract does not allow
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -818,7 +843,7 @@ class TestGridCommand:
         risks = {("plain", 0): 0.25, ("plain", 1): 0.5,
                  ("abstain", 0): 0.125, ("abstain", 1): 0.375}
 
-        def fixed_risks(net, val_ds, test_ds, mechanisms, coverages, split):
+        def fixed_risks(net, val_ds, test_ds, mechanisms, coverages):
             risk = risks[net.head, seed_of[test_ds.fingerprint]]
             return None, {k: (None, [RiskCoveragePoint(c, c, risk, 1)
                                      for c in coverages])
@@ -909,6 +934,17 @@ class TestGridCommand:
         manifest, rows = self.read_outputs(doc)
         assert [c["coverage"] for c in manifest["cells"]] == [0.9, 0.7, 0.5]
         assert any(r.startswith("SelectiveNet,selection_head") for r in rows)
+
+    def test_integer_coverage_writes_the_same_manifest(self, tmp_path):
+        manifests = []
+        for spelling in (1, 1.0):
+            cfg_path, doc = self.grid_config(
+                tmp_path, methods=["SelectiveNet"], coverages=[spelling])
+            assert main(["grid", "-c", str(cfg_path)]) == 0
+            manifests.append(
+                (Path(doc["output_dir"]) / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert b'"coverage": 1.0,' in manifests[0]
 
     def test_close_coverages_get_cells_of_their_own(self, tmp_path):
         cfg_path, doc = base_config(

@@ -349,7 +349,7 @@ class TestNetworkBackward:
         trace = network_forward(net, X)
         grads = network_backward(
             net, trace, {"logits": np.zeros_like(trace.head_raw["logits"])})
-        assert grads is trace.grad
+        assert grads is trace.grad.params
         assert grads.shape == net.params.shape
         assert np.all(grads == 0.0)
 
@@ -372,10 +372,30 @@ class TestNetworkBackward:
         assert np.all(trace.pre[0][:, 0] == 0.0)
         grads = network_backward(
             net, trace, {"logits": rng.normal(size=(4, 2))})
-        dW, db = nn._layer_views(grads, net.layer_shapes)[0]
+        dW, db = trace.grad.trunk[0].W, trace.grad.trunk[0].b
         assert np.all(dW[0] == 0.0) and db[0] == 0.0
         # the other units are live, so their rows are not trivially 0
         assert np.any(dW[1:] != 0.0)
+
+    @pytest.mark.parametrize("head, hidden", [
+        ("plain", (3, 4)), ("abstain", (3, 4)), ("selectivenet", (3, 4)),
+        ("selectivenet", ())])
+    def test_gradient_layers_sit_where_the_parameter_layers_do(
+            self, rng, head, hidden):
+        net = build_network(2, hidden, 3, head)
+        trace = network_forward(net, rng.normal(size=(4, 2)))
+        grads = network_backward(net, trace, {
+            name: rng.normal(size=raw.shape)
+            for name, raw in trace.head_raw.items()})
+        layers = zip(net.trunk + list(net.heads.values()),
+                     trace.grad.trunk + list(trace.grad.heads.values()))
+        # one distinct value per W and per b, written on both sides
+        for value, (layer, g) in enumerate(layers):
+            layer.W[...] = g.W[...] = 2 * value + 1
+            layer.b[...] = g.b[...] = 2 * value + 2
+        assert np.array_equal(grads, net.params)
+        n_arrays = 2 * (len(net.trunk) + len(net.heads))
+        assert set(grads) == set(range(1, n_arrays + 1))
 
     def test_missing_or_extra_head_raises(self, rng):
         net = random_net(rng, head="selectivenet", n_classes=3)

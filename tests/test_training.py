@@ -91,6 +91,13 @@ class TestLrSchedule:
                                match=r"^training\.decay_factor 1e\+300 "):
                 bad.validate()
 
+    def test_integer_schedule_overflows_in_float(self):
+        cfg = TrainConfig(lr0=1, decay_factor=10, decay_every=1, epochs=400)
+        with pytest.raises(ConfigurationError,
+                           match=r"^training\.decay_factor 10 makes "):
+            cfg.validate()
+        assert type(lr_at_epoch(cfg, 0)) is float
+
     def test_decaying_schedule_valid_when_its_rate_underflows(self):
         cfg = TrainConfig(epochs=4, decay_factor=1e-300, decay_every=1)
         cfg.validate()
