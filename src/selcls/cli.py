@@ -214,7 +214,7 @@ def keep_freed_memory() -> None:
     (glibc ``mallopt``): blocks below 32 MiB come from the heap and up to
     64 MiB of free heap stays mapped. ``main`` calls it before it runs any
     command. Without it, the buffers of every whole-split forward and
-    every ``train()`` workspace are unmapped when freed and faulted in
+    every ``train()`` trace are unmapped when freed and faulted in
     again by the next cell or file: the forked workers of one grid-ref
     round took about 74k minor page faults at glibc's defaults and about
     4.3k with this, and one eval-sweep round (six ``selcls eval`` calls in

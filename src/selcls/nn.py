@@ -20,16 +20,16 @@ A forward pass returns the trace that the exact backward pass needs;
 neither pass mutates the network. Parameter updates happen only in the
 training loop, on ``Network.params``.
 
-A forward pass writes into a ``Workspace``, the buffers of one network
-per batch row count, and returns its row count's buffers, which are also
-the trace: its input, trunk pre-activations and activations and head
-outputs. The backward pass writes its gradient, a ``Network``, there
-too; the objective's gradients and the backward's intermediates are
-new arrays. A forward given no workspace makes a fresh one, so every
-pass runs the same buffer code. ``train()`` holds one workspace for all
-of its batch steps; each whole-split forward (``network_outputs``)
-makes its own. A trace is overwritten by the next forward on its
-workspace of as many rows.
+A forward pass writes into a ``Trace``, the buffers of one network for
+batches of one row count: its input, trunk pre-activations and
+activations and head outputs. The backward pass writes its gradient, a
+``Network``, there too; the objective's gradients and the backward's
+intermediates are new arrays. A forward given a trace of its network and
+row count overwrites it, and any other forward makes a fresh one, so
+every pass runs the same buffer code; either way it returns the trace.
+``train()`` hands each batch forward the trace that the one before
+returned, so its full batches share one; each whole-split forward
+(``network_outputs``) makes its own.
 
 Gradient convention: losses hand back d(loss)/d(raw head outputs), one
 array per head, and ``network_backward`` chains them to every parameter.
@@ -175,15 +175,16 @@ def _blocks(buf: np.ndarray, rows: int, widths) -> list:
     return blocks
 
 
-class _BatchBuffers:
-    """A workspace's buffers for batches of one row count m, which are also
-    the trace of its latest forward: the input ``x``, the trunk's ``pre``
-    and ``act`` and the heads' ``head_raw``. The forward's are made with
-    it; the gradient, which a forward-only caller never touches, on first
-    use."""
+class Trace:
+    """The buffers of the forward and backward passes of ``net`` on batches
+    of m rows (``rows``), which hold the latest forward's trace: the input
+    ``x``, the trunk's ``pre`` and ``act`` and the heads' ``head_raw``. The
+    forward's are made with it; the gradient, which a forward-only caller
+    never touches, on first use."""
 
     def __init__(self, net: Network, m: int):
         self._net = net
+        self.rows = m
         self.x = None
         widths = [h.b.size for h in net.heads.values()]
         # pre-activations of every trunk layer in one buffer, the outputs
@@ -202,57 +203,44 @@ class _BatchBuffers:
                              net.hidden_dims, net.n_classes, net.head)
 
 
-class Workspace:
-    """The buffers of ``network_forward`` and ``network_backward`` on one
-    network, one ``_BatchBuffers`` per batch row count, each made on first
-    use."""
-
-    def __init__(self, net: Network):
-        self._net = net
-        self._batches = {}
-
-    def batch(self, m: int) -> _BatchBuffers:
-        """The buffers of an m-row batch."""
-        buffers = self._batches.get(m)
-        if buffers is None:
-            buffers = self._batches[m] = _BatchBuffers(self._net, m)
-        return buffers
-
-
 def network_forward(net: Network, batch: np.ndarray,
-                    ws: Workspace | None = None) -> _BatchBuffers:
+                    trace: Trace | None = None) -> Trace:
     """Run the trunk and all configured heads on a batch of shape (m, d).
 
     Trunk pre-activations fill one buffer and head outputs a second, so each
     takes one finite check; only a failed check scans the layers, in order,
-    to name the first non-finite one. Returns the batch buffers of the
-    workspace ``ws`` (a fresh one when omitted) for this row count, with
-    ``x`` set to the batch: the trace that ``network_backward`` reads,
-    overwritten by the next forward on ``ws`` of as many rows.
+    to name the first non-finite one. Writes into ``trace`` when it is a
+    trace of ``net`` with m rows, and into a fresh ``Trace`` otherwise, and
+    returns the trace written, with ``x`` set to the batch: what
+    ``network_backward`` reads, overwritten when it is handed to the next
+    forward.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ConfigurationError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}")
     # layer shapes are fixed by build_network, so only the batch is checked
-    b = (ws or Workspace(net)).batch(x.shape[0])
-    b.x = x
+    m = len(x)
+    if trace is None or trace.rows != m or trace._net is not net:
+        trace = Trace(net, m)
+    trace.x = x
     a = x
-    for layer, z, act in zip(net.trunk, b.pre, b.act):
+    for layer, z, act in zip(net.trunk, trace.pre, trace.act):
         np.matmul(a, layer.W.T, out=z)
         z += layer.b
         a = np.maximum(z, 0.0, out=act)
-    if not np.isfinite(b.trunk).all():
-        i = next(i for i, z in enumerate(b.pre) if not np.isfinite(z).all())
+    if not np.isfinite(trace.trunk).all():
+        i = next(i for i, z in enumerate(trace.pre)
+                 if not np.isfinite(z).all())
         raise NumericFault(f"non-finite pre-activation at trunk layer {i}")
-    for h, raw in zip(net.heads.values(), b.head_raw.values()):
+    for h, raw in zip(net.heads.values(), trace.head_raw.values()):
         np.matmul(a, h.W.T, out=raw)
         raw += h.b
-    if not np.isfinite(b.head).all():
-        name = next(name for name, raw in b.head_raw.items()
+    if not np.isfinite(trace.head).all():
+        name = next(name for name, raw in trace.head_raw.items()
                     if not np.isfinite(raw).all())
         raise NumericFault(f"non-finite output at head {name!r}")
-    return b
+    return trace
 
 
 # Row block of a whole-split forward. Blocks start at multiples of it and
@@ -290,7 +278,7 @@ def network_outputs(net: Network, X) -> dict:
     return out
 
 
-def network_backward(net: Network, trace: _BatchBuffers,
+def network_backward(net: Network, trace: Trace,
                      dhead_raw: dict) -> np.ndarray:
     """Chain d(loss)/d(raw head outputs) back to every parameter.
 

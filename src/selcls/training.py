@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericFault
 from .nn import (
     Network,
-    Workspace,
     network_backward,
     network_forward,
     network_outputs,
@@ -134,10 +133,11 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
 
     Deterministic given (net, data, cfg): every shuffle draws from a
     sub-seed derived from cfg.seed and the epoch index. The network is
-    mutated in place; nothing else is. Each epoch gathers the shuffled
-    split once, and every batch step's forward and backward pass share one
-    ``Workspace``: the forward returns the batch's buffers, and the
-    backward pass writes the flat gradient into them.
+    mutated in place; nothing else is. An empty split raises
+    ConfigurationError before the first forward. Each epoch gathers the
+    shuffled split once. Each batch forward is handed the ``Trace`` that
+    the one before returned, so batches of as many rows share one; the
+    backward pass writes the flat gradient into it.
     """
     cfg.validate()
     obj = cfg.objective
@@ -147,6 +147,9 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
         raise ConfigurationError(
             f"objective {obj.kind!r} needs a {obj.required_head()!r} head, "
             f"network has {net.head!r}")
+    for name, split in (("training", train_data), ("validation", val_data)):
+        if not len(split.labels):
+            raise ConfigurationError(f"the {name} split is empty")
     report = TrainReport()
     X = np.asarray(train_data.features, dtype=np.float64)
     y = np.asarray(train_data.labels, dtype=np.int64)
@@ -156,7 +159,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     targets = np.ones(n) if obj.base_kind == "SAT" else None
 
     velocity = np.zeros_like(net.params)
-    ws = Workspace(net)
+    trace = None
     # the shuffled split, and each batch's predicted classes from the
     # network as it was before that batch's update
     Xp, yp, pred = np.empty_like(X), np.empty_like(y), np.empty_like(y)
@@ -171,7 +174,7 @@ def train(net: Network, train_data, val_data, cfg: TrainConfig) -> TrainReport:
         for start in range(0, n, cfg.batch_size):
             rows = slice(start, start + cfg.batch_size)
             ids = perm[rows]
-            trace = network_forward(net, Xp[rows], ws)
+            trace = network_forward(net, Xp[rows], trace)
             result = objective_dispatch(
                 obj, trace.head_raw, yp[rows], n_classes=C,
                 t_y=targets[ids] if adaptive else None)

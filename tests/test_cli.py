@@ -164,9 +164,9 @@ class TestTrainCommand:
                                                    monkeypatch):
         forwards = []
 
-        def counted_forward(net, batch, ws=None):
+        def counted_forward(net, batch, trace=None):
             forwards.append(len(batch))
-            return network_forward(net, batch, ws)
+            return network_forward(net, batch, trace)
 
         monkeypatch.setattr(training, "network_forward", counted_forward)
         cfg_path, doc = base_config(

@@ -11,7 +11,6 @@ from selcls import nn
 from selcls.nn import (
     FORWARD_BLOCK_ROWS,
     Network,
-    Workspace,
     build_network,
     finite_difference_gradient,
     load_checkpoint,
@@ -239,9 +238,9 @@ class TestNetworkOutputs:
     def test_bitwise_equal_to_one_forward(self, rng, monkeypatch, rows):
         block_rows = []
 
-        def counted(net, batch, ws=None):
+        def counted(net, batch, trace=None):
             block_rows.append(len(batch))
-            return network_forward(net, batch, ws)
+            return network_forward(net, batch, trace)
 
         monkeypatch.setattr(nn, "network_forward", counted)
         X = rng.normal(size=(rows, 5))
@@ -288,21 +287,25 @@ class TestNetworkOutputs:
                 network_outputs(net, X)
 
 
-class TestWorkspace:
+class TestTrace:
     HEADS = ("plain", "abstain", "selectivenet")
 
     @pytest.mark.parametrize("widths", [(64, 64), ()],
                              ids=["64-64", "no-trunk"])
     @pytest.mark.parametrize("head", HEADS)
-    def test_bitwise_equal_to_fresh_buffers(self, rng, head, widths):
+    def test_bitwise_equal_to_fresh_traces(self, rng, head, widths):
         net = build_network(5, widths, 8, head, seed=1)
         net.params += rng.normal(scale=0.3, size=net.params.size)
-        ws = Workspace(net)
-        # a short last batch, a full one, then one larger than any before
-        for rows in (64, 16, 64, 200):
+        trace = None
+        # two full batches, a short last one, a full one, then one larger
+        # than any before; each forward is handed the trace of the last
+        for rows in (64, 64, 16, 64, 200):
             X = rng.normal(size=(rows, 5))
             want = network_forward(net, X)
-            got = network_forward(net, X, ws)
+            got = network_forward(net, X, trace)
+            assert (got is trace) == (trace is not None and
+                                      trace.rows == rows)
+            assert got.rows == rows
             for name in want.head_raw:
                 assert np.array_equal(got.head_raw[name], want.head_raw[name])
             for a, b in zip(got.pre + got.act, want.pre + want.act):
@@ -311,14 +314,14 @@ class TestWorkspace:
                  for name, raw in want.head_raw.items()}
             assert np.array_equal(network_backward(net, got, d),
                                   network_backward(net, want, d))
+            trace = got
 
     def test_trace_is_overwritten_by_the_next_forward(self, rng):
         net = random_net(rng, head="selectivenet")
-        ws = Workspace(net)
         X1, X2 = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        first = network_forward(net, X1, ws)
+        first = network_forward(net, X1)
         logits1 = first.head_raw["logits"].copy()
-        second = network_forward(net, X2, ws)
+        second = network_forward(net, X2, first)
         # the first trace is the second: it now holds the second batch
         assert second is first
         assert np.array_equal(first.x, X2)
@@ -326,15 +329,35 @@ class TestWorkspace:
                               network_forward(net, X2).head_raw["logits"])
         assert not np.array_equal(first.head_raw["logits"], logits1)
 
-    def test_network_outputs_never_alias_a_workspace(self, rng):
+    def test_another_row_count_or_network_gets_a_fresh_trace(self, rng):
         net = random_net(rng, head="selectivenet")
-        ws = Workspace(net)
-        trace = network_forward(net, rng.normal(size=(8, 4)), ws)
+        twin = build_network(net.input_dim, net.hidden_dims, net.n_classes,
+                             net.head)
+        twin.params[...] = net.params
+        x = rng.normal(size=(8, 4))
+        trace = network_forward(net, x)
+        network_backward(net, trace, {name: np.ones_like(raw)
+                                      for name, raw in trace.head_raw.items()})
+        buffers = [trace.trunk, trace.head, *trace.act, trace.grad.params]
+        before = [b.tobytes() for b in buffers]
+        for other, rows in ((net, 7), (net, 9), (twin, 8)):
+            X = rng.normal(size=(rows, 4))
+            got = network_forward(other, X, trace)
+            assert got is not trace
+            assert got.rows == rows
+            assert np.array_equal(got.head_raw["logits"],
+                                  network_forward(other, X).head_raw["logits"])
+        assert trace.x is x
+        assert [b.tobytes() for b in buffers] == before
+
+    def test_network_outputs_never_alias_a_trace(self, rng):
+        net = random_net(rng, head="selectivenet")
+        trace = network_forward(net, rng.normal(size=(8, 4)))
         outputs = [network_outputs(net, rng.normal(size=(rows, 4)))
                    for rows in (8, 2000)]
         kept = [{name: raw.copy() for name, raw in out.items()}
                 for out in outputs]
-        network_forward(net, rng.normal(size=(8, 4)), ws)
+        assert network_forward(net, rng.normal(size=(8, 4)), trace) is trace
         buffers = trace.pre + trace.act + list(trace.head_raw.values())
         for out, before in zip(outputs, kept):
             for name, raw in out.items():
@@ -413,15 +436,15 @@ class TestNetworkBackward:
 
     def test_builds_no_buffers_of_its_own(self, rng, monkeypatch):
         # the backward writes into the trace, so a forward and backward
-        # without a workspace build one set of batch buffers
+        # handed no trace build one trace
         built = []
-        init = nn._BatchBuffers.__init__
+        init = nn.Trace.__init__
 
         def counted(self, net, m):
             built.append(m)
             init(self, net, m)
 
-        monkeypatch.setattr(nn._BatchBuffers, "__init__", counted)
+        monkeypatch.setattr(nn.Trace, "__init__", counted)
         net = random_net(rng, head="selectivenet")
         X, _ = random_batch(rng, net)
         trace = network_forward(net, X)

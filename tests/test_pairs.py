@@ -220,3 +220,30 @@ def test_the_change_side_is_a_snapshot_of_the_working_tree(
     assert git("status", "--porcelain") == status == " M a.txt\n"
     assert git("stash", "list") == stashes == ""
     assert git("rev-parse", "HEAD").strip() == head
+
+
+# a base whose IQR (0.55) is 37% of its median (1.5), against a 25% bound
+WIDE = [1.0, 1.1, 1.2, 1.3, 1.4, 1.6, 1.7, 1.8, 1.9, 2.0]
+
+
+@pytest.mark.parametrize("base, change, resolved, shown", [
+    (WIDE, WIDE, False, "unresolved"),
+    (WIDE, [0.9] * 10, True, "within bound"),
+    (BASE, BASE, True, "within bound"),
+], ids=["wide", "wide-every-change-run-better", "narrow"])
+def test_spread_wider_than_the_bound_is_unresolved(base, change, resolved,
+                                                   shown):
+    s = pairs.summarize(list(zip(base, change)), bound=0.25)
+    assert s["within_bound"] is True
+    assert s["resolved"] is resolved
+    line = pairs.report({"wall_s": s}, [], set())
+    assert line.endswith(f"  {shown}")
+    assert ("within bound" in line) is resolved
+
+
+def test_spread_against_the_bound_counts_for_higher_better_metrics():
+    assert pairs.summarize(list(zip(WIDE, WIDE)), better="higher",
+                           bound=0.25)["resolved"] is False
+    assert pairs.summarize(list(zip(WIDE, [2.1] * 10)), better="higher",
+                           bound=0.25)["resolved"] is True
+    assert pairs.summarize(list(zip(WIDE, WIDE)))["resolved"] is None

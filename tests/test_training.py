@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from selcls.config import DatasetConfig
-from selcls.datasets import MixtureSpec, generate_mixture
+from selcls.datasets import Dataset, MixtureSpec, generate_mixture
 from selcls.errors import ConfigurationError, NumericFault
 from selcls import nn
 from selcls.nn import (
@@ -169,9 +169,9 @@ class TestTrain:
         # network_outputs
         batch_rows, split_rows = [], []
 
-        def counted_forward(net, batch, ws=None):
+        def counted_forward(net, batch, trace=None):
             batch_rows.append(len(batch))
-            return network_forward(net, batch, ws)
+            return network_forward(net, batch, trace)
 
         def counted_outputs(net, X):
             split_rows.append(len(X))
@@ -311,8 +311,9 @@ def test_report_csv_bytes(tmp_path, comment, first_line):
 
 
 def per_batch_reference_train(net, train_ds, val_ds, cfg):
-    """The training loop as it ran before the workspace: every batch
-    gathered by its shuffled ids and computed in new arrays, its accuracy
+    """The training loop as it ran before the step's buffers were kept:
+    every batch gathered by its shuffled ids and computed in new arrays,
+    its accuracy
     counted per batch. Returns (epoch stats, SAT targets or None)."""
     obj = cfg.objective
     X = train_ds.features
@@ -347,10 +348,11 @@ def per_batch_reference_train(net, train_ds, val_ds, cfg):
     return epochs, targets
 
 
-class TestWorkspaceTraining:
-    """train() computes every batch in one workspace on slices of a
-    once-per-epoch gathered split; nothing it reports or learns may move
-    by a bit against the per-batch reference loop."""
+class TestTraceTraining:
+    """train() hands each batch forward the trace of the batch before and
+    computes on slices of a once-per-epoch gathered split; nothing it
+    reports or learns may move by a bit against the per-batch reference
+    loop."""
 
     @pytest.fixture(scope="class")
     def splits(self):
@@ -359,18 +361,22 @@ class TestWorkspaceTraining:
             .mixture_spec(11)
         return generate_mixture(spec)[:2]
 
-    @pytest.mark.parametrize("kind, weight_decay", [
-        *[(kind, 0.0) for kind in OBJECTIVE_KINDS],
-        ("CE", 5e-4),
-    ], ids=[*OBJECTIVE_KINDS, "CE-weight-decay"])
+    @pytest.mark.parametrize("kind, weight_decay, widths", [
+        *[(kind, 0.0, (64, 64)) for kind in OBJECTIVE_KINDS],
+        ("CE", 5e-4, (64, 64)),
+        *[(kind, 0.0, ()) for kind in ("CE", "DG", "SAT+EM", "SelectiveNet")],
+    ], ids=[*OBJECTIVE_KINDS, "CE-weight-decay",
+            *[f"{kind}-no-trunk"
+              for kind in ("CE", "DG", "SAT+EM", "SelectiveNet")]])
     def test_bitwise_equal_to_per_batch_reference(self, splits, kind,
-                                                  weight_decay, monkeypatch):
+                                                  weight_decay, widths,
+                                                  monkeypatch):
         train_ds, val_ds = splits
         objective = ObjectiveConfig(kind=kind, c_target=0.5,
                                     sat_pretrain_epochs=1)
         cfg = TrainConfig(epochs=3, batch_size=64, seed=11,
                           objective=objective, weight_decay=weight_decay)
-        nets = [build_network(train_ds.dim, (64, 64), 8,
+        nets = [build_network(train_ds.dim, widths, 8,
                               objective.required_head(), seed=11)
                 for _ in range(2)]
         report, targets, _ = train_keeping_targets(monkeypatch, nets[0],
@@ -384,38 +390,58 @@ class TestWorkspaceTraining:
             assert targets.tobytes() == want_targets.tobytes()
 
     @pytest.mark.parametrize("kind", ["CE", "DG", "SAT", "SelectiveNet"])
-    def test_one_workspace_lookup_per_batch(self, monkeypatch, kind):
-        # the objective writes into the trace that the forward returned,
-        # so a step looks up its batch buffers once, in the forward
-        looked_up = []
+    def test_two_traces_per_epoch(self, monkeypatch, kind):
+        # each batch forward is handed the trace of the batch before, so
+        # an epoch builds one for its full batches and one for its short
+        # last batch
+        built = []
 
-        class CountedWorkspace(nn.Workspace):
-            def batch(self, m):
-                looked_up.append(m)
-                return super().batch(m)
+        def counted_forward(net, batch, trace=None):
+            out = network_forward(net, batch, trace)
+            if out is not trace:
+                built.append(out.rows)
+            return out
 
-        monkeypatch.setattr(training, "Workspace", CountedWorkspace)
+        monkeypatch.setattr(training, "network_forward", counted_forward)
         train_ds, val_ds, _ = generate_mixture(small_spec())
         cfg = quick_cfg(kind=kind, epochs=2, sat_pretrain_epochs=0)
         net = build_network(2, (8,), 2, cfg.objective.required_head(), seed=0)
         train(net, train_ds, val_ds, cfg)
         # 300 rows in batches of 32: nine full ones and one of 12
-        assert looked_up == ([32] * 9 + [12]) * 2
+        assert built == [32, 12, 32, 12]
 
     def test_inadmissible_payoff_fails_before_any_forward(self, monkeypatch):
         # C = 2, so the payoff 3 lies above C; a TrainConfig built in code
         # passes no config load, so train() checks it itself
         forwards = []
 
-        def counted_forward(net, batch, ws=None):
+        def counted_forward(net, batch, trace=None):
             forwards.append(len(batch))
-            return network_forward(net, batch, ws)
+            return network_forward(net, batch, trace)
 
         monkeypatch.setattr(training, "network_forward", counted_forward)
         train_ds, val_ds, _ = generate_mixture(small_spec())
         net = build_network(2, (8,), 2, "abstain", seed=0)
         with pytest.raises(ConfigurationError, match="1 < o <= C"):
             train(net, train_ds, val_ds, quick_cfg(kind="DG", o=3.0))
+        assert forwards == []
+
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_split_fails_before_any_forward(self, monkeypatch, empty):
+        forwards = []
+
+        def counted_forward(net, batch, trace=None):
+            forwards.append(len(batch))
+            return network_forward(net, batch, trace)
+
+        monkeypatch.setattr(training, "network_forward", counted_forward)
+        splits = dict(zip(["training", "validation"],
+                          generate_mixture(small_spec())[:2]))
+        splits[empty] = Dataset(np.zeros((0, 2)), np.zeros(0, np.int64))
+        net = build_network(2, (8,), 2, "plain", seed=0)
+        with pytest.raises(ConfigurationError,
+                           match=f"the {empty} split is empty"):
+            train(net, *splits.values(), quick_cfg(epochs=1))
         assert forwards == []
 
 

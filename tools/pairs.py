@@ -22,9 +22,11 @@ Q1 and Q3 (``statistics.quantiles``, inclusive method), the number of
 pairs in which the change was better, the relative change of the medians
 against the metric's bound, and whether the claim rule holds: the change
 better in at least 9 of every 10 pairs run, by a median gap larger than
-the base's interquartile range, with no flagged run. A run is flagged when
-it exits non-zero, prints no JSON last line, is not ``correct`` or has
-failed operations.
+the base's interquartile range, with no flagged run. A metric within its
+bound reads ``unresolved`` where the base's interquartile range is wider
+than the bound and not every change run reads better than every base run.
+A run is flagged when it exits non-zero, prints no JSON last line, is not
+``correct`` or has failed operations.
 
 Each run also gets two figures that perfbench does not report, from the
 ``wait4`` resource usage of its process, which covers it and every
@@ -90,12 +92,15 @@ def summarize(pairs, better: str = "lower", bound=None,
     (positive when better) and ``relative`` the change of the medians
     against the base's; ``within_bound`` says whether the change is no
     worse than the base by more than ``bound`` (a share of the base's
-    median), and is None without a bound. ``pairs_run`` is the number of
-    pairs that were run, ``len(pairs)`` when None; a pair that was run but
-    is not in ``pairs`` (a flagged run) fails the claim. The claim holds
-    when every pair run counts, the change is better in at least
-    ``CLAIM_SHARE`` of them and ``gap`` exceeds the base's interquartile
-    range."""
+    median), and is None without a bound. ``resolved`` is False where the
+    base's interquartile range is wider than ``bound`` times its median and
+    not every change run reads better than every base run: such runs cannot
+    tell a change within the bound from one outside it. It is None without
+    a bound. ``pairs_run`` is the number of pairs that were run,
+    ``len(pairs)`` when None; a pair that was run but is not in ``pairs``
+    (a flagged run) fails the claim. The claim holds when every pair run
+    counts, the change is better in at least ``CLAIM_SHARE`` of them and
+    ``gap`` exceeds the base's interquartile range."""
     if pairs_run is None:
         pairs_run = len(pairs)
     sign = 1.0 if better == "lower" else -1.0
@@ -105,11 +110,15 @@ def summarize(pairs, better: str = "lower", bound=None,
     gap = sign * (base["median"] - change["median"])
     relative = (change["median"] / base["median"] - 1.0) if base["median"] \
         else math.nan
+    all_better = change["max"] < base["min"] if better == "lower" else \
+        change["min"] > base["max"]
     return {
         "pairs": len(pairs), "pairs_run": pairs_run, "better": better,
         "base": base, "change": change,
         "change_better_in": better_in, "gap": gap, "relative": relative,
         "within_bound": None if bound is None else sign * relative <= bound,
+        "resolved": None if bound is None else (
+            base["iqr"] <= bound * abs(base["median"]) or all_better),
         "claim_holds": len(pairs) == pairs_run
         and better_in >= math.ceil(CLAIM_SHARE * pairs_run)
         and gap > base["iqr"],
@@ -169,7 +178,8 @@ def report(summaries: dict, flagged: list, claimable: set) -> str:
     for name, s in summaries.items():
         b, c = s["base"], s["change"]
         bound = "" if s["within_bound"] is None else \
-            ("  within bound" if s["within_bound"] else "  OUTSIDE BOUND")
+            "  OUTSIDE BOUND" if not s["within_bound"] else \
+            "  within bound" if s["resolved"] else "  unresolved"
         claim = ""
         if name in claimable:
             claim = "  claim holds" if s["claim_holds"] else "  claim fails"
